@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 
@@ -248,19 +249,12 @@ def cmd_run(args) -> int:
     classification = settings.problem == "classification"
 
     if isinstance(source, Dataset):
-        base = source
-        times = base.T[:, 0] if base.T.ndim == 2 else None
-        pool_size = base.n
+        times = source.T[:, 0] if source.T.ndim == 2 else None
+        pool_size = source.n
 
-        def dataset_for_fold(method, n, fold, fold_seed):
-            pairs = _split_pairs(cfg, pool_size, times, n, seed=derive_seed(seed, "split", n))
-            train_idx, test_idx = pairs[fold]
-            train, test = base.subset(train_idx), base.subset(test_idx)
-            if classification:
-                train, test = _binarize_at_train_median(train, test)
-            return train, test
+        def train_test(train_idx, test_idx):
+            return source.subset(train_idx), source.subset(test_idx)
 
-        n_folds = len(_split_pairs(cfg, pool_size, times, min(train_sizes), seed=0))
     else:
         records = source
         if schema.task_time is not None:
@@ -273,19 +267,23 @@ def cmd_run(args) -> int:
             times = None
         pool_size = len(records)
 
-        def dataset_for_fold(method, n, fold, fold_seed):
-            pairs = _split_pairs(cfg, pool_size, times, n, seed=derive_seed(seed, "split", n))
-            train_idx, test_idx = pairs[fold]
+        def train_test(train_idx, test_idx):
             train_recs = [records[i] for i in train_idx]
             test_recs = [records[i] for i in test_idx]
             pre = Preprocessor(schema, policy).fit(train_recs)
-            train = pre.transform(train_recs)
-            test = pre.transform(test_recs)
-            if classification:
-                train, test = _binarize_at_train_median(train, test)
-            return train, test
+            return pre.transform(train_recs), pre.transform(test_recs)
 
-        n_folds = len(_split_pairs(cfg, pool_size, times, min(train_sizes), seed=0))
+    @functools.cache
+    def splits(n):
+        return _split_pairs(cfg, pool_size, times, n, seed=derive_seed(seed, "split", n))
+
+    def dataset_for_fold(method, n, fold, fold_seed):
+        train, test = train_test(*splits(n)[fold])
+        if classification:
+            train, test = _binarize_at_train_median(train, test)
+        return train, test
+
+    n_folds = len(splits(min(train_sizes)))
 
     try:
         rows = run_experiment(

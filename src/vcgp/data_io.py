@@ -20,7 +20,7 @@ import numpy as np
 
 from ._linalg import chol_with_jitter
 from .gp_core import Dataset
-from .kernels import TaskKernel, task_gram
+from .kernels import TaskKernel, discrete_task_gram, task_gram
 
 __all__ = [
     "Schema",
@@ -360,18 +360,27 @@ def synth_vcm(
 ) -> SynthResult:
     """Draw a synthetic dataset from the varying-coefficient process.
 
-    Task points are uniform on [0, 1]^d; each coefficient dimension is an
-    independent zero-mean Gaussian draw with the task kernel as covariance;
-    instances are standard normal; labels are the linear observation model
-    with noise variance ``tau2``.  Deterministic per seed.
+    Task points are uniform on [0, 1]^d, or, for a discrete-task kernel
+    (tree, Laplacian, fixed Gram), task ids uniform on 1..k with ``d``
+    unused; each coefficient dimension is an independent zero-mean Gaussian
+    draw with the task kernel as covariance (over the k tasks for discrete
+    kernels); instances are standard normal; labels are the linear
+    observation model with noise variance ``tau2``.  Deterministic per seed.
     """
-    if n > 5000:
-        raise ValueError("dense sampling is limited to n <= 5000")
     rng = np.random.default_rng(seed)
-    T = rng.uniform(0.0, 1.0, size=(n, d))
-    KT = task_gram(task_kernel, T, T)
-    L, _ = chol_with_jitter(KT + 1e-10 * np.eye(n), context="task Gram for synthesis")
-    W = (L @ rng.standard_normal((n, m)))
+    G = discrete_task_gram(task_kernel)
+    if G is None:
+        if n > 5000:
+            raise ValueError("dense sampling is limited to n <= 5000")
+        T = rng.uniform(0.0, 1.0, size=(n, d))
+        KT = task_gram(task_kernel, T, T)
+        L, _ = chol_with_jitter(KT + 1e-10 * np.eye(n), context="task Gram for synthesis")
+        W = (L @ rng.standard_normal((n, m)))
+    else:
+        k = G.shape[0]
+        T = rng.integers(1, k + 1, size=n)
+        L, _ = chol_with_jitter(G + 1e-10 * np.eye(k), context="task Gram for synthesis")
+        W = (L @ rng.standard_normal((k, m)))[T - 1]
     X = rng.standard_normal((n, m))
     noise = rng.standard_normal(n) * np.sqrt(tau2) if tau2 > 0 else 0.0
     y = np.einsum("ij,ij->i", X, W) + noise

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._linalg import NumericalError, chol_with_jitter, solve_lower, solve_upper
+from ._linalg import NumericalError, chol_with_jitter, solve_chol, solve_lower, solve_upper
 from .gp_core import VARIANCE_CLAMP, Dataset, SearchConfig, _as_task_row, grid_candidates
 from .kernels import KernelSpec, as_task_array
 
@@ -63,26 +63,94 @@ def logistic_gaussian_integral(mu, var):
 
 @dataclass(frozen=True)
 class LaplaceState:
-    """Converged Newton state for a latent Gaussian with dense covariance A."""
+    """Converged Newton state for a latent Gaussian with covariance A."""
 
     mode: np.ndarray        # posterior mode of z
     dual: np.ndarray        # A^{-1} mode, maintained exactly by the iteration
     pi: np.ndarray          # sigmoid(mode)
     W: np.ndarray           # diagonal of the negative log-likelihood Hessian
-    B_chol: np.ndarray      # lower Cholesky of I + sqrt(W) A sqrt(W)
+    B_chol: np.ndarray      # lower Cholesky factor of the covariance's Laplace system
+    half_logdet_B: float    # 0.5 log|I + sqrt(W) A sqrt(W)|
     log_lik: float          # log p(y | mode)
     iterations: int
 
+    def log_marginal_likelihood(self) -> float:
+        """Laplace approximation of log p(y | covariance)."""
+        return float(self.log_lik - 0.5 * self.mode @ self.dual - self.half_logdet_B)
 
-def laplace_mode(A: np.ndarray, y: np.ndarray, context: str = "covariance") -> LaplaceState:
+
+class DenseCovariance:
+    """Dense latent covariance; the Laplace system ``B`` is factorized as is."""
+
+    def __init__(self, A: np.ndarray):
+        self.A = A
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.A @ x
+
+    def newton_factor(self, W: np.ndarray, context: str):
+        """``(chol(B), x -> sqrt(W) B^{-1} sqrt(W) x)`` for ``B = I + sqrt(W) A sqrt(W)``."""
+        sw = np.sqrt(W)
+        B = np.eye(W.shape[0]) + sw[:, None] * self.A * sw[None, :]
+        L, _ = chol_with_jitter(B, context=context)
+
+        def solve(x):
+            return sw * solve_upper(L.T, solve_lower(L, sw * x))
+
+        return L, solve
+
+    def newton_half_logdet(self, W: np.ndarray, L: np.ndarray) -> float:
+        return float(np.sum(np.log(np.diag(L))))
+
+
+class LowRankDiag:
+    """Latent covariance ``V^T V + diag(lam)`` with ``V`` of shape p x n.
+
+    Never formed: products cost O(np), and the Laplace system goes through
+    the Woodbury identity.  With ``R = diag(W / (1 + W lam))``,
+    ``sqrt(W) B^{-1} sqrt(W) = R - R V^T C^{-1} V R`` where
+    ``C = I_p + V R V^T``, and ``log|B| = sum log(1 + W lam) + log|C|``.
+    A Newton step therefore costs O(np^2) and factorizes only p x p.
+    """
+
+    def __init__(self, V: np.ndarray, lam: np.ndarray):
+        self.V = V
+        self.lam = lam
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.V.T @ (self.V @ x) + self.lam * x
+
+    def newton_factor(self, W: np.ndarray, context: str):
+        """``(chol(C), x -> sqrt(W) B^{-1} sqrt(W) x)``."""
+        V = self.V
+        r = W / (1.0 + W * self.lam)
+        C = np.eye(V.shape[0]) + (V * r) @ V.T
+        Lc, _ = chol_with_jitter(C, context=context)
+
+        def solve(x):
+            rx = r * x
+            return rx - r * (V.T @ solve_chol(Lc, V @ rx))
+
+        return Lc, solve
+
+    def newton_half_logdet(self, W: np.ndarray, Lc: np.ndarray) -> float:
+        return float(0.5 * np.sum(np.log1p(W * self.lam)) + np.sum(np.log(np.diag(Lc))))
+
+
+def laplace_mode(
+    A: np.ndarray | LowRankDiag, y: np.ndarray, context: str = "covariance"
+) -> LaplaceState:
     """Find the mode of ``log p(y|z) - 0.5 z^T A^{-1} z`` by damped Newton.
 
-    Works in the dual parameterization ``z = A a`` so the quadratic term is
-    available without solves.  Each step is halved (up to 20 times) until the
-    objective does not decrease; the objective is therefore non-decreasing
-    across iterations.  Convergence is declared when the gradient
-    infinity-norm falls below 1e-8.
+    ``A`` is a dense matrix or a :class:`LowRankDiag`; the iteration only
+    multiplies by it and factorizes its Laplace system.  Works in the dual
+    parameterization ``z = A a`` so the quadratic term is available without
+    solves.  Each step is halved (up to 20 times) until the objective does
+    not decrease; the objective is therefore non-decreasing across
+    iterations.  Convergence is declared when the gradient infinity-norm
+    falls below 1e-8.
     """
+    cov = DenseCovariance(A) if isinstance(A, np.ndarray) else A
     y = np.asarray(y, dtype=float).reshape(-1)
     n = y.shape[0]
     a = np.zeros(n)
@@ -91,29 +159,23 @@ def laplace_mode(A: np.ndarray, y: np.ndarray, context: str = "covariance") -> L
     for iteration in range(1, NEWTON_MAX_ITER + 1):
         pi = sigmoid(z)
         grad = (y - pi) - a
+        W = pi * (1.0 - pi)
+        L, solve = cov.newton_factor(W, context=f"Laplace system for {context}")
         if np.max(np.abs(grad)) < NEWTON_GRAD_TOL:
-            W = pi * (1.0 - pi)
-            sw = np.sqrt(W)
-            B = np.eye(n) + sw[:, None] * A * sw[None, :]
-            L, _ = chol_with_jitter(B, context=f"Laplace system for {context}")
             return LaplaceState(
                 mode=z, dual=a, pi=pi, W=W, B_chol=L,
+                half_logdet_B=cov.newton_half_logdet(W, L),
                 log_lik=_log_likelihood(y, z), iterations=iteration - 1,
             )
-        W = pi * (1.0 - pi)
-        sw = np.sqrt(W)
-        B = np.eye(n) + sw[:, None] * A * sw[None, :]
-        L, _ = chol_with_jitter(B, context=f"Laplace system for {context}")
         b = W * z + (y - pi)
         # Newton target in the dual: a_new = b - sqrt(W) B^{-1} sqrt(W) A b
-        v = solve_lower(L, sw * (A @ b))
-        a_new = b - sw * solve_upper(L.T, v)
+        a_new = b - solve(cov @ b)
         direction = a_new - a
         step = 1.0
         roundoff = 1e-12 * (1.0 + abs(psi))
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             a_try = a + step * direction
-            z_try = A @ a_try
+            z_try = cov @ a_try
             psi_try = _log_likelihood(y, z_try) - 0.5 * a_try @ z_try
             if psi_try >= psi - roundoff:
                 break
@@ -177,10 +239,7 @@ class FittedClassifier:
 
     def log_marginal_likelihood(self) -> float:
         """Laplace approximation of log p(y | X, T, hyperparameters)."""
-        s = self.state
-        return float(
-            s.log_lik - 0.5 * s.mode @ s.dual - np.sum(np.log(np.diag(s.B_chol)))
-        )
+        return self.state.log_marginal_likelihood()
 
 
 def fit_classifier(data: Dataset, spec: KernelSpec, tau2: float) -> FittedClassifier:

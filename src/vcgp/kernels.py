@@ -37,6 +37,7 @@ __all__ = [
     "KernelSpec",
     "matern",
     "instance_gram",
+    "discrete_task_gram",
     "task_gram",
     "product_kernel_matrix",
     "product_kernel_diag",
@@ -448,6 +449,17 @@ def _discrete_lookup(G: np.ndarray, T1: np.ndarray, T2: np.ndarray) -> np.ndarra
     return G[np.ix_(T1 - 1, T2 - 1)]
 
 
+def discrete_task_gram(kernel: TaskKernel) -> np.ndarray | None:
+    """The k x k Gram over task ids 1..k of a discrete-task kernel, else None."""
+    if isinstance(kernel, Tree):
+        return tree_task_kernel(kernel.tree)
+    if isinstance(kernel, Laplacian):
+        return laplacian_task_kernel_from_parts(kernel.M, kernel.R)
+    if isinstance(kernel, FixedGram):
+        return kernel.gram
+    return None
+
+
 def task_gram(kernel: TaskKernel, T1, T2) -> np.ndarray:
     """Task-kernel Gram matrix between two sets of task descriptors."""
     if isinstance(kernel, Constant):
@@ -460,13 +472,8 @@ def task_gram(kernel: TaskKernel, T1, T2) -> np.ndarray:
         if T1.shape[1] != T2.shape[1]:
             raise ValueError("task coordinate dimensions differ")
         return _matern_gram(kernel, T1, T2)
-    if isinstance(kernel, Tree):
-        G = tree_task_kernel(kernel.tree)
-    elif isinstance(kernel, Laplacian):
-        G = laplacian_task_kernel_from_parts(kernel.M, kernel.R)
-    elif isinstance(kernel, FixedGram):
-        G = kernel.gram
-    else:
+    G = discrete_task_gram(kernel)
+    if G is None:
         raise TypeError(f"not a task kernel: {kernel!r}")
     T1 = as_task_array(T1, discrete=True)
     T2 = as_task_array(T2, discrete=True)
@@ -501,14 +508,8 @@ def product_kernel_diag(X, T, spec: KernelSpec) -> np.ndarray:
     elif isinstance(tk, Matern):
         dt = np.full(X.shape[0], tk.amplitude**2)
     else:
-        if isinstance(tk, Tree):
-            G = tree_task_kernel(tk.tree)
-        elif isinstance(tk, Laplacian):
-            G = laplacian_task_kernel_from_parts(tk.M, tk.R)
-        else:
-            G = tk.gram
         ids = as_task_array(T, discrete=True)
-        dt = np.diag(G)[ids - 1]
+        dt = np.diag(discrete_task_gram(tk))[ids - 1]
     return dx * dt
 
 

@@ -26,6 +26,7 @@ from .kernels import spec_from_dict, spec_to_dict
 __all__ = ["save_model", "load_model"]
 
 _MAGIC = "VCGP-MODEL 1"
+_CHOL_ARRAYS = ("chol", "B_chol")
 
 
 def _model_arrays(model) -> dict[str, np.ndarray]:
@@ -90,7 +91,10 @@ def load_model(path):
             buf = fh.read(count * dtype.itemsize)
             if len(buf) != count * dtype.itemsize:
                 raise ValueError(f"model file truncated while reading array {name!r}")
-            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+            # Cholesky factors come back in the Fortran layout LAPACK gives the
+            # fitted model: triangular solves round differently per layout
+            order = "F" if name in _CHOL_ARRAYS else "C"
+            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy(order=order)
 
     spec = spec_from_dict(header["spec"])
     data = Dataset(X=arrays["X"], T=arrays["T"], y=arrays["y"])
@@ -110,6 +114,7 @@ def load_model(path):
             pi=arrays["pi"],
             W=arrays["W"],
             B_chol=arrays["B_chol"],
+            half_logdet_B=float(np.sum(np.log(np.diag(arrays["B_chol"])))),
             log_lik=header["log_lik"],
             iterations=header["iterations"],
         )

@@ -2,9 +2,11 @@
 
 The exact covariance is replaced by the fully-independent-training-
 conditional surrogate ``Q + diag(K - Q)`` with ``Q = K_nu K_uu^{-1} K_un``
-over p inducing points, so fitting costs O(n p^2) and never factorizes an
-n x n matrix.  For classification the surrogate covariance (plus the latent
-noise) feeds the same Laplace machinery used by the exact classifier.
+over p inducing points.  Neither model forms or factorizes an n x n matrix:
+the regressor fits in O(n p^2); the classifier runs the exact classifier's
+Laplace Newton iteration on the surrogate (plus the latent noise) held as
+low rank plus diagonal, at O(n p^2) per Newton step.  Both predict in
+O(p^2) per test point.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from . import kernels
 from ._linalg import NumericalError, chol_with_jitter, solve_lower
 from .gp_core import VARIANCE_CLAMP, Dataset, PredictiveDistribution, _as_task_row
-from .gp_classify import LaplaceState, laplace_mode, logistic_gaussian_integral
+from .gp_classify import LaplaceState, LowRankDiag, laplace_mode, logistic_gaussian_integral
 from .kernels import KernelSpec, as_task_array
 
 __all__ = [
@@ -90,6 +92,27 @@ def _fitc_parts(data: Dataset, spec: KernelSpec, tau2: float, inducing: Inducing
     return Luu, V, lam, jitter
 
 
+def _fitc_latent(model, X_star, T_star, L: np.ndarray, noise: float):
+    """Shared O(p^2)-per-point FITC prediction pieces: ``(w, u, var)``.
+
+    ``w = Luu^{-1} k_u*``, ``u = L^{-1} w`` for the model's p x p system
+    factor ``L``, and the latent variance
+    ``var = k** + noise - |w|^2 + |u|^2``, clamped at zero.
+    """
+    X_star = np.atleast_2d(np.asarray(X_star, dtype=float))
+    T_star = as_task_array(T_star, discrete=model.data.has_discrete_tasks)
+    Ku = kernels.product_kernel_matrix(
+        model.inducing.X, model.inducing.T, X_star, T_star, model.spec
+    )
+    w = solve_lower(model.Luu, Ku)
+    u = solve_lower(L, w)
+    prior = kernels.product_kernel_diag(X_star, T_star, model.spec) + noise
+    var = prior - np.einsum("ij,ij->j", w, w) + np.einsum("ij,ij->j", u, u)
+    if np.any(var < -VARIANCE_CLAMP):
+        raise NumericalError("negative FITC predictive variance beyond clamp tolerance")
+    return w, u, np.maximum(var, 0.0)
+
+
 @dataclass(frozen=True)
 class FittedFITCRegressor:
     """Posterior state of the FITC regressor; prediction is O(p^2) per point."""
@@ -111,19 +134,8 @@ class FittedFITCRegressor:
         return PredictiveDistribution(float(mean[0]), float(var[0]), self.tau2)
 
     def predict_batch(self, X_star, T_star) -> tuple[np.ndarray, np.ndarray]:
-        X_star = np.atleast_2d(np.asarray(X_star, dtype=float))
-        T_star = as_task_array(T_star, discrete=self.data.has_discrete_tasks)
-        Ku = kernels.product_kernel_matrix(
-            self.inducing.X, self.inducing.T, X_star, T_star, self.spec
-        )
-        w1 = solve_lower(self.Luu, Ku)
-        w2 = solve_lower(self.LB, w1)
-        mean = w2.T @ self.gamma
-        prior = kernels.product_kernel_diag(X_star, T_star, self.spec)
-        var = prior - np.einsum("ij,ij->j", w1, w1) + np.einsum("ij,ij->j", w2, w2)
-        if np.any(var < -VARIANCE_CLAMP):
-            raise NumericalError("negative FITC predictive variance beyond clamp tolerance")
-        return mean, np.maximum(var, 0.0)
+        _, u, var = _fitc_latent(self, X_star, T_star, self.LB, 0.0)
+        return u.T @ self.gamma, var
 
 
 def fit_fitc(
@@ -152,17 +164,20 @@ class FittedFITCClassifier:
     """Laplace classifier whose latent covariance is the FITC surrogate.
 
     Test points relate to training data only through the inducing set (the
-    surrogate cross-covariance), while the latent prior variance at a test
-    point keeps its exact diagonal plus the latent noise.
+    surrogate cross-covariance ``V^T w``), while the latent prior variance at
+    a test point keeps its exact diagonal plus the latent noise.  With
+    ``w = Luu^{-1} k_u*`` the predictive mean is ``w^T beta`` and the
+    variance ``k** + tau2 - |w|^2 + |Lc^{-1} w|^2``, where ``Lc`` is the
+    p x p factor held in ``state.B_chol``: O(p^2) per test point.
     """
 
     spec: KernelSpec
     tau2: float
     data: Dataset
     inducing: InducingSet
-    state: LaplaceState
-    Luu: np.ndarray
-    V: np.ndarray
+    state: LaplaceState   # B_chol: chol(I_p + V R V^T), R = diag(W / (1 + W lam))
+    Luu: np.ndarray       # chol(K_uu + jitter)
+    beta: np.ndarray      # V @ state.dual
     jitter: float = 0.0
 
     @property
@@ -177,37 +192,29 @@ class FittedFITCClassifier:
         return float(p[0])
 
     def predict_proba_batch(self, X_star, T_star) -> np.ndarray:
-        X_star = np.atleast_2d(np.asarray(X_star, dtype=float))
-        T_star = as_task_array(T_star, discrete=self.data.has_discrete_tasks)
-        Ku = kernels.product_kernel_matrix(
-            self.inducing.X, self.inducing.T, X_star, T_star, self.spec
-        )
-        Ks = self.V.T @ solve_lower(self.Luu, Ku)  # surrogate train/test cross-cov
-        mu = Ks.T @ self.state.dual
-        prior = kernels.product_kernel_diag(X_star, T_star, self.spec) + self.tau2
-        U = solve_lower(self.state.B_chol, np.sqrt(self.state.W)[:, None] * Ks)
-        var = prior - np.einsum("ij,ij->j", U, U)
-        if np.any(var < -VARIANCE_CLAMP):
-            raise NumericalError("negative latent predictive variance beyond clamp tolerance")
-        return logistic_gaussian_integral(mu, np.maximum(var, 0.0))
+        w, _, var = _fitc_latent(self, X_star, T_star, self.state.B_chol, self.tau2)
+        return logistic_gaussian_integral(w.T @ self.beta, var)
 
     def log_marginal_likelihood(self) -> float:
-        s = self.state
-        return float(s.log_lik - 0.5 * s.mode @ s.dual - np.sum(np.log(np.diag(s.B_chol))))
+        return self.state.log_marginal_likelihood()
 
 
 def fit_fitc_classifier(
     data: Dataset, spec: KernelSpec, tau2: float, inducing: InducingSet
 ) -> FittedFITCClassifier:
-    """Laplace classification with the FITC surrogate latent covariance."""
+    """Laplace classification with the FITC surrogate latent covariance.
+
+    Costs O(n p^2) per Newton step and never forms an n x n matrix.
+    """
     if not tau2 > 0:
         raise ValueError("tau2 must be positive")
     if not np.all(np.isin(data.y, (0.0, 1.0))):
         raise ValueError("classification labels must be 0 or 1")
     Luu, V, lam, jitter = _fitc_parts(data, spec, tau2, inducing)
-    A = V.T @ V + np.diag(lam)
-    state = laplace_mode(A, data.y, context=f"FITC surrogate for kernel spec {spec}")
+    state = laplace_mode(
+        LowRankDiag(V, lam), data.y, context=f"FITC surrogate for kernel spec {spec}"
+    )
     return FittedFITCClassifier(
         spec=spec, tau2=float(tau2), data=data, inducing=inducing,
-        state=state, Luu=Luu, V=V, jitter=jitter,
+        state=state, Luu=Luu, beta=V @ state.dual, jitter=jitter,
     )

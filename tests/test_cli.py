@@ -190,6 +190,16 @@ class TestSynthCommand:
         assert len(rows) == 25
         assert set(rows[0]) == {"x1", "x2", "t1", "y"}
 
+    def test_tree_task_kernel_writes_task_ids(self, tmp_path):
+        out = tmp_path / "tree.csv"
+        kernel = "{type: tree, parent: {2: 1, 3: 1}, sigma: [1.0, 0.5, 0.5]}"
+        argv = ["synth", "--n", "50", "--task-kernel", kernel, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        rows = read_rows(out)
+        assert len(rows) == 50
+        assert "task_id" in rows[0]
+        assert {int(r["task_id"]) for r in rows} <= {1, 2, 3}
+
 
 class TestSummarizeCommand:
     def test_aggregates(self, tmp_path, capsys):

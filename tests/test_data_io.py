@@ -14,7 +14,7 @@ from vcgp.data_io import (
     threshold_labels,
     write_dataset_csv,
 )
-from vcgp.kernels import Constant, Matern, task_gram
+from vcgp.kernels import Constant, FixedGram, Matern, task_gram
 
 SALES_SCHEMA = Schema(
     target="price",
@@ -229,6 +229,19 @@ class TestSynth:
             den += 1.0 + k12**2  # Var(w1 w2) = k11 k22 + k12^2 with unit diags
         z = num / np.sqrt(den)
         assert abs(z) < 3.0
+
+    def test_discrete_task_kernel_draws_ids_and_per_task_coefficients(self):
+        kernel = FixedGram(np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]]))
+        res = synth_vcm(200, m=2, d=1, task_kernel=kernel, tau2=0.0, seed=3)
+        ids = res.dataset.T
+        assert res.dataset.has_discrete_tasks
+        assert set(np.unique(ids)) == {1, 2, 3}
+        for t in (1, 2, 3):
+            rows = res.W[ids == t]
+            np.testing.assert_array_equal(rows, np.broadcast_to(rows[0], rows.shape))
+        np.testing.assert_allclose(
+            res.dataset.y, np.einsum("ij,ij->i", res.dataset.X, res.W), atol=1e-12
+        )
 
     def test_size_limit(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,24 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vcgp._linalg import solve_lower
 from vcgp.data_io import synth_vcm, threshold_labels
-from vcgp.gp_classify import fit_classifier
+from vcgp.gp_classify import (
+    LowRankDiag,
+    fit_classifier,
+    laplace_mode,
+    logistic_gaussian_integral,
+)
 from vcgp.gp_core import Dataset, fit_regressor
-from vcgp.kernels import KernelSpec, Linear, Matern
+from vcgp.kernels import KernelSpec, Linear, Matern, product_kernel_diag, product_kernel_matrix
 from vcgp.sparse_fitc import (
     InducingSet,
+    _fitc_parts,
     fit_fitc,
     fit_fitc_classifier,
     select_inducing,
@@ -96,21 +106,22 @@ class TestFITCRegression:
         assert np.mean(np.abs(me - mf)) < 0.05 * np.std(data.y)
 
     def test_runtime_scales_subquadratically_in_n(self):
-        # doubling n at fixed p must less than triple the fit time
+        # doubling n at fixed p must less than triple the fit time; the two
+        # sizes alternate so a change in host speed hits both alike
         p = 64
-
-        def fit_time(n):
+        sizes = (1500, 3000)
+        problems = {}
+        for n in sizes:
             data = make_data(n, seed=8)
-            ind = select_inducing(data, p, seed=9)
-            best = np.inf
-            for _ in range(3):
+            problems[n] = (data, select_inducing(data, p, seed=9))
+        best = dict.fromkeys(sizes, np.inf)
+        for _ in range(3):
+            for n in sizes:
+                data, ind = problems[n]
                 t0 = time.perf_counter()
                 fit_fitc(data, SPEC, 0.05, ind)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        t_small, t_big = fit_time(1500), fit_time(3000)
-        assert t_big < 3.0 * t_small
+                best[n] = min(best[n], time.perf_counter() - t0)
+        assert best[3000] < 3.0 * best[1500]
 
     def test_invalid_tau2(self):
         data = make_data(10)
@@ -141,3 +152,79 @@ class TestFITCClassification:
         data = make_data(10, seed=15)
         with pytest.raises(ValueError):
             fit_fitc_classifier(data, SPEC, 0.1, select_inducing(data, 5, seed=0))
+
+
+def dense_laplace_proba(state, Ks, prior):
+    """Dense-route probabilities: cross-covariances ``Ks`` (n x q) against
+    the n x n Laplace factor of ``state``."""
+    U = solve_lower(state.B_chol, np.sqrt(state.W)[:, None] * Ks)
+    return logistic_gaussian_integral(Ks.T @ state.dual, prior - np.einsum("ij,ij->j", U, U))
+
+
+class TestFITCClassifierAgainstDenseSurrogate:
+    """The Woodbury route against dense Laplace on ``V^T V + diag(lam)``."""
+
+    def test_matches_dense_laplace_at_low_rank(self):
+        base = make_data(150, seed=16)
+        data = Dataset(X=base.X, T=base.T, y=threshold_labels(base.y))
+        tau2 = 0.1
+        inducing = select_inducing(data, 25, seed=17)
+        fitc = fit_fitc_classifier(data, SPEC, tau2, inducing)
+        Luu, V, lam, _ = _fitc_parts(data, SPEC, tau2, inducing)
+        dense = laplace_mode(V.T @ V + np.diag(lam), data.y)
+        assert fitc.state.B_chol.shape == (25, 25)
+        np.testing.assert_allclose(fitc.mode, dense.mode, atol=1e-6)
+        np.testing.assert_allclose(fitc.state.dual, dense.dual, atol=1e-6)
+        assert fitc.log_marginal_likelihood() == pytest.approx(
+            dense.log_marginal_likelihood(), abs=1e-6
+        )
+        rng = np.random.default_rng(18)
+        Xs, Ts = rng.standard_normal((30, 2)), rng.uniform(0, 1, (30, 1))
+        Ku = product_kernel_matrix(inducing.X, inducing.T, Xs, Ts, SPEC)
+        Ks = V.T @ solve_lower(Luu, Ku)
+        expected = dense_laplace_proba(dense, Ks, product_kernel_diag(Xs, Ts, SPEC) + tau2)
+        np.testing.assert_allclose(fitc.predict_proba_batch(Xs, Ts), expected, atol=1e-6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        p=st.integers(1, 15),
+        scale=st.floats(0.1, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_woodbury_newton_matches_dense_oracle(self, n, p, scale, seed):
+        rng = np.random.default_rng(seed)
+        V = scale * rng.standard_normal((p, n))
+        lam = rng.uniform(0.01, 2.0, n)
+        y = rng.integers(0, 2, n).astype(float)
+        low = laplace_mode(LowRankDiag(V, lam), y)
+        dense = laplace_mode(V.T @ V + np.diag(lam), y)
+        np.testing.assert_allclose(low.mode, dense.mode, atol=1e-6)
+        np.testing.assert_allclose(low.dual, dense.dual, atol=1e-6)
+        assert low.log_marginal_likelihood() == pytest.approx(
+            dense.log_marginal_likelihood(), abs=1e-6
+        )
+        # test points whose cross-covariance lies in the span of V, as in FITC
+        w = rng.standard_normal((p, 8))
+        prior = np.einsum("ij,ij->j", w, w) + rng.uniform(0.0, 1.0, 8)
+        u = solve_lower(low.B_chol, w)
+        var = prior - np.einsum("ij,ij->j", w, w) + np.einsum("ij,ij->j", u, u)
+        proba = logistic_gaussian_integral(w.T @ (V @ low.dual), var)
+        np.testing.assert_allclose(proba, dense_laplace_proba(dense, V.T @ w, prior), atol=1e-6)
+
+    def test_fit_allocates_no_n_by_n_array(self):
+        n, p = 3000, 50
+        rng = np.random.default_rng(19)
+        data = Dataset(
+            X=rng.standard_normal((n, 2)),
+            T=rng.uniform(0, 1, (n, 1)),
+            y=rng.integers(0, 2, n).astype(float),
+        )
+        inducing = select_inducing(data, p, seed=20)
+        tracemalloc.start()
+        try:
+            fit_fitc_classifier(data, SPEC, 0.1, inducing)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
