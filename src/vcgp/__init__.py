@@ -63,6 +63,7 @@ from .kernels import (
     TaskPoint,
     TaskTree,
     Tree,
+    kernel_from_dict,
     laplacian_task_kernel,
     matern,
     product_kernel_matrix,

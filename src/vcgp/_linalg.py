@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-__all__ = ["NumericalError", "chol_with_jitter", "JITTER_START", "JITTER_MAX"]
+__all__ = ["NumericalError", "add_diagonal", "chol_with_jitter", "JITTER_START", "JITTER_MAX"]
 
 # Jitter escalation policy: start at 1e-10 * mean(diag), multiply by 10 until
 # 1e-4 * mean(diag), then fail loudly.  A silently large jitter would change
@@ -16,6 +16,15 @@ JITTER_MAX = 1e-4
 
 class NumericalError(RuntimeError):
     """Raised when a factorization or iterative solver cannot proceed."""
+
+
+def add_diagonal(A: np.ndarray, value: float) -> np.ndarray:
+    """Add ``value`` to the diagonal of the square matrix ``A`` in place; returns ``A``.
+
+    The same numbers as ``A + value * I`` without an n x n temporary.
+    """
+    A.flat[:: A.shape[0] + 1] += value
+    return A
 
 
 def chol_with_jitter(A: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, float]:
@@ -44,7 +53,8 @@ def chol_with_jitter(A: np.ndarray, context: str = "matrix") -> tuple[np.ndarray
     jitter = 0.0
     while True:
         try:
-            L = scipy.linalg.cholesky(A + jitter * np.eye(A.shape[0]), lower=True)
+            shifted = A if jitter == 0.0 else add_diagonal(A.copy(), jitter)
+            L = scipy.linalg.cholesky(shifted, lower=True)
             return L, jitter
         except scipy.linalg.LinAlgError:
             jitter = JITTER_START * base if jitter == 0.0 else jitter * 10.0

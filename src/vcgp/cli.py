@@ -38,7 +38,7 @@ from .experiments import (
     zero_one_loss,
 )
 from .gp_core import Dataset
-from .kernels import spec_from_dict
+from .kernels import kernel_from_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -179,14 +179,9 @@ def _prepare_source(cfg: dict, seed: int):
     dataset = cfg["dataset"]
     if "synth" in dataset:
         s = dataset["synth"]
-        task_kernel = spec_from_dict(
-            {
-                "instance_kernel": {"type": "linear"},
-                "task_kernel": dict(
-                    s.get("task_kernel", {"type": "matern", "lengthscale": 0.2})
-                ),
-            }
-        ).task_kernel
+        task_kernel = kernel_from_dict(
+            s.get("task_kernel", {"type": "matern", "lengthscale": 0.2}), task=True
+        )
         res = synth_vcm(
             n=int(s["n"]),
             m=int(s.get("m", 3)),
@@ -352,9 +347,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    task_kernel = spec_from_dict(
-        {"instance_kernel": {"type": "linear"}, "task_kernel": yaml.safe_load(args.task_kernel)}
-    ).task_kernel
+    task_kernel = kernel_from_dict(yaml.safe_load(args.task_kernel), task=True)
     res = synth_vcm(args.n, args.m, args.d, task_kernel, args.tau2, args.seed)
     data_io.write_dataset_csv(res.dataset, args.out)
     if args.truth_out:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import baselines, gp_classify, gp_core, sparse_fitc
 from .gp_core import Dataset, SearchConfig
-from .kernels import Constant, KernelSpec, Linear, Matern, spec_from_dict
+from .kernels import Constant, KernelSpec, Linear, Matern, kernel_from_dict
 
 __all__ = [
     "METHOD_NAMES",
@@ -104,24 +104,13 @@ class RunSettings:
 def _instance_kernel(method: str, settings: RunSettings):
     if method.endswith("-lin"):
         return Linear()
-    params = dict(settings.instance_matern)
-    params.setdefault("type", "matern")
-    return _matern_from(params)
-
-
-def _matern_from(d: Mapping) -> Matern:
-    ls = d.get("lengthscale", 1.0)
-    if isinstance(ls, (list, tuple)):
-        ls = tuple(float(v) for v in ls)
-    return Matern(nu=float(d.get("nu", 1.5)), lengthscale=ls, amplitude=float(d.get("amplitude", 1.0)))
+    return kernel_from_dict({**settings.instance_matern, "type": "matern"})
 
 
 def _task_kernel(settings: RunSettings):
     if settings.task_kernel is None:
         return Matern()
-    return spec_from_dict(
-        {"instance_kernel": {"type": "linear"}, "task_kernel": dict(settings.task_kernel)}
-    ).task_kernel
+    return kernel_from_dict(settings.task_kernel, task=True)
 
 
 def _make_spec(method: str, settings: RunSettings) -> KernelSpec:
@@ -214,7 +203,7 @@ def _run_fanzhang(method, train, test, settings, seed) -> float:
     fz = dict(settings.fanzhang)
     feature_map = None
     if method.endswith("-mat"):
-        kernel = _matern_from(dict(fz.get("matern", {"type": "matern"})))
+        kernel = kernel_from_dict({**fz.get("matern", {}), "type": "matern"})
         feature_map = baselines.matern_feature_map(
             train, kernel, n_basis=int(fz.get("n_basis", 200)), seed=derive_seed(seed, "basis")
         )

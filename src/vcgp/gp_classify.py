@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._linalg import NumericalError, chol_with_jitter, solve_chol, solve_lower, solve_upper
+from ._linalg import (
+    NumericalError,
+    add_diagonal,
+    chol_with_jitter,
+    solve_chol,
+    solve_lower,
+    solve_upper,
+)
 from .gp_core import VARIANCE_CLAMP, Dataset, SearchConfig, _as_task_row, grid_candidates
 from .kernels import KernelSpec, as_task_array
 
@@ -91,7 +98,7 @@ class DenseCovariance:
     def newton_factor(self, W: np.ndarray, context: str):
         """``(chol(B), x -> sqrt(W) B^{-1} sqrt(W) x)`` for ``B = I + sqrt(W) A sqrt(W)``."""
         sw = np.sqrt(W)
-        B = np.eye(W.shape[0]) + sw[:, None] * self.A * sw[None, :]
+        B = add_diagonal(sw[:, None] * self.A * sw[None, :], 1.0)
         L, _ = chol_with_jitter(B, context=context)
 
         def solve(x):
@@ -253,11 +260,12 @@ def fit_classifier(data: Dataset, spec: KernelSpec, tau2: float) -> FittedClassi
     y = data.y
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("classification labels must be 0 or 1")
-    K = kernels.product_kernel_matrix(data.X, data.T, data.X, data.T, spec)
-    A = K + tau2 * np.eye(data.n)
+    A = add_diagonal(kernels.product_kernel_matrix(data.X, data.T, data.X, data.T, spec), tau2)
     # factorization check (and jitter) up front so failures name the spec
     _, jitter = chol_with_jitter(A, context=f"kernel spec {spec}")
-    state = laplace_mode(A + jitter * np.eye(data.n), y, context=f"kernel spec {spec}")
+    if jitter:
+        add_diagonal(A, jitter)
+    state = laplace_mode(A, y, context=f"kernel spec {spec}")
     return FittedClassifier(spec=spec, tau2=float(tau2), data=data, state=state, jitter=jitter)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.optimize
 
 from . import kernels
-from ._linalg import NumericalError, chol_with_jitter, solve_chol, solve_lower
+from ._linalg import NumericalError, add_diagonal, chol_with_jitter, solve_chol, solve_lower
 from .kernels import KernelSpec, Matern, TaskPoint, as_task_array, matern_gram_grads
 
 __all__ = [
@@ -193,8 +193,7 @@ def fit_regressor(data: Dataset, spec: KernelSpec, tau2: float) -> FittedRegress
     """
     if not tau2 > 0:
         raise ValueError("tau2 must be positive")
-    K = kernels.product_kernel_matrix(data.X, data.T, data.X, data.T, spec)
-    A = K + tau2 * np.eye(data.n)
+    A = add_diagonal(kernels.product_kernel_matrix(data.X, data.T, data.X, data.T, spec), tau2)
     L, jitter = chol_with_jitter(A, context=f"kernel spec {spec}")
     alpha = solve_chol(L, data.y)
     return FittedRegressor(spec=spec, tau2=float(tau2), data=data, chol=L, alpha=alpha, jitter=jitter)
@@ -311,7 +310,7 @@ def lml_and_gradient(
     else:
         KT, dKT = kernels.task_gram(task, T, T), {}
 
-    A = KX * KT + tau2 * np.eye(n)
+    A = add_diagonal(KX * KT, tau2)
     L, _ = chol_with_jitter(A, context=f"kernel spec {spec}")
     alpha = solve_chol(L, y)
     lml = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi))

@@ -12,6 +12,10 @@ the instance kernels (linear, Matern), the task kernels (constant, Matern,
 tree-structured, graph-Laplacian, explicit Gram), Gram-matrix assembly, and
 the closed-form task covariances for tree-structured task hierarchies.
 
+The discrete task kernels (tree, graph-Laplacian, explicit Gram) compute
+their k x k Gram once, when they are constructed: O(k^2) for a tree and
+O(k^3) for a Laplacian.  Gram assembly and prediction then only index it.
+
 All kernel evaluations are pure functions and all types are immutable after
 construction, so they can be shared freely across threads.
 """
@@ -44,6 +48,7 @@ __all__ = [
     "tree_task_kernel",
     "tree_laplacian",
     "laplacian_task_kernel",
+    "kernel_from_dict",
     "spec_to_dict",
     "spec_from_dict",
 ]
@@ -231,6 +236,11 @@ class Constant:
         object.__setattr__(self, "value", float(self.value))
 
 
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Tree:
     """Task kernel over discrete tasks given by a tree-structured hierarchy.
@@ -238,10 +248,15 @@ class Tree:
     The Gram matrix is the covariance of the hierarchical generative process
     in which each node's coefficient vector is Gaussian around its parent's:
     entry (t, t') accumulates the variances along the shared ancestry of t
-    and t' (see :func:`tree_task_kernel`).
+    and t' (see :func:`tree_task_kernel`).  It is computed once, at
+    construction, and held read-only in ``gram``.
     """
 
     tree: TaskTree
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "gram", _freeze(tree_task_kernel(self.tree)))
 
 
 @dataclass(frozen=True)
@@ -250,12 +265,14 @@ class Laplacian:
 
     ``M`` is a symmetric weighted adjacency matrix over tasks and ``R`` a
     diagonal regularizer; the Gram matrix is ``pinv(D + R - M)`` with ``D``
-    the weighted degree matrix.  :meth:`from_tree` builds the (M, R) pair
-    whose kernel equals the tree-structured task covariance.
+    the weighted degree matrix, computed once at construction and held
+    read-only in ``gram``.  :meth:`from_tree` builds the (M, R) pair whose
+    kernel equals the tree-structured task covariance.
     """
 
     M: np.ndarray
     R: np.ndarray
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = np.asarray(self.M, dtype=float)
@@ -266,26 +283,13 @@ class Laplacian:
             raise ValueError("M must be symmetric")
         if R.shape != M.shape or not np.allclose(R, np.diag(np.diag(R))):
             raise ValueError("R must be diagonal and match M's shape")
-        M = M.copy()
-        R = R.copy()
-        M.setflags(write=False)
-        R.setflags(write=False)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "M", _freeze(M.copy()))
+        object.__setattr__(self, "R", _freeze(R.copy()))
+        object.__setattr__(self, "gram", _freeze(laplacian_task_kernel_from_parts(M, R)))
 
     @classmethod
     def from_tree(cls, tree: TaskTree) -> "Laplacian":
-        k = tree.k
-        # adjacency with rows indexed by child: A[l-1, pa(l)-1] = 1
-        A = np.zeros((k, k))
-        for child, pa in tree.parent.items():
-            A[child - 1, pa - 1] = 1.0
-        B = np.diag([0.0] + [1.0 / s**2 for s in tree.sigma[1:]])
-        BA = B @ A
-        M = BA + BA.T
-        R = np.zeros((k, k))
-        R[0, 0] = 1.0 / tree.sigma[0] ** 2
-        return cls(M=M, R=R)
+        return cls(*_tree_laplacian_parts(tree))
 
 
 @dataclass(frozen=True)
@@ -300,9 +304,7 @@ class FixedGram:
             raise ValueError("gram must be square")
         if not np.allclose(G, G.T):
             raise ValueError("gram must be symmetric")
-        G = G.copy()
-        G.setflags(write=False)
-        object.__setattr__(self, "gram", G)
+        object.__setattr__(self, "gram", _freeze(G.copy()))
 
 
 InstanceKernel = Union[Linear, Matern]
@@ -310,6 +312,8 @@ TaskKernel = Union[Constant, Matern, Tree, Laplacian, FixedGram]
 
 _INSTANCE_KINDS = (Linear, Matern)
 _TASK_KINDS = (Constant, Matern, Tree, Laplacian, FixedGram)
+_DISCRETE_KINDS = (Tree, Laplacian, FixedGram)
+_TASK_KINDS_MESSAGE = "task kernel must be Constant, Matern, Tree, Laplacian or FixedGram"
 
 
 @dataclass(frozen=True)
@@ -323,9 +327,7 @@ class KernelSpec:
         if not isinstance(self.instance_kernel, _INSTANCE_KINDS):
             raise ValueError("instance kernel must be Linear or Matern")
         if not isinstance(self.task_kernel, _TASK_KINDS):
-            raise ValueError(
-                "task kernel must be Constant, Matern, Tree, Laplacian or FixedGram"
-            )
+            raise ValueError(_TASK_KINDS_MESSAGE)
 
     def __str__(self):
         return f"{type(self.instance_kernel).__name__} x {type(self.task_kernel).__name__}"
@@ -450,14 +452,11 @@ def _discrete_lookup(G: np.ndarray, T1: np.ndarray, T2: np.ndarray) -> np.ndarra
 
 
 def discrete_task_gram(kernel: TaskKernel) -> np.ndarray | None:
-    """The k x k Gram over task ids 1..k of a discrete-task kernel, else None."""
-    if isinstance(kernel, Tree):
-        return tree_task_kernel(kernel.tree)
-    if isinstance(kernel, Laplacian):
-        return laplacian_task_kernel_from_parts(kernel.M, kernel.R)
-    if isinstance(kernel, FixedGram):
-        return kernel.gram
-    return None
+    """The k x k Gram over task ids 1..k of a discrete-task kernel, else None.
+
+    A read of the Gram the kernel computed at construction; builds nothing.
+    """
+    return kernel.gram if isinstance(kernel, _DISCRETE_KINDS) else None
 
 
 def task_gram(kernel: TaskKernel, T1, T2) -> np.ndarray:
@@ -524,27 +523,25 @@ def tree_task_kernel(tree: TaskTree) -> np.ndarray:
     Node l's coefficient vector equals its parent's plus isotropic noise of
     variance sigma_l^2, with the root drawn around zero.  The covariance of
     any single coordinate between nodes t and t' is therefore the sum of
-    sigma_l^2 over the nodes l shared by both root paths.  Computed by that
-    recursion directly -- no matrix inversion -- which is exact and O(k^2 *
-    depth).  The result is symmetric positive definite.
+    sigma_l^2 over the nodes l shared by both root paths.  Computed row by
+    row in topological order -- no matrix inversion: a child c of parent p
+    shares p's covariance with every node placed before it, and
+    ``G[c, c] = G[p, p] + sigma_c^2``.  Exact, with O(k^2) work in O(k)
+    vectorized steps.  The result is symmetric positive definite.
     """
-    k = tree.k
+    order = tree.topological_order()
+    pos = {node: i for i, node in enumerate(order)}
     var = np.asarray(tree.sigma, dtype=float) ** 2
-    paths = [tree.root_path(node) for node in range(1, k + 1)]
-    # cumulative variance along each root path, for prefix sums
-    cum = [np.cumsum([var[n - 1] for n in p]) for p in paths]
-    G = np.empty((k, k))
-    for i in range(k):
-        pi = paths[i]
-        for j in range(i, k):
-            pj = paths[j]
-            depth = 0
-            for a, b in zip(pi, pj):
-                if a != b:
-                    break
-                depth += 1
-            G[i, j] = G[j, i] = cum[i][depth - 1] if depth else 0.0
-    return G
+    # H is G with rows and columns in topological order, so the nodes placed
+    # before position i are the slice :i
+    H = np.empty((tree.k, tree.k))
+    H[0, 0] = var[0]
+    for i, node in enumerate(order[1:], start=1):
+        p = pos[tree.parent[node]]
+        H[i, :i] = H[:i, i] = H[p, :i]
+        H[i, i] = H[p, p] + var[node - 1]
+    idx = np.argsort(order)
+    return H[np.ix_(idx, idx)]
 
 
 def tree_laplacian(tree: TaskTree) -> np.ndarray:
@@ -554,9 +551,23 @@ def tree_laplacian(tree: TaskTree) -> np.ndarray:
     precision; the root's precision enters through the regularizer ``R``.
     ``L`` is the exact inverse of :func:`tree_task_kernel`'s Gram matrix.
     """
-    lap = Laplacian.from_tree(tree)
-    D = np.diag(lap.M.sum(axis=1))
-    return D + lap.R - lap.M
+    M, R = _tree_laplacian_parts(tree)
+    return np.diag(M.sum(axis=1)) + R - M
+
+
+def _tree_laplacian_parts(tree: TaskTree) -> tuple[np.ndarray, np.ndarray]:
+    """The (M, R) pair of :meth:`Laplacian.from_tree`."""
+    k = tree.k
+    # adjacency with rows indexed by child: A[l-1, pa(l)-1] = 1
+    A = np.zeros((k, k))
+    for child, pa in tree.parent.items():
+        A[child - 1, pa - 1] = 1.0
+    B = np.diag([0.0] + [1.0 / s**2 for s in tree.sigma[1:]])
+    BA = B @ A
+    M = BA + BA.T
+    R = np.zeros((k, k))
+    R[0, 0] = 1.0 / tree.sigma[0] ** 2
+    return M, R
 
 
 def laplacian_task_kernel_from_parts(M: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -582,8 +593,7 @@ def laplacian_task_kernel(tree: TaskTree) -> np.ndarray:
     Equals :func:`tree_task_kernel` for every valid tree; kept as an
     independent route for verification.
     """
-    lap = Laplacian.from_tree(tree)
-    return laplacian_task_kernel_from_parts(lap.M, lap.R)
+    return laplacian_task_kernel_from_parts(*_tree_laplacian_parts(tree))
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +627,20 @@ def _kernel_to_dict(kernel) -> dict:
     raise TypeError(f"cannot serialize kernel {kernel!r}")
 
 
-def _kernel_from_dict(d: Mapping) -> InstanceKernel | TaskKernel:
+def kernel_from_dict(d: Mapping, *, task: bool = False) -> InstanceKernel | TaskKernel:
+    """Parse one kernel dict as written by :func:`spec_to_dict`.
+
+    With ``task=True`` a kernel that is not a task kernel raises ``ValueError``.
+    """
+    kernel = _parse_kernel(d)
+    if task and not isinstance(kernel, _TASK_KINDS):
+        raise ValueError(_TASK_KINDS_MESSAGE)
+    return kernel
+
+
+def _parse_kernel(d: Mapping) -> InstanceKernel | TaskKernel:
+    if not isinstance(d, Mapping) or "type" not in d:
+        raise ValueError(f"a kernel must be a mapping with a 'type' key, got {d!r}")
     kind = d["type"]
     if kind == "linear":
         return Linear()
@@ -662,6 +685,6 @@ def spec_to_dict(spec: KernelSpec) -> dict:
 def spec_from_dict(d: Mapping) -> KernelSpec:
     """Inverse of :func:`spec_to_dict`."""
     return KernelSpec(
-        instance_kernel=_kernel_from_dict(d["instance_kernel"]),
-        task_kernel=_kernel_from_dict(d["task_kernel"]),
+        instance_kernel=kernel_from_dict(d["instance_kernel"]),
+        task_kernel=kernel_from_dict(d["task_kernel"]),
     )

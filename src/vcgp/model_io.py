@@ -10,7 +10,9 @@ Layout of a model file:
            little-endian float64 (int64 for discrete task ids)
 
 The header's ``arrays`` list fixes both the order and the shapes, so the
-payload is self-describing and byte-deterministic.
+payload is self-describing and byte-deterministic.  A file whose arrays do
+not fit together (n training rows, n x n factors, length-n vectors) or that
+has bytes after the last array is rejected.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ __all__ = ["save_model", "load_model"]
 
 _MAGIC = "VCGP-MODEL 1"
 _CHOL_ARRAYS = ("chol", "B_chol")
+_ARRAY_NAMES = {
+    "regressor": ("X", "T", "y", "chol", "alpha"),
+    "classifier": ("X", "T", "y", "mode", "dual", "pi", "W", "B_chol"),
+}
 
 
 def _model_arrays(model) -> dict[str, np.ndarray]:
@@ -80,7 +86,12 @@ def load_model(path):
         if not magic.startswith(_MAGIC):
             raise ValueError(f"not a model file (bad magic line {magic!r})")
         kind = magic[len(_MAGIC) :].strip()
+        if kind not in _ARRAY_NAMES:
+            raise ValueError(f"unknown model kind {kind!r}")
         header = json.loads(fh.readline().decode())
+        names = [name for name, _ in header["arrays"]]
+        if sorted(names) != sorted(_ARRAY_NAMES[kind]):
+            raise ValueError(f"a {kind} file holds arrays {_ARRAY_NAMES[kind]}, this one {names}")
         arrays = {}
         for name, shape in header["arrays"]:
             count = int(np.prod(shape)) if shape else 1
@@ -95,6 +106,9 @@ def load_model(path):
             # fitted model: triangular solves round differently per layout
             order = "F" if name in _CHOL_ARRAYS else "C"
             arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy(order=order)
+        if fh.read(1):
+            raise ValueError("model file has trailing bytes after its last array")
+    _check_shapes(arrays, header["discrete_tasks"])
 
     spec = spec_from_dict(header["spec"])
     data = Dataset(X=arrays["X"], T=arrays["T"], y=arrays["y"])
@@ -107,18 +121,36 @@ def load_model(path):
             alpha=arrays["alpha"],
             jitter=header["jitter"],
         )
-    if kind == "classifier":
-        state = LaplaceState(
-            mode=arrays["mode"],
-            dual=arrays["dual"],
-            pi=arrays["pi"],
-            W=arrays["W"],
-            B_chol=arrays["B_chol"],
-            half_logdet_B=float(np.sum(np.log(np.diag(arrays["B_chol"])))),
-            log_lik=header["log_lik"],
-            iterations=header["iterations"],
-        )
-        return FittedClassifier(
-            spec=spec, tau2=header["tau2"], data=data, state=state, jitter=header["jitter"]
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    state = LaplaceState(
+        mode=arrays["mode"],
+        dual=arrays["dual"],
+        pi=arrays["pi"],
+        W=arrays["W"],
+        B_chol=arrays["B_chol"],
+        half_logdet_B=float(np.sum(np.log(np.diag(arrays["B_chol"])))),
+        log_lik=header["log_lik"],
+        iterations=header["iterations"],
+    )
+    return FittedClassifier(
+        spec=spec, tau2=header["tau2"], data=data, state=state, jitter=header["jitter"]
+    )
+
+
+def _check_shapes(arrays: dict[str, np.ndarray], discrete_tasks: bool) -> None:
+    """Raise ``ValueError`` unless the arrays describe one model over X's n rows."""
+    X = arrays["X"]
+    if X.ndim != 2:
+        raise ValueError(f"model file array 'X' has shape {X.shape}, expected (n, m)")
+    n = X.shape[0]
+    for name, arr in arrays.items():
+        if name == "X" or (name == "T" and not discrete_tasks):
+            ok = arr.ndim == 2 and arr.shape[0] == n
+            want = f"({n}, *)"
+        elif name in _CHOL_ARRAYS:
+            ok = arr.shape == (n, n)
+            want = f"({n}, {n})"
+        else:
+            ok = arr.shape == (n,)
+            want = f"({n},)"
+        if not ok:
+            raise ValueError(f"model file array {name!r} has shape {arr.shape}, expected {want}")

@@ -1,6 +1,7 @@
 import csv
 
 import numpy as np
+import pytest
 import yaml
 
 from vcgp.cli import EXIT_BUDGET, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
@@ -199,6 +200,12 @@ class TestSynthCommand:
         assert len(rows) == 50
         assert "task_id" in rows[0]
         assert {int(r["task_id"]) for r in rows} <= {1, 2, 3}
+
+    @pytest.mark.parametrize("kernel", ["{type: linear}", "matern", "{lengthscale: 0.2}"])
+    def test_bad_task_kernel_is_usage_error(self, tmp_path, capsys, kernel):
+        argv = ["synth", "--n", "10", "--task-kernel", kernel, "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert "kernel" in capsys.readouterr().err
 
 
 class TestSummarizeCommand:

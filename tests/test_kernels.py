@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from vcgp import kernels
+from vcgp.gp_core import Dataset, fit_regressor
 from vcgp.kernels import (
     Constant,
     FixedGram,
@@ -14,6 +18,7 @@ from vcgp.kernels import (
     TaskTree,
     Tree,
     instance_gram,
+    kernel_from_dict,
     laplacian_task_kernel,
     matern,
     matern_gram_grads,
@@ -192,6 +197,73 @@ class TestTaskTree:
             TaskTree(parent={2: 5}, sigma=(1.0, 1.0))
 
 
+def shared_ancestry_gram(tree: TaskTree) -> np.ndarray:
+    """Reference tree Gram: entry (i, j) is the cumulative variance along i's
+    root path up to the deepest node it shares with j's, pair by pair."""
+    k = tree.k
+    var = np.asarray(tree.sigma, dtype=float) ** 2
+    paths = [tree.root_path(node) for node in range(1, k + 1)]
+    cum = [np.cumsum([var[n - 1] for n in p]) for p in paths]
+    G = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            depth = 0
+            for a, b in zip(paths[i], paths[j]):
+                if a != b:
+                    break
+                depth += 1
+            G[i, j] = G[j, i] = cum[i][depth - 1]
+    return G
+
+
+@st.composite
+def labelled_trees(draw, max_k=40):
+    """Random trees whose node labels need not follow the tree's order."""
+    k = draw(st.integers(1, max_k))
+    order = [1] + draw(st.permutations(range(2, k + 1)))
+    parent = {order[i]: order[draw(st.integers(0, i - 1))] for i in range(1, k)}
+    sigma = draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k))
+    return TaskTree(parent=parent, sigma=tuple(sigma))
+
+
+class TestDiscreteGramAtConstruction:
+    @given(labelled_trees())
+    def test_tree_gram_matches_reference_and_laplacian(self, tree):
+        G = Tree(tree=tree).gram
+        assert G.tobytes() == shared_ancestry_gram(tree).tobytes()
+        assert G.tobytes() == tree_task_kernel(tree).tobytes()
+        Linv = laplacian_task_kernel(tree)
+        assert np.max(np.abs(Linv - G)) / np.max(np.abs(G)) < 1e-8
+
+    def test_gram_read_only_and_outside_repr_and_equality(self):
+        tree = TaskTree(parent={2: 1, 3: 1}, sigma=(1.0, 0.5, 2.0))
+        for kernel in (Tree(tree=tree), Laplacian.from_tree(tree)):
+            assert not kernel.gram.flags.writeable
+            assert "gram" not in repr(kernel)
+        assert Tree(tree=tree) == Tree(tree=tree)
+
+    @pytest.mark.parametrize("kind", ["tree", "laplacian"])
+    def test_single_point_predict_builds_no_gram(self, kind, monkeypatch):
+        rng = np.random.default_rng(3)
+        tree = random_tree(30, rng)
+        task = Tree(tree=tree) if kind == "tree" else Laplacian.from_tree(tree)
+        data = Dataset(
+            X=rng.standard_normal((60, 2)), T=rng.integers(1, 31, size=60),
+            y=rng.standard_normal(60),
+        )
+        model = fit_regressor(data, KernelSpec(instance_kernel=Linear(), task_kernel=task), 0.1)
+        builds = []
+        for name in ("tree_task_kernel", "laplacian_task_kernel_from_parts"):
+            def counting(*args, _name=name, _build=getattr(kernels, name)):
+                builds.append(_name)
+                return _build(*args)
+
+            monkeypatch.setattr(kernels, name, counting)
+        for t in (1, 7, 30):
+            model.predict(rng.standard_normal(2), t)
+        assert builds == []
+
+
 class TestLaplacianKernel:
     def test_chain_closed_form(self):
         tree = TaskTree(parent={2: 1}, sigma=(1.0, 1.0))
@@ -277,6 +349,15 @@ class TestSpecSerialization:
         K2 = task_gram(back.task_kernel, T, T)
         np.testing.assert_allclose(K1, K2, atol=1e-14)
         assert type(back.instance_kernel) is type(spec.instance_kernel)
+
+    def test_kernel_from_dict_task_role(self):
+        assert kernel_from_dict({"type": "constant", "value": 2.0}, task=True) == Constant(2.0)
+        assert kernel_from_dict({"type": "linear"}) == Linear()
+        with pytest.raises(ValueError, match="task kernel must be"):
+            kernel_from_dict({"type": "linear"}, task=True)
+        for bad in ("matern", {"lengthscale": 1.0}):
+            with pytest.raises(ValueError, match="'type' key"):
+                kernel_from_dict(bad)
 
     def test_invalid_kernel_kinds(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from vcgp.gp_classify import fit_classifier
 from vcgp.gp_core import Dataset, fit_regressor
 from vcgp.kernels import KernelSpec, Linear, Matern, TaskTree, Tree
 from vcgp.model_io import load_model, save_model
+from vcgp.multitask_hb import random_tree
 
 
 def continuous_data(seed=0, n=10):
@@ -14,6 +17,32 @@ def continuous_data(seed=0, n=10):
         T=rng.uniform(0, 1, (n, 2)),
         y=rng.standard_normal(n),
     )
+
+
+LIN_MATERN = KernelSpec(instance_kernel=Linear(), task_kernel=Matern())
+
+
+def read_model_file(path):
+    """Split a model file into its magic line, header and named arrays."""
+    with open(path, "rb") as fh:
+        magic = fh.readline()
+        header = json.loads(fh.readline())
+        arrays = {}
+        for name, shape in header["arrays"]:
+            dtype = np.dtype("<i8" if name == "T" and header["discrete_tasks"] else "<f8")
+            count = int(np.prod(shape))
+            arrays[name] = np.frombuffer(fh.read(count * 8), dtype=dtype).reshape(shape)
+    return magic, header, arrays
+
+
+def write_model_file(path, magic, header, arrays):
+    """Write a model file whose header lists ``arrays`` as they are."""
+    header = {**header, "arrays": [[name, list(a.shape)] for name, a in arrays.items()]}
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
+        for a in arrays.values():
+            fh.write(np.ascontiguousarray(a).tobytes())
 
 
 class TestRoundTrip:
@@ -96,6 +125,21 @@ class TestRoundTrip:
                 else:
                     assert model.predict_proba(x, t) == loaded.predict_proba(x, t)
 
+    def test_tree_kernel_single_point_predictions_bit_equal_after_load(self, tmp_path):
+        rng = np.random.default_rng(8)
+        tree = random_tree(40, rng)
+        n = 300
+        data = Dataset(
+            X=rng.standard_normal((n, 3)), T=rng.integers(1, 41, size=n), y=rng.standard_normal(n)
+        )
+        model = fit_regressor(data, KernelSpec(instance_kernel=Linear(), task_kernel=Tree(tree)), 0.1)
+        path = tmp_path / "tree.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        for x, t in zip(rng.standard_normal((64, 3)), rng.integers(1, 41, size=64)):
+            a, b = model.predict(x, t), loaded.predict(x, t)
+            assert (a.mean, a.latent_var) == (b.mean, b.latent_var)
+
     def test_byte_deterministic(self, tmp_path):
         data = continuous_data(seed=5)
         model = fit_regressor(
@@ -124,6 +168,43 @@ class TestErrors:
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            load_model(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(fit_regressor(continuous_data(seed=6), LIN_MATERN, 0.2), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            ("regressor", "chol"),
+            ("regressor", "alpha"),
+            ("regressor", "T"),
+            ("regressor", "y"),
+            ("classifier", "B_chol"),
+            ("classifier", "mode"),
+            ("classifier", "dual"),
+            ("classifier", "pi"),
+            ("classifier", "W"),
+        ],
+    )
+    def test_header_shapes_that_disagree(self, tmp_path, kind, name):
+        data = continuous_data(seed=6)
+        if kind == "regressor":
+            model = fit_regressor(data, LIN_MATERN, 0.2)
+        else:
+            labels = Dataset(X=data.X, T=data.T, y=(data.y > 0).astype(float))
+            model = fit_classifier(labels, LIN_MATERN, 0.2)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        magic, header, arrays = read_model_file(path)
+        # one row or column fewer, written consistently so only the shapes disagree
+        arrays[name] = arrays[name][:-1, :-1] if name.endswith("chol") else arrays[name][:-1]
+        write_model_file(path, magic, header, arrays)
+        with pytest.raises(ValueError, match=f"array {name!r} has shape"):
             load_model(path)
 
     def test_unsupported_object(self, tmp_path):
