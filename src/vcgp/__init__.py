@@ -36,9 +36,6 @@ from .data_io import (
 from .gp_classify import (
     FittedClassifier,
     fit_classifier,
-    laplace_log_marginal,
-    predict_proba,
-    predict_proba_batch,
     tune_classifier_hyperparameters,
 )
 from .gp_core import (
@@ -48,9 +45,6 @@ from .gp_core import (
     SearchConfig,
     fit_regressor,
     lml_and_gradient,
-    log_marginal_likelihood,
-    predict,
-    predict_batch,
     tune_hyperparameters,
 )
 from .kernels import (

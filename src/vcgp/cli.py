@@ -272,7 +272,9 @@ def cmd_run(args) -> int:
     def splits(n):
         return _split_pairs(cfg, pool_size, times, n, seed=derive_seed(seed, "split", n))
 
-    def dataset_for_fold(method, n, fold, fold_seed):
+    @functools.cache
+    def fold_pair(n, fold):
+        # shared by every method, so a CSV fold's Preprocessor is fitted once
         train, test = train_test(*splits(n)[fold])
         if classification:
             train, test = _binarize_at_train_median(train, test)
@@ -282,7 +284,7 @@ def cmd_run(args) -> int:
 
     try:
         rows = run_experiment(
-            dataset_for_fold,
+            lambda method, n, fold, fold_seed: fold_pair(n, fold),
             methods,
             train_sizes,
             n_folds,

@@ -170,15 +170,18 @@ def run_method(
 
     spec = _make_spec(method, settings)
     tau2 = settings.tau2
+    model = None
     search = _search_config(settings, derive_seed(seed, "tune"))
     if search is not None:
         if classification:
-            spec, tau2 = gp_classify.tune_classifier_hyperparameters(train, spec, search)
+            model = gp_classify.tune_classifier_hyperparameters(train, spec, search)
         else:
-            spec, tau2 = gp_core.tune_hyperparameters(train, spec, search)
+            model = gp_core.tune_hyperparameters(train, spec, search)
+        spec, tau2 = model.spec, model.tau2
 
     fitc = settings.fitc
     if fitc:
+        model = None  # FITC takes the exact evidence's hyperparameters, not its model
         p = min(int(fitc.get("p", 1000)), train.n)
         inducing = sparse_fitc.select_inducing(
             train, p, derive_seed(seed, "inducing", int(fitc.get("seed", 0)))
@@ -187,10 +190,9 @@ def run_method(
             model = sparse_fitc.fit_fitc_classifier(train, spec, tau2, inducing)
         else:
             model = sparse_fitc.fit_fitc(train, spec, tau2, inducing)
-    elif classification:
-        model = gp_classify.fit_classifier(train, spec, tau2)
-    else:
-        model = gp_core.fit_regressor(train, spec, tau2)
+    elif model is None:
+        fit = gp_classify.fit_classifier if classification else gp_core.fit_regressor
+        model = fit(train, spec, tau2)
 
     if classification:
         proba = model.predict_proba_batch(test.X, test.T)

@@ -23,15 +23,12 @@ from ._linalg import (
     solve_lower,
     solve_upper,
 )
-from .gp_core import VARIANCE_CLAMP, Dataset, SearchConfig, _as_task_row, grid_candidates
+from .gp_core import VARIANCE_CLAMP, Dataset, SearchConfig, _as_task_row, _tune_grid
 from .kernels import KernelSpec, as_task_array
 
 __all__ = [
     "FittedClassifier",
     "fit_classifier",
-    "predict_proba",
-    "predict_proba_batch",
-    "laplace_log_marginal",
     "tune_classifier_hyperparameters",
 ]
 
@@ -261,47 +258,25 @@ def fit_classifier(data: Dataset, spec: KernelSpec, tau2: float) -> FittedClassi
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("classification labels must be 0 or 1")
     A = add_diagonal(kernels.product_kernel_matrix(data.X, data.T, data.X, data.T, spec), tau2)
-    # factorization check (and jitter) up front so failures name the spec
-    _, jitter = chol_with_jitter(A, context=f"kernel spec {spec}")
+    # factorization check (and jitter) up front so failures name the spec;
+    # the factor itself is dropped at once
+    jitter = chol_with_jitter(A, context=f"kernel spec {spec}")[1]
     if jitter:
         add_diagonal(A, jitter)
     state = laplace_mode(A, y, context=f"kernel spec {spec}")
     return FittedClassifier(spec=spec, tau2=float(tau2), data=data, state=state, jitter=jitter)
 
 
-def predict_proba(model: FittedClassifier, x_star, t_star) -> float:
-    """Functional form of :meth:`FittedClassifier.predict_proba`."""
-    return model.predict_proba(x_star, t_star)
-
-
-def predict_proba_batch(model: FittedClassifier, X_star, T_star) -> np.ndarray:
-    """Functional form of :meth:`FittedClassifier.predict_proba_batch`."""
-    return model.predict_proba_batch(X_star, T_star)
-
-
-def laplace_log_marginal(model: FittedClassifier) -> float:
-    """Functional form of :meth:`FittedClassifier.log_marginal_likelihood`."""
-    return model.log_marginal_likelihood()
-
-
 def tune_classifier_hyperparameters(
     data: Dataset, spec_template: KernelSpec, search: SearchConfig
-) -> tuple[KernelSpec, float]:
+) -> FittedClassifier:
     """Grid search maximizing the Laplace-approximate marginal likelihood.
 
-    The Laplace evidence has no cheap analytic gradient through the mode, so
-    classification tuning always uses the grid method.
+    Returns the fitted best classifier; the chosen hyperparameters are its
+    ``spec`` and ``tau2``.  The Laplace evidence has no cheap analytic
+    gradient through the mode, so classification tuning always uses the grid
+    method.  Raises :class:`NumericalError` when every candidate fails.
     """
     if search.grid is None:
         raise ValueError("classifier tuning requires a grid search configuration")
-    best = None
-    for cand_spec, cand_tau2 in grid_candidates(spec_template, search.tau2_init, search.grid):
-        try:
-            lml = fit_classifier(data, cand_spec, cand_tau2).log_marginal_likelihood()
-        except NumericalError:
-            continue
-        if best is None or lml > best[0]:
-            best = (lml, cand_spec, cand_tau2)
-    if best is None:
-        raise NumericalError("every grid candidate failed during classifier tuning")
-    return best[1], best[2]
+    return _tune_grid(fit_classifier, data, spec_template, search)

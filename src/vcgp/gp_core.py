@@ -27,9 +27,6 @@ __all__ = [
     "FittedRegressor",
     "SearchConfig",
     "fit_regressor",
-    "predict",
-    "predict_batch",
-    "log_marginal_likelihood",
     "lml_and_gradient",
     "tune_hyperparameters",
 ]
@@ -199,21 +196,6 @@ def fit_regressor(data: Dataset, spec: KernelSpec, tau2: float) -> FittedRegress
     return FittedRegressor(spec=spec, tau2=float(tau2), data=data, chol=L, alpha=alpha, jitter=jitter)
 
 
-def predict(model: FittedRegressor, x_star, t_star) -> PredictiveDistribution:
-    """Functional form of :meth:`FittedRegressor.predict`."""
-    return model.predict(x_star, t_star)
-
-
-def predict_batch(model: FittedRegressor, X_star, T_star) -> tuple[np.ndarray, np.ndarray]:
-    """Functional form of :meth:`FittedRegressor.predict_batch`."""
-    return model.predict_batch(X_star, T_star)
-
-
-def log_marginal_likelihood(model: FittedRegressor) -> float:
-    """Log marginal likelihood of the training labels under the fitted model."""
-    return model.log_marginal_likelihood()
-
-
 # ---------------------------------------------------------------------------
 # hyperparameters: named access, analytic gradients, search
 # ---------------------------------------------------------------------------
@@ -227,8 +209,8 @@ def _matern_param_names(kernel: Matern, prefix: str) -> list[str]:
     return names + [f"{prefix}.amplitude"]
 
 
-def free_param_names(spec: KernelSpec, tune_tau2: bool = True) -> list[str]:
-    """Names of the continuously tunable parameters of a kernel spec.
+def free_param_names(spec: KernelSpec) -> list[str]:
+    """Names of the continuously tunable parameters of a kernel spec and tau2.
 
     Only Matern kernels carry free parameters; tree, Laplacian, constant and
     fixed-Gram task kernels are fixed by their structure.
@@ -238,9 +220,7 @@ def free_param_names(spec: KernelSpec, tune_tau2: bool = True) -> list[str]:
         names += _matern_param_names(spec.instance_kernel, "instance")
     if isinstance(spec.task_kernel, Matern):
         names += _matern_param_names(spec.task_kernel, "task")
-    if tune_tau2:
-        names.append("tau2")
-    return names
+    return names + ["tau2"]
 
 
 def _get_param(spec: KernelSpec, tau2: float, name: str) -> float:
@@ -332,8 +312,9 @@ class SearchConfig:
 
     ``method="gradient"`` runs multi-start quasi-Newton ascent on the
     log-parameters with analytic gradients (``n_restarts`` seeded random
-    restarts around the template, stopping when the gradient infinity-norm
-    drops below ``grad_tol`` or after ``max_iter`` iterations).
+    restarts at unit-normal offsets of the template's log-parameters, stopping
+    when the gradient infinity-norm drops below ``grad_tol`` or after
+    ``max_iter`` iterations).
     ``method="grid"`` evaluates the Cartesian product of the per-parameter
     value lists in ``grid`` (parameters absent from the grid keep their
     template values); this is the fallback for task kernels whose parameters
@@ -344,10 +325,8 @@ class SearchConfig:
     n_restarts: int = 5
     max_iter: int = 200
     grad_tol: float = 1e-5
-    restart_scale: float = 1.0
     seed: int = 0
     tau2_init: float = 0.1
-    tune_tau2: bool = True
     grid: Mapping[str, Sequence[float]] | None = None
 
     def __post_init__(self):
@@ -366,17 +345,18 @@ def _bounds_for(name: str) -> tuple[float, float]:
 
 def tune_hyperparameters(
     data: Dataset, spec_template: KernelSpec, search: SearchConfig
-) -> tuple[KernelSpec, float]:
-    """Pick the hyperparameters maximizing the log marginal likelihood.
+) -> FittedRegressor:
+    """Fit the regressor whose hyperparameters maximize the log marginal likelihood.
 
-    Deterministic given ``search.seed``.  Raises :class:`NumericalError`
-    when every candidate fails to factorize.
+    Returns the fitted best model; the chosen hyperparameters are its
+    ``spec`` and ``tau2``.  Deterministic given ``search.seed``.  Raises
+    :class:`NumericalError` when every candidate fails to factorize.
     """
     if data.n < 2:
         raise ValueError("tuning needs at least two training points")
     if search.method == "grid":
-        return _tune_grid(data, spec_template, search.tau2_init, search)
-    return _tune_gradient(data, spec_template, search.tau2_init, search)
+        return _tune_grid(fit_regressor, data, spec_template, search)
+    return _tune_gradient(data, spec_template, search)
 
 
 def grid_candidates(spec: KernelSpec, tau2_0: float, grid: Mapping) -> list[tuple[KernelSpec, float]]:
@@ -386,7 +366,7 @@ def grid_candidates(spec: KernelSpec, tau2_0: float, grid: Mapping) -> list[tupl
     (e.g. a task lengthscale when the task kernel is constant) are ignored,
     and the resulting duplicate candidates are dropped.
     """
-    relevant = set(free_param_names(spec, tune_tau2=True))
+    relevant = set(free_param_names(spec))
     names = sorted(grid)
     out = []
     seen = set()
@@ -400,26 +380,31 @@ def grid_candidates(spec: KernelSpec, tau2_0: float, grid: Mapping) -> list[tupl
     return out
 
 
-def _tune_grid(data, spec, tau2_0, search) -> tuple[KernelSpec, float]:
-    best = None
-    for cand_spec, cand_tau2 in grid_candidates(spec, tau2_0, search.grid):
+def _tune_grid(fit, data: Dataset, spec: KernelSpec, search: SearchConfig):
+    """Fit every grid candidate with ``fit(data, spec, tau2)``; return the best model.
+
+    Candidates that raise :class:`NumericalError` are skipped.  A model is
+    dropped as soon as it loses, so at most one is held besides the fit in
+    progress.
+    """
+    best, best_lml = None, -math.inf
+    for cand_spec, cand_tau2 in grid_candidates(spec, search.tau2_init, search.grid):
         try:
-            lml = fit_regressor(data, cand_spec, cand_tau2).log_marginal_likelihood()
+            model = fit(data, cand_spec, cand_tau2)
         except NumericalError:
             continue
-        if best is None or lml > best[0]:
-            best = (lml, cand_spec, cand_tau2)
+        lml = model.log_marginal_likelihood()
+        if best is None or lml > best_lml:
+            best, best_lml = model, lml
+        del model
     if best is None:
-        raise NumericalError("every grid candidate failed to factorize")
-    return best[1], best[2]
+        raise NumericalError("every grid candidate failed to fit")
+    return best
 
 
-def _tune_gradient(data, spec, tau2_0, search) -> tuple[KernelSpec, float]:
-    names = free_param_names(spec, tune_tau2=search.tune_tau2)
-    if not names:
-        # nothing to tune; keep the template
-        fit_regressor(data, spec, tau2_0)
-        return spec, tau2_0
+def _tune_gradient(data: Dataset, spec: KernelSpec, search: SearchConfig) -> FittedRegressor:
+    names = free_param_names(spec)
+    tau2_0 = search.tau2_init
     theta0 = np.array([math.log(_get_param(spec, tau2_0, n)) for n in names])
     bounds = [_bounds_for(n) for n in names]
     fail_penalty = 1e25
@@ -436,7 +421,7 @@ def _tune_gradient(data, spec, tau2_0, search) -> tuple[KernelSpec, float]:
 
     rng = np.random.default_rng(search.seed)
     starts = [theta0] + [
-        theta0 + search.restart_scale * rng.standard_normal(theta0.shape)
+        theta0 + rng.standard_normal(theta0.shape)
         for _ in range(max(search.n_restarts - 1, 0))
     ]
     best = None
@@ -455,4 +440,4 @@ def _tune_gradient(data, spec, tau2_0, search) -> tuple[KernelSpec, float]:
     if best is None:
         raise NumericalError("hyperparameter search failed for every restart")
     values = dict(zip(names, np.exp(best[1])))
-    return _set_params(spec, tau2_0, values)
+    return fit_regressor(data, *_set_params(spec, tau2_0, values))

@@ -338,16 +338,35 @@ class KernelSpec:
 # ---------------------------------------------------------------------------
 
 
+def _exp_neg(x: np.ndarray) -> np.ndarray:
+    """``np.exp(-x)`` in one new array (0-d for a scalar ``x``)."""
+    out = np.negative(x, out=np.empty_like(x))
+    return np.exp(out, out=out)
+
+
 def _matern_shape(u: np.ndarray, nu: float) -> np.ndarray:
-    """The unit-amplitude Matern profile m_nu(u) at scaled distance u."""
+    """The unit-amplitude Matern profile m_nu(u) at scaled distance u.
+
+    Returns a new array.  The polynomial is accumulated in place: the same
+    numbers as the textbook expression with fewer arrays of u's size alive.
+    """
     if nu == 0.5:
-        return np.exp(-u)
+        return _exp_neg(u)
     if nu == 1.5:
         su = _SQRT3 * u
-        return (1.0 + su) * np.exp(-su)
+        e = _exp_neg(su)
+        su += 1.0
+        su *= e
+        return su
     if nu == 2.5:
         su = _SQRT5 * u
-        return (1.0 + su + su * su / 3.0) * np.exp(-su)
+        e = _exp_neg(su)
+        sq = su * su
+        sq /= 3.0
+        su += 1.0
+        su += sq
+        su *= e
+        return su
     raise ValueError(f"nu must be one of {_MATERN_NUS}")
 
 
@@ -395,8 +414,9 @@ def _scaled_dist(Z1: np.ndarray, Z2: np.ndarray, kernel: Matern) -> np.ndarray:
 
 
 def _matern_gram(kernel: Matern, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
-    u = _scaled_dist(Z1, Z2, kernel)
-    return kernel.amplitude**2 * _matern_shape(u, kernel.nu)
+    K = _matern_shape(_scaled_dist(Z1, Z2, kernel), kernel.nu)
+    K *= kernel.amplitude**2
+    return K
 
 
 def matern_gram_grads(kernel: Matern, Z: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -409,7 +429,8 @@ def matern_gram_grads(kernel: Matern, Z: np.ndarray) -> tuple[np.ndarray, dict[s
     Z = np.asarray(Z, dtype=float)
     u = _scaled_dist(Z, Z, kernel)
     s2 = kernel.amplitude**2
-    K = s2 * _matern_shape(u, kernel.nu)
+    K = _matern_shape(u, kernel.nu)
+    K *= s2
     g = s2 * _matern_neg_u_dshape(u, kernel.nu)
     grads: dict[str, np.ndarray] = {}
     if kernel.ard:
@@ -491,7 +512,8 @@ def product_kernel_matrix(X1, T1, X2, T2, spec: KernelSpec) -> np.ndarray:
         raise ValueError(
             f"instance rows and task rows disagree: {KX.shape} vs {KT.shape}"
         )
-    return KX * KT
+    KX *= KT  # instance_gram returns a fresh array, so no n x n temporary
+    return KX
 
 
 def product_kernel_diag(X, T, spec: KernelSpec) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from vcgp.cli import EXIT_BUDGET, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from vcgp.data_io import Preprocessor
 
 
 def write_config(tmp_path, **overrides):
@@ -134,6 +135,35 @@ class TestRun:
         assert main(["run", str(path)]) == EXIT_OK
         rows = read_rows(cfg["out"])
         assert len(rows) == 4  # 6 blocks - window 2
+
+    def test_csv_fold_preprocessor_fitted_once_for_all_methods(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(2)
+        data_csv = tmp_path / "tasks.csv"
+        lines = ["a,b,t,y"] + [
+            ",".join(str(v) for v in (*rng.standard_normal(2), rng.uniform(), rng.standard_normal()))
+            for _ in range(80)
+        ]
+        data_csv.write_text("\n".join(lines) + "\n")
+        path, cfg = write_config(
+            tmp_path,
+            methods=["vcgp-lin", "iid-lin"],
+            dataset={
+                "csv": str(data_csv),
+                "schema": {"target": "y", "numeric": ["a", "b"], "task_coords": ["t"]},
+            },
+            train_sizes=[30],
+        )
+        fits = []
+        original = Preprocessor.fit
+
+        def counted(self, records):
+            fits.append(len(records))
+            return original(self, records)
+
+        monkeypatch.setattr(Preprocessor, "fit", counted)
+        assert main(["run", str(path)]) == EXIT_OK
+        assert len(read_rows(cfg["out"])) == 4  # 2 methods x 2 folds
+        assert len(fits) == 2  # one per fold
 
     def test_classification_run(self, tmp_path):
         path, cfg = write_config(tmp_path, problem="classification", method="vcgp-lin")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vcgp import gp_classify, gp_core
 from vcgp.data_io import synth_vcm, threshold_labels
 from vcgp.experiments import (
     RunSettings,
@@ -99,6 +100,31 @@ class TestRunMethod:
         )
         value = run_method("vcgp-mat", train, test, settings, seed=3)
         assert np.isfinite(value)
+
+    @pytest.mark.parametrize(
+        "problem, method, tuning, fits",
+        [
+            ("regression", "vcgp-mat",
+             {"method": "grid", "grid": {"task.lengthscale": [0.2, 0.5], "tau2": [0.05, 0.5]}}, 4),
+            ("classification", "vcgp-lin", {"method": "grid", "grid": {"tau2": [0.05, 0.5, 2.0]}}, 3),
+            ("regression", "vcgp-lin", {"method": "gradient", "n_restarts": 2, "max_iter": 5}, 1),
+        ],
+        ids=["grid-regression", "grid-classification", "gradient-regression"],
+    )
+    def test_tuned_fold_fits_each_candidate_once_and_never_refits(
+        self, monkeypatch, problem, method, tuning, fits
+    ):
+        calls = []
+        for module, name in ((gp_core, "fit_regressor"), (gp_classify, "fit_classifier")):
+            def counted(*args, _fit=getattr(module, name), **kwargs):
+                calls.append(_fit.__name__)
+                return _fit(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        train, test = self.make_splits(problem)
+        settings = RunSettings(problem=problem, task_kernel={"type": "matern"}, tuning=tuning)
+        run_method(method, train, test, settings, seed=4)
+        assert len(calls) == fits
 
 
 class TestSummarize:

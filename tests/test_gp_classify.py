@@ -6,11 +6,10 @@ import scipy.integrate
 import scipy.linalg
 import scipy.optimize
 
+from vcgp._linalg import NumericalError
 from vcgp.gp_classify import (
     fit_classifier,
-    laplace_log_marginal,
     logistic_gaussian_integral,
-    predict_proba,
     sigmoid,
     tune_classifier_hyperparameters,
 )
@@ -174,14 +173,14 @@ class TestLaplaceEvidence:
         zhat = scipy.optimize.brentq(lambda z: sigmoid(z) - 1 + z, -5, 5, xtol=1e-14)
         w = sigmoid(zhat) * (1 - sigmoid(zhat))
         by_hand = math.log(sigmoid(zhat)) - 0.5 * zhat**2 - 0.5 * math.log(1 + w)
-        assert laplace_log_marginal(model) == pytest.approx(by_hand, abs=1e-8)
+        assert model.log_marginal_likelihood() == pytest.approx(by_hand, abs=1e-8)
         # the exact marginal (1-d quadrature) is log(1/2); the approximation
         # carries an intrinsic error of about 7.5e-3 at this prior scale
         exact, _ = scipy.integrate.quad(
             lambda z: sigmoid(z) * math.exp(-0.5 * z**2) / math.sqrt(2 * math.pi), -12, 12
         )
         assert exact == pytest.approx(0.5, abs=1e-12)
-        assert laplace_log_marginal(model) == pytest.approx(math.log(exact), abs=1e-2)
+        assert model.log_marginal_likelihood() == pytest.approx(math.log(exact), abs=1e-2)
 
     def test_degenerate_prior_limit(self):
         rng = np.random.default_rng(5)
@@ -193,7 +192,7 @@ class TestLaplaceEvidence:
         )
         spec = KernelSpec(instance_kernel=Linear(), task_kernel=FixedGram(np.zeros((n, n))))
         model = fit_classifier(data, spec, tau2=1e-10)
-        assert laplace_log_marginal(model) == pytest.approx(-n * math.log(2), abs=1e-6)
+        assert model.log_marginal_likelihood() == pytest.approx(-n * math.log(2), abs=1e-6)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
@@ -236,7 +235,36 @@ class TestClassifierTuning:
         )
         spec = KernelSpec(instance_kernel=Linear(), task_kernel=Matern(lengthscale=0.5))
         search = SearchConfig(method="grid", grid={"tau2": [0.01, 1.0]})
-        _, tau2 = tune_classifier_hyperparameters(data, spec, search)
+        tau2 = tune_classifier_hyperparameters(data, spec, search).tau2
         e1 = fit_classifier(data, spec, 0.01).log_marginal_likelihood()
         e2 = fit_classifier(data, spec, 1.0).log_marginal_likelihood()
         assert tau2 == (0.01 if e1 > e2 else 1.0)
+
+    def test_returned_model_is_bit_equal_to_a_fresh_fit(self):
+        rng = np.random.default_rng(8)
+        data = Dataset(
+            X=rng.standard_normal((40, 2)),
+            T=rng.uniform(0, 1, (40, 1)),
+            y=rng.integers(0, 2, 40).astype(float),
+        )
+        spec = KernelSpec(instance_kernel=Linear(), task_kernel=Matern(lengthscale=0.5))
+        search = SearchConfig(method="grid", grid={"task.lengthscale": [0.3, 1.0], "tau2": [0.05, 0.5]})
+        model = tune_classifier_hyperparameters(data, spec, search)
+        fresh = fit_classifier(data, model.spec, model.tau2)
+        for name in ("mode", "dual", "pi", "W", "B_chol"):
+            assert np.array_equal(getattr(model.state, name), getattr(fresh.state, name)), name
+        assert model.state.half_logdet_B == fresh.state.half_logdet_B
+        assert model.state.log_lik == fresh.state.log_lik
+        X_star, T_star = rng.standard_normal((16, 2)), rng.uniform(0, 1, (16, 1))
+        assert np.array_equal(
+            model.predict_proba_batch(X_star, T_star), fresh.predict_proba_batch(X_star, T_star)
+        )
+
+    def test_every_grid_candidate_failing_raises(self):
+        data = Dataset(X=[[1.0], [2.0]], T=np.array([1, 2]), y=[0.0, 1.0])
+        bad = KernelSpec(
+            instance_kernel=Linear(), task_kernel=FixedGram(np.array([[1.0, 5.0], [5.0, 1.0]]))
+        )
+        search = SearchConfig(method="grid", grid={"tau2": [1e-8, 1e-6]})
+        with pytest.raises(NumericalError, match="every grid candidate failed"):
+            tune_classifier_hyperparameters(data, bad, search)

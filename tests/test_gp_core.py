@@ -12,8 +12,6 @@ from vcgp.gp_core import (
     fit_regressor,
     free_param_names,
     lml_and_gradient,
-    log_marginal_likelihood,
-    predict,
     tune_hyperparameters,
 )
 from vcgp.kernels import Constant, FixedGram, KernelSpec, Linear, Matern, task_gram
@@ -65,7 +63,7 @@ class TestFit:
 class TestPredict:
     def test_scalar_example(self):
         model = fit_regressor(scalar_data(), LIN_CONST, tau2=1.0)
-        pd = predict(model, [1.0], np.zeros(1))
+        pd = model.predict([1.0], np.zeros(1))
         assert pd.mean == pytest.approx(0.5)
         assert pd.latent_var == pytest.approx(0.5)
         assert pd.total_var == pytest.approx(1.5)
@@ -155,8 +153,8 @@ class TestLogMarginalLikelihood:
     def test_scalar_zero_label(self):
         data = Dataset(X=[[1.0]], T=np.zeros((1, 1)), y=[0.0])
         model = fit_regressor(data, LIN_CONST, tau2=1.0)
-        assert log_marginal_likelihood(model) == pytest.approx(-0.5 * math.log(4 * math.pi))
-        assert log_marginal_likelihood(model) == pytest.approx(-1.2655121234846454, abs=1e-9)
+        assert model.log_marginal_likelihood() == pytest.approx(-0.5 * math.log(4 * math.pi))
+        assert model.log_marginal_likelihood() == pytest.approx(-1.2655121234846454, abs=1e-9)
 
     def test_zero_labels_drop_data_fit_term(self):
         rng = np.random.default_rng(7)
@@ -164,7 +162,7 @@ class TestLogMarginalLikelihood:
         spec = KernelSpec(instance_kernel=Matern(), task_kernel=Matern(lengthscale=0.5))
         model = fit_regressor(data, spec, tau2=0.2)
         expected = -np.sum(np.log(np.diag(model.chol))) - 3 * math.log(2 * math.pi)
-        assert log_marginal_likelihood(model) == pytest.approx(expected, abs=1e-12)
+        assert model.log_marginal_likelihood() == pytest.approx(expected, abs=1e-12)
 
     def test_matches_dense_gaussian_logpdf(self):
         rng = np.random.default_rng(8)
@@ -175,7 +173,7 @@ class TestLogMarginalLikelihood:
 
         A = product_kernel_matrix(data.X, data.T, data.X, data.T, spec) + 0.3 * np.eye(6)
         oracle = scipy.stats.multivariate_normal(mean=np.zeros(6), cov=A).logpdf(data.y)
-        assert log_marginal_likelihood(model) == pytest.approx(oracle, abs=1e-8)
+        assert model.log_marginal_likelihood() == pytest.approx(oracle, abs=1e-8)
 
 
 class TestGradients:
@@ -209,16 +207,16 @@ class TestTuning:
         data = Dataset(X=rng.standard_normal((5, 2)), T=rng.uniform(0, 1, (5, 1)), y=rng.standard_normal(5))
         spec = KernelSpec(instance_kernel=Linear(), task_kernel=Matern(lengthscale=1.0))
         search = SearchConfig(method="grid", grid={"task.lengthscale": [0.42], "tau2": [0.2]})
-        got_spec, got_tau2 = tune_hyperparameters(data, spec, search)
-        assert got_spec.task_kernel.lengthscale == pytest.approx(0.42)
-        assert got_tau2 == pytest.approx(0.2)
+        got = tune_hyperparameters(data, spec, search)
+        assert got.spec.task_kernel.lengthscale == pytest.approx(0.42)
+        assert got.tau2 == pytest.approx(0.2)
 
     def test_grid_argmax(self):
         rng = np.random.default_rng(11)
         data = Dataset(X=rng.standard_normal((20, 2)), T=rng.uniform(0, 1, (20, 1)), y=rng.standard_normal(20))
         spec = KernelSpec(instance_kernel=Linear(), task_kernel=Constant(1.0))
         search = SearchConfig(method="grid", grid={"tau2": [1e-6, 1.0]})
-        _, tau2 = tune_hyperparameters(data, spec, search)
+        tau2 = tune_hyperparameters(data, spec, search).tau2
         lml_low = fit_regressor(data, spec, 1e-6).log_marginal_likelihood()
         lml_high = fit_regressor(data, spec, 1.0).log_marginal_likelihood()
         assert tau2 == (1e-6 if lml_low > lml_high else 1.0)
@@ -234,25 +232,52 @@ class TestTuning:
         X = rng.standard_normal((n, m))
         y = np.einsum("ij,ij->i", X, W) + rng.standard_normal(n) * math.sqrt(0.1)
         data = Dataset(X=X, T=T, y=y)
-        spec, tau2 = tune_hyperparameters(
+        model = tune_hyperparameters(
             data,
             KernelSpec(instance_kernel=Linear(), task_kernel=Matern(nu=1.5)),
             SearchConfig(seed=0),
         )
-        assert abs(math.log(spec.task_kernel.lengthscale)) < 0.5
-        assert 0.03 < tau2 < 0.3
+        assert abs(math.log(model.spec.task_kernel.lengthscale)) < 0.5
+        assert 0.03 < model.tau2 < 0.3
 
     def test_gradient_search_deterministic(self):
         rng = np.random.default_rng(12)
         data = Dataset(X=rng.standard_normal((30, 2)), T=rng.uniform(0, 1, (30, 1)), y=rng.standard_normal(30))
         spec = KernelSpec(instance_kernel=Linear(), task_kernel=Matern())
-        s1, t1 = tune_hyperparameters(data, spec, SearchConfig(seed=5, n_restarts=3))
-        s2, t2 = tune_hyperparameters(data, spec, SearchConfig(seed=5, n_restarts=3))
-        assert s1 == s2 and t1 == t2
+        m1 = tune_hyperparameters(data, spec, SearchConfig(seed=5, n_restarts=3))
+        m2 = tune_hyperparameters(data, spec, SearchConfig(seed=5, n_restarts=3))
+        assert m1.spec == m2.spec and m1.tau2 == m2.tau2
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             tune_hyperparameters(scalar_data(), LIN_CONST, SearchConfig())
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            SearchConfig(method="grid", grid={"task.lengthscale": [0.3, 1.0], "tau2": [0.05, 0.5]}),
+            SearchConfig(seed=3, n_restarts=2, max_iter=20),
+        ],
+        ids=["grid", "gradient"],
+    )
+    def test_returned_model_is_bit_equal_to_a_fresh_fit(self, search):
+        rng = np.random.default_rng(13)
+        data = Dataset(X=rng.standard_normal((40, 2)), T=rng.uniform(0, 1, (40, 1)), y=rng.standard_normal(40))
+        spec = KernelSpec(instance_kernel=Matern(), task_kernel=Matern())
+        model = tune_hyperparameters(data, spec, search)
+        fresh = fit_regressor(data, model.spec, model.tau2)
+        assert np.array_equal(model.chol, fresh.chol)
+        assert np.array_equal(model.alpha, fresh.alpha)
+        assert model.jitter == fresh.jitter
+
+    def test_every_grid_candidate_failing_raises(self):
+        data = Dataset(X=[[1.0], [2.0]], T=np.array([1, 2]), y=[0.0, 1.0])
+        bad = KernelSpec(
+            instance_kernel=Linear(), task_kernel=FixedGram(np.array([[1.0, 5.0], [5.0, 1.0]]))
+        )
+        search = SearchConfig(method="grid", grid={"tau2": [1e-8, 1e-6]})
+        with pytest.raises(NumericalError, match="every grid candidate failed"):
+            tune_hyperparameters(data, bad, search)
 
 
 class TestDataset:
