@@ -267,6 +267,27 @@ def _set_params(spec: KernelSpec, tau2: float, values: Mapping[str, float]) -> t
     return KernelSpec(instance_kernel=inst, task_kernel=task), new_tau2
 
 
+def _evidence_weights(L: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, float]:
+    """Weights W with ``vdot(W, S) = alpha^T S alpha - tr(A^{-1} S)`` for symmetric S.
+
+    ``L`` is the lower Cholesky factor of A, F-ordered with a zero upper
+    triangle, and is overwritten.  LAPACK ``potri`` turns it into the lower
+    triangle of ``A^{-1}``; weighting that triangle 2x off the diagonal and
+    1x on it makes its ``vdot`` with a symmetric S equal ``tr(A^{-1} S)``,
+    and a rank-1 ``ger`` adds ``alpha alpha^T``.  Returns the C-contiguous
+    transpose view of W (``vdot`` of symmetric S with W or W^T agree, and
+    a C-ordered W keeps ``vdot`` from copying) and ``tr(A^{-1})``.
+    """
+    P, info = scipy.linalg.lapack.dpotri(L, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NumericalError(f"LAPACK potri failed with info={info}")
+    trace_inv = float(np.trace(P))
+    P *= -2.0
+    P.flat[:: P.shape[0] + 1] *= 0.5
+    W = scipy.linalg.blas.dger(1.0, alpha, alpha, a=P, overwrite_a=1)
+    return W.T, trace_inv
+
+
 def lml_and_gradient(
     data: Dataset, spec: KernelSpec, tau2: float
 ) -> tuple[float, dict[str, float]]:
@@ -274,8 +295,17 @@ def lml_and_gradient(
 
     The gradient follows the standard identity
     ``d lml / d theta = 0.5 * tr((alpha alpha^T - A^{-1}) dK/dtheta)`` with
-    ``A = K + tau2*I``, combined with the product rule for the instance/task
-    Gram factors.  Keys match :func:`free_param_names`.
+    ``A = K + tau2*I`` (Rasmussen & Williams 2006, eq. 5.9), combined with
+    the product rule for the instance/task Gram factors.  Keys match
+    :func:`free_param_names`.
+
+    Cost: one Cholesky and one LAPACK ``potri`` (O(n^3) each), then O(n^2)
+    per parameter.  The weights ``W`` of the identity are formed once, and
+    ``W * KT`` and ``W * KX`` at most once each; every lengthscale gradient is
+    one ``vdot`` with its derivative matrix, both amplitude gradients are the
+    single number ``vdot(W * KT, KX)`` (the derivative is 2K), and the tau2
+    gradient is ``0.5 * (alpha . alpha - tr A^{-1}) * tau2``.  No n x n array
+    is made per parameter.
     """
     X, T, y = data.X, data.T, data.y
     n = data.n
@@ -292,17 +322,27 @@ def lml_and_gradient(
 
     A = add_diagonal(KX * KT, tau2)
     L, _ = chol_with_jitter(A, context=f"kernel spec {spec}")
+    del A
     alpha = solve_chol(L, y)
     lml = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi))
 
-    Ainv = solve_chol(L, np.eye(n))
-    M = np.outer(alpha, alpha) - Ainv
+    W, trace_inv = _evidence_weights(L, alpha)
+    del L
     grad: dict[str, float] = {}
-    for name, dK in dKX.items():
-        grad[f"instance.{name}"] = 0.5 * float(np.sum(M * (dK * KT)))
-    for name, dK in (dKT or {}).items():
-        grad[f"task.{name}"] = 0.5 * float(np.sum(M * (KX * dK)))
-    grad["tau2"] = 0.5 * float(np.trace(M)) * tau2
+    amplitude = None
+    if dKX:
+        WT = W * KT
+        for name, dK in dKX.items():
+            grad[f"instance.{name}"] = 0.5 * float(np.vdot(WT, dK))
+        amplitude = float(np.vdot(WT, KX))
+        grad["instance.amplitude"] = amplitude
+        del WT
+    if dKT:
+        W *= KX
+        for name, dK in dKT.items():
+            grad[f"task.{name}"] = 0.5 * float(np.vdot(W, dK))
+        grad["task.amplitude"] = float(np.vdot(W, KT)) if amplitude is None else amplitude
+    grad["tau2"] = 0.5 * (float(alpha @ alpha) - trace_inv) * tau2
     return lml, grad
 
 

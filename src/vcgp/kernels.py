@@ -370,14 +370,36 @@ def _matern_shape(u: np.ndarray, nu: float) -> np.ndarray:
     raise ValueError(f"nu must be one of {_MATERN_NUS}")
 
 
-def _matern_neg_u_dshape(u: np.ndarray, nu: float) -> np.ndarray:
-    """Returns -u * m_nu'(u), the building block of lengthscale derivatives."""
+def _matern_shape_and_slope(u: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """The profile m_nu(u) and its slope ``-m_nu'(u) / u``, from one ``exp``.
+
+    Both are new arrays.  The slope is finite at u = 0 for nu = 3/2 and 5/2
+    (``3 e`` and ``(5/3)(1 + sqrt5 u) e``); for nu = 1/2 it is ``e / u``
+    with u floored at 1e-300, finite everywhere: it only enters multiplied
+    by u^2 or by a squared coordinate difference, both 0 where u = 0.
+    """
     if nu == 0.5:
-        return u * np.exp(-u)
+        e = _exp_neg(u)
+        S = np.maximum(u, 1e-300)
+        return e, np.divide(e, S, out=S)
     if nu == 1.5:
-        return 3.0 * u * u * np.exp(-_SQRT3 * u)
+        su = _SQRT3 * u
+        e = _exp_neg(su)
+        su += 1.0
+        su *= e
+        e *= 3.0
+        return su, e
     if nu == 2.5:
-        return (5.0 / 3.0) * u * u * (1.0 + _SQRT5 * u) * np.exp(-_SQRT5 * u)
+        su = _SQRT5 * u
+        e = _exp_neg(su)
+        sq = su * su
+        sq /= 3.0
+        su += 1.0
+        sq += su
+        sq *= e
+        su *= e
+        su *= 5.0 / 3.0
+        return sq, su
     raise ValueError(f"nu must be one of {_MATERN_NUS}")
 
 
@@ -420,29 +442,34 @@ def _matern_gram(kernel: Matern, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
 
 
 def matern_gram_grads(kernel: Matern, Z: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Gram matrix of a Matern kernel plus derivatives w.r.t. log-parameters.
+    """Gram matrix of a Matern kernel plus its lengthscale derivatives.
 
-    Returns the symmetric Gram over ``Z`` and a dict of matrices
-    ``d K / d log(theta)`` keyed by ``"lengthscale"`` (or
-    ``"lengthscale[i]"`` per dimension in the ARD case) and ``"amplitude"``.
+    Returns the symmetric Gram K over ``Z`` and a dict of matrices
+    ``d K / d log(lengthscale)`` keyed by ``"lengthscale"`` (or
+    ``"lengthscale[i]"`` per dimension in the ARD case).  The derivative
+    w.r.t. ``log(amplitude)`` is ``2 K`` and is not returned.
+
+    With ``S = s^2 * (-m'(u) / u)`` from the same ``exp`` as K, the
+    isotropic derivative is ``S * u^2`` and the ARD one ``S * (dz_i / l_i)^2``.
     """
     Z = np.asarray(Z, dtype=float)
     u = _scaled_dist(Z, Z, kernel)
     s2 = kernel.amplitude**2
-    K = _matern_shape(u, kernel.nu)
+    K, S = _matern_shape_and_slope(u, kernel.nu)
     K *= s2
-    g = s2 * _matern_neg_u_dshape(u, kernel.nu)
+    S *= s2
+    if not kernel.ard:
+        u *= u
+        u *= S
+        return K, {"lengthscale": u}
+    del u
     grads: dict[str, np.ndarray] = {}
-    if kernel.ard:
-        ls = np.asarray(kernel.lengthscale, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_u2 = np.where(u > 0, 1.0 / np.maximum(u, 1e-300) ** 2, 0.0)
-        for d in range(ls.size):
-            diff2 = (Z[:, None, d] - Z[None, :, d]) ** 2 / ls[d] ** 2
-            grads[f"lengthscale[{d}]"] = g * diff2 * inv_u2
-    else:
-        grads["lengthscale"] = g
-    grads["amplitude"] = 2.0 * K
+    for d, ls in enumerate(kernel.lengthscale):
+        z = Z[:, d] / ls
+        dK = np.subtract.outer(z, z)
+        dK *= dK
+        dK *= S
+        grads[f"lengthscale[{d}]"] = dK
     return K, grads
 
 

@@ -278,11 +278,73 @@ def fitc_battery(
     return reports
 
 
+def _random_matern(rng, dims: int, ard: bool) -> Matern:
+    return Matern(
+        nu=float(rng.choice([0.5, 1.5, 2.5])),
+        lengthscale=tuple(rng.uniform(0.5, 3.0, size=dims)) if ard else float(rng.uniform(0.3, 2.0)),
+        amplitude=float(rng.uniform(0.5, 2.0)),
+    )
+
+
+def _mixed_gradient_case(kind: str, rng) -> tuple[Dataset, KernelSpec, float]:
+    """One random problem whose product kernel pairs Matern with another family."""
+    n = int(rng.integers(5, 15))
+    m = int(rng.integers(1, 4))
+    X = rng.standard_normal((n, m))
+    y = rng.standard_normal(n)
+    ard = bool(rng.integers(0, 2))
+    if kind == "linear-x-matern":
+        T = rng.uniform(0, 2, size=(n, int(rng.integers(1, 3))))
+        spec = KernelSpec(Linear(), _random_matern(rng, T.shape[1], ard))
+    else:
+        inst = _random_matern(rng, m, ard)
+        if kind == "matern-x-constant":
+            T = rng.uniform(0, 2, size=(n, 1))
+            task = kernels.Constant(float(rng.uniform(0.5, 2.0)))
+        else:
+            k = int(rng.integers(2, 6))
+            T = rng.integers(1, k + 1, size=n)
+            if kind == "matern-x-tree":
+                task = kernels.Tree(random_tree(k, rng, 0.3, 2.0))
+            else:
+                task = FixedGram(_random_psd_gram(k, rng))
+        spec = KernelSpec(inst, task)
+    return Dataset(X=X, T=T, y=y), spec, float(rng.uniform(0.05, 0.5))
+
+
+_MIXED_GRADIENT_KINDS = ("linear-x-matern", "matern-x-constant", "matern-x-tree", "matern-x-fixed-gram")
+
+
+def _gradient_fd_error(data: Dataset, spec: KernelSpec, tau2: float, h: float) -> float:
+    """Largest relative gap between analytic and central-difference gradients.
+
+    NaN when any gradient is NaN, so such a point fails its check.
+    """
+    _, grad = lml_and_gradient(data, spec, tau2)
+    errors = []
+    for name in gp_core.free_param_names(spec):
+        theta = np.log(gp_core._get_param(spec, tau2, name))
+        sp_hi, t2_hi = gp_core._set_params(spec, tau2, {name: np.exp(theta + h)})
+        sp_lo, t2_lo = gp_core._set_params(spec, tau2, {name: np.exp(theta - h)})
+        f_hi, _ = lml_and_gradient(data, sp_hi, t2_hi)
+        f_lo, _ = lml_and_gradient(data, sp_lo, t2_lo)
+        fd = (f_hi - f_lo) / (2 * h)
+        denom = max(abs(grad[name]), abs(fd), 1e-8)
+        errors.append(abs(grad[name] - fd) / denom)
+    return float(np.max(errors))
+
+
 def gradient_battery(n_points: int = 20, seed: int = 0, rtol: float = 1e-4) -> list[CheckReport]:
-    """Analytic marginal-likelihood gradients vs central finite differences."""
+    """Analytic marginal-likelihood gradients vs central finite differences.
+
+    ``n_points`` random Matern x Matern problems, then two problems for each
+    mixed product kernel (Linear x Matern, and Matern x Constant, Tree or
+    FixedGram task kernels) drawn from a separate generator, so the
+    Matern x Matern points do not depend on the mixed ones.
+    """
     rng = np.random.default_rng(seed)
     h = 1e-5
-    reports = []
+    cases = []
     for c in range(n_points):
         n = int(rng.integers(5, 15))
         m = int(rng.integers(1, 4))
@@ -307,26 +369,15 @@ def gradient_battery(n_points: int = 20, seed: int = 0, rtol: float = 1e-4) -> l
             ),
         )
         tau2 = float(rng.uniform(0.05, 0.5))
-        _, grad = lml_and_gradient(data, spec, tau2)
-        names = gp_core.free_param_names(spec)
-        worst = 0.0
-        for name in names:
-            theta = np.log(gp_core._get_param(spec, tau2, name))
-            sp_hi, t2_hi = gp_core._set_params(spec, tau2, {name: np.exp(theta + h)})
-            sp_lo, t2_lo = gp_core._set_params(spec, tau2, {name: np.exp(theta - h)})
-            f_hi, _ = lml_and_gradient(data, sp_hi, t2_hi)
-            f_lo, _ = lml_and_gradient(data, sp_lo, t2_lo)
-            fd = (f_hi - f_lo) / (2 * h)
-            denom = max(abs(grad[name]), abs(fd), 1e-8)
-            worst = max(worst, abs(grad[name] - fd) / denom)
-        reports.append(
-            CheckReport(
-                name=f"gradient/point{c:02d}",
-                statistic=worst,
-                threshold=rtol,
-                passed=worst < rtol,
-            )
-        )
+        cases.append((f"gradient/point{c:02d}", data, spec, tau2))
+    mixed_rng = np.random.default_rng([seed, 1])
+    for kind in _MIXED_GRADIENT_KINDS:
+        for c in range(2):
+            cases.append((f"gradient/{kind}/{c}", *_mixed_gradient_case(kind, mixed_rng)))
+    reports = []
+    for name, data, spec, tau2 in cases:
+        worst = _gradient_fd_error(data, spec, tau2, h)
+        reports.append(CheckReport(name=name, statistic=worst, threshold=rtol, passed=worst < rtol))
     return reports
 
 

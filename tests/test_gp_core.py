@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,18 @@ from vcgp.gp_core import (
     lml_and_gradient,
     tune_hyperparameters,
 )
-from vcgp.kernels import Constant, FixedGram, KernelSpec, Linear, Matern, task_gram
+from vcgp.kernels import (
+    Constant,
+    FixedGram,
+    KernelSpec,
+    Laplacian,
+    Linear,
+    Matern,
+    TaskTree,
+    Tree,
+    instance_gram,
+    task_gram,
+)
 
 LIN_CONST = KernelSpec(instance_kernel=Linear(), task_kernel=Constant(1.0))
 
@@ -199,6 +211,115 @@ class TestGradients:
             f_lo, _ = lml_and_gradient(data, sp_lo, t_lo)
             fd = (f_hi - f_lo) / (2 * h)
             assert grad[name] == pytest.approx(fd, rel=1e-4, abs=1e-8), name
+
+
+def _matern_dlog_lengthscale(kernel: Matern, Z: np.ndarray) -> dict[str, np.ndarray]:
+    """Textbook d K / d log(lengthscale): s^2 (-u m'(u)) times each dimension's share of u^2."""
+    ls = np.array(kernel.lengthscale, dtype=float, ndmin=1)
+    diff2 = ((Z[:, None, :] - Z[None, :, :]) / ls) ** 2
+    u = np.sqrt(diff2.sum(axis=-1))
+    if kernel.nu == 0.5:
+        g = u * np.exp(-u)
+    elif kernel.nu == 1.5:
+        g = 3.0 * u**2 * np.exp(-math.sqrt(3.0) * u)
+    else:
+        g = 5.0 / 3.0 * u**2 * (1.0 + math.sqrt(5.0) * u) * np.exp(-math.sqrt(5.0) * u)
+    g *= kernel.amplitude**2
+    if not kernel.ard:
+        return {"lengthscale": g}
+    share = np.divide(diff2, (u**2)[..., None], out=np.zeros_like(diff2), where=(u > 0)[..., None])
+    return {f"lengthscale[{d}]": g * share[..., d] for d in range(ls.size)}
+
+
+def _textbook_lml_and_gradient(data: Dataset, spec: KernelSpec, tau2: float, jitter: float):
+    """R&W eq. 5.9 with an explicit inverse: 0.5 tr((alpha alpha^T - A^-1) dK)."""
+    n = data.n
+    KX = instance_gram(spec.instance_kernel, data.X, data.X)
+    KT = task_gram(spec.task_kernel, data.T, data.T)
+    A = KX * KT + (tau2 + jitter) * np.eye(n)
+    Ainv = np.linalg.inv(A)
+    alpha = Ainv @ data.y
+    lml = -0.5 * data.y @ alpha - 0.5 * np.linalg.slogdet(A)[1] - 0.5 * n * math.log(2 * math.pi)
+    M = np.outer(alpha, alpha) - Ainv
+    grad = {}
+    for side, kernel, K_own, K_other, Z in (
+        ("instance", spec.instance_kernel, KX, KT, data.X),
+        ("task", spec.task_kernel, KT, KX, data.T),
+    ):
+        if isinstance(kernel, Matern):
+            dKs = _matern_dlog_lengthscale(kernel, np.asarray(Z, dtype=float).reshape(n, -1))
+            dKs["amplitude"] = 2.0 * K_own
+            for name, dK in dKs.items():
+                grad[f"{side}.{name}"] = 0.5 * np.sum(M * (dK * K_other))
+    grad["tau2"] = 0.5 * np.trace(M) * tau2
+    return lml, grad
+
+
+_TREE = TaskTree(parent={2: 1, 3: 1, 4: 2}, sigma=(1.0, 0.6, 0.8, 0.4))
+_ORACLE_SPECS = {
+    **{
+        f"matern{nu}-{'ard' if ard else 'iso'}": KernelSpec(
+            Matern(nu=nu, lengthscale=(0.9, 1.6) if ard else 1.2, amplitude=1.3),
+            Matern(nu=2.5 if nu == 0.5 else 0.5, lengthscale=0.7, amplitude=0.8),
+        )
+        for nu in (0.5, 1.5, 2.5)
+        for ard in (False, True)
+    },
+    "linear-x-matern": KernelSpec(Linear(), Matern(nu=1.5, lengthscale=0.6, amplitude=1.1)),
+    "matern-x-tree": KernelSpec(Matern(nu=2.5, lengthscale=(1.1, 0.8)), Tree(_TREE)),
+    "matern-x-constant": KernelSpec(Matern(nu=1.5, lengthscale=0.9, amplitude=0.7), Constant(1.7)),
+    "linear-x-laplacian": KernelSpec(Linear(), Laplacian.from_tree(_TREE)),
+}
+
+
+class TestGradientsAgainstExplicitInverse:
+    @staticmethod
+    def _check(data, spec, tau2):
+        model = fit_regressor(data, spec, tau2)
+        lml, grad = lml_and_gradient(data, spec, tau2)
+        assert lml == pytest.approx(model.log_marginal_likelihood(), rel=1e-10)
+        oracle_lml, oracle_grad = _textbook_lml_and_gradient(data, spec, tau2, model.jitter)
+        assert lml == pytest.approx(oracle_lml, rel=1e-10)
+        assert sorted(grad) == sorted(oracle_grad) == sorted(free_param_names(spec))
+        for name, value in oracle_grad.items():
+            assert grad[name] == pytest.approx(value, rel=1e-10), name
+        return model
+
+    @pytest.mark.parametrize("label", sorted(_ORACLE_SPECS))
+    def test_matches_textbook_formula(self, label):
+        spec = _ORACLE_SPECS[label]
+        rng = np.random.default_rng(21)
+        n = 14
+        discrete = isinstance(spec.task_kernel, (Tree, Laplacian))
+        T = rng.integers(1, _TREE.k + 1, size=n) if discrete else rng.uniform(0, 2, (n, 1))
+        data = Dataset(X=rng.standard_normal((n, 2)), T=T, y=rng.standard_normal(n))
+        self._check(data, spec, 0.15)
+
+    def test_matches_textbook_formula_with_jitter(self):
+        # K = KX (x) G over repeated instances, G indefinite by 2e-5: the
+        # Cholesky succeeds only once 1e-4 * mean(diag) is added
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((4, 2))
+        data = Dataset(X=np.vstack([x, x]), T=np.repeat([1, 2], 4), y=rng.standard_normal(8))
+        gram = np.array([[1.0, 1.0 + 2e-5], [1.0 + 2e-5, 1.0]])
+        spec = KernelSpec(Matern(nu=2.5, lengthscale=1.1), FixedGram(gram))
+        model = self._check(data, spec, 1e-6)
+        assert model.jitter > 0
+
+
+def test_peak_memory_below_eight_gram_arrays():
+    n = 400
+    rng = np.random.default_rng(3)
+    data = Dataset(X=rng.standard_normal((n, 3)), T=rng.uniform(0, 1, (n, 1)), y=rng.standard_normal(n))
+    spec = KernelSpec(Matern(nu=1.5, lengthscale=1.2), Matern(nu=1.5, lengthscale=0.4))
+    lml_and_gradient(data, spec, 0.1)  # imports and one-time set-up stay out of the count
+    tracemalloc.start()
+    try:
+        lml_and_gradient(data, spec, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
 
 
 class TestTuning:

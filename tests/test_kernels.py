@@ -366,30 +366,42 @@ class TestSpecSerialization:
             KernelSpec(instance_kernel=Linear(), task_kernel=Linear())
 
 
+def _scaled_lengthscale(ls, factor, d=None):
+    out = np.array(ls, dtype=float, ndmin=1)
+    if d is None:
+        out *= factor
+    else:
+        out[d] *= factor
+    return float(out[0]) if out.size == 1 else tuple(out)
+
+
 class TestMaternGradients:
     def test_gram_grads_match_finite_differences(self):
         rng = np.random.default_rng(4)
         Z = rng.standard_normal((6, 2))
+        Z[5] = Z[2]  # a duplicate point: u = 0 off the diagonal
         h = 1e-6
-        for ls in (0.8, (0.8, 1.7)):
-            kernel = Matern(nu=1.5, lengthscale=ls, amplitude=1.2)
-            K, grads = matern_gram_grads(kernel, Z)
-            for name, dK in grads.items():
-                if name == "amplitude":
-                    hi = Matern(nu=1.5, lengthscale=ls, amplitude=1.2 * math.exp(h))
-                    lo = Matern(nu=1.5, lengthscale=ls, amplitude=1.2 * math.exp(-h))
-                elif name == "lengthscale":
-                    hi = Matern(nu=1.5, lengthscale=0.8 * math.exp(h), amplitude=1.2)
-                    lo = Matern(nu=1.5, lengthscale=0.8 * math.exp(-h), amplitude=1.2)
-                else:
-                    d = int(name[len("lengthscale[") : -1])
-                    ls_hi = list(ls)
-                    ls_lo = list(ls)
-                    ls_hi[d] *= math.exp(h)
-                    ls_lo[d] *= math.exp(-h)
-                    hi = Matern(nu=1.5, lengthscale=tuple(ls_hi), amplitude=1.2)
-                    lo = Matern(nu=1.5, lengthscale=tuple(ls_lo), amplitude=1.2)
-                K_hi, _ = matern_gram_grads(hi, Z)
-                K_lo, _ = matern_gram_grads(lo, Z)
-                fd = (K_hi - K_lo) / (2 * h)
-                np.testing.assert_allclose(dK, fd, atol=1e-7)
+
+        def fd_gram(hi, lo):
+            return (kernels.instance_gram(hi, Z, Z) - kernels.instance_gram(lo, Z, Z)) / (2 * h)
+
+        for nu in (0.5, 1.5, 2.5):
+            for ls in (0.8, (0.8, 1.7)):
+                kernel = Matern(nu=nu, lengthscale=ls, amplitude=1.2)
+                K, grads = matern_gram_grads(kernel, Z)
+                np.testing.assert_array_equal(K, kernels.instance_gram(kernel, Z, Z))
+                names = ["lengthscale[0]", "lengthscale[1]"] if kernel.ard else ["lengthscale"]
+                assert sorted(grads) == names
+                for name, dK in grads.items():
+                    d = None if name == "lengthscale" else int(name[len("lengthscale[") : -1])
+                    fd = fd_gram(
+                        Matern(nu=nu, lengthscale=_scaled_lengthscale(ls, math.exp(h), d), amplitude=1.2),
+                        Matern(nu=nu, lengthscale=_scaled_lengthscale(ls, math.exp(-h), d), amplitude=1.2),
+                    )
+                    np.testing.assert_allclose(dK, fd, atol=1e-7, err_msg=f"nu={nu} {name}")
+                # the log-amplitude derivative is 2K, which matern_gram_grads leaves to the caller
+                fd = fd_gram(
+                    Matern(nu=nu, lengthscale=ls, amplitude=1.2 * math.exp(h)),
+                    Matern(nu=nu, lengthscale=ls, amplitude=1.2 * math.exp(-h)),
+                )
+                np.testing.assert_allclose(2.0 * K, fd, atol=1e-7, err_msg=f"nu={nu} amplitude")
