@@ -27,42 +27,94 @@ def add_diagonal(A: np.ndarray, value: float) -> np.ndarray:
     return A
 
 
-def chol_with_jitter(A: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, float]:
+def chol_with_jitter(
+    A: np.ndarray, context: str = "matrix", *, overwrite: bool = False
+) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a symmetric PSD matrix, adding jitter if needed.
 
     Parameters
     ----------
     A : ndarray
-        Symmetric matrix to factorize.  Not modified.
+        Symmetric matrix to factorize; only its lower triangle is read.
+        Not modified unless ``overwrite`` is set.
     context : str
         Short description used in the error message (e.g. the kernel spec).
+    overwrite : bool
+        Factorize a C-contiguous ``A`` in its own buffer, for callers that
+        drop ``A`` afterwards: no n x n copy is made.  The factor is then a
+        Fortran-ordered view of ``A``'s buffer and ``A`` is destroyed.
+        Otherwise ``A`` is copied once, whatever the number of attempts.
 
     Returns
     -------
     L : ndarray
-        Lower-triangular factor with ``L @ L.T == A + jitter * I``.
+        Fortran-ordered lower-triangular factor, zero above the diagonal,
+        with ``L @ L.T == A + jitter * I``.
     jitter : float
         The diagonal jitter that was required (0.0 in the common case).
+
+    A matrix whose factor has a non-finite diagonal (NaN or inf in ``A``'s
+    lower triangle) raises ``ValueError``.
     """
     A = np.asarray(A, dtype=float)
     if A.size == 0:
         return np.zeros_like(A), 0.0
-    base = float(np.mean(np.diag(A)))
+    if not (overwrite and A.flags.c_contiguous):
+        A = np.array(A, order="C")
+    diag = np.diagonal(A).copy()
+    base = float(np.mean(diag))
     if base <= 0.0:
         base = 1.0
+    # the transpose is a Fortran-ordered view of A's buffer: LAPACK reads and
+    # overwrites its lower triangle (A's upper, so A's lower is copied there
+    # first) and leaves its upper triangle, to restore from after a failure
+    F = A.T
+    _lower_from_upper(F)
     jitter = 0.0
     while True:
-        try:
-            shifted = A if jitter == 0.0 else add_diagonal(A.copy(), jitter)
-            L = scipy.linalg.cholesky(shifted, lower=True)
+        if jitter:
+            add_diagonal(F, jitter)
+        L, info = scipy.linalg.lapack.dpotrf(F, lower=1, overwrite_a=1, clean=0)
+        # a NaN or inf in A ends up on the factor's diagonal
+        d = np.diagonal(L)
+        if not np.all(np.isfinite(d if info == 0 else d[info - 1])):
+            raise ValueError(f"{context} has a non-finite entry")
+        if info == 0:
+            _zero_strict_upper(L)
             return L, jitter
-        except scipy.linalg.LinAlgError:
-            jitter = JITTER_START * base if jitter == 0.0 else jitter * 10.0
-            if jitter > JITTER_MAX * base:
-                raise NumericalError(
-                    f"Cholesky factorization failed for {context}: matrix is not "
-                    f"positive definite even with jitter up to {JITTER_MAX:g} * mean(diag)"
-                ) from None
+        jitter = JITTER_START * base if jitter == 0.0 else jitter * 10.0
+        if jitter > JITTER_MAX * base:
+            raise NumericalError(
+                f"Cholesky factorization failed for {context}: matrix is not "
+                f"positive definite even with jitter up to {JITTER_MAX:g} * mean(diag)"
+            )
+        _lower_from_upper(F)
+        np.fill_diagonal(F, diag)
+
+
+# rows per block when copying or clearing a triangle of an n x n array: the
+# work is done on views, and only the diagonal blocks need a mask
+_TRIANGLE_BLOCK = 64
+_STRICT_UPPER = np.triu(np.ones((_TRIANGLE_BLOCK, _TRIANGLE_BLOCK), dtype=bool), 1)
+
+
+def _lower_from_upper(F: np.ndarray) -> None:
+    """Copy the strict upper triangle of square ``F`` onto its strict lower triangle."""
+    n = F.shape[0]
+    for i0 in range(0, n, _TRIANGLE_BLOCK):
+        i1 = min(i0 + _TRIANGLE_BLOCK, n)
+        block = F[i0:i1, i0:i1]
+        np.copyto(block, block.T, where=_STRICT_UPPER[: i1 - i0, : i1 - i0].T)
+        F[i1:, i0:i1] = F[i0:i1, i1:].T
+
+
+def _zero_strict_upper(F: np.ndarray) -> None:
+    """Set the strict upper triangle of square ``F`` to zero."""
+    n = F.shape[0]
+    for j0 in range(0, n, _TRIANGLE_BLOCK):
+        j1 = min(j0 + _TRIANGLE_BLOCK, n)
+        F[:j0, j0:j1] = 0.0
+        np.copyto(F[j0:j1, j0:j1], 0.0, where=_STRICT_UPPER[: j1 - j0, : j1 - j0])
 
 
 def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -95,8 +95,9 @@ class DenseCovariance:
     def newton_factor(self, W: np.ndarray, context: str):
         """``(chol(B), x -> sqrt(W) B^{-1} sqrt(W) x)`` for ``B = I + sqrt(W) A sqrt(W)``."""
         sw = np.sqrt(W)
-        B = add_diagonal(sw[:, None] * self.A * sw[None, :], 1.0)
-        L, _ = chol_with_jitter(B, context=context)
+        B = sw[:, None] * self.A
+        B *= sw[None, :]
+        L, _ = chol_with_jitter(add_diagonal(B, 1.0), context=context, overwrite=True)
 
         def solve(x):
             return sw * solve_upper(L.T, solve_lower(L, sw * x))
@@ -164,6 +165,7 @@ def laplace_mode(
         pi = sigmoid(z)
         grad = (y - pi) - a
         W = pi * (1.0 - pi)
+        L = solve = None  # the previous step's factor goes before the next is made
         L, solve = cov.newton_factor(W, context=f"Laplace system for {context}")
         if np.max(np.abs(grad)) < NEWTON_GRAD_TOL:
             return LaplaceState(

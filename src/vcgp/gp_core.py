@@ -3,8 +3,12 @@
 Fitting assembles the product-kernel Gram matrix K over the training data,
 factorizes ``K + tau2*I`` once, and caches the factor together with
 ``alpha = (K + tau2*I)^{-1} y``.  Each prediction then costs one kernel
-vector and one triangular solve.  The log marginal likelihood and its
-analytic gradients with respect to log-hyperparameters drive tuning.
+vector and one triangular solve.  A linear instance kernel times a task
+Gram ``G = C C^T`` is Bayesian regression on stacked per-task coefficients
+(the paper's Theorem 1), and when those are fewer than half the points the
+fit runs in that weight space instead (:func:`fit_regressor`).  The log
+marginal likelihood and its analytic gradients with respect to
+log-hyperparameters drive tuning.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import scipy.optimize
 
 from . import kernels
 from ._linalg import NumericalError, add_diagonal, chol_with_jitter, solve_chol, solve_lower
-from .kernels import KernelSpec, Matern, TaskPoint, as_task_array, matern_gram_grads
+from .kernels import KernelSpec, Linear, Matern, TaskPoint, as_task_array, matern_gram_grads
 
 __all__ = [
     "Dataset",
@@ -139,7 +143,14 @@ def _as_task_row(t_star, like: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FittedRegressor:
-    """Immutable posterior state of an exact product-kernel GP regressor."""
+    """Immutable posterior state of an exact product-kernel GP regressor.
+
+    ``alpha = (K + tau2*I)^{-1} y`` on both routes of :func:`fit_regressor`.
+    Dense route: ``chol`` is the n x n factor of ``K + (tau2 + jitter) I``.
+    Weight-space route: ``task_factor`` is the task Gram's factor ``C``,
+    ``chol`` the r x r factor of ``V^T V + (tau2 + jitter) I`` and
+    ``weights`` the posterior mean of the r stacked coefficients.
+    """
 
     spec: KernelSpec
     tau2: float
@@ -147,6 +158,8 @@ class FittedRegressor:
     chol: np.ndarray
     alpha: np.ndarray
     jitter: float = 0.0
+    task_factor: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
     def predict(self, x_star, t_star) -> PredictiveDistribution:
         """Predictive distribution at a single test point."""
@@ -164,6 +177,11 @@ class FittedRegressor:
                 f"test instances have {X_star.shape[1]} features, training has {self.data.m}"
             )
         T_star = as_task_array(T_star, discrete=self.data.has_discrete_tasks)
+        if self.weights is not None:
+            # var = v*^T (I - V^T A^{-1} V) v* = (tau2 + jitter) |L^{-1} v*|^2
+            Vs = _weight_features(self.spec, self.task_factor, X_star, T_star)
+            U = solve_lower(self.chol, Vs.T)
+            return Vs @ self.weights, (self.tau2 + self.jitter) * np.einsum("ij,ij->j", U, U)
         Ks = kernels.product_kernel_matrix(self.data.X, self.data.T, X_star, T_star, self.spec)
         mean = Ks.T @ self.alpha
         V = solve_lower(self.chol, Ks)
@@ -175,25 +193,70 @@ class FittedRegressor:
 
     def log_marginal_likelihood(self) -> float:
         n = self.data.n
+        half_logdet = np.sum(np.log(np.diag(self.chol)))
+        if self.weights is not None:
+            # |V V^T + s I_n| = s^(n - r) |V^T V + s I_r|
+            half_logdet += 0.5 * (n - self.chol.shape[0]) * math.log(self.tau2 + self.jitter)
         return float(
-            -0.5 * self.data.y @ self.alpha
-            - np.sum(np.log(np.diag(self.chol)))
-            - 0.5 * n * math.log(2.0 * math.pi)
+            -0.5 * self.data.y @ self.alpha - half_logdet - 0.5 * n * math.log(2.0 * math.pi)
         )
 
 
 def fit_regressor(data: Dataset, spec: KernelSpec, tau2: float) -> FittedRegressor:
-    """Fit the exact GP regressor by factorizing ``K + tau2 * I``.
+    """Fit the exact GP regressor, in weight space where that is smaller.
 
-    Raises :class:`NumericalError` (naming the kernel spec) if the Gram
-    matrix is not positive definite even after the jitter escalation.
+    With a linear instance kernel and a task kernel whose Gram has a PSD
+    factor ``G = C C^T`` (constant, tree, Laplacian, explicit Gram; see
+    :func:`kernels.task_factor`), ``K = V V^T`` where row i of ``V`` is
+    ``x_i kron C[t_i]``, of width ``r = m * rank(G)``.  When ``r <= n / 2``
+    the fit factorizes the r x r matrix ``V^T V + tau2 I`` instead of the
+    n x n ``K + tau2 I``: O(n r^2) to fit, O(r^2) per predicted point and
+    O(n r) memory, against O(n^3), O(n^2) and O(n^2).  Both routes give the
+    same model to rounding.  Every other spec, and a task Gram with a
+    negative eigenvalue, takes the dense route.
+
+    Raises :class:`NumericalError` (naming the kernel spec) if the matrix
+    to factorize is not positive definite even after the jitter escalation.
     """
     if not tau2 > 0:
         raise ValueError("tau2 must be positive")
+    C = kernels.task_factor(spec.task_kernel) if isinstance(spec.instance_kernel, Linear) else None
+    if C is None or 2 * data.m * C.shape[1] > data.n:
+        return _fit_dense(data, spec, tau2)
+    return _fit_weight_space(data, spec, tau2, C)
+
+
+def _fit_dense(data: Dataset, spec: KernelSpec, tau2: float) -> FittedRegressor:
+    """Factorize ``K + tau2 * I``."""
     A = add_diagonal(kernels.product_kernel_matrix(data.X, data.T, data.X, data.T, spec), tau2)
-    L, jitter = chol_with_jitter(A, context=f"kernel spec {spec}")
+    L, jitter = chol_with_jitter(A, context=f"kernel spec {spec}", overwrite=True)
     alpha = solve_chol(L, data.y)
     return FittedRegressor(spec=spec, tau2=float(tau2), data=data, chol=L, alpha=alpha, jitter=jitter)
+
+
+def _weight_features(spec: KernelSpec, C: np.ndarray, X: np.ndarray, T) -> np.ndarray:
+    """The rows ``x_i kron C[t_i]``: ``V V^T`` is the linear-instance product Gram."""
+    rows = kernels.task_factor_rows(spec.task_kernel, C, T)
+    return (X[:, :, None] * rows[:, None, :]).reshape(X.shape[0], -1)
+
+
+def _fit_weight_space(
+    data: Dataset, spec: KernelSpec, tau2: float, C: np.ndarray
+) -> FittedRegressor:
+    """Factorize ``V^T V + tau2 * I`` for a linear instance kernel and task factor ``C``.
+
+    ``w = (V^T V + s I)^{-1} V^T y`` and ``alpha = (y - V w) / s`` with
+    ``s = tau2 + jitter``, by the Woodbury identity.
+    """
+    V = _weight_features(spec, C, data.X, data.T)
+    M = add_diagonal(V.T @ V, tau2)
+    L, jitter = chol_with_jitter(M, context=f"kernel spec {spec}", overwrite=True)
+    w = solve_chol(L, V.T @ data.y)
+    alpha = (data.y - V @ w) / (tau2 + jitter)
+    return FittedRegressor(
+        spec=spec, tau2=float(tau2), data=data, chol=L, alpha=alpha, jitter=jitter,
+        task_factor=C, weights=w,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +384,7 @@ def lml_and_gradient(
         KT, dKT = kernels.task_gram(task, T, T), {}
 
     A = add_diagonal(KX * KT, tau2)
-    L, _ = chol_with_jitter(A, context=f"kernel spec {spec}")
-    del A
+    L, _ = chol_with_jitter(A, context=f"kernel spec {spec}", overwrite=True)
     alpha = solve_chol(L, y)
     lml = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi))
 

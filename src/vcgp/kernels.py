@@ -15,6 +15,8 @@ the closed-form task covariances for tree-structured task hierarchies.
 The discrete task kernels (tree, graph-Laplacian, explicit Gram) compute
 their k x k Gram once, when they are constructed: O(k^2) for a tree and
 O(k^3) for a Laplacian.  Gram assembly and prediction then only index it.
+Their PSD factor ``G = C C^T`` (:func:`task_factor`, O(k^3) by ``eigh``) is
+computed on first use and held as well.
 
 All kernel evaluations are pure functions and all types are immutable after
 construction, so they can be shared freely across threads.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
@@ -43,6 +46,8 @@ __all__ = [
     "instance_gram",
     "discrete_task_gram",
     "task_gram",
+    "task_factor",
+    "task_factor_rows",
     "product_kernel_matrix",
     "product_kernel_diag",
     "tree_task_kernel",
@@ -241,8 +246,29 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _HeldGram:
+    """The discrete task kernels: a k x k Gram held in ``gram``, and its factor."""
+
+    @cached_property
+    def factor(self) -> np.ndarray | None:
+        """``C`` (k x rank) with ``C @ C.T == gram`` to rounding; None if the Gram is indefinite.
+
+        From ``eigh``: the columns are the eigenvectors scaled by the square
+        roots of the eigenvalues above the pseudoinverse cutoff of
+        :func:`laplacian_task_kernel_from_parts`, so a singular PSD Gram gets
+        a factor of its own rank and no jitter.  An eigenvalue below minus
+        that cutoff makes the Gram indefinite.  Computed on first use.
+        """
+        evals, evecs = np.linalg.eigh(self.gram)
+        cutoff = _eig_cutoff(evals)
+        if evals[0] < -cutoff:
+            return None
+        keep = evals > cutoff
+        return _freeze(evecs[:, keep] * np.sqrt(evals[keep]))
+
+
 @dataclass(frozen=True)
-class Tree:
+class Tree(_HeldGram):
     """Task kernel over discrete tasks given by a tree-structured hierarchy.
 
     The Gram matrix is the covariance of the hierarchical generative process
@@ -260,7 +286,7 @@ class Tree:
 
 
 @dataclass(frozen=True)
-class Laplacian:
+class Laplacian(_HeldGram):
     """Task kernel given by the pseudoinverse of a regularized graph Laplacian.
 
     ``M`` is a symmetric weighted adjacency matrix over tasks and ``R`` a
@@ -293,7 +319,7 @@ class Laplacian:
 
 
 @dataclass(frozen=True)
-class FixedGram:
+class FixedGram(_HeldGram):
     """Task kernel over discrete tasks given by an explicit PSD Gram matrix."""
 
     gram: np.ndarray
@@ -491,11 +517,14 @@ def instance_gram(kernel: InstanceKernel, X1: np.ndarray, X2: np.ndarray) -> np.
     raise TypeError(f"not an instance kernel: {kernel!r}")
 
 
+def _check_task_ids(T: np.ndarray, k: int) -> None:
+    if T.size and (T.min() < 1 or T.max() > k):
+        raise ValueError(f"task ids must lie in 1..{k}")
+
+
 def _discrete_lookup(G: np.ndarray, T1: np.ndarray, T2: np.ndarray) -> np.ndarray:
-    k = G.shape[0]
     for T in (T1, T2):
-        if T.size and (T.min() < 1 or T.max() > k):
-            raise ValueError(f"task ids must lie in 1..{k}")
+        _check_task_ids(T, G.shape[0])
     return G[np.ix_(T1 - 1, T2 - 1)]
 
 
@@ -525,6 +554,33 @@ def task_gram(kernel: TaskKernel, T1, T2) -> np.ndarray:
     T1 = as_task_array(T1, discrete=True)
     T2 = as_task_array(T2, discrete=True)
     return _discrete_lookup(G, T1, T2)
+
+
+def task_factor(kernel: TaskKernel) -> np.ndarray | None:
+    """A factor ``C`` of the task Gram with one row per task, or None.
+
+    ``C C^T`` is the Gram over task ids 1..k for the discrete kernels (see
+    ``factor`` on them; None when that Gram is indefinite) and the 1 x 1
+    Gram ``value`` of a constant kernel, whose one row serves every task.
+    None for a Matern task kernel, whose Gram over n points has no fixed
+    factor.
+    """
+    if isinstance(kernel, Constant):
+        return np.array([[math.sqrt(kernel.value)]])
+    return kernel.factor if isinstance(kernel, _DISCRETE_KINDS) else None
+
+
+def task_factor_rows(kernel: TaskKernel, factor: np.ndarray, T) -> np.ndarray:
+    """The row of ``factor`` (from :func:`task_factor`) for each task descriptor in T.
+
+    Row products give the task Gram: ``R @ R.T == task_gram(kernel, T, T)``
+    to rounding, with ``R`` the result.
+    """
+    if isinstance(kernel, Constant):
+        return np.broadcast_to(factor[0], (as_task_array(T).shape[0], factor.shape[1]))
+    T = as_task_array(T, discrete=True)
+    _check_task_ids(T, factor.shape[0])
+    return factor[T - 1]
 
 
 def product_kernel_matrix(X1, T1, X2, T2, spec: KernelSpec) -> np.ndarray:
@@ -631,9 +687,14 @@ def laplacian_task_kernel_from_parts(M: np.ndarray, R: np.ndarray) -> np.ndarray
     D = np.diag(M.sum(axis=1))
     L = D + R - M
     evals, evecs = np.linalg.eigh(L)
-    cutoff = 1e-12 * max(evals.max(), 0.0)
+    cutoff = _eig_cutoff(evals)
     inv = np.where(evals > cutoff, 1.0 / np.where(evals > cutoff, evals, 1.0), 0.0)
     return (evecs * inv) @ evecs.T
+
+
+def _eig_cutoff(evals: np.ndarray) -> float:
+    """Eigenvalues at or below this are zero: 1e-12 of the largest positive one."""
+    return 1e-12 * max(evals.max(), 0.0)
 
 
 def laplacian_task_kernel(tree: TaskTree) -> np.ndarray:

@@ -3,7 +3,7 @@
 Layout of a model file:
 
   line 1   ASCII magic: ``VCGP-MODEL 1 <kind>`` with kind in
-           {regressor, classifier}
+           {regressor, weight-space-regressor, classifier}
   line 2   JSON header: kernel spec, tau2, jitter, array shapes and task
            variant, in a fixed key order
   rest     the arrays named in the header, concatenated as row-major
@@ -11,8 +11,9 @@ Layout of a model file:
 
 The header's ``arrays`` list fixes both the order and the shapes, so the
 payload is self-describing and byte-deterministic.  A file whose arrays do
-not fit together (n training rows, n x n factors, length-n vectors) or that
-has bytes after the last array is rejected.
+not fit together (n training rows, n x n factors, length-n vectors; for a
+weight-space regressor an r x r factor and r weights, r = m times the task
+factor's width) or that has bytes after the last array is rejected.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .gp_classify import FittedClassifier, LaplaceState
 from .gp_core import Dataset, FittedRegressor
-from .kernels import spec_from_dict, spec_to_dict
+from .kernels import Constant, FixedGram, Laplacian, Linear, Tree, spec_from_dict, spec_to_dict
 
 __all__ = ["save_model", "load_model"]
 
@@ -31,12 +32,21 @@ _MAGIC = "VCGP-MODEL 1"
 _CHOL_ARRAYS = ("chol", "B_chol")
 _ARRAY_NAMES = {
     "regressor": ("X", "T", "y", "chol", "alpha"),
+    "weight-space-regressor": ("X", "T", "y", "task_factor", "chol", "weights", "alpha"),
     "classifier": ("X", "T", "y", "mode", "dual", "pi", "W", "B_chol"),
 }
 
 
 def _model_arrays(model) -> dict[str, np.ndarray]:
     common = {"X": model.data.X, "T": model.data.T, "y": model.data.y}
+    if isinstance(model, FittedRegressor) and model.weights is not None:
+        return {
+            **common,
+            "task_factor": model.task_factor,
+            "chol": model.chol,
+            "weights": model.weights,
+            "alpha": model.alpha,
+        }
     if isinstance(model, FittedRegressor):
         return {**common, "chol": model.chol, "alpha": model.alpha}
     if isinstance(model, FittedClassifier):
@@ -55,7 +65,7 @@ def _model_arrays(model) -> dict[str, np.ndarray]:
 def save_model(model, path) -> None:
     """Write a fitted regressor or classifier to ``path``."""
     if isinstance(model, FittedRegressor):
-        kind = "regressor"
+        kind = "regressor" if model.weights is None else "weight-space-regressor"
         extra = {}
     elif isinstance(model, FittedClassifier):
         kind = "classifier"
@@ -112,7 +122,9 @@ def load_model(path):
 
     spec = spec_from_dict(header["spec"])
     data = Dataset(X=arrays["X"], T=arrays["T"], y=arrays["y"])
-    if kind == "regressor":
+    if kind == "weight-space-regressor":
+        _check_task_factor(arrays["task_factor"], spec)
+    if kind != "classifier":
         return FittedRegressor(
             spec=spec,
             tau2=header["tau2"],
@@ -120,6 +132,8 @@ def load_model(path):
             chol=arrays["chol"],
             alpha=arrays["alpha"],
             jitter=header["jitter"],
+            task_factor=arrays.get("task_factor"),
+            weights=arrays.get("weights"),
         )
     state = LaplaceState(
         mode=arrays["mode"],
@@ -142,15 +156,44 @@ def _check_shapes(arrays: dict[str, np.ndarray], discrete_tasks: bool) -> None:
     if X.ndim != 2:
         raise ValueError(f"model file array 'X' has shape {X.shape}, expected (n, m)")
     n = X.shape[0]
+    # the factor and weights are n-sized, or r-sized in weight space
+    size = n
+    if "task_factor" in arrays:
+        if arrays["task_factor"].ndim != 2:
+            raise ValueError(
+                f"model file array 'task_factor' has shape {arrays['task_factor'].shape}, "
+                "expected (k, q)"
+            )
+        size = X.shape[1] * arrays["task_factor"].shape[1]
     for name, arr in arrays.items():
+        if name == "task_factor":
+            continue
         if name == "X" or (name == "T" and not discrete_tasks):
             ok = arr.ndim == 2 and arr.shape[0] == n
             want = f"({n}, *)"
         elif name in _CHOL_ARRAYS:
-            ok = arr.shape == (n, n)
-            want = f"({n}, {n})"
+            ok = arr.shape == (size, size)
+            want = f"({size}, {size})"
+        elif name == "weights":
+            ok = arr.shape == (size,)
+            want = f"({size},)"
         else:
             ok = arr.shape == (n,)
             want = f"({n},)"
         if not ok:
             raise ValueError(f"model file array {name!r} has shape {arr.shape}, expected {want}")
+
+
+def _check_task_factor(C: np.ndarray, spec) -> None:
+    """Raise ``ValueError`` unless ``C`` can be the weight-space factor of ``spec``'s task Gram."""
+    task = spec.task_kernel
+    if not isinstance(spec.instance_kernel, Linear) or not isinstance(
+        task, (Constant, Tree, Laplacian, FixedGram)
+    ):
+        raise ValueError(
+            f"a weight-space regressor needs a linear instance kernel and a constant or "
+            f"discrete task kernel, not {spec}"
+        )
+    k = 1 if isinstance(task, Constant) else task.gram.shape[0]
+    if C.shape[0] != k:
+        raise ValueError(f"model file array 'task_factor' has {C.shape[0]} rows, expected {k}")

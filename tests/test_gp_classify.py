@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.optimize
 from vcgp._linalg import NumericalError
 from vcgp.gp_classify import (
     fit_classifier,
+    laplace_mode,
     logistic_gaussian_integral,
     sigmoid,
     tune_classifier_hyperparameters,
@@ -78,6 +80,27 @@ class TestMode:
         data = Dataset(X=[[1.0]], T=np.array([1]), y=[0.5])
         with pytest.raises(ValueError):
             fit_classifier(data, KernelSpec(instance_kernel=Linear()), tau2=0.1)
+
+
+def test_newton_peak_memory_below_two_gram_arrays():
+    # one Newton factor alive at a time, built in one buffer and factorized
+    # in place: about 1.1 n x n arrays; with the previous step's factor kept
+    # and the copies made it was 3 to 5
+    n = 600
+    rng = np.random.default_rng(0)
+    X, T = rng.standard_normal((n, 3)), rng.uniform(0, 1, (n, 1))
+    spec = KernelSpec(Matern(nu=1.5, lengthscale=2.5), Matern(nu=1.5, lengthscale=0.3))
+    A = product_kernel_matrix(X, T, X, T, spec) + 0.1 * np.eye(n)
+    y = (X[:, 0] + np.sin(6 * T[:, 0]) + 0.5 * rng.standard_normal(n) > 0).astype(float)
+    laplace_mode(A, y)  # imports and one-time set-up stay out of the count
+    tracemalloc.start()
+    try:
+        state = laplace_mode(A, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.iterations >= 3
+    assert peak < 2 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
 
 
 class TestPredictProba:

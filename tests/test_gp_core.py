@@ -10,6 +10,8 @@ from vcgp.baselines import primal_oracle_predict
 from vcgp.gp_core import (
     Dataset,
     SearchConfig,
+    _fit_dense,
+    _fit_weight_space,
     fit_regressor,
     free_param_names,
     lml_and_gradient,
@@ -25,10 +27,12 @@ from vcgp.kernels import (
     TaskTree,
     Tree,
     instance_gram,
+    task_factor,
     task_gram,
 )
 
 LIN_CONST = KernelSpec(instance_kernel=Linear(), task_kernel=Constant(1.0))
+TOL_ORACLE = 1e-8  # TOL_ORACLE of test_acceptance.py
 
 
 def scalar_data():
@@ -186,6 +190,114 @@ class TestLogMarginalLikelihood:
         A = product_kernel_matrix(data.X, data.T, data.X, data.T, spec) + 0.3 * np.eye(6)
         oracle = scipy.stats.multivariate_normal(mean=np.zeros(6), cov=A).logpdf(data.y)
         assert model.log_marginal_likelihood() == pytest.approx(oracle, abs=1e-8)
+
+
+_WS_TREE = TaskTree(parent={2: 1, 3: 1, 4: 2, 5: 2}, sigma=(1.0, 0.6, 0.8, 0.4, 1.3))
+_WS_LAPLACIAN = Laplacian.from_tree(_WS_TREE)
+_B = np.random.default_rng(30).standard_normal((4, 6))
+_WS_TASK_KERNELS = {
+    "constant": Constant(1.7),
+    "tree": Tree(_WS_TREE),
+    "laplacian": _WS_LAPLACIAN,
+    # R = 0 leaves the Laplacian singular: its pseudoinverse Gram has rank k - 1
+    "laplacian-singular": Laplacian(_WS_LAPLACIAN.M, np.zeros((5, 5))),
+    "fixed-gram": FixedGram(_B @ _B.T / 6),
+}
+
+
+class TestWeightSpaceRoute:
+    """``fit_regressor`` in weight space against the dense fit and the oracle."""
+
+    M = 2
+
+    @staticmethod
+    def _tasks(kernel, n, rng):
+        if isinstance(kernel, Constant):
+            return rng.uniform(0, 1, (n, 1))
+        return rng.integers(1, kernel.gram.shape[0] + 1, size=n)
+
+    def _data(self, kernel, n, m, rng):
+        T = self._tasks(kernel, n, rng)
+        return Dataset(X=rng.standard_normal((n, m)), T=T, y=rng.standard_normal(n))
+
+    @pytest.mark.parametrize("tau2", [1e-6, 0.1, 10.0])
+    @pytest.mark.parametrize("above", [False, True], ids=["r-below-half-n", "r-above-half-n"])
+    @pytest.mark.parametrize("label", sorted(_WS_TASK_KERNELS))
+    def test_matches_dense_fit_and_oracle(self, label, above, tau2):
+        kernel = _WS_TASK_KERNELS[label]
+        spec = KernelSpec(Linear(), kernel)
+        C = task_factor(kernel)
+        r = self.M * C.shape[1]
+        n = 2 * r - 1 if above else 2 * r + 1
+        rng = np.random.default_rng(40)
+        data = self._data(kernel, n, self.M, rng)
+        X_star, T_star = rng.standard_normal((6, self.M)), self._tasks(kernel, 6, rng)
+
+        assert (fit_regressor(data, spec, tau2).weights is None) == above
+        ws, dense = _fit_weight_space(data, spec, tau2, C), _fit_dense(data, spec, tau2)
+        assert ws.chol.shape == (r, r) and dense.chol.shape == (n, n)
+        (ws_mean, ws_var), (d_mean, d_var) = ws.predict_batch(X_star, T_star), dense.predict_batch(X_star, T_star)
+        np.testing.assert_allclose(ws_mean, d_mean, rtol=0, atol=TOL_ORACLE)
+        np.testing.assert_allclose(ws_var, d_var, rtol=0, atol=TOL_ORACLE)
+        # alpha grows as 1/tau2 (to 2e6 at tau2=1e-6), so it is compared to its scale
+        scale = 1.0 + np.max(np.abs(dense.alpha))
+        np.testing.assert_allclose(ws.alpha, dense.alpha, rtol=0, atol=TOL_ORACLE * scale)
+        lml = dense.log_marginal_likelihood()
+        assert abs(ws.log_marginal_likelihood() - lml) <= TOL_ORACLE * (1.0 + abs(lml))
+        if tau2 < 1e-3:
+            # the oracle inverts K + tau2 I explicitly, ~1e8-conditioned here
+            # and off by 2e-8 itself; the dense fit stands in for it
+            return
+        for x, t, mean, var in zip(X_star, T_star, ws_mean, ws_var):
+            want = primal_oracle_predict(data, spec, tau2, x, t)
+            assert mean == pytest.approx(want.mean, abs=TOL_ORACLE)
+            assert var == pytest.approx(want.latent_var, abs=TOL_ORACLE)
+
+    def test_route_boundary_is_r_at_most_half_n(self):
+        spec = KernelSpec(Linear(), Tree(_WS_TREE))
+        rng = np.random.default_rng(41)
+        for n, weight_space in ((20, True), (19, False)):  # r = 2 * 5 = 10
+            data = self._data(spec.task_kernel, n, self.M, rng)
+            assert (fit_regressor(data, spec, 0.1).weights is not None) == weight_space
+
+    def test_other_specs_stay_dense(self):
+        rng = np.random.default_rng(42)
+        n = 40
+        for spec in (
+            KernelSpec(Matern(), Tree(_WS_TREE)),
+            KernelSpec(Linear(), Matern(lengthscale=0.5)),
+        ):
+            T = rng.integers(1, 6, size=n) if isinstance(spec.task_kernel, Tree) else rng.uniform(0, 1, (n, 1))
+            data = Dataset(X=rng.standard_normal((n, 2)), T=T, y=rng.standard_normal(n))
+            model = fit_regressor(data, spec, 0.1)
+            assert model.weights is None and model.chol.shape == (n, n)
+
+    def test_indefinite_gram_takes_the_dense_route_and_fails_naming_the_spec(self):
+        gram = np.array([[1.0, 5.0], [5.0, 1.0]])
+        assert task_factor(FixedGram(gram)) is None
+        rng = np.random.default_rng(43)
+        # r would be 2 <= n/2 for a PSD Gram of this size
+        data = Dataset(X=rng.standard_normal((20, 1)), T=rng.integers(1, 3, size=20), y=rng.standard_normal(20))
+        with pytest.raises(NumericalError, match="FixedGram"):
+            fit_regressor(data, KernelSpec(Linear(), FixedGram(gram)), 1e-8)
+
+    def test_zero_gram_fits_with_no_weights(self):
+        data = Dataset(X=[[1.0], [2.0], [3.0]], T=np.array([1, 2, 1]), y=[1.0, -1.0, 0.5])
+        spec = KernelSpec(Linear(), FixedGram(np.zeros((2, 2))))
+        ws, dense = fit_regressor(data, spec, 0.5), _fit_dense(data, spec, 0.5)
+        assert ws.chol.shape == (0, 0)
+        np.testing.assert_allclose(ws.alpha, dense.alpha, rtol=1e-14)
+        assert ws.log_marginal_likelihood() == pytest.approx(dense.log_marginal_likelihood(), rel=1e-14)
+        mean, var = ws.predict_batch([[1.0], [2.0]], [1, 2])
+        assert np.array_equal(mean, [0.0, 0.0]) and np.array_equal(var, [0.0, 0.0])
+
+    def test_task_ids_out_of_range_are_rejected(self):
+        spec = KernelSpec(Linear(), Tree(_WS_TREE))
+        data = self._data(spec.task_kernel, 30, 1, np.random.default_rng(44))
+        model = fit_regressor(data, spec, 0.1)
+        assert model.weights is not None
+        with pytest.raises(ValueError, match="task ids must lie in 1..5"):
+            model.predict_batch([[1.0]], [6])
 
 
 class TestGradients:

@@ -25,6 +25,8 @@ from vcgp.kernels import (
     product_kernel_matrix,
     spec_from_dict,
     spec_to_dict,
+    task_factor,
+    task_factor_rows,
     task_gram,
     tree_laplacian,
     tree_task_kernel,
@@ -295,6 +297,46 @@ class TestLaplacianKernel:
         assert lap.M[0, 1] == lap.M[1, 0]
         assert lap.R[0, 0] == pytest.approx(1.0)
         assert np.all(lap.R[1:, 1:] == 0)
+
+
+class TestTaskFactor:
+    def test_factors_reproduce_the_gram(self):
+        rng = np.random.default_rng(12)
+        tree = random_tree(30, rng)
+        B = rng.standard_normal((6, 3))
+        for kernel, rank in (
+            (Tree(tree), 30),
+            (Laplacian.from_tree(tree), 30),
+            (FixedGram(B @ B.T), 3),  # a rank-3 Gram over 6 tasks
+        ):
+            C = task_factor(kernel)
+            G = kernel.gram
+            assert C.shape == (G.shape[0], rank)
+            assert np.max(np.abs(C @ C.T - G)) < 1e-12 * np.max(np.abs(G))
+            assert task_factor(kernel) is C  # computed once per kernel
+
+    def test_singular_laplacian_factor_has_its_own_rank(self):
+        lap = Laplacian.from_tree(TaskTree(parent={2: 1, 3: 1, 4: 2}, sigma=(1.0, 0.5, 2.0, 0.7)))
+        singular = Laplacian(lap.M, np.zeros((4, 4)))  # R = 0: D - M has a null vector
+        C = task_factor(singular)
+        assert C.shape == (4, 3)
+        np.testing.assert_allclose(C @ C.T, singular.gram, atol=1e-12)
+
+    def test_indefinite_and_continuous_kernels_have_none(self):
+        assert task_factor(FixedGram(np.array([[1.0, 5.0], [5.0, 1.0]]))) is None
+        assert task_factor(Matern()) is None
+
+    def test_rows(self):
+        C = task_factor(Constant(4.0))
+        assert np.array_equal(C, [[2.0]])
+        rows = task_factor_rows(Constant(4.0), C, np.zeros((3, 2)))
+        assert np.array_equal(rows, [[2.0], [2.0], [2.0]])
+        tree_kernel = Tree(TaskTree(parent={2: 1}, sigma=(1.0, 1.0)))
+        C = task_factor(tree_kernel)
+        rows = task_factor_rows(tree_kernel, C, np.array([2, 1, 2]))
+        np.testing.assert_allclose(rows @ rows.T, task_gram(tree_kernel, [2, 1, 2], [2, 1, 2]), atol=1e-14)
+        with pytest.raises(ValueError, match="task ids must lie in 1..2"):
+            task_factor_rows(tree_kernel, C, np.array([3]))
 
 
 class TestTaskPoint:

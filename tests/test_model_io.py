@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,22 @@ def continuous_data(seed=0, n=10):
 
 
 LIN_MATERN = KernelSpec(instance_kernel=Linear(), task_kernel=Matern())
+
+# a dense regressor file as the format-1 writer wrote it before weight-space
+# models existed: Linear x Tree over 3 tasks, n=6, m=2, tau2=0.1
+DENSE_FORMAT1_FILE = Path(__file__).parent / "data" / "dense_regressor_format1.bin"
+
+
+def weight_space_tree_model():
+    """A Linear x Tree fit at n=40, k=7, m=2: r = 14 <= n/2, so in weight space."""
+    rng = np.random.default_rng(9)
+    tree = random_tree(7, rng)
+    data = Dataset(
+        X=rng.standard_normal((40, 2)), T=rng.integers(1, 8, size=40), y=rng.standard_normal(40)
+    )
+    model = fit_regressor(data, KernelSpec(instance_kernel=Linear(), task_kernel=Tree(tree)), 0.1)
+    assert model.weights is not None and model.chol.shape == (14, 14)
+    return model
 
 
 def read_model_file(path):
@@ -140,6 +157,35 @@ class TestRoundTrip:
             a, b = model.predict(x, t), loaded.predict(x, t)
             assert (a.mean, a.latent_var) == (b.mean, b.latent_var)
 
+    def test_weight_space_regressor(self, tmp_path):
+        model = weight_space_tree_model()
+        path = tmp_path / "primal.bin"
+        save_model(model, path)
+        assert path.read_bytes().split(b"\n", 1)[0] == b"VCGP-MODEL 1 weight-space-regressor"
+        loaded = load_model(path)
+        for name in ("task_factor", "chol", "weights", "alpha"):
+            assert np.array_equal(getattr(loaded, name), getattr(model, name)), name
+        rng = np.random.default_rng(10)
+        Xs, Ts = rng.standard_normal((16, 2)), rng.integers(1, 8, size=16)
+        for got, want in zip(loaded.predict_batch(Xs, Ts), model.predict_batch(Xs, Ts)):
+            assert np.array_equal(got, want)
+        for x, t in zip(Xs, Ts):
+            a, b = model.predict(x, t), loaded.predict(x, t)
+            assert (a.mean, a.latent_var) == (b.mean, b.latent_var)
+        assert loaded.log_marginal_likelihood() == model.log_marginal_likelihood()
+
+    def test_dense_file_from_the_format1_writer_loads(self, tmp_path):
+        model = load_model(DENSE_FORMAT1_FILE)
+        assert model.weights is None and model.chol.shape == (6, 6)
+        # the same bytes come back out, and the stored model is the one a fit gives
+        path = tmp_path / "again.bin"
+        save_model(model, path)
+        assert path.read_bytes() == DENSE_FORMAT1_FILE.read_bytes()
+        fresh = fit_regressor(model.data, model.spec, model.tau2)
+        assert fresh.weights is None
+        np.testing.assert_allclose(fresh.chol, model.chol, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(fresh.alpha, model.alpha, rtol=1e-12)
+
     def test_byte_deterministic(self, tmp_path):
         data = continuous_data(seed=5)
         model = fit_regressor(
@@ -205,6 +251,44 @@ class TestErrors:
         arrays[name] = arrays[name][:-1, :-1] if name.endswith("chol") else arrays[name][:-1]
         write_model_file(path, magic, header, arrays)
         with pytest.raises(ValueError, match=f"array {name!r} has shape"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", ["chol", "weights"])
+    def test_weight_space_sizes_that_disagree_with_the_factor(self, tmp_path, name):
+        path = tmp_path / "primal.bin"
+        save_model(weight_space_tree_model(), path)
+        magic, header, arrays = read_model_file(path)
+        # r = m * width(task_factor) = 14; one row or column fewer
+        arrays[name] = arrays[name][:-1, :-1] if name == "chol" else arrays[name][:-1]
+        write_model_file(path, magic, header, arrays)
+        with pytest.raises(ValueError, match=f"array {name!r} has shape"):
+            load_model(path)
+
+    def test_weight_space_task_factor_narrower_than_the_factor(self, tmp_path):
+        path = tmp_path / "primal.bin"
+        save_model(weight_space_tree_model(), path)
+        magic, header, arrays = read_model_file(path)
+        arrays["task_factor"] = arrays["task_factor"][:, :-1]
+        write_model_file(path, magic, header, arrays)
+        with pytest.raises(ValueError, match="array 'chol' has shape"):
+            load_model(path)
+
+    def test_weight_space_task_factor_rows_must_match_the_tasks(self, tmp_path):
+        path = tmp_path / "primal.bin"
+        save_model(weight_space_tree_model(), path)
+        magic, header, arrays = read_model_file(path)
+        arrays["task_factor"] = arrays["task_factor"][:-1]
+        write_model_file(path, magic, header, arrays)
+        with pytest.raises(ValueError, match="'task_factor' has 6 rows, expected 7"):
+            load_model(path)
+
+    def test_weight_space_file_needs_a_linear_instance_kernel(self, tmp_path):
+        path = tmp_path / "primal.bin"
+        save_model(weight_space_tree_model(), path)
+        magic, header, arrays = read_model_file(path)
+        header["spec"]["instance_kernel"] = {"type": "matern"}
+        write_model_file(path, magic, header, arrays)
+        with pytest.raises(ValueError, match="linear instance kernel"):
             load_model(path)
 
     def test_unsupported_object(self, tmp_path):
