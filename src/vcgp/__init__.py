@@ -79,8 +79,6 @@ from .multitask_hb import (
     verify_prop2,
 )
 from .sparse_fitc import (
-    FittedFITCClassifier,
-    FittedFITCRegressor,
     InducingSet,
     fit_fitc,
     fit_fitc_classifier,

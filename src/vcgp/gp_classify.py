@@ -4,7 +4,10 @@ The latent model puts the observation noise inside the latent covariance:
 latent values z have prior ``N(0, K + tau2*I)`` and labels follow
 ``y_i ~ Bernoulli(sigmoid(z_i))``.  The posterior mode is found by damped
 Newton iteration; predictions integrate the logistic likelihood against the
-Gaussian Laplace approximation with Gauss-Hermite quadrature.
+Gaussian Laplace approximation with Gauss-Hermite quadrature.  The exact
+and FITC classifiers are one class, :class:`FittedClassifier`, whose basis
+(:class:`gp_core.DenseBasis` or :class:`sparse_fitc.InducingBasis`) carries
+the Laplace posterior to test points.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from ._linalg import (
     solve_lower,
     solve_upper,
 )
-from .gp_core import VARIANCE_CLAMP, Dataset, SearchConfig, _as_task_row, _tune_grid
-from .kernels import KernelSpec, as_task_array
+from .gp_core import Basis, Dataset, DenseBasis, SearchConfig, _as_task_row, _tune_grid
+from .gp_core import _latent_predictive
+from .kernels import KernelSpec
 
 __all__ = [
     "FittedClassifier",
@@ -203,13 +207,20 @@ def laplace_mode(
 
 @dataclass(frozen=True)
 class FittedClassifier:
-    """Immutable Laplace-approximate posterior of a GP classifier."""
+    """Immutable Laplace-approximate posterior of a GP classifier.
+
+    The latent mean is ``Phi^T weights`` for the test features ``Phi`` of
+    ``basis``, which also gives the latent variance from ``state.B_chol``
+    (dense: weights ``state.dual``; FITC: the p x p :class:`LowRankDiag` factor).
+    """
 
     spec: KernelSpec
     tau2: float
     data: Dataset
     state: LaplaceState
+    weights: np.ndarray
     jitter: float = 0.0
+    basis: Basis = DenseBasis()
 
     @property
     def mode(self) -> np.ndarray:
@@ -220,28 +231,14 @@ class FittedClassifier:
         return self.state.W
 
     def predict_proba(self, x_star, t_star) -> float:
-        p = self.predict_proba_batch(
-            np.atleast_2d(np.asarray(x_star, dtype=float)),
-            _as_task_row(t_star, self.data.T),
-        )
-        return float(p[0])
+        return float(self.predict_proba_batch(x_star, _as_task_row(t_star, self.data.T))[0])
 
     def predict_proba_batch(self, X_star, T_star) -> np.ndarray:
         """Probability of class 1 at each test point."""
-        X_star = np.atleast_2d(np.asarray(X_star, dtype=float))
-        if X_star.shape[1] != self.data.m:
-            raise ValueError(
-                f"test instances have {X_star.shape[1]} features, training has {self.data.m}"
-            )
-        T_star = as_task_array(T_star, discrete=self.data.has_discrete_tasks)
-        Ks = kernels.product_kernel_matrix(self.data.X, self.data.T, X_star, T_star, self.spec)
-        mu = Ks.T @ self.state.dual
-        prior = kernels.product_kernel_diag(X_star, T_star, self.spec) + self.tau2
-        V = solve_lower(self.state.B_chol, np.sqrt(self.state.W)[:, None] * Ks)
-        var = prior - np.einsum("ij,ij->j", V, V)
-        if np.any(var < -VARIANCE_CLAMP):
-            raise NumericalError("negative latent predictive variance beyond clamp tolerance")
-        return logistic_gaussian_integral(mu, np.maximum(var, 0.0))
+        mean, var = _latent_predictive(
+            self, X_star, T_star, self.state.B_chol, self.tau2, self.state.W
+        )
+        return logistic_gaussian_integral(mean, var)
 
     def log_marginal_likelihood(self) -> float:
         """Laplace approximation of log p(y | X, T, hyperparameters)."""
@@ -266,7 +263,9 @@ def fit_classifier(data: Dataset, spec: KernelSpec, tau2: float) -> FittedClassi
     if jitter:
         add_diagonal(A, jitter)
     state = laplace_mode(A, y, context=f"kernel spec {spec}")
-    return FittedClassifier(spec=spec, tau2=float(tau2), data=data, state=state, jitter=jitter)
+    return FittedClassifier(
+        spec=spec, tau2=float(tau2), data=data, state=state, weights=state.dual, jitter=jitter
+    )
 
 
 def tune_classifier_hyperparameters(

@@ -2,13 +2,15 @@
 
 Fitting assembles the product-kernel Gram matrix K over the training data,
 factorizes ``K + tau2*I`` once, and caches the factor together with
-``alpha = (K + tau2*I)^{-1} y``.  Each prediction then costs one kernel
-vector and one triangular solve.  A linear instance kernel times a task
+``alpha = (K + tau2*I)^{-1} y``.  A linear instance kernel times a task
 Gram ``G = C C^T`` is Bayesian regression on stacked per-task coefficients
 (the paper's Theorem 1), and when those are fewer than half the points the
-fit runs in that weight space instead (:func:`fit_regressor`).  The log
-marginal likelihood and its analytic gradients with respect to
-log-hyperparameters drive tuning.
+fit runs in that weight space instead (:func:`fit_regressor`).  Either
+route, and FITC, is one :class:`FittedRegressor` whose *basis* maps test
+points to the features ``Phi`` of the predictive mean ``Phi^T weights`` and
+gives the latent variance: :class:`DenseBasis`, :class:`WeightBasis` or
+:class:`sparse_fitc.InducingBasis`.  The log marginal likelihood and its
+analytic gradients with respect to log-hyperparameters drive tuning.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 import scipy.optimize
@@ -26,9 +28,12 @@ from ._linalg import NumericalError, add_diagonal, chol_with_jitter, solve_chol,
 from .kernels import KernelSpec, Linear, Matern, TaskPoint, as_task_array, matern_gram_grads
 
 __all__ = [
+    "Basis",
     "Dataset",
+    "DenseBasis",
     "PredictiveDistribution",
     "FittedRegressor",
+    "WeightBasis",
     "SearchConfig",
     "fit_regressor",
     "lml_and_gradient",
@@ -141,62 +146,107 @@ def _as_task_row(t_star, like: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _latent_predictive(model, X_star, T_star, L, noise=0.0, W=None):
+    """Latent means ``Phi^T weights`` and clamped variances through ``model.basis``."""
+    X_star = np.atleast_2d(np.asarray(X_star, dtype=float))
+    if X_star.shape[1] != model.data.m:
+        raise ValueError(
+            f"test instances have {X_star.shape[1]} features, training has {model.data.m}"
+        )
+    T_star = as_task_array(T_star, discrete=model.data.has_discrete_tasks)
+    Phi = model.basis.features(model, X_star, T_star)
+    var = model.basis.latent_var(model, X_star, T_star, Phi, L, noise, W)
+    if (var < -VARIANCE_CLAMP).any():
+        raise NumericalError("negative latent predictive variance beyond clamp tolerance")
+    return Phi.T @ model.weights, np.maximum(var, 0.0, out=var)
+
+
+class Basis(Protocol):
+    """How a fitted model carries its posterior to test points (:func:`_latent_predictive`)."""
+
+    def features(self, model, X_star, T_star) -> np.ndarray:
+        """Test features ``Phi``, one column per test point."""
+
+    def latent_var(self, model, X_star, T_star, Phi, L, noise=0.0, W=None) -> np.ndarray:
+        """Latent variances, before clamping, from ``Phi`` and the model's factor ``L``."""
+
+
+@dataclass(frozen=True)
+class DenseBasis:
+    """Features ``Phi = K(train, *)``, one row per training point.
+
+    ``L`` factorizes ``K + tau2 I`` (regressor, ``s = 1``, no noise) or the
+    Laplace system ``I + sqrt(W) (K + tau2 I) sqrt(W)`` (classifier,
+    ``s = sqrt(W)``, noise tau2); the latent variance is
+    ``k** + noise - |L^{-1} s Phi|^2``.
+    """
+
+    def features(self, model, X_star, T_star) -> np.ndarray:
+        return kernels.product_kernel_matrix(model.data.X, model.data.T, X_star, T_star, model.spec)
+
+    def latent_var(self, model, X_star, T_star, Phi, L, noise=0.0, W=None) -> np.ndarray:
+        U = solve_lower(L, Phi if W is None else np.sqrt(W)[:, None] * Phi)
+        prior = kernels.product_kernel_diag(X_star, T_star, model.spec)
+        prior += noise
+        return prior - np.einsum("ij,ij->j", U, U)
+
+
+@dataclass(frozen=True)
+class WeightBasis:
+    """Features ``Phi = x* kron C[t*]`` of the r stacked coefficients, ``G = C C^T``.
+
+    ``L`` factorizes ``V^T V + s I_r`` with ``s = tau2 + jitter``, and the
+    latent variance ``v*^T (I - V^T A^{-1} V) v*`` is ``s |L^{-1} Phi|^2``.
+    """
+
+    C: np.ndarray
+
+    def features(self, model, X_star, T_star) -> np.ndarray:
+        return _weight_features(model.spec, self.C, X_star, T_star).T
+
+    def latent_var(self, model, X_star, T_star, Phi, L, noise=0.0, W=None) -> np.ndarray:
+        U = solve_lower(L, Phi)
+        return (model.tau2 + model.jitter) * np.einsum("ij,ij->j", U, U)
+
+
 @dataclass(frozen=True)
 class FittedRegressor:
-    """Immutable posterior state of an exact product-kernel GP regressor.
+    """Immutable posterior state of a product-kernel GP regressor.
 
-    ``alpha = (K + tau2*I)^{-1} y`` on both routes of :func:`fit_regressor`.
-    Dense route: ``chol`` is the n x n factor of ``K + (tau2 + jitter) I``.
-    Weight-space route: ``task_factor`` is the task Gram's factor ``C``,
-    ``chol`` the r x r factor of ``V^T V + (tau2 + jitter) I`` and
-    ``weights`` the posterior mean of the r stacked coefficients.
+    The predictive mean is ``Phi^T weights`` for the test features ``Phi``
+    of ``basis``, which also gives the latent variance from ``chol``, the
+    factor of ``K + (tau2 + jitter) I`` (:class:`DenseBasis`, weights
+    ``alpha``), of the r x r ``V^T V + (tau2 + jitter) I``
+    (:class:`WeightBasis`, weights the r coefficients' posterior mean) or of
+    FITC's p x p system (:class:`sparse_fitc.InducingBasis`).
+    ``alpha = (K + tau2*I)^{-1} y`` gives the evidence; FITC has none (None).
     """
 
     spec: KernelSpec
     tau2: float
     data: Dataset
     chol: np.ndarray
-    alpha: np.ndarray
+    alpha: np.ndarray | None
+    weights: np.ndarray
     jitter: float = 0.0
-    task_factor: np.ndarray | None = None
-    weights: np.ndarray | None = None
+    basis: Basis = DenseBasis()
 
     def predict(self, x_star, t_star) -> PredictiveDistribution:
         """Predictive distribution at a single test point."""
-        mean, var = self.predict_batch(
-            np.atleast_2d(np.asarray(x_star, dtype=float)),
-            _as_task_row(t_star, self.data.T),
-        )
+        mean, var = self.predict_batch(x_star, _as_task_row(t_star, self.data.T))
         return PredictiveDistribution(float(mean[0]), float(var[0]), self.tau2)
 
     def predict_batch(self, X_star, T_star) -> tuple[np.ndarray, np.ndarray]:
         """Predictive means and latent variances at many test points."""
-        X_star = np.atleast_2d(np.asarray(X_star, dtype=float))
-        if X_star.shape[1] != self.data.m:
-            raise ValueError(
-                f"test instances have {X_star.shape[1]} features, training has {self.data.m}"
-            )
-        T_star = as_task_array(T_star, discrete=self.data.has_discrete_tasks)
-        if self.weights is not None:
-            # var = v*^T (I - V^T A^{-1} V) v* = (tau2 + jitter) |L^{-1} v*|^2
-            Vs = _weight_features(self.spec, self.task_factor, X_star, T_star)
-            U = solve_lower(self.chol, Vs.T)
-            return Vs @ self.weights, (self.tau2 + self.jitter) * np.einsum("ij,ij->j", U, U)
-        Ks = kernels.product_kernel_matrix(self.data.X, self.data.T, X_star, T_star, self.spec)
-        mean = Ks.T @ self.alpha
-        V = solve_lower(self.chol, Ks)
-        prior = kernels.product_kernel_diag(X_star, T_star, self.spec)
-        var = prior - np.einsum("ij,ij->j", V, V)
-        if np.any(var < -VARIANCE_CLAMP):
-            raise NumericalError("negative predictive variance beyond clamp tolerance")
-        return mean, np.maximum(var, 0.0)
+        return _latent_predictive(self, X_star, T_star, self.chol)
 
     def log_marginal_likelihood(self) -> float:
+        if self.alpha is None:
+            raise NotImplementedError("FITC regression has no evidence yet")
         n = self.data.n
+        # |V V^T + s I_n| = s^(n - r) |V^T V + s I_r| for the r x r factor; r = n if dense
         half_logdet = np.sum(np.log(np.diag(self.chol)))
-        if self.weights is not None:
-            # |V V^T + s I_n| = s^(n - r) |V^T V + s I_r|
-            half_logdet += 0.5 * (n - self.chol.shape[0]) * math.log(self.tau2 + self.jitter)
+        half_logdet += 0.5 * (n - self.chol.shape[0]) * math.log(self.tau2 + self.jitter)
         return float(
             -0.5 * self.data.y @ self.alpha - half_logdet - 0.5 * n * math.log(2.0 * math.pi)
         )
@@ -231,7 +281,9 @@ def _fit_dense(data: Dataset, spec: KernelSpec, tau2: float) -> FittedRegressor:
     A = add_diagonal(kernels.product_kernel_matrix(data.X, data.T, data.X, data.T, spec), tau2)
     L, jitter = chol_with_jitter(A, context=f"kernel spec {spec}", overwrite=True)
     alpha = solve_chol(L, data.y)
-    return FittedRegressor(spec=spec, tau2=float(tau2), data=data, chol=L, alpha=alpha, jitter=jitter)
+    return FittedRegressor(
+        spec=spec, tau2=float(tau2), data=data, chol=L, alpha=alpha, weights=alpha, jitter=jitter
+    )
 
 
 def _weight_features(spec: KernelSpec, C: np.ndarray, X: np.ndarray, T) -> np.ndarray:
@@ -254,8 +306,8 @@ def _fit_weight_space(
     w = solve_chol(L, V.T @ data.y)
     alpha = (data.y - V @ w) / (tau2 + jitter)
     return FittedRegressor(
-        spec=spec, tau2=float(tau2), data=data, chol=L, alpha=alpha, jitter=jitter,
-        task_factor=C, weights=w,
+        spec=spec, tau2=float(tau2), data=data, chol=L, alpha=alpha, weights=w, jitter=jitter,
+        basis=WeightBasis(C),
     )
 
 

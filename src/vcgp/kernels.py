@@ -748,6 +748,44 @@ def kernel_from_dict(d: Mapping, *, task: bool = False) -> InstanceKernel | Task
     return kernel
 
 
+def _key(d: Mapping, kind: str, key: str, types: tuple, want: str):
+    """``d[key]``, or ``ValueError`` naming the kernel type and key if missing or not ``types``."""
+    if key not in d:
+        raise ValueError(f"{kind} kernel needs the key {key!r}")
+    if not isinstance(d[key], types):
+        raise ValueError(f"{kind} kernel key {key!r} must be {want}, got {d[key]!r}")
+    return d[key]
+
+
+def _number(kind: str, key: str, v) -> float:
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise ValueError(f"{kind} kernel key {key!r} must be a number, got {v!r}") from None
+
+
+def _tree_from_dict(d: Mapping, kind: str) -> TaskTree:
+    parent = _key(d, kind, "parent", (Mapping,), "a mapping from child node to parent node")
+    sigma = _key(d, kind, "sigma", (list, tuple), "a list of per-node standard deviations")
+    try:
+        parent = {int(c): int(p) for c, p in parent.items()}
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{kind} kernel key 'parent' must map node ids to node ids, got {parent!r}"
+        ) from None
+    return TaskTree(parent=parent, sigma=tuple(_number(kind, "sigma", s) for s in sigma))
+
+
+def _matrix_from_dict(d: Mapping, kind: str, key: str) -> np.ndarray:
+    rows = _key(d, kind, key, (list, tuple, np.ndarray), "a list of rows")
+    try:
+        return np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{kind} kernel key {key!r} must be rows of numbers, got {rows!r}"
+        ) from None
+
+
 def _parse_kernel(d: Mapping) -> InstanceKernel | TaskKernel:
     if not isinstance(d, Mapping) or "type" not in d:
         raise ValueError(f"a kernel must be a mapping with a 'type' key, got {d!r}")
@@ -757,30 +795,24 @@ def _parse_kernel(d: Mapping) -> InstanceKernel | TaskKernel:
     if kind == "matern":
         ls = d.get("lengthscale", 1.0)
         if isinstance(ls, (list, tuple)):
-            ls = tuple(float(v) for v in ls)
+            ls = tuple(_number(kind, "lengthscale", v) for v in ls)
+        else:
+            ls = _number(kind, "lengthscale", ls)
         return Matern(
-            nu=float(d.get("nu", 1.5)),
+            nu=_number(kind, "nu", d.get("nu", 1.5)),
             lengthscale=ls,
-            amplitude=float(d.get("amplitude", 1.0)),
+            amplitude=_number(kind, "amplitude", d.get("amplitude", 1.0)),
         )
     if kind == "constant":
-        return Constant(value=float(d.get("value", 1.0)))
+        return Constant(value=_number(kind, "value", d.get("value", 1.0)))
     if kind == "tree":
-        tree = TaskTree(
-            parent={int(c): int(p) for c, p in d["parent"].items()},
-            sigma=tuple(float(s) for s in d["sigma"]),
-        )
-        return Tree(tree=tree)
+        return Tree(tree=_tree_from_dict(d, kind))
     if kind == "laplacian":
         if "parent" in d:
-            tree = TaskTree(
-                parent={int(c): int(p) for c, p in d["parent"].items()},
-                sigma=tuple(float(s) for s in d["sigma"]),
-            )
-            return Laplacian.from_tree(tree)
-        return Laplacian(M=np.asarray(d["M"], dtype=float), R=np.asarray(d["R"], dtype=float))
+            return Laplacian.from_tree(_tree_from_dict(d, kind))
+        return Laplacian(M=_matrix_from_dict(d, kind, "M"), R=_matrix_from_dict(d, kind, "R"))
     if kind == "fixed_gram":
-        return FixedGram(gram=np.asarray(d["gram"], dtype=float))
+        return FixedGram(gram=_matrix_from_dict(d, kind, "gram"))
     raise ValueError(f"unknown kernel type {kind!r}")
 
 
@@ -794,7 +826,14 @@ def spec_to_dict(spec: KernelSpec) -> dict:
 
 def spec_from_dict(d: Mapping) -> KernelSpec:
     """Inverse of :func:`spec_to_dict`."""
-    return KernelSpec(
-        instance_kernel=kernel_from_dict(d["instance_kernel"]),
-        task_kernel=kernel_from_dict(d["task_kernel"]),
-    )
+    if not isinstance(d, Mapping):
+        raise ValueError(f"a kernel spec must be a mapping, got {d!r}")
+    parsed = {}
+    for key in ("instance_kernel", "task_kernel"):
+        if key not in d:
+            raise ValueError(f"kernel spec needs the key {key!r}")
+        try:
+            parsed[key] = kernel_from_dict(d[key])
+        except ValueError as exc:
+            raise ValueError(f"kernel spec key {key!r}: {exc}") from exc
+    return KernelSpec(**parsed)

@@ -5,7 +5,8 @@ Layout of a model file:
   line 1   ASCII magic: ``VCGP-MODEL 1 <kind>`` with kind in
            {regressor, weight-space-regressor, classifier}
   line 2   JSON header: kernel spec, tau2, jitter, array shapes and task
-           variant, in a fixed key order
+           variant (and a classifier's log-likelihood and Newton
+           iterations), in a fixed key order
   rest     the arrays named in the header, concatenated as row-major
            little-endian float64 (int64 for discrete task ids)
 
@@ -13,17 +14,20 @@ The header's ``arrays`` list fixes both the order and the shapes, so the
 payload is self-describing and byte-deterministic.  A file whose arrays do
 not fit together (n training rows, n x n factors, length-n vectors; for a
 weight-space regressor an r x r factor and r weights, r = m times the task
-factor's width) or that has bytes after the last array is rejected.
+factor's width), whose header lacks a field or holds an invalid value, or
+that has bytes after the last array is rejected.  The file kind follows
+from the model's class and basis; FITC models have none and are not saved.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .gp_classify import FittedClassifier, LaplaceState
-from .gp_core import Dataset, FittedRegressor
+from .gp_core import Dataset, DenseBasis, FittedRegressor, WeightBasis
 from .kernels import Constant, FixedGram, Laplacian, Linear, Tree, spec_from_dict, spec_to_dict
 
 __all__ = ["save_model", "load_model"]
@@ -35,44 +39,38 @@ _ARRAY_NAMES = {
     "weight-space-regressor": ("X", "T", "y", "task_factor", "chol", "weights", "alpha"),
     "classifier": ("X", "T", "y", "mode", "dual", "pi", "W", "B_chol"),
 }
+# the file kind of each (model class, basis) pair that has one; FITC models have none
+_KINDS = {
+    (FittedRegressor, DenseBasis): "regressor",
+    (FittedRegressor, WeightBasis): "weight-space-regressor",
+    (FittedClassifier, DenseBasis): "classifier",
+}
 
 
-def _model_arrays(model) -> dict[str, np.ndarray]:
-    common = {"X": model.data.X, "T": model.data.T, "y": model.data.y}
-    if isinstance(model, FittedRegressor) and model.weights is not None:
-        return {
-            **common,
-            "task_factor": model.task_factor,
-            "chol": model.chol,
-            "weights": model.weights,
-            "alpha": model.alpha,
-        }
-    if isinstance(model, FittedRegressor):
-        return {**common, "chol": model.chol, "alpha": model.alpha}
-    if isinstance(model, FittedClassifier):
-        s = model.state
-        return {
-            **common,
-            "mode": s.mode,
-            "dual": s.dual,
-            "pi": s.pi,
-            "W": s.W,
-            "B_chol": s.B_chol,
-        }
-    raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+def _model_array(model, name: str) -> np.ndarray:
+    if name in ("X", "T", "y"):
+        return getattr(model.data, name)
+    if name == "task_factor":
+        return model.basis.C
+    return getattr(model.state if isinstance(model, FittedClassifier) else model, name)
 
 
 def save_model(model, path) -> None:
-    """Write a fitted regressor or classifier to ``path``."""
-    if isinstance(model, FittedRegressor):
-        kind = "regressor" if model.weights is None else "weight-space-regressor"
-        extra = {}
-    elif isinstance(model, FittedClassifier):
-        kind = "classifier"
+    """Write a fitted regressor or classifier to ``path``.
+
+    Raises ``TypeError`` for anything else, FITC models included.
+    """
+    basis = getattr(model, "basis", None)
+    kind = _KINDS.get((type(model), type(basis)))
+    if kind is None:
+        what = type(model).__name__
+        if basis is not None:
+            what += f" with {type(basis).__name__}"
+        raise TypeError(f"cannot serialize model of type {what}")
+    extra = {}
+    if kind == "classifier":
         extra = {"log_lik": model.state.log_lik, "iterations": model.state.iterations}
-    else:
-        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    arrays = _model_arrays(model)
+    arrays = {name: _model_array(model, name) for name in _ARRAY_NAMES[kind]}
     header = {
         "spec": spec_to_dict(model.spec),
         "tau2": model.tau2,
@@ -99,6 +97,7 @@ def load_model(path):
         if kind not in _ARRAY_NAMES:
             raise ValueError(f"unknown model kind {kind!r}")
         header = json.loads(fh.readline().decode())
+        _check_header(header, kind)
         names = [name for name, _ in header["arrays"]]
         if sorted(names) != sorted(_ARRAY_NAMES[kind]):
             raise ValueError(f"a {kind} file holds arrays {_ARRAY_NAMES[kind]}, this one {names}")
@@ -122,32 +121,80 @@ def load_model(path):
 
     spec = spec_from_dict(header["spec"])
     data = Dataset(X=arrays["X"], T=arrays["T"], y=arrays["y"])
+    if kind == "classifier":
+        state = LaplaceState(
+            mode=arrays["mode"],
+            dual=arrays["dual"],
+            pi=arrays["pi"],
+            W=arrays["W"],
+            B_chol=arrays["B_chol"],
+            half_logdet_B=float(np.sum(np.log(np.diag(arrays["B_chol"])))),
+            log_lik=header["log_lik"],
+            iterations=header["iterations"],
+        )
+        return FittedClassifier(
+            spec=spec, tau2=header["tau2"], data=data, state=state, weights=state.dual,
+            jitter=header["jitter"],
+        )
+    basis = DenseBasis()
     if kind == "weight-space-regressor":
         _check_task_factor(arrays["task_factor"], spec)
-    if kind != "classifier":
-        return FittedRegressor(
-            spec=spec,
-            tau2=header["tau2"],
-            data=data,
-            chol=arrays["chol"],
-            alpha=arrays["alpha"],
-            jitter=header["jitter"],
-            task_factor=arrays.get("task_factor"),
-            weights=arrays.get("weights"),
-        )
-    state = LaplaceState(
-        mode=arrays["mode"],
-        dual=arrays["dual"],
-        pi=arrays["pi"],
-        W=arrays["W"],
-        B_chol=arrays["B_chol"],
-        half_logdet_B=float(np.sum(np.log(np.diag(arrays["B_chol"])))),
-        log_lik=header["log_lik"],
-        iterations=header["iterations"],
+        basis = WeightBasis(arrays["task_factor"])
+    return FittedRegressor(
+        spec=spec,
+        tau2=header["tau2"],
+        data=data,
+        chol=arrays["chol"],
+        alpha=arrays["alpha"],
+        weights=arrays.get("weights", arrays["alpha"]),
+        jitter=header["jitter"],
+        basis=basis,
     )
-    return FittedClassifier(
-        spec=spec, tau2=header["tau2"], data=data, state=state, jitter=header["jitter"]
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return (_is_int(v) or isinstance(v, float)) and -math.inf < v < math.inf
+
+
+def _is_array_list(v) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(a, list) and len(a) == 2 and isinstance(a[0], str)
+        and isinstance(a[1], list) and all(_is_int(d) and d >= 0 for d in a[1])
+        for a in v
     )
+
+
+# header field -> (test, what the field must be); the spec's content is
+# checked by spec_from_dict
+_HEADER_CHECKS = {
+    "spec": (lambda v: isinstance(v, dict), "an object"),
+    "tau2": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
+    "jitter": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
+    "discrete_tasks": (lambda v: isinstance(v, bool), "true or false"),
+    "arrays": (_is_array_list, "a list of [name, shape] pairs"),
+}
+_CLASSIFIER_HEADER_CHECKS = {
+    "log_lik": (_is_finite, "a finite number"),
+    "iterations": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+}
+
+
+def _check_header(header, kind: str) -> None:
+    """Raise ``ValueError`` naming the first header field that is missing or invalid."""
+    if not isinstance(header, dict):
+        raise ValueError(f"model file header must be a JSON object, not {type(header).__name__}")
+    checks = _HEADER_CHECKS | (_CLASSIFIER_HEADER_CHECKS if kind == "classifier" else {})
+    for field, (ok, want) in checks.items():
+        if field not in header:
+            raise ValueError(f"model file header lacks the field {field!r}")
+        if not ok(header[field]):
+            raise ValueError(
+                f"model file header field {field!r} must be {want}, got {header[field]!r}"
+            )
 
 
 def _check_shapes(arrays: dict[str, np.ndarray], discrete_tasks: bool) -> None:

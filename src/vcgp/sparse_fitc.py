@@ -2,11 +2,13 @@
 
 The exact covariance is replaced by the fully-independent-training-
 conditional surrogate ``Q + diag(K - Q)`` with ``Q = K_nu K_uu^{-1} K_un``
-over p inducing points.  Neither model forms or factorizes an n x n matrix:
+over p inducing points.  Neither fit forms or factorizes an n x n matrix:
 the regressor fits in O(n p^2); the classifier runs the exact classifier's
 Laplace Newton iteration on the surrogate (plus the latent noise) held as
-low rank plus diagonal, at O(n p^2) per Newton step.  Both predict in
-O(p^2) per test point.
+low rank plus diagonal, at O(n p^2) per Newton step.  The fits return the
+exact model classes, :class:`gp_core.FittedRegressor` and
+:class:`gp_classify.FittedClassifier`, with an :class:`InducingBasis`,
+which predicts in O(p^2) per test point.
 """
 
 from __future__ import annotations
@@ -16,19 +18,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._linalg import NumericalError, chol_with_jitter, solve_lower
-from .gp_core import VARIANCE_CLAMP, Dataset, PredictiveDistribution, _as_task_row
-from .gp_classify import LaplaceState, LowRankDiag, laplace_mode, logistic_gaussian_integral
+from ._linalg import chol_with_jitter, solve_chol, solve_lower
+from .gp_classify import FittedClassifier, LowRankDiag, laplace_mode
+from .gp_core import Dataset, FittedRegressor
 from .kernels import KernelSpec, as_task_array
 
 __all__ = [
     "InducingSet",
+    "InducingBasis",
     "select_inducing",
     "fit_fitc",
-    "FittedFITCRegressor",
     "fit_fitc_classifier",
-    "FittedFITCClassifier",
 ]
+
+# the FITC classifier is the exact class with an InducingBasis; the name
+# stays because the benchmark's tracer (benchmark/layertrace.py) looks it up
+FittedFITCClassifier = FittedClassifier
 
 
 @dataclass(frozen=True)
@@ -92,59 +97,40 @@ def _fitc_parts(data: Dataset, spec: KernelSpec, tau2: float, inducing: Inducing
     return Luu, V, lam, jitter
 
 
-def _fitc_latent(model, X_star, T_star, L: np.ndarray, noise: float):
-    """Shared O(p^2)-per-point FITC prediction pieces: ``(w, u, var)``.
-
-    ``w = Luu^{-1} k_u*``, ``u = L^{-1} w`` for the model's p x p system
-    factor ``L``, and the latent variance
-    ``var = k** + noise - |w|^2 + |u|^2``, clamped at zero.
-    """
-    X_star = np.atleast_2d(np.asarray(X_star, dtype=float))
-    T_star = as_task_array(T_star, discrete=model.data.has_discrete_tasks)
-    Ku = kernels.product_kernel_matrix(
-        model.inducing.X, model.inducing.T, X_star, T_star, model.spec
-    )
-    w = solve_lower(model.Luu, Ku)
-    u = solve_lower(L, w)
-    prior = kernels.product_kernel_diag(X_star, T_star, model.spec) + noise
-    var = prior - np.einsum("ij,ij->j", w, w) + np.einsum("ij,ij->j", u, u)
-    if np.any(var < -VARIANCE_CLAMP):
-        raise NumericalError("negative FITC predictive variance beyond clamp tolerance")
-    return w, u, np.maximum(var, 0.0)
-
-
 @dataclass(frozen=True)
-class FittedFITCRegressor:
-    """Posterior state of the FITC regressor; prediction is O(p^2) per point."""
+class InducingBasis:
+    """Features ``Phi = Luu^{-1} k_u*`` over the p inducing points.
 
-    spec: KernelSpec
-    tau2: float
-    data: Dataset
+    Test points relate to the training data only through the inducing set,
+    while their latent prior variance keeps its exact diagonal.  ``L`` is
+    the model's p x p system factor and the latent variance
+    ``k** + noise - |Phi|^2 + |L^{-1} Phi|^2``: O(p^2) per test point.
+    """
+
     inducing: InducingSet
-    Luu: np.ndarray       # chol(K_uu + jitter)
-    LB: np.ndarray        # chol(I_p + V Lam^{-1} V^T)
-    gamma: np.ndarray     # LB^{-1} V Lam^{-1} y
-    jitter: float = 0.0
+    Luu: np.ndarray  # chol(K_uu + jitter)
 
-    def predict(self, x_star, t_star) -> PredictiveDistribution:
-        mean, var = self.predict_batch(
-            np.atleast_2d(np.asarray(x_star, dtype=float)),
-            _as_task_row(t_star, self.data.T),
+    def features(self, model, X_star, T_star) -> np.ndarray:
+        Ku = kernels.product_kernel_matrix(
+            self.inducing.X, self.inducing.T, X_star, T_star, model.spec
         )
-        return PredictiveDistribution(float(mean[0]), float(var[0]), self.tau2)
+        return solve_lower(self.Luu, Ku)
 
-    def predict_batch(self, X_star, T_star) -> tuple[np.ndarray, np.ndarray]:
-        _, u, var = _fitc_latent(self, X_star, T_star, self.LB, 0.0)
-        return u.T @ self.gamma, var
+    def latent_var(self, model, X_star, T_star, Phi, L, noise=0.0, W=None) -> np.ndarray:
+        U = solve_lower(L, Phi)
+        prior = kernels.product_kernel_diag(X_star, T_star, model.spec)
+        prior += noise
+        return prior - np.einsum("ij,ij->j", Phi, Phi) + np.einsum("ij,ij->j", U, U)
 
 
 def fit_fitc(
     data: Dataset, spec: KernelSpec, tau2: float, inducing: InducingSet
-) -> FittedFITCRegressor:
+) -> FittedRegressor:
     """Fit the FITC regressor in O(n p^2).
 
-    With the inducing set equal to the full training set this reproduces the
-    exact GP posterior.
+    Its ``chol`` factorizes ``B = I_p + V Lam^{-1} V^T`` and its weights are
+    ``B^{-1} V Lam^{-1} y``.  With the inducing set equal to the full
+    training set this reproduces the exact GP posterior.
     """
     if not tau2 > 0:
         raise ValueError("tau2 must be positive")
@@ -152,59 +138,21 @@ def fit_fitc(
     Vs = V / np.sqrt(lam)
     B = np.eye(inducing.p) + Vs @ Vs.T
     LB, _ = chol_with_jitter(B, context=f"FITC system for kernel spec {spec}")
-    gamma = solve_lower(LB, V @ (data.y / lam))
-    return FittedFITCRegressor(
-        spec=spec, tau2=float(tau2), data=data, inducing=inducing,
-        Luu=Luu, LB=LB, gamma=gamma, jitter=jitter,
+    return FittedRegressor(
+        spec=spec, tau2=float(tau2), data=data, chol=LB, alpha=None,
+        weights=solve_chol(LB, V @ (data.y / lam)), jitter=jitter,
+        basis=InducingBasis(inducing, Luu),
     )
-
-
-@dataclass(frozen=True)
-class FittedFITCClassifier:
-    """Laplace classifier whose latent covariance is the FITC surrogate.
-
-    Test points relate to training data only through the inducing set (the
-    surrogate cross-covariance ``V^T w``), while the latent prior variance at
-    a test point keeps its exact diagonal plus the latent noise.  With
-    ``w = Luu^{-1} k_u*`` the predictive mean is ``w^T beta`` and the
-    variance ``k** + tau2 - |w|^2 + |Lc^{-1} w|^2``, where ``Lc`` is the
-    p x p factor held in ``state.B_chol``: O(p^2) per test point.
-    """
-
-    spec: KernelSpec
-    tau2: float
-    data: Dataset
-    inducing: InducingSet
-    state: LaplaceState   # B_chol: chol(I_p + V R V^T), R = diag(W / (1 + W lam))
-    Luu: np.ndarray       # chol(K_uu + jitter)
-    beta: np.ndarray      # V @ state.dual
-    jitter: float = 0.0
-
-    @property
-    def mode(self) -> np.ndarray:
-        return self.state.mode
-
-    def predict_proba(self, x_star, t_star) -> float:
-        p = self.predict_proba_batch(
-            np.atleast_2d(np.asarray(x_star, dtype=float)),
-            _as_task_row(t_star, self.data.T),
-        )
-        return float(p[0])
-
-    def predict_proba_batch(self, X_star, T_star) -> np.ndarray:
-        w, _, var = _fitc_latent(self, X_star, T_star, self.state.B_chol, self.tau2)
-        return logistic_gaussian_integral(w.T @ self.beta, var)
-
-    def log_marginal_likelihood(self) -> float:
-        return self.state.log_marginal_likelihood()
 
 
 def fit_fitc_classifier(
     data: Dataset, spec: KernelSpec, tau2: float, inducing: InducingSet
-) -> FittedFITCClassifier:
+) -> FittedClassifier:
     """Laplace classification with the FITC surrogate latent covariance.
 
-    Costs O(n p^2) per Newton step and never forms an n x n matrix.
+    Costs O(n p^2) per Newton step and never forms an n x n matrix.  The
+    model's ``state.B_chol`` is the p x p factor of ``I_p + V R V^T`` (see
+    :class:`LowRankDiag`) and its weights are ``V`` times the dual.
     """
     if not tau2 > 0:
         raise ValueError("tau2 must be positive")
@@ -214,7 +162,7 @@ def fit_fitc_classifier(
     state = laplace_mode(
         LowRankDiag(V, lam), data.y, context=f"FITC surrogate for kernel spec {spec}"
     )
-    return FittedFITCClassifier(
-        spec=spec, tau2=float(tau2), data=data, inducing=inducing,
-        state=state, Luu=Luu, beta=V @ state.dual, jitter=jitter,
+    return FittedClassifier(
+        spec=spec, tau2=float(tau2), data=data, state=state, weights=V @ state.dual,
+        jitter=jitter, basis=InducingBasis(inducing, Luu),
     )

@@ -94,6 +94,13 @@ class TestRun:
         path.write_text(yaml.safe_dump(cfg))
         assert main(["run", str(path)]) == EXIT_USAGE
 
+    def test_task_kernel_without_its_gram_names_the_key(self, tmp_path, capsys):
+        path, _ = write_config(
+            tmp_path, method="vcgp-lin", model={"task_kernel": {"type": "fixed_gram"}}
+        )
+        assert main(["run", str(path)]) == EXIT_USAGE
+        assert "error: fixed_gram kernel needs the key 'gram'" in capsys.readouterr().err
+
     def test_unknown_method_rejected(self, tmp_path):
         path, _ = write_config(tmp_path, method="nope")
         assert main(["run", str(path)]) == EXIT_USAGE
@@ -236,6 +243,23 @@ class TestSynthCommand:
         argv = ["synth", "--n", "10", "--task-kernel", kernel, "--out", str(tmp_path / "x.csv")]
         assert main(argv) == EXIT_USAGE
         assert "kernel" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "kernel, message",
+        [
+            ("{type: tree, parent: {2: 1}}", "tree kernel needs the key 'sigma'"),
+            ("{type: tree, parent: [1], sigma: [1.0, 0.5]}", "tree kernel key 'parent' must be"),
+            ("{type: tree, parent: {2: 1}, sigma: 1.0}", "tree kernel key 'sigma' must be"),
+            ("{type: laplacian, M: [[1.0]]}", "laplacian kernel needs the key 'R'"),
+            ("{type: constant, value: null}", "constant kernel key 'value' must be a number"),
+            ("{type: matern, lengthscale: [0.2, x]}", "matern kernel key 'lengthscale' must be"),
+        ],
+    )
+    def test_task_kernel_errors_name_the_key(self, tmp_path, capsys, kernel, message):
+        argv = ["synth", "--n", "10", "--task-kernel", kernel, "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestSummarizeCommand:

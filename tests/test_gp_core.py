@@ -9,7 +9,9 @@ from vcgp._linalg import NumericalError
 from vcgp.baselines import primal_oracle_predict
 from vcgp.gp_core import (
     Dataset,
+    DenseBasis,
     SearchConfig,
+    WeightBasis,
     _fit_dense,
     _fit_weight_space,
     fit_regressor,
@@ -233,7 +235,7 @@ class TestWeightSpaceRoute:
         data = self._data(kernel, n, self.M, rng)
         X_star, T_star = rng.standard_normal((6, self.M)), self._tasks(kernel, 6, rng)
 
-        assert (fit_regressor(data, spec, tau2).weights is None) == above
+        assert isinstance(fit_regressor(data, spec, tau2).basis, DenseBasis) == above
         ws, dense = _fit_weight_space(data, spec, tau2, C), _fit_dense(data, spec, tau2)
         assert ws.chol.shape == (r, r) and dense.chol.shape == (n, n)
         (ws_mean, ws_var), (d_mean, d_var) = ws.predict_batch(X_star, T_star), dense.predict_batch(X_star, T_star)
@@ -258,7 +260,7 @@ class TestWeightSpaceRoute:
         rng = np.random.default_rng(41)
         for n, weight_space in ((20, True), (19, False)):  # r = 2 * 5 = 10
             data = self._data(spec.task_kernel, n, self.M, rng)
-            assert (fit_regressor(data, spec, 0.1).weights is not None) == weight_space
+            assert isinstance(fit_regressor(data, spec, 0.1).basis, WeightBasis) == weight_space
 
     def test_other_specs_stay_dense(self):
         rng = np.random.default_rng(42)
@@ -270,7 +272,7 @@ class TestWeightSpaceRoute:
             T = rng.integers(1, 6, size=n) if isinstance(spec.task_kernel, Tree) else rng.uniform(0, 1, (n, 1))
             data = Dataset(X=rng.standard_normal((n, 2)), T=T, y=rng.standard_normal(n))
             model = fit_regressor(data, spec, 0.1)
-            assert model.weights is None and model.chol.shape == (n, n)
+            assert isinstance(model.basis, DenseBasis) and model.chol.shape == (n, n)
 
     def test_indefinite_gram_takes_the_dense_route_and_fails_naming_the_spec(self):
         gram = np.array([[1.0, 5.0], [5.0, 1.0]])
@@ -295,7 +297,7 @@ class TestWeightSpaceRoute:
         spec = KernelSpec(Linear(), Tree(_WS_TREE))
         data = self._data(spec.task_kernel, 30, 1, np.random.default_rng(44))
         model = fit_regressor(data, spec, 0.1)
-        assert model.weights is not None
+        assert isinstance(model.basis, WeightBasis)
         with pytest.raises(ValueError, match="task ids must lie in 1..5"):
             model.predict_batch([[1.0]], [6])
 

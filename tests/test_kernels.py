@@ -401,6 +401,35 @@ class TestSpecSerialization:
             with pytest.raises(ValueError, match="'type' key"):
                 kernel_from_dict(bad)
 
+    @pytest.mark.parametrize(
+        "task, message",
+        [
+            ({"type": "fixed_gram", "gram": 2.0}, "fixed_gram kernel key 'gram' must be a list"),
+            ({"type": "laplacian", "M": [[1.0]], "R": [["x"]]}, "key 'R' must be rows of numbers"),
+            ({"type": "tree", "parent": {2: None}, "sigma": [1, 1]}, "'parent' must map node ids"),
+            ({"type": "tree", "parent": {2: 1}, "sigma": [1, "x"]}, "'sigma' must be a number"),
+        ],
+    )
+    def test_task_kernel_errors_name_the_key(self, task, message):
+        with pytest.raises(ValueError, match=f"kernel spec key 'task_kernel': .*{message}"):
+            spec_from_dict({"instance_kernel": {"type": "linear"}, "task_kernel": task})
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ([{"type": "linear"}], "kernel spec must be a mapping"),
+            ({"task_kernel": {"type": "constant"}}, "needs the key 'instance_kernel'"),
+            ({"instance_kernel": {"type": "linear"}}, "needs the key 'task_kernel'"),
+            (
+                {"instance_kernel": "linear", "task_kernel": {"type": "constant"}},
+                "key 'instance_kernel': a kernel must be a mapping",
+            ),
+        ],
+    )
+    def test_spec_from_dict_errors_name_the_key(self, d, message):
+        with pytest.raises(ValueError, match=message):
+            spec_from_dict(d)
+
     def test_invalid_kernel_kinds(self):
         with pytest.raises(ValueError):
             KernelSpec(instance_kernel=Constant(), task_kernel=Constant())

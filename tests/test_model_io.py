@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vcgp.gp_classify import fit_classifier
-from vcgp.gp_core import Dataset, fit_regressor
+from vcgp.gp_core import Dataset, DenseBasis, WeightBasis, fit_regressor
 from vcgp.kernels import KernelSpec, Linear, Matern, TaskTree, Tree
 from vcgp.model_io import load_model, save_model
 from vcgp.multitask_hb import random_tree
@@ -35,7 +35,7 @@ def weight_space_tree_model():
         X=rng.standard_normal((40, 2)), T=rng.integers(1, 8, size=40), y=rng.standard_normal(40)
     )
     model = fit_regressor(data, KernelSpec(instance_kernel=Linear(), task_kernel=Tree(tree)), 0.1)
-    assert model.weights is not None and model.chol.shape == (14, 14)
+    assert isinstance(model.basis, WeightBasis) and model.chol.shape == (14, 14)
     return model
 
 
@@ -60,6 +60,24 @@ def write_model_file(path, magic, header, arrays):
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
         for a in arrays.values():
             fh.write(np.ascontiguousarray(a).tobytes())
+
+
+MISSING = object()
+
+
+def regressor_or_classifier(kind):
+    data = continuous_data(seed=6)
+    if kind == "regressor":
+        return fit_regressor(data, LIN_MATERN, 0.2)
+    labels = Dataset(X=data.X, T=data.T, y=(data.y > 0).astype(float))
+    return fit_classifier(labels, LIN_MATERN, 0.2)
+
+
+def rewrite_header(path, edit):
+    """Replace a model file's JSON header by ``edit(header)``, keeping the rest."""
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    header = json.dumps(edit(json.loads(header))).encode()
+    path.write_bytes(magic + b"\n" + header + b"\n" + payload)
 
 
 class TestRoundTrip:
@@ -163,7 +181,8 @@ class TestRoundTrip:
         save_model(model, path)
         assert path.read_bytes().split(b"\n", 1)[0] == b"VCGP-MODEL 1 weight-space-regressor"
         loaded = load_model(path)
-        for name in ("task_factor", "chol", "weights", "alpha"):
+        assert np.array_equal(loaded.basis.C, model.basis.C)
+        for name in ("chol", "weights", "alpha"):
             assert np.array_equal(getattr(loaded, name), getattr(model, name)), name
         rng = np.random.default_rng(10)
         Xs, Ts = rng.standard_normal((16, 2)), rng.integers(1, 8, size=16)
@@ -176,13 +195,13 @@ class TestRoundTrip:
 
     def test_dense_file_from_the_format1_writer_loads(self, tmp_path):
         model = load_model(DENSE_FORMAT1_FILE)
-        assert model.weights is None and model.chol.shape == (6, 6)
+        assert isinstance(model.basis, DenseBasis) and model.chol.shape == (6, 6)
         # the same bytes come back out, and the stored model is the one a fit gives
         path = tmp_path / "again.bin"
         save_model(model, path)
         assert path.read_bytes() == DENSE_FORMAT1_FILE.read_bytes()
         fresh = fit_regressor(model.data, model.spec, model.tau2)
-        assert fresh.weights is None
+        assert isinstance(fresh.basis, DenseBasis)
         np.testing.assert_allclose(fresh.chol, model.chol, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(fresh.alpha, model.alpha, rtol=1e-12)
 
@@ -238,19 +257,65 @@ class TestErrors:
         ],
     )
     def test_header_shapes_that_disagree(self, tmp_path, kind, name):
-        data = continuous_data(seed=6)
-        if kind == "regressor":
-            model = fit_regressor(data, LIN_MATERN, 0.2)
-        else:
-            labels = Dataset(X=data.X, T=data.T, y=(data.y > 0).astype(float))
-            model = fit_classifier(labels, LIN_MATERN, 0.2)
         path = tmp_path / "model.bin"
-        save_model(model, path)
+        save_model(regressor_or_classifier(kind), path)
         magic, header, arrays = read_model_file(path)
         # one row or column fewer, written consistently so only the shapes disagree
         arrays[name] = arrays[name][:-1, :-1] if name.endswith("chol") else arrays[name][:-1]
         write_model_file(path, magic, header, arrays)
         with pytest.raises(ValueError, match=f"array {name!r} has shape"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("regressor", "tau2", MISSING),
+            ("regressor", "jitter", MISSING),
+            ("regressor", "spec", MISSING),
+            ("regressor", "arrays", MISSING),
+            ("regressor", "discrete_tasks", MISSING),
+            ("classifier", "log_lik", MISSING),
+            ("classifier", "iterations", MISSING),
+            ("regressor", "tau2", -1.0),
+            ("regressor", "tau2", 0.0),
+            ("regressor", "tau2", "x"),
+            ("regressor", "tau2", float("nan")),
+            ("regressor", "tau2", float("inf")),
+            ("regressor", "jitter", float("nan")),
+            ("regressor", "jitter", -1e-9),
+            ("regressor", "jitter", None),
+            ("regressor", "discrete_tasks", 0),
+            ("regressor", "spec", ["linear", "matern"]),
+            ("regressor", "arrays", "X"),
+            ("regressor", "arrays", [["X"]]),
+            ("regressor", "arrays", [["X", [10, -3]]]),
+            ("classifier", "log_lik", float("nan")),
+            ("classifier", "log_lik", "-3.0"),
+            ("classifier", "iterations", -1),
+            ("classifier", "iterations", 2.5),
+            ("classifier", "iterations", True),
+        ],
+    )
+    def test_header_fields_that_are_missing_or_invalid(self, tmp_path, kind, field, value):
+        path = tmp_path / "model.bin"
+        save_model(regressor_or_classifier(kind), path)
+
+        def edit(header):
+            if value is MISSING:
+                del header[field]
+            else:
+                header[field] = value
+            return header
+
+        rewrite_header(path, edit)
+        with pytest.raises(ValueError, match=f"header .*{field!r}"):
+            load_model(path)
+
+    def test_header_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(regressor_or_classifier("regressor"), path)
+        rewrite_header(path, lambda header: list(header.items()))
+        with pytest.raises(ValueError, match="header must be a JSON object"):
             load_model(path)
 
     @pytest.mark.parametrize("name", ["chol", "weights"])

@@ -6,17 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcgp import sparse_fitc
 from vcgp._linalg import solve_lower
 from vcgp.data_io import synth_vcm, threshold_labels
 from vcgp.gp_classify import (
+    FittedClassifier,
     LowRankDiag,
     fit_classifier,
     laplace_mode,
     logistic_gaussian_integral,
 )
-from vcgp.gp_core import Dataset, fit_regressor
-from vcgp.kernels import KernelSpec, Linear, Matern, product_kernel_diag, product_kernel_matrix
+from vcgp.gp_core import Dataset, DenseBasis, FittedRegressor, WeightBasis, fit_regressor
+from vcgp.kernels import (
+    KernelSpec,
+    Linear,
+    Matern,
+    Tree,
+    product_kernel_diag,
+    product_kernel_matrix,
+)
+from vcgp.model_io import save_model
+from vcgp.multitask_hb import random_tree
 from vcgp.sparse_fitc import (
+    InducingBasis,
     InducingSet,
     _fitc_parts,
     fit_fitc,
@@ -228,3 +240,54 @@ class TestFITCClassifierAgainstDenseSurrogate:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
+
+
+def fitted(likelihood, route):
+    """A fitted model of ``likelihood`` on ``route``, over m = 2 features."""
+    if route == "weight-space":
+        rng = np.random.default_rng(21)
+        data = Dataset(
+            X=rng.standard_normal((40, 2)), T=rng.integers(1, 6, size=40), y=rng.standard_normal(40)
+        )
+        return fit_regressor(data, KernelSpec(Linear(), Tree(random_tree(5, rng))), 0.1)
+    data = make_data(30, seed=22)
+    if likelihood == "classification":
+        data = Dataset(X=data.X, T=data.T, y=threshold_labels(data.y))
+    if route == "fitc":
+        fit = fit_fitc if likelihood == "regression" else fit_fitc_classifier
+        return fit(data, SPEC, 0.1, select_inducing(data, 8, seed=23))
+    return (fit_regressor if likelihood == "regression" else fit_classifier)(data, SPEC, 0.1)
+
+
+class TestOneModelClassPerLikelihood:
+    """FITC fits return the exact model classes with an inducing-point basis."""
+
+    @pytest.mark.parametrize(
+        "likelihood, route, cls, basis",
+        [
+            ("regression", "dense", FittedRegressor, DenseBasis),
+            ("regression", "weight-space", FittedRegressor, WeightBasis),
+            ("regression", "fitc", FittedRegressor, InducingBasis),
+            ("classification", "dense", FittedClassifier, DenseBasis),
+            ("classification", "fitc", FittedClassifier, InducingBasis),
+        ],
+    )
+    def test_wrong_feature_count_is_rejected_alike(self, likelihood, route, cls, basis):
+        model = fitted(likelihood, route)
+        assert type(model) is cls and type(model.basis) is basis
+        predict = model.predict_batch if likelihood == "regression" else model.predict_proba_batch
+        with pytest.raises(ValueError, match="test instances have 3 features, training has 2"):
+            predict(np.zeros((4, 3)), model.data.T[:4])
+
+    def test_fitc_classifier_name_is_the_exact_class(self):
+        assert sparse_fitc.FittedFITCClassifier is FittedClassifier
+
+    @pytest.mark.parametrize("likelihood", ["regression", "classification"])
+    def test_fitc_models_are_not_saved(self, tmp_path, likelihood):
+        with pytest.raises(TypeError, match="InducingBasis"):
+            save_model(fitted(likelihood, "fitc"), tmp_path / "fitc.bin")
+        assert not (tmp_path / "fitc.bin").exists()
+
+    def test_fitc_regression_has_no_evidence_yet(self):
+        with pytest.raises(NotImplementedError, match="FITC regression has no evidence yet"):
+            fitted("regression", "fitc").log_marginal_likelihood()
