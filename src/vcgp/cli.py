@@ -30,6 +30,7 @@ from .experiments import (
     METHOD_NAMES,
     BudgetExceeded,
     RunSettings,
+    config_value,
     derive_seed,
     mae,
     result_rows_to_csv,
@@ -116,18 +117,13 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise UsageError(f"config is missing required key {key!r}")
-    return cfg[key]
-
-
-def _validate_config(cfg: dict) -> None:
-    methods = cfg.get("methods") or [cfg.get("method")]
+def _validate_config(cfg: dict) -> list[str]:
+    """Check the top-level keys, dataset and split; return the methods to run."""
+    methods = config_value("methods", cfg.get("methods"), list, None) or [cfg.get("method")]
     for m in methods:
         if m not in METHOD_NAMES:
             raise UsageError(f"unknown method {m!r}; choose from {METHOD_NAMES}")
-    dataset = _require(cfg, "dataset")
+    dataset = config_value("dataset", cfg.get("dataset"), dict)
     if ("csv" in dataset) == ("synth" in dataset):
         raise UsageError("dataset needs exactly one of 'csv' or 'synth'")
     if "csv" in dataset:
@@ -135,25 +131,27 @@ def _validate_config(cfg: dict) -> None:
             raise UsageError(f"dataset file not found: {dataset['csv']}")
         if "schema" not in dataset:
             raise UsageError("csv datasets need a schema section")
-    split = _require(cfg, "split")
+    split = config_value("split", cfg.get("split"), dict)
     if ("blocked" in split) == ("kfold" in split):
         raise UsageError("split needs exactly one of 'blocked' or 'kfold'")
-    _require(cfg, "train_sizes")
+    config_value("train_sizes", cfg.get("train_sizes"), list)
+    return methods
 
 
 def _schema_from(cfg: dict) -> Schema:
+    columns = {key: tuple(config_value(f"dataset.schema.{key}", cfg.get(key), list, ()))
+               for key in ("numeric", "categorical", "task_coords")}
     return Schema(
-        target=cfg["target"],
-        numeric=tuple(cfg.get("numeric", ())),
-        categorical=tuple(cfg.get("categorical", ())),
-        task_coords=tuple(cfg.get("task_coords", ())),
+        target=config_value("dataset.schema.target", cfg.get("target"), str),
+        **columns,
         task_time=cfg.get("task_time"),
         task_id=cfg.get("task_id"),
     )
 
 
 def _policy_from(cfg: dict) -> PreprocessPolicy:
-    brackets = {c: (float(lo), float(hi)) for c, (lo, hi) in cfg.get("brackets", {}).items()}
+    brackets = config_value("dataset.policy.brackets", cfg.get("brackets"), dict, {})
+    brackets = {c: (float(lo), float(hi)) for c, (lo, hi) in brackets.items()}
     return PreprocessPolicy(
         brackets=brackets,
         drop_missing=bool(cfg.get("drop_missing", True)),
@@ -162,12 +160,12 @@ def _policy_from(cfg: dict) -> PreprocessPolicy:
 
 
 def _settings_from(cfg: dict) -> RunSettings:
-    model = cfg.get("model", {})
+    model = config_value("model", cfg.get("model"), dict, {})
     return RunSettings(
         problem=cfg.get("problem", "regression"),
         task_kernel=model.get("task_kernel"),
         instance_matern=model.get("instance_matern", {}),
-        tau2=float(model.get("tau2", 0.1)),
+        tau2=model.get("tau2", 0.1),
         tuning=cfg.get("tuning"),
         fitc=model.get("fitc"),
         fanzhang=cfg.get("fanzhang", {}),
@@ -178,21 +176,21 @@ def _prepare_source(cfg: dict, seed: int):
     """Load or synthesize the full record pool; return (records_or_dataset, schema, policy)."""
     dataset = cfg["dataset"]
     if "synth" in dataset:
-        s = dataset["synth"]
+        s = config_value("dataset.synth", dataset["synth"], dict)
         task_kernel = kernel_from_dict(
             s.get("task_kernel", {"type": "matern", "lengthscale": 0.2}), task=True
         )
         res = synth_vcm(
-            n=int(s["n"]),
-            m=int(s.get("m", 3)),
-            d=int(s.get("d", 1)),
+            n=config_value("dataset.synth.n", s.get("n"), int),
+            m=config_value("dataset.synth.m", s.get("m"), int, 3),
+            d=config_value("dataset.synth.d", s.get("d"), int, 1),
             task_kernel=task_kernel,
-            tau2=float(s.get("tau2", 0.05)),
-            seed=int(s.get("seed", derive_seed(seed, "synth"))),
+            tau2=config_value("dataset.synth.tau2", s.get("tau2"), float, 0.05),
+            seed=config_value("dataset.synth.seed", s.get("seed"), int, derive_seed(seed, "synth")),
         )
         return res.dataset, None, None
-    schema = _schema_from(dataset["schema"])
-    policy = _policy_from(dataset.get("policy", {}))
+    schema = _schema_from(config_value("dataset.schema", dataset["schema"], dict))
+    policy = _policy_from(config_value("dataset.policy", dataset.get("policy"), dict, {}))
     records = data_io.filter_records(data_io.load_csv(dataset["csv"], schema), schema, policy)
     if not records:
         raise UsageError("preprocessing filtered out every record")
@@ -212,15 +210,15 @@ def _binarize_at_train_median(train: Dataset, test: Dataset):
 
 def _split_pairs(cfg: dict, pool_size: int, times, n: int, seed: int):
     split = cfg["split"]
-    if "blocked" in split:
-        b = split["blocked"]
-        if times is None:
-            raise UsageError("blocked splits need a temporal task field")
-        return data_io.blocked_splits(
-            times, int(b["num_blocks"]), int(b["window"]), n, seed=seed
-        )
-    k = int(split["kfold"]["k"])
-    return data_io.kfold_splits(pool_size, k, n=n, seed=seed)
+    if "kfold" in split:
+        k = config_value("split.kfold", split["kfold"], dict).get("k")
+        return data_io.kfold_splits(pool_size, config_value("split.kfold.k", k, int), n=n, seed=seed)
+    b = config_value("split.blocked", split["blocked"], dict)
+    if times is None:
+        raise UsageError("blocked splits need a temporal task field")
+    num_blocks = config_value("split.blocked.num_blocks", b.get("num_blocks"), int)
+    window = config_value("split.blocked.window", b.get("window"), int)
+    return data_io.blocked_splits(times, num_blocks, window, n, seed=seed)
 
 
 def cmd_run(args) -> int:
@@ -231,14 +229,13 @@ def cmd_run(args) -> int:
         cfg["out"] = args.out
     if args.budget_seconds is not None:
         cfg["budget_seconds"] = args.budget_seconds
-    _validate_config(cfg)
+    methods = _validate_config(cfg)
 
-    seed = int(cfg.get("seed", 0))
+    seed = config_value("seed", cfg.get("seed"), int, 0)
     out = cfg.get("out", "results.csv")
-    budget = cfg.get("budget_seconds")
+    budget = config_value("budget_seconds", cfg.get("budget_seconds"), float, None)
     settings = _settings_from(cfg)
-    methods = cfg.get("methods") or [cfg["method"]]
-    train_sizes = [int(n) for n in cfg["train_sizes"]]
+    train_sizes = [config_value("train_sizes", n, int) for n in cfg["train_sizes"]]
 
     source, schema, policy = _prepare_source(cfg, seed)
     classification = settings.problem == "classification"

@@ -12,14 +12,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import baselines, gp_classify, gp_core, sparse_fitc
 from .gp_core import Dataset, SearchConfig
-from .kernels import Constant, KernelSpec, Linear, Matern, kernel_from_dict
+from .kernels import Constant, KernelSpec, Linear, Matern, TaskKernel, kernel_from_dict
 
 __all__ = [
     "METHOD_NAMES",
@@ -31,6 +31,7 @@ __all__ = [
     "result_rows_to_csv",
     "summarize_rows",
     "BudgetExceeded",
+    "config_value",
 ]
 
 METHOD_NAMES = (
@@ -84,9 +85,39 @@ def classify_probabilities(p: np.ndarray) -> np.ndarray:
     return (np.asarray(p, dtype=float) >= 0.5).astype(float)
 
 
+_REQUIRED = object()
+# what each kind of config value must be: (container types or None, description)
+_KINDS = {float: (None, "a number"), int: (None, "an integer"), dict: (Mapping, "a mapping"),
+          list: ((list, tuple), "a list"), str: (str, "a string")}
+
+
+def config_value(name: str, value, kind: type, default=_REQUIRED):
+    """``kind(value)`` for a kind in ``_KINDS``, or ``default`` if value is None.
+
+    Raises ``ValueError`` naming the dotted config key ``name`` when the
+    value is missing without a default or is not of that kind.
+    """
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"config is missing required key {name!r}")
+        return default
+    container, want = _KINDS[kind]
+    try:
+        if container is None or isinstance(value, container):
+            return kind(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"config key {name!r} must be {want}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunSettings:
-    """Per-method model settings resolved from the experiment config."""
+    """Per-method model settings resolved from the experiment config.
+
+    The sections are parsed and checked once, at construction, into the
+    fields after ``fanzhang``; a malformed one raises ``ValueError`` naming
+    its config key before any fold runs.
+    """
 
     problem: str = "regression"  # regression | classification
     task_kernel: Mapping | None = None           # kernel dict for vcgp methods
@@ -95,48 +126,57 @@ class RunSettings:
     tuning: Mapping | None = None                # {"method": none|grid|gradient, ...}
     fitc: Mapping | None = None                  # {"p": int, "seed": int}
     fanzhang: Mapping = field(default_factory=dict)
+    instance_kernel: Matern = field(init=False, repr=False, compare=False)
+    vcgp_task_kernel: TaskKernel = field(init=False, repr=False, compare=False)
+    search: SearchConfig | None = field(init=False, repr=False, compare=False)  # seed 0
+    fitc_p_seed: tuple[int, int] | None = field(init=False, repr=False, compare=False)
+    fanzhang_args: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.problem not in ("regression", "classification"):
             raise ValueError("problem must be regression or classification")
+        tau2 = config_value("model.tau2", self.tau2, float)
+        matern = config_value("model.instance_matern", self.instance_matern, dict, {})
+        tuning = config_value("tuning", self.tuning, dict, {})
+        fitc = config_value("model.fitc", self.fitc, dict, {})
+        fz = config_value("fanzhang", self.fanzhang, dict, {})
+        fz_matern = config_value("fanzhang.matern", fz.get("matern"), dict, {})
+        task = self.task_kernel
+        parsed = dict(
+            tau2=tau2,
+            instance_kernel=kernel_from_dict({**matern, "type": "matern"}),
+            vcgp_task_kernel=Matern() if task is None else kernel_from_dict(task, task=True),
+            search=_search_config(tuning, tau2),
+            fitc_p_seed=(
+                config_value("model.fitc.p", fitc.get("p"), int, 1000),
+                config_value("model.fitc.seed", fitc.get("seed"), int, 0),
+            ) if fitc else None,
+            fanzhang_args=dict(
+                kernel=kernel_from_dict({**fz_matern, "type": "matern"}),
+                n_basis=config_value("fanzhang.n_basis", fz.get("n_basis"), int, 200),
+                bandwidths=config_value(
+                    "fanzhang.bandwidths", fz.get("bandwidths"), list, (0.05, 0.1, 0.3, 1.0)
+                ),
+                ridges=config_value("fanzhang.ridges", fz.get("ridges"), list, (1e-6, 1e-3, 1e-1)),
+                n_folds=config_value("fanzhang.cv_folds", fz.get("cv_folds"), int, 5),
+            ),
+        )
+        for name, value in parsed.items():
+            object.__setattr__(self, name, value)
 
 
-def _instance_kernel(method: str, settings: RunSettings):
-    if method.endswith("-lin"):
-        return Linear()
-    return kernel_from_dict({**settings.instance_matern, "type": "matern"})
-
-
-def _task_kernel(settings: RunSettings):
-    if settings.task_kernel is None:
-        return Matern()
-    return kernel_from_dict(settings.task_kernel, task=True)
-
-
-def _make_spec(method: str, settings: RunSettings) -> KernelSpec:
-    inst = _instance_kernel(method, settings)
-    if method.startswith("vcgp"):
-        return KernelSpec(instance_kernel=inst, task_kernel=_task_kernel(settings))
-    # iid and concat run a plain GP (constant task kernel); concat rebuilds X
-    return KernelSpec(instance_kernel=inst, task_kernel=Constant(1.0))
-
-
-def _search_config(settings: RunSettings, seed: int) -> SearchConfig | None:
-    tuning = settings.tuning or {"method": "none"}
-    method = tuning.get("method", "none")
-    if method == "none":
+def _search_config(tuning: Mapping, tau2: float) -> SearchConfig | None:
+    """The tuning section as a :class:`SearchConfig` with seed 0, or None for no tuning."""
+    if tuning.get("method", "none") == "none":
         return None
-    grid = tuning.get("grid")
-    if grid is not None:
-        grid = {k: list(v) for k, v in grid.items()}
+    grid = config_value("tuning.grid", tuning.get("grid"), dict, None)
     return SearchConfig(
-        method=method,
-        grid=grid,
-        n_restarts=int(tuning.get("n_restarts", 5)),
-        max_iter=int(tuning.get("max_iter", 200)),
-        grad_tol=float(tuning.get("grad_tol", 1e-5)),
-        tau2_init=float(tuning.get("tau2_init", settings.tau2)),
-        seed=seed,
+        method=tuning["method"],
+        grid=grid and {k: config_value(f"tuning.grid.{k}", v, list) for k, v in grid.items()},
+        n_restarts=config_value("tuning.n_restarts", tuning.get("n_restarts"), int, 5),
+        max_iter=config_value("tuning.max_iter", tuning.get("max_iter"), int, 200),
+        grad_tol=config_value("tuning.grad_tol", tuning.get("grad_tol"), float, 1e-5),
+        tau2_init=config_value("tuning.tau2_init", tuning.get("tau2_init"), float, tau2),
     )
 
 
@@ -168,28 +208,26 @@ def run_method(
         train = Dataset(X=np.hstack([train.X, train.T]), T=np.zeros((train.n, 1)), y=train.y)
         test = Dataset(X=np.hstack([test.X, test.T]), T=np.zeros((test.n, 1)), y=test.y)
 
-    spec = _make_spec(method, settings)
+    inst = Linear() if method.endswith("-lin") else settings.instance_kernel
+    # iid and concat run a plain GP (constant task kernel); concat rebuilds X
+    task = settings.vcgp_task_kernel if method.startswith("vcgp") else Constant(1.0)
+    spec = KernelSpec(instance_kernel=inst, task_kernel=task)
     tau2 = settings.tau2
     model = None
-    search = _search_config(settings, derive_seed(seed, "tune"))
-    if search is not None:
-        if classification:
-            model = gp_classify.tune_classifier_hyperparameters(train, spec, search)
-        else:
-            model = gp_core.tune_hyperparameters(train, spec, search)
+    if settings.search is not None:
+        tune = (gp_classify.tune_classifier_hyperparameters if classification
+                else gp_core.tune_hyperparameters)
+        model = tune(train, spec, replace(settings.search, seed=derive_seed(seed, "tune")))
         spec, tau2 = model.spec, model.tau2
 
-    fitc = settings.fitc
-    if fitc:
+    if settings.fitc_p_seed:
         model = None  # FITC takes the exact evidence's hyperparameters, not its model
-        p = min(int(fitc.get("p", 1000)), train.n)
+        p, fitc_seed = settings.fitc_p_seed
         inducing = sparse_fitc.select_inducing(
-            train, p, derive_seed(seed, "inducing", int(fitc.get("seed", 0)))
+            train, min(p, train.n), derive_seed(seed, "inducing", fitc_seed)
         )
-        if classification:
-            model = sparse_fitc.fit_fitc_classifier(train, spec, tau2, inducing)
-        else:
-            model = sparse_fitc.fit_fitc(train, spec, tau2, inducing)
+        fit = sparse_fitc.fit_fitc_classifier if classification else sparse_fitc.fit_fitc
+        model = fit(train, spec, tau2, inducing)
     elif model is None:
         fit = gp_classify.fit_classifier if classification else gp_core.fit_regressor
         model = fit(train, spec, tau2)
@@ -202,20 +240,17 @@ def run_method(
 
 
 def _run_fanzhang(method, train, test, settings, seed) -> float:
-    fz = dict(settings.fanzhang)
+    fz = settings.fanzhang_args
     feature_map = None
     if method.endswith("-mat"):
-        kernel = kernel_from_dict({**fz.get("matern", {}), "type": "matern"})
         feature_map = baselines.matern_feature_map(
-            train, kernel, n_basis=int(fz.get("n_basis", 200)), seed=derive_seed(seed, "basis")
+            train, fz["kernel"], n_basis=fz["n_basis"], seed=derive_seed(seed, "basis")
         )
-    bandwidths = fz.get("bandwidths", (0.05, 0.1, 0.3, 1.0))
-    ridges = fz.get("ridges", (1e-6, 1e-3, 1e-1))
     h, lam = baselines.fan_zhang_cv(
         train,
-        bandwidths,
-        ridges,
-        n_folds=int(fz.get("cv_folds", 5)),
+        fz["bandwidths"],
+        fz["ridges"],
+        n_folds=fz["n_folds"],
         seed=derive_seed(seed, "cv"),
         feature_map=feature_map,
     )

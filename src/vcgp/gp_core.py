@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Mapping, Protocol, Sequence
 
@@ -43,11 +44,12 @@ __all__ = [
 # predictive variances within this of zero are treated as rounding noise
 VARIANCE_CLAMP = 1e-8
 
-_LOG_BOUNDS = {
-    "lengthscale": (math.log(1e-6), math.log(1e6)),
-    "amplitude": (math.log(1e-6), math.log(1e6)),
-    "tau2": (math.log(1e-8), math.log(1e6)),
-}
+# gradient-search bounds on the log of every kernel parameter, and of tau2
+_KERNEL_LOG_BOUNDS = (math.log(1e-6), math.log(1e6))
+_TAU2_LOG_BOUNDS = (math.log(1e-8), math.log(1e6))
+
+# every name free_param_names produces, for any spec
+_PARAM_NAME = re.compile(r"tau2|(instance|task)\.(amplitude|lengthscale(\[(0|[1-9][0-9]*)\])?)")
 
 
 @dataclass(frozen=True)
@@ -312,74 +314,48 @@ def _fit_weight_space(
 
 
 # ---------------------------------------------------------------------------
-# hyperparameters: named access, analytic gradients, search
+# hyperparameters: one layout, analytic gradients, search
 # ---------------------------------------------------------------------------
 
 
-def _matern_param_names(kernel: Matern, prefix: str) -> list[str]:
-    if kernel.ard:
-        names = [f"{prefix}.lengthscale[{d}]" for d in range(len(kernel.lengthscale))]
-    else:
-        names = [f"{prefix}.lengthscale"]
-    return names + [f"{prefix}.amplitude"]
+def _matern_kernels(spec: KernelSpec) -> list[tuple[str, Matern, tuple[float, ...]]]:
+    """``(side, kernel, lengthscales)`` for each Matern kernel of a spec, instance first."""
+    sides = (("instance", spec.instance_kernel), ("task", spec.task_kernel))
+    return [(side, k, k.lengthscale if k.ard else (k.lengthscale,))
+            for side, k in sides if isinstance(k, Matern)]
 
 
 def free_param_names(spec: KernelSpec) -> list[str]:
     """Names of the continuously tunable parameters of a kernel spec and tau2.
 
     Only Matern kernels carry free parameters; tree, Laplacian, constant and
-    fixed-Gram task kernels are fixed by their structure.
+    fixed-Gram task kernels are fixed by their structure.  This order is the
+    layout of every parameter vector: :func:`_param_values`,
+    :func:`_with_param_values` and the gradient of :func:`lml_and_gradient`.
     """
     names: list[str] = []
-    if isinstance(spec.instance_kernel, Matern):
-        names += _matern_param_names(spec.instance_kernel, "instance")
-    if isinstance(spec.task_kernel, Matern):
-        names += _matern_param_names(spec.task_kernel, "task")
+    for side, kernel, ls in _matern_kernels(spec):
+        index = [f"[{d}]" for d in range(len(ls))] if kernel.ard else [""]
+        names += [f"{side}.lengthscale{i}" for i in index] + [f"{side}.amplitude"]
     return names + ["tau2"]
 
 
-def _get_param(spec: KernelSpec, tau2: float, name: str) -> float:
-    if name == "tau2":
-        return float(tau2)
-    side, _, attr = name.partition(".")
-    kernel = spec.instance_kernel if side == "instance" else spec.task_kernel
-    if attr.startswith("lengthscale["):
-        d = int(attr[len("lengthscale[") : -1])
-        return float(np.atleast_1d(kernel.lengthscale)[d])
-    return float(getattr(kernel, attr))
+def _param_values(spec: KernelSpec, tau2: float) -> list[float]:
+    """The values of :func:`free_param_names`, in its order."""
+    values: list[float] = []
+    for _, kernel, ls in _matern_kernels(spec):
+        values += [*ls, kernel.amplitude]
+    return values + [float(tau2)]
 
 
-def _set_params(spec: KernelSpec, tau2: float, values: Mapping[str, float]) -> tuple[KernelSpec, float]:
-    inst, task = spec.instance_kernel, spec.task_kernel
-    for side in ("instance", "task"):
-        kernel = inst if side == "instance" else task
-        if not isinstance(kernel, Matern):
-            continue
-        ls = np.atleast_1d(np.asarray(kernel.lengthscale, dtype=float)).copy()
-        amp = kernel.amplitude
-        changed = False
-        for name, v in values.items():
-            if not name.startswith(side + "."):
-                continue
-            attr = name[len(side) + 1 :]
-            if attr == "lengthscale":
-                ls[:] = v
-            elif attr.startswith("lengthscale["):
-                ls[int(attr[len("lengthscale[") : -1])] = v
-            elif attr == "amplitude":
-                amp = float(v)
-            else:
-                raise KeyError(f"unknown parameter {name!r}")
-            changed = True
-        if changed:
-            new_ls = float(ls[0]) if ls.size == 1 else tuple(float(v) for v in ls)
-            kernel = replace(kernel, lengthscale=new_ls, amplitude=amp)
-            if side == "instance":
-                inst = kernel
-            else:
-                task = kernel
-    new_tau2 = float(values.get("tau2", tau2))
-    return KernelSpec(instance_kernel=inst, task_kernel=task), new_tau2
+def _with_param_values(spec: KernelSpec, values: Sequence[float]) -> tuple[KernelSpec, float]:
+    """The (spec, tau2) whose :func:`_param_values` are ``values``."""
+    it = iter(values)
+    kernels_by_side = {
+        f"{side}_kernel": replace(kernel, lengthscale=tuple(next(it) for _ in ls), amplitude=next(it))
+        for side, kernel, ls in _matern_kernels(spec)
+    }
+    return replace(spec, **kernels_by_side), float(next(it))
 
 
 def _evidence_weights(L: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, float]:
@@ -411,8 +387,8 @@ def lml_and_gradient(
     The gradient follows the standard identity
     ``d lml / d theta = 0.5 * tr((alpha alpha^T - A^{-1}) dK/dtheta)`` with
     ``A = K + tau2*I`` (Rasmussen & Williams 2006, eq. 5.9), combined with
-    the product rule for the instance/task Gram factors.  Keys match
-    :func:`free_param_names`.
+    the product rule for the instance/task Gram factors.  Keys are
+    :func:`free_param_names`, in its order.
 
     Cost: one Cholesky and one LAPACK ``potri`` (O(n^3) each), then O(n^2)
     per parameter.  The weights ``W`` of the identity are formed once, and
@@ -429,11 +405,11 @@ def lml_and_gradient(
     if isinstance(inst, Matern):
         KX, dKX = matern_gram_grads(inst, X)
     else:
-        KX, dKX = kernels.instance_gram(inst, X, X), {}
+        KX, dKX = kernels.instance_gram(inst, X, X), []
     if isinstance(task, Matern):
         KT, dKT = matern_gram_grads(task, as_task_array(T, discrete=False))
     else:
-        KT, dKT = kernels.task_gram(task, T, T), {}
+        KT, dKT = kernels.task_gram(task, T, T), []
 
     A = add_diagonal(KX * KT, tau2)
     L, _ = chol_with_jitter(A, context=f"kernel spec {spec}", overwrite=True)
@@ -442,22 +418,19 @@ def lml_and_gradient(
 
     W, trace_inv = _evidence_weights(L, alpha)
     del L
-    grad: dict[str, float] = {}
+    grad: list[float] = []
     amplitude = None
     if dKX:
         WT = W * KT
-        for name, dK in dKX.items():
-            grad[f"instance.{name}"] = 0.5 * float(np.vdot(WT, dK))
         amplitude = float(np.vdot(WT, KX))
-        grad["instance.amplitude"] = amplitude
+        grad += [0.5 * float(np.vdot(WT, dK)) for dK in dKX] + [amplitude]
         del WT
     if dKT:
         W *= KX
-        for name, dK in dKT.items():
-            grad[f"task.{name}"] = 0.5 * float(np.vdot(W, dK))
-        grad["task.amplitude"] = float(np.vdot(W, KT)) if amplitude is None else amplitude
-    grad["tau2"] = 0.5 * (float(alpha @ alpha) - trace_inv) * tau2
-    return lml, grad
+        amplitude = float(np.vdot(W, KT)) if amplitude is None else amplitude
+        grad += [0.5 * float(np.vdot(W, dK)) for dK in dKT] + [amplitude]
+    grad.append(0.5 * (float(alpha @ alpha) - trace_inv) * tau2)
+    return lml, dict(zip(free_param_names(spec), grad))
 
 
 @dataclass(frozen=True)
@@ -472,7 +445,8 @@ class SearchConfig:
     ``method="grid"`` evaluates the Cartesian product of the per-parameter
     value lists in ``grid`` (parameters absent from the grid keep their
     template values); this is the fallback for task kernels whose parameters
-    are fixed by structure.
+    are fixed by structure.  Grid keys are names :func:`free_param_names`
+    produces for some spec; any other key raises ``ValueError``.
     """
 
     method: str = "gradient"
@@ -488,13 +462,14 @@ class SearchConfig:
             raise ValueError("search method must be 'gradient' or 'grid'")
         if self.method == "grid" and not self.grid:
             raise ValueError("grid search needs a non-empty grid")
+        for name, values in (self.grid or {}).items():
+            if not _PARAM_NAME.fullmatch(str(name)):
+                raise ValueError(f"unknown grid parameter {name!r}; use tau2 or instance./task. "
+                                 "followed by lengthscale, lengthscale[i] or amplitude")
+            if not len(values):
+                raise ValueError(f"grid parameter {name!r} has no values")
         if not self.tau2_init > 0:
             raise ValueError("tau2_init must be positive")
-
-
-def _bounds_for(name: str) -> tuple[float, float]:
-    key = "tau2" if name == "tau2" else name.split(".", 1)[1].split("[", 1)[0]
-    return _LOG_BOUNDS[key]
 
 
 def tune_hyperparameters(
@@ -516,21 +491,19 @@ def tune_hyperparameters(
 def grid_candidates(spec: KernelSpec, tau2_0: float, grid: Mapping) -> list[tuple[KernelSpec, float]]:
     """Cartesian grid of (spec, tau2) candidates, in deterministic order.
 
-    Grid entries naming parameters the given kernel spec does not have
-    (e.g. a task lengthscale when the task kernel is constant) are ignored,
-    and the resulting duplicate candidates are dropped.
+    The product runs over the grid entries, sorted by name, that name a
+    parameter of the given spec; the others (e.g. a task lengthscale when
+    the task kernel is constant) are ignored.  A value repeated within an
+    entry counts once.
     """
-    relevant = set(free_param_names(spec))
-    names = sorted(grid)
+    position = {name: i for i, name in enumerate(free_param_names(spec))}
+    entries = [name for name in sorted(grid) if name in position]
     out = []
-    seen = set()
-    for combo in itertools.product(*(grid[name] for name in names)):
-        values = {n: float(v) for n, v in zip(names, combo) if n in relevant}
-        key = tuple(sorted(values.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(_set_params(spec, tau2_0, values))
+    for combo in itertools.product(*(dict.fromkeys(map(float, grid[name])) for name in entries)):
+        values = _param_values(spec, tau2_0)
+        for name, v in zip(entries, combo):
+            values[position[name]] = v
+        out.append(_with_param_values(spec, values))
     return out
 
 
@@ -557,21 +530,16 @@ def _tune_grid(fit, data: Dataset, spec: KernelSpec, search: SearchConfig):
 
 
 def _tune_gradient(data: Dataset, spec: KernelSpec, search: SearchConfig) -> FittedRegressor:
-    names = free_param_names(spec)
-    tau2_0 = search.tau2_init
-    theta0 = np.array([math.log(_get_param(spec, tau2_0, n)) for n in names])
-    bounds = [_bounds_for(n) for n in names]
+    theta0 = np.array([math.log(v) for v in _param_values(spec, search.tau2_init)])
+    bounds = [_KERNEL_LOG_BOUNDS] * (theta0.size - 1) + [_TAU2_LOG_BOUNDS]
     fail_penalty = 1e25
 
     def objective(theta):
-        values = dict(zip(names, np.exp(theta)))
-        cand_spec, cand_tau2 = _set_params(spec, tau2_0, values)
         try:
-            lml, grad = lml_and_gradient(data, cand_spec, cand_tau2)
+            lml, grad = lml_and_gradient(data, *_with_param_values(spec, np.exp(theta)))
         except NumericalError:
             return fail_penalty, np.zeros_like(theta)
-        g = np.array([grad.get(n, 0.0) for n in names])
-        return -lml, -g
+        return -lml, -np.array(list(grad.values()))
 
     rng = np.random.default_rng(search.seed)
     starts = [theta0] + [
@@ -593,5 +561,4 @@ def _tune_gradient(data: Dataset, spec: KernelSpec, search: SearchConfig) -> Fit
             best = (res.fun, res.x)
     if best is None:
         raise NumericalError("hyperparameter search failed for every restart")
-    values = dict(zip(names, np.exp(best[1])))
-    return fit_regressor(data, *_set_params(spec, tau2_0, values))
+    return fit_regressor(data, *_with_param_values(spec, np.exp(best[1])))

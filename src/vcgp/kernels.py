@@ -400,14 +400,13 @@ def _matern_shape_and_slope(u: np.ndarray, nu: float) -> tuple[np.ndarray, np.nd
     """The profile m_nu(u) and its slope ``-m_nu'(u) / u``, from one ``exp``.
 
     Both are new arrays.  The slope is finite at u = 0 for nu = 3/2 and 5/2
-    (``3 e`` and ``(5/3)(1 + sqrt5 u) e``); for nu = 1/2 it is ``e / u``
-    with u floored at 1e-300, finite everywhere: it only enters multiplied
-    by u^2 or by a squared coordinate difference, both 0 where u = 0.
+    (``3 e`` and ``(5/3)(1 + sqrt5 u) e``); for nu = 1/2 it is ``e / u``,
+    unbounded as u -> 0, and set to 0 at u = 0: it only enters multiplied
+    by u^2 or by a squared coordinate difference, both 0 there.
     """
     if nu == 0.5:
         e = _exp_neg(u)
-        S = np.maximum(u, 1e-300)
-        return e, np.divide(e, S, out=S)
+        return e, np.divide(e, u, out=np.zeros_like(u), where=u > 0)
     if nu == 1.5:
         su = _SQRT3 * u
         e = _exp_neg(su)
@@ -467,13 +466,13 @@ def _matern_gram(kernel: Matern, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
     return K
 
 
-def matern_gram_grads(kernel: Matern, Z: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def matern_gram_grads(kernel: Matern, Z: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Gram matrix of a Matern kernel plus its lengthscale derivatives.
 
-    Returns the symmetric Gram K over ``Z`` and a dict of matrices
-    ``d K / d log(lengthscale)`` keyed by ``"lengthscale"`` (or
-    ``"lengthscale[i]"`` per dimension in the ARD case).  The derivative
-    w.r.t. ``log(amplitude)`` is ``2 K`` and is not returned.
+    Returns the symmetric Gram K over ``Z`` and a list of matrices
+    ``d K / d log(lengthscale)``: one, or one per dimension in the ARD
+    case.  The derivative w.r.t. ``log(amplitude)`` is ``2 K`` and is not
+    returned.
 
     With ``S = s^2 * (-m'(u) / u)`` from the same ``exp`` as K, the
     isotropic derivative is ``S * u^2`` and the ARD one ``S * (dz_i / l_i)^2``.
@@ -487,15 +486,15 @@ def matern_gram_grads(kernel: Matern, Z: np.ndarray) -> tuple[np.ndarray, dict[s
     if not kernel.ard:
         u *= u
         u *= S
-        return K, {"lengthscale": u}
+        return K, [u]
     del u
-    grads: dict[str, np.ndarray] = {}
+    grads = []
     for d, ls in enumerate(kernel.lengthscale):
         z = Z[:, d] / ls
         dK = np.subtract.outer(z, z)
         dK *= dK
         dK *= S
-        grads[f"lengthscale[{d}]"] = dK
+        grads.append(dK)
     return K, grads
 
 

@@ -321,16 +321,16 @@ def _gradient_fd_error(data: Dataset, spec: KernelSpec, tau2: float, h: float) -
     NaN when any gradient is NaN, so such a point fails its check.
     """
     _, grad = lml_and_gradient(data, spec, tau2)
+    values = gp_core._param_values(spec, tau2)
     errors = []
-    for name in gp_core.free_param_names(spec):
-        theta = np.log(gp_core._get_param(spec, tau2, name))
-        sp_hi, t2_hi = gp_core._set_params(spec, tau2, {name: np.exp(theta + h)})
-        sp_lo, t2_lo = gp_core._set_params(spec, tau2, {name: np.exp(theta - h)})
-        f_hi, _ = lml_and_gradient(data, sp_hi, t2_hi)
-        f_lo, _ = lml_and_gradient(data, sp_lo, t2_lo)
+    for i, g in enumerate(grad.values()):
+        theta = np.log(values[i])
+        hi, lo = list(values), list(values)
+        hi[i], lo[i] = np.exp(theta + h), np.exp(theta - h)
+        f_hi, _ = lml_and_gradient(data, *gp_core._with_param_values(spec, hi))
+        f_lo, _ = lml_and_gradient(data, *gp_core._with_param_values(spec, lo))
         fd = (f_hi - f_lo) / (2 * h)
-        denom = max(abs(grad[name]), abs(fd), 1e-8)
-        errors.append(abs(grad[name] - fd) / denom)
+        errors.append(abs(g - fd) / max(abs(g), abs(fd), 1e-8))
     return float(np.max(errors))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from vcgp import kernels
 from vcgp.cli import EXIT_BUDGET, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from vcgp.data_io import Preprocessor
 
@@ -171,6 +172,88 @@ class TestRun:
         assert main(["run", str(path)]) == EXIT_OK
         assert len(read_rows(cfg["out"])) == 4  # 2 methods x 2 folds
         assert len(fits) == 2  # one per fold
+
+    def test_tree_task_gram_is_built_once_per_run(self, tmp_path, monkeypatch):
+        tree = {"type": "tree", "parent": {2: 1, 3: 1}, "sigma": [1.0, 0.7, 0.4]}
+        path, cfg = write_config(
+            tmp_path,
+            method="vcgp-lin",
+            dataset={"synth": {"n": 120, "m": 2, "tau2": 0.05,
+                               "task_kernel": {**tree, "sigma": [1.0, 0.5, 0.5]}}},
+            train_sizes=[40],
+            model={"task_kernel": tree, "tau2": 0.1},
+        )
+        grams = []
+        original = kernels.tree_task_kernel
+
+        def counted(task_tree):
+            grams.append(task_tree.sigma)
+            return original(task_tree)
+
+        monkeypatch.setattr(kernels, "tree_task_kernel", counted)
+        assert main(["run", str(path)]) == EXIT_OK
+        assert len(read_rows(cfg["out"])) == 2  # kfold(2)
+        assert grams.count((1.0, 0.7, 0.4)) == 1  # the model's tree, not once per fold
+
+    @pytest.mark.parametrize(
+        "path, value, key",
+        [
+            ("dataset", "synth.csv", "dataset"),
+            ("model", "matern", "model"),
+            ("tuning", "grid", "tuning"),
+            ("model.fitc", 20, "model.fitc"),
+            ("model.instance_matern", "matern", "model.instance_matern"),
+            ("tuning", {"method": "grid", "grid": "tau2"}, "tuning.grid"),
+            ("split.kfold", 2, "split.kfold"),
+            ("fanzhang", [0.1], "fanzhang"),
+            ("train_sizes", 60, "train_sizes"),
+            ("tuning", {"method": "grid", "grid": {"tau2": 0.1}}, "tuning.grid.tau2"),
+            ("dataset.synth.n", None, "dataset.synth.n"),
+            ("split.kfold.k", None, "split.kfold.k"),
+            ("budget_seconds", "soon", "budget_seconds"),
+            ("model.tau2", "abc", "model.tau2"),
+            ("tuning", {"method": "gradient", "n_restarts": "x"}, "tuning.n_restarts"),
+            ("seed", "x", "seed"),
+            ("methods", "vcgp-mat", "methods"),
+            # a mistyped grid key would otherwise be ignored, leaving the run untuned
+            ("tuning", {"method": "grid", "grid": {"task.lenghtscale": [0.1, 0.3, 1.0]}},
+             "task.lenghtscale"),
+        ],
+    )
+    def test_malformed_section_names_its_key(self, tmp_path, capsys, path, value, key):
+        cfg = yaml.safe_load(write_config(tmp_path)[0].read_text())
+        *parents, last = path.split(".")
+        section = cfg
+        for name in parents:
+            section = section[name]
+        if value is None:
+            del section[last]
+        else:
+            section[last] = value
+        config = tmp_path / "bad.yaml"
+        config.write_text(yaml.safe_dump(cfg))
+        assert main(["run", str(config)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}'" in err, err
+
+    @pytest.mark.parametrize(
+        "section, value, key",
+        [
+            ("schema", {"target": "y", "numeric": 5}, "dataset.schema.numeric"),
+            ("schema", {"numeric": ["a"]}, "dataset.schema.target"),
+            ("policy", {"brackets": 5}, "dataset.policy.brackets"),
+            ("policy", 5, "dataset.policy"),
+        ],
+    )
+    def test_malformed_csv_section_names_its_key(self, tmp_path, capsys, section, value, key):
+        data_csv = tmp_path / "d.csv"
+        data_csv.write_text("a,t,y\n" + "".join(f"{i},{i / 20},{i % 3}\n" for i in range(20)))
+        dataset = {"csv": str(data_csv),
+                   "schema": {"target": "y", "numeric": ["a"], "task_coords": ["t"]}}
+        path, _ = write_config(tmp_path, dataset={**dataset, section: value}, train_sizes=[8])
+        assert main(["run", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}'" in err, err
 
     def test_classification_run(self, tmp_path):
         path, cfg = write_config(tmp_path, problem="classification", method="vcgp-lin")

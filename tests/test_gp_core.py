@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,11 @@ from vcgp.gp_core import (
     WeightBasis,
     _fit_dense,
     _fit_weight_space,
+    _param_values,
+    _with_param_values,
     fit_regressor,
     free_param_names,
+    grid_candidates,
     lml_and_gradient,
     tune_hyperparameters,
 )
@@ -315,14 +319,14 @@ class TestGradients:
         tau2 = 0.25
         _, grad = lml_and_gradient(data, spec, tau2)
         h = 1e-5
-        from vcgp.gp_core import _get_param, _set_params
-
-        for name in free_param_names(spec):
-            theta = math.log(_get_param(spec, tau2, name))
-            sp_hi, t_hi = _set_params(spec, tau2, {name: math.exp(theta + h)})
-            sp_lo, t_lo = _set_params(spec, tau2, {name: math.exp(theta - h)})
-            f_hi, _ = lml_and_gradient(data, sp_hi, t_hi)
-            f_lo, _ = lml_and_gradient(data, sp_lo, t_lo)
+        values = _param_values(spec, tau2)
+        assert list(grad) == free_param_names(spec)
+        for i, name in enumerate(grad):
+            theta = math.log(values[i])
+            hi, lo = list(values), list(values)
+            hi[i], lo[i] = math.exp(theta + h), math.exp(theta - h)
+            f_hi, _ = lml_and_gradient(data, *_with_param_values(spec, hi))
+            f_lo, _ = lml_and_gradient(data, *_with_param_values(spec, lo))
             fd = (f_hi - f_lo) / (2 * h)
             assert grad[name] == pytest.approx(fd, rel=1e-4, abs=1e-8), name
 
@@ -513,6 +517,51 @@ class TestTuning:
         search = SearchConfig(method="grid", grid={"tau2": [1e-8, 1e-6]})
         with pytest.raises(NumericalError, match="every grid candidate failed"):
             tune_hyperparameters(data, bad, search)
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec(Matern(lengthscale=1.3, amplitude=0.9), Matern(nu=2.5, lengthscale=0.6)),
+            KernelSpec(Matern(lengthscale=(0.7, 1.9, 2.2)), Matern(lengthscale=(0.4, 0.8), amplitude=3.0)),
+            KernelSpec(Linear(), Matern(nu=0.5, lengthscale=0.25, amplitude=1.7)),
+            KernelSpec(Matern(lengthscale=(1.1, 0.8)), Tree(_TREE)),
+        ],
+        ids=["isotropic", "ard", "linear-x-matern", "matern-x-tree"],
+    )
+    def test_values_round_trip(self, spec):
+        values = _param_values(spec, 0.3)
+        assert len(values) == len(free_param_names(spec))
+        assert _with_param_values(spec, values) == (spec, 0.3)
+
+    def test_grid_candidates_order_ignored_keys_and_repeats(self):
+        spec = KernelSpec(Linear(), Matern(lengthscale=0.5, amplitude=2.0))
+        grid = {
+            "tau2": [0.1, 0.1, 0.5],  # a repeated value counts once
+            "instance.amplitude": [7.0, 8.0],  # a linear instance kernel has no amplitude
+            "task.lengthscale": [0.2, 0.3],
+        }
+        # product over the sorted names that the spec has: task.lengthscale, then tau2
+        expected = [
+            (KernelSpec(Linear(), Matern(lengthscale=ls, amplitude=2.0)), tau2)
+            for ls in (0.2, 0.3)
+            for tau2 in (0.1, 0.5)
+        ]
+        assert grid_candidates(spec, 0.05, grid) == expected
+
+    @pytest.mark.parametrize(
+        "key", ["task.lenghtscale", "lengthscale", "task.lengthscale[x]", "task.lengthscale[01]",
+                "noise.amplitude", "tau", "instance.tau2"]
+    )
+    def test_unknown_grid_key_is_rejected_by_name(self, key):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            SearchConfig(method="grid", grid={key: [0.1, 0.3, 1.0]})
+
+    def test_every_producible_grid_key_is_accepted(self):
+        keys = ["tau2", "instance.amplitude", "task.lengthscale", "instance.lengthscale[0]",
+                "task.lengthscale[12]"]
+        SearchConfig(method="grid", grid={key: [1.0] for key in keys})
 
 
 class TestDataset:

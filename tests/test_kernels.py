@@ -461,10 +461,10 @@ class TestMaternGradients:
                 kernel = Matern(nu=nu, lengthscale=ls, amplitude=1.2)
                 K, grads = matern_gram_grads(kernel, Z)
                 np.testing.assert_array_equal(K, kernels.instance_gram(kernel, Z, Z))
-                names = ["lengthscale[0]", "lengthscale[1]"] if kernel.ard else ["lengthscale"]
-                assert sorted(grads) == names
-                for name, dK in grads.items():
-                    d = None if name == "lengthscale" else int(name[len("lengthscale[") : -1])
+                assert len(grads) == (2 if kernel.ard else 1)
+                for i, dK in enumerate(grads):
+                    d = i if kernel.ard else None
+                    name = f"lengthscale[{i}]" if kernel.ard else "lengthscale"
                     fd = fd_gram(
                         Matern(nu=nu, lengthscale=_scaled_lengthscale(ls, math.exp(h), d), amplitude=1.2),
                         Matern(nu=nu, lengthscale=_scaled_lengthscale(ls, math.exp(-h), d), amplitude=1.2),
@@ -476,3 +476,22 @@ class TestMaternGradients:
                     Matern(nu=nu, lengthscale=ls, amplitude=1.2 * math.exp(-h)),
                 )
                 np.testing.assert_allclose(2.0 * K, fd, atol=1e-7, err_msg=f"nu={nu} amplitude")
+
+    @pytest.mark.parametrize("ls", [0.8, (0.8, 1.7)], ids=["isotropic", "ard"])
+    def test_nu_half_grads_are_finite_at_large_amplitude(self, ls):
+        # the nu = 1/2 slope is unbounded at u = 0; scaled by s^2 = 1e10 it must not
+        # turn the zero distances of the diagonal and of duplicate rows into NaN
+        rng = np.random.default_rng(5)
+        Z = rng.standard_normal((6, 2))
+        Z[5] = Z[2]
+        h, amp = 1e-6, 1e5
+        kernel = Matern(nu=0.5, lengthscale=ls, amplitude=amp)
+        _, grads = matern_gram_grads(kernel, Z)
+        for i, dK in enumerate(grads):
+            assert np.all(np.isfinite(dK))
+            d = i if kernel.ard else None
+            hi = Matern(nu=0.5, lengthscale=_scaled_lengthscale(ls, math.exp(h), d), amplitude=amp)
+            lo = Matern(nu=0.5, lengthscale=_scaled_lengthscale(ls, math.exp(-h), d), amplitude=amp)
+            fd = (kernels.instance_gram(hi, Z, Z) - kernels.instance_gram(lo, Z, Z)) / (2 * h)
+            # the atol of the unit-amplitude check above, on the s^2 scale
+            np.testing.assert_allclose(dK, fd, atol=1e-7 * amp**2)
