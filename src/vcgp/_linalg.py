@@ -1,4 +1,16 @@
-"""Shared dense linear-algebra helpers (Cholesky with escalating jitter)."""
+"""Shared dense linear-algebra helpers (Cholesky with escalating jitter).
+
+Finiteness is checked where an array enters, not on every use of it:
+
+- a factor is checked once, where it is made: :func:`chol_with_jitter`
+  raises ``ValueError`` on a non-finite diagonal, which is where a NaN or
+  inf anywhere in the factorized triangle ends up;
+- a factor read from a model file is checked by ``model_io.load_model``;
+- the solves (:func:`solve_lower`, :func:`solve_upper`, :func:`solve_chol`)
+  check only their right-hand side, O(n q), and raise ``ValueError`` on a
+  NaN or inf there.  They do not scan the n x n factor again, which would
+  cost more than a single-column solve itself.
+"""
 
 from __future__ import annotations
 
@@ -118,15 +130,23 @@ def _zero_strict_upper(F: np.ndarray) -> None:
 
 
 def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L x = b`` for lower-triangular ``L``."""
-    return scipy.linalg.solve_triangular(L, b, lower=True)
+    """Solve ``L x = b`` for lower-triangular ``L``.
+
+    ``L`` is trusted to be finite (see the module docstring); a non-finite
+    ``b`` raises ``ValueError``.  The same rule holds for the solves below.
+    """
+    return scipy.linalg.solve_triangular(
+        L, np.asarray_chkfinite(b), lower=True, check_finite=False
+    )
 
 
 def solve_upper(U: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``U x = b`` for upper-triangular ``U``."""
-    return scipy.linalg.solve_triangular(U, b, lower=False)
+    return scipy.linalg.solve_triangular(
+        U, np.asarray_chkfinite(b), lower=False, check_finite=False
+    )
 
 
 def solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``(L L^T) x = b`` given the lower Cholesky factor ``L``."""
-    return scipy.linalg.cho_solve((L, True), b)
+    return scipy.linalg.cho_solve((L, True), np.asarray_chkfinite(b), check_finite=False)

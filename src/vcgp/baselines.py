@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
-from ._linalg import NumericalError
+from ._linalg import NumericalError, solve_chol
 from .gp_core import Dataset, FittedRegressor, PredictiveDistribution, fit_regressor
 from .kernels import Constant, KernelSpec, Linear, Matern, as_task_array
 
@@ -151,7 +150,7 @@ def fan_zhang_fit_predict(
                     "singular local system with ridge=0; pass a positive ridge"
                 ) from None
             raise NumericalError("local weighted system is not positive definite") from None
-        w = scipy.linalg.cho_solve((L, True), XtD @ data.y)
+        w = solve_chol(L, XtD @ data.y)
         preds[j] = Phi_star[j] @ w
     return preds
 

@@ -110,6 +110,12 @@ def config_value(name: str, value, kind: type, default=_REQUIRED):
     raise ValueError(f"config key {name!r} must be {want}, got {value!r}")
 
 
+def _float_list(name: str, value, default=_REQUIRED) -> list[float]:
+    """A list of numbers; a bad element raises ``ValueError`` naming ``name[i]``."""
+    values = config_value(name, value, list, default)
+    return [config_value(f"{name}[{i}]", v, float) for i, v in enumerate(values)]
+
+
 @dataclass(frozen=True)
 class RunSettings:
     """Per-method model settings resolved from the experiment config.
@@ -154,10 +160,10 @@ class RunSettings:
             fanzhang_args=dict(
                 kernel=kernel_from_dict({**fz_matern, "type": "matern"}),
                 n_basis=config_value("fanzhang.n_basis", fz.get("n_basis"), int, 200),
-                bandwidths=config_value(
-                    "fanzhang.bandwidths", fz.get("bandwidths"), list, (0.05, 0.1, 0.3, 1.0)
+                bandwidths=_float_list(
+                    "fanzhang.bandwidths", fz.get("bandwidths"), (0.05, 0.1, 0.3, 1.0)
                 ),
-                ridges=config_value("fanzhang.ridges", fz.get("ridges"), list, (1e-6, 1e-3, 1e-1)),
+                ridges=_float_list("fanzhang.ridges", fz.get("ridges"), (1e-6, 1e-3, 1e-1)),
                 n_folds=config_value("fanzhang.cv_folds", fz.get("cv_folds"), int, 5),
             ),
         )
@@ -172,7 +178,7 @@ def _search_config(tuning: Mapping, tau2: float) -> SearchConfig | None:
     grid = config_value("tuning.grid", tuning.get("grid"), dict, None)
     return SearchConfig(
         method=tuning["method"],
-        grid=grid and {k: config_value(f"tuning.grid.{k}", v, list) for k, v in grid.items()},
+        grid=grid and {k: _float_list(f"tuning.grid.{k}", v) for k, v in grid.items()},
         n_restarts=config_value("tuning.n_restarts", tuning.get("n_restarts"), int, 5),
         max_iter=config_value("tuning.max_iter", tuning.get("max_iter"), int, 200),
         grad_tol=config_value("tuning.grad_tol", tuning.get("grad_tol"), float, 1e-5),

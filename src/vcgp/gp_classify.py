@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from ._linalg import (
     NumericalError,
     add_diagonal,
@@ -27,7 +26,7 @@ from ._linalg import (
     solve_upper,
 )
 from .gp_core import Basis, Dataset, DenseBasis, SearchConfig, _as_task_row, _tune_grid
-from .gp_core import _latent_predictive
+from .gp_core import _GramCache, _latent_predictive, _train_gram
 from .kernels import KernelSpec
 
 __all__ = [
@@ -245,18 +244,21 @@ class FittedClassifier:
         return self.state.log_marginal_likelihood()
 
 
-def fit_classifier(data: Dataset, spec: KernelSpec, tau2: float) -> FittedClassifier:
+def fit_classifier(
+    data: Dataset, spec: KernelSpec, tau2: float, *, grams: _GramCache | None = None
+) -> FittedClassifier:
     """Fit the Laplace-approximate GP classifier.
 
     Labels must be 0/1.  Raises :class:`NumericalError` if the Newton
-    iteration does not converge within 100 steps.
+    iteration does not converge within 100 steps.  The Gram comes from
+    ``grams`` when given (grid search); the numbers are the same either way.
     """
     if not tau2 > 0:
         raise ValueError("tau2 must be positive")
     y = data.y
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("classification labels must be 0 or 1")
-    A = add_diagonal(kernels.product_kernel_matrix(data.X, data.T, data.X, data.T, spec), tau2)
+    A = add_diagonal(_train_gram(data, spec, grams), tau2)
     # factorization check (and jitter) up front so failures name the spec;
     # the factor itself is dropped at once
     jitter = chol_with_jitter(A, context=f"kernel spec {spec}")[1]

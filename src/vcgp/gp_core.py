@@ -26,7 +26,8 @@ import scipy.optimize
 
 from . import kernels
 from ._linalg import NumericalError, add_diagonal, chol_with_jitter, solve_chol, solve_lower
-from .kernels import KernelSpec, Linear, Matern, TaskPoint, as_task_array, matern_gram_grads
+from .kernels import Constant, KernelSpec, Linear, Matern, TaskPoint, as_task_array
+from .kernels import matern_gram_grads
 
 __all__ = [
     "Basis",
@@ -254,7 +255,9 @@ class FittedRegressor:
         )
 
 
-def fit_regressor(data: Dataset, spec: KernelSpec, tau2: float) -> FittedRegressor:
+def fit_regressor(
+    data: Dataset, spec: KernelSpec, tau2: float, *, grams: _GramCache | None = None
+) -> FittedRegressor:
     """Fit the exact GP regressor, in weight space where that is smaller.
 
     With a linear instance kernel and a task kernel whose Gram has a PSD
@@ -265,7 +268,9 @@ def fit_regressor(data: Dataset, spec: KernelSpec, tau2: float) -> FittedRegress
     n x n ``K + tau2 I``: O(n r^2) to fit, O(r^2) per predicted point and
     O(n r) memory, against O(n^3), O(n^2) and O(n^2).  Both routes give the
     same model to rounding.  Every other spec, and a task Gram with a
-    negative eigenvalue, takes the dense route.
+    negative eigenvalue, takes the dense route.  The dense route takes its
+    Gram from ``grams`` when given (grid search, :func:`_tune_grid`); the
+    numbers are the same either way.
 
     Raises :class:`NumericalError` (naming the kernel spec) if the matrix
     to factorize is not positive definite even after the jitter escalation.
@@ -274,13 +279,58 @@ def fit_regressor(data: Dataset, spec: KernelSpec, tau2: float) -> FittedRegress
         raise ValueError("tau2 must be positive")
     C = kernels.task_factor(spec.task_kernel) if isinstance(spec.instance_kernel, Linear) else None
     if C is None or 2 * data.m * C.shape[1] > data.n:
-        return _fit_dense(data, spec, tau2)
+        return _fit_dense(data, spec, tau2, grams)
     return _fit_weight_space(data, spec, tau2, C)
 
 
-def _fit_dense(data: Dataset, spec: KernelSpec, tau2: float) -> FittedRegressor:
+class _GramCache:
+    """The last instance Gram and the last task Gram over one training set.
+
+    :func:`_tune_grid` holds one while its grid runs, so candidates that
+    share a kernel share its Gram.  :func:`grid_candidates` varies tau2
+    fastest, then the task kernel, then the instance kernel, so one Gram of
+    each kind is all the reuse there is.  Matern, linear and constant
+    kernels match by value; the discrete task kernels by identity, since
+    their ``==`` compares arrays.
+    """
+
+    def __init__(self, data: Dataset):
+        self.data = data
+        self.instance = self.task = (None, None)  # (kernel, Gram)
+
+    def product(self, spec: KernelSpec) -> np.ndarray:
+        """A new array holding ``spec``'s product Gram over the training points.
+
+        The same numbers as :func:`kernels.product_kernel_matrix`.
+        """
+        X, T = self.data.X, self.data.T
+        inst, task = spec.instance_kernel, spec.task_kernel
+        # a Gram that is replaced goes before the next is built
+        if not _same_kernel(self.instance[0], inst):
+            self.instance = (None, None)
+            self.instance = (inst, kernels.instance_gram(inst, X, X))
+        if not _same_kernel(self.task[0], task):
+            self.task = (None, None)
+            self.task = (task, kernels.task_gram(task, T, T))
+        return self.instance[1] * self.task[1]
+
+
+def _same_kernel(a, b) -> bool:
+    return a is b or (isinstance(b, (Matern, Linear, Constant)) and type(a) is type(b) and a == b)
+
+
+def _train_gram(data: Dataset, spec: KernelSpec, grams: _GramCache | None) -> np.ndarray:
+    """The product Gram over the training points, from ``grams`` or built afresh."""
+    if grams is None:
+        return kernels.product_kernel_matrix(data.X, data.T, data.X, data.T, spec)
+    return grams.product(spec)
+
+
+def _fit_dense(
+    data: Dataset, spec: KernelSpec, tau2: float, grams: _GramCache | None = None
+) -> FittedRegressor:
     """Factorize ``K + tau2 * I``."""
-    A = add_diagonal(kernels.product_kernel_matrix(data.X, data.T, data.X, data.T, spec), tau2)
+    A = add_diagonal(_train_gram(data, spec, grams), tau2)
     L, jitter = chol_with_jitter(A, context=f"kernel spec {spec}", overwrite=True)
     alpha = solve_chol(L, data.y)
     return FittedRegressor(
@@ -494,7 +544,8 @@ def grid_candidates(spec: KernelSpec, tau2_0: float, grid: Mapping) -> list[tupl
     The product runs over the grid entries, sorted by name, that name a
     parameter of the given spec; the others (e.g. a task lengthscale when
     the task kernel is constant) are ignored.  A value repeated within an
-    entry counts once.
+    entry counts once.  Sorted names put ``instance.*`` before ``task.*``
+    before ``tau2``, so tau2 varies fastest and the instance kernel slowest.
     """
     position = {name: i for i, name in enumerate(free_param_names(spec))}
     entries = [name for name in sorted(grid) if name in position]
@@ -508,16 +559,18 @@ def grid_candidates(spec: KernelSpec, tau2_0: float, grid: Mapping) -> list[tupl
 
 
 def _tune_grid(fit, data: Dataset, spec: KernelSpec, search: SearchConfig):
-    """Fit every grid candidate with ``fit(data, spec, tau2)``; return the best model.
+    """Fit every grid candidate with ``fit(data, spec, tau2, grams=...)``; return the best model.
 
-    Candidates that raise :class:`NumericalError` are skipped.  A model is
-    dropped as soon as it loses, so at most one is held besides the fit in
-    progress.
+    The candidates share one :class:`_GramCache`, dropped when the grid
+    returns.  Candidates that raise :class:`NumericalError` are skipped.  A
+    model is dropped as soon as it loses, so at most one is held besides
+    the fit in progress.
     """
+    grams = _GramCache(data)
     best, best_lml = None, -math.inf
     for cand_spec, cand_tau2 in grid_candidates(spec, search.tau2_init, search.grid):
         try:
-            model = fit(data, cand_spec, cand_tau2)
+            model = fit(data, cand_spec, cand_tau2, grams=grams)
         except NumericalError:
             continue
         lml = model.log_marginal_likelihood()

@@ -14,9 +14,10 @@ The header's ``arrays`` list fixes both the order and the shapes, so the
 payload is self-describing and byte-deterministic.  A file whose arrays do
 not fit together (n training rows, n x n factors, length-n vectors; for a
 weight-space regressor an r x r factor and r weights, r = m times the task
-factor's width), whose header lacks a field or holds an invalid value, or
-that has bytes after the last array is rejected.  The file kind follows
-from the model's class and basis; FITC models have none and are not saved.
+factor's width), that holds a NaN or inf in any float array, whose header
+lacks a field or holds an invalid value, or that has bytes after the last
+array is rejected.  The file kind follows from the model's class and
+basis; FITC models have none and are not saved.
 """
 
 from __future__ import annotations
@@ -115,6 +116,9 @@ def load_model(path):
             # fitted model: triangular solves round differently per layout
             order = "F" if name in _CHOL_ARRAYS else "C"
             arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy(order=order)
+            # the solves trust a factor to be finite, so it is checked here once
+            if dtype.kind == "f" and not np.all(np.isfinite(arrays[name])):
+                raise ValueError(f"model file array {name!r} has a non-finite entry")
         if fh.read(1):
             raise ValueError("model file has trailing bytes after its last array")
     _check_shapes(arrays, header["discrete_tasks"])

@@ -208,6 +208,8 @@ class TestRun:
             ("fanzhang", [0.1], "fanzhang"),
             ("train_sizes", 60, "train_sizes"),
             ("tuning", {"method": "grid", "grid": {"tau2": 0.1}}, "tuning.grid.tau2"),
+            ("tuning", {"method": "grid", "grid": {"tau2": [0.1, "a"]}}, "tuning.grid.tau2[1]"),
+            ("fanzhang", {"bandwidths": ["a"]}, "fanzhang.bandwidths[0]"),
             ("dataset.synth.n", None, "dataset.synth.n"),
             ("split.kfold.k", None, "split.kfold.k"),
             ("budget_seconds", "soon", "budget_seconds"),

@@ -291,3 +291,28 @@ class TestClassifierTuning:
         search = SearchConfig(method="grid", grid={"tau2": [1e-8, 1e-6]})
         with pytest.raises(NumericalError, match="every grid candidate failed"):
             tune_classifier_hyperparameters(data, bad, search)
+
+    def test_grid_builds_each_distinct_gram_once(self, gram_builds):
+        # 3 task lengthscales x 2 tau2: one instance Gram, one task Gram per lengthscale
+        rng = np.random.default_rng(9)
+        data = Dataset(
+            X=rng.standard_normal((30, 2)),
+            T=rng.uniform(0, 1, (30, 1)),
+            y=rng.integers(0, 2, 30).astype(float),
+        )
+        spec = KernelSpec(instance_kernel=Linear(), task_kernel=Matern(lengthscale=0.5))
+        grid = {"task.lengthscale": [0.3, 0.6, 1.0], "tau2": [0.05, 0.5]}
+        tune_classifier_hyperparameters(data, spec, SearchConfig(method="grid", grid=grid))
+        assert gram_builds == {"instance_gram": 1, "task_gram": 3}
+
+
+def test_non_finite_test_instance_raises():
+    rng = np.random.default_rng(10)
+    data = Dataset(
+        X=rng.standard_normal((8, 2)), T=rng.uniform(0, 1, (8, 1)), y=[0.0, 1.0] * 4
+    )
+    model = fit_classifier(data, KernelSpec(instance_kernel=Linear(), task_kernel=Matern()), 0.1)
+    with pytest.raises(ValueError):
+        model.predict_proba([np.nan, 1.0], [0.5])
+    with pytest.raises(ValueError):
+        model.predict_proba_batch([[1.0, 0.0], [np.inf, 1.0]], [[0.5], [0.2]])

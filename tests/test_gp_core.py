@@ -125,6 +125,18 @@ class TestPredict:
         with pytest.raises(ValueError):
             model.predict([1.0], np.zeros(2))
 
+    def test_non_finite_test_instance_raises(self):
+        # a linear instance kernel passes the NaN on to the features, and
+        # the solve's right-hand-side check rejects it
+        rng = np.random.default_rng(4)
+        data = Dataset(X=rng.standard_normal((8, 2)), T=rng.uniform(0, 1, (8, 1)), y=rng.standard_normal(8))
+        model = fit_regressor(data, KernelSpec(instance_kernel=Linear(), task_kernel=Matern()), 0.1)
+        assert isinstance(model.basis, DenseBasis)
+        with pytest.raises(ValueError):
+            model.predict([np.nan, 1.0], [0.5])
+        with pytest.raises(ValueError):
+            model.predict_batch([[1.0, 0.0], [np.inf, 1.0]], [[0.5], [0.2]])
+
     def test_exchangeability(self):
         rng = np.random.default_rng(3)
         data = Dataset(X=rng.standard_normal((12, 2)), T=rng.uniform(0, 1, (12, 1)), y=rng.standard_normal(12))
@@ -517,6 +529,24 @@ class TestTuning:
         search = SearchConfig(method="grid", grid={"tau2": [1e-8, 1e-6]})
         with pytest.raises(NumericalError, match="every grid candidate failed"):
             tune_hyperparameters(data, bad, search)
+
+    def test_grid_builds_each_distinct_gram_once(self, gram_builds):
+        # 3 task lengthscales x 2 tau2: one instance Gram, one task Gram per lengthscale
+        rng = np.random.default_rng(14)
+        data = Dataset(X=rng.standard_normal((30, 2)), T=rng.uniform(0, 1, (30, 1)), y=rng.standard_normal(30))
+        spec = KernelSpec(instance_kernel=Matern(), task_kernel=Matern())
+        grid = {"task.lengthscale": [0.3, 0.6, 1.0], "tau2": [0.05, 0.5]}
+        model = tune_hyperparameters(data, spec, SearchConfig(method="grid", grid=grid))
+        assert isinstance(model.basis, DenseBasis)
+        assert gram_builds == {"instance_gram": 1, "task_gram": 3}
+
+    def test_grid_matches_discrete_task_kernels_by_identity(self, gram_builds):
+        rng = np.random.default_rng(15)
+        data = Dataset(X=rng.standard_normal((12, 2)), T=rng.integers(1, 3, 12), y=rng.standard_normal(12))
+        spec = KernelSpec(Matern(), FixedGram(np.array([[1.0, 0.5], [0.5, 1.0]])))
+        grid = {"instance.lengthscale": [0.5, 2.0], "tau2": [0.05, 0.5]}
+        tune_hyperparameters(data, spec, SearchConfig(method="grid", grid=grid))
+        assert gram_builds == {"instance_gram": 2, "task_gram": 1}
 
 
 class TestParameterLayout:

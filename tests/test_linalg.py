@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from vcgp._linalg import JITTER_MAX, JITTER_START, NumericalError, chol_with_jitter
+from vcgp._linalg import (
+    JITTER_MAX,
+    JITTER_START,
+    NumericalError,
+    chol_with_jitter,
+    solve_chol,
+    solve_lower,
+    solve_upper,
+)
 
 
 def spd(n, seed=0):
@@ -73,3 +81,42 @@ class TestCholWithJitter:
     def test_empty(self):
         L, jitter = chol_with_jitter(np.zeros((0, 0)), overwrite=True)
         assert L.shape == (0, 0) and jitter == 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [9, 130])
+    def test_non_finite_anywhere_in_the_lower_triangle_is_rejected(self, n, value):
+        # the solves trust every factor made here to be finite
+        A = spd(n, seed=n)
+        positions = np.transpose(np.tril_indices(n))
+        if n > 9:  # corners, block edges and a sample
+            rng = np.random.default_rng(1)
+            positions = [(n - 1, 0), (64, 63), (64, 64), (n - 1, n - 1), (65, 1),
+                         *positions[rng.choice(len(positions), 40, replace=False)]]
+        for i, j in positions:
+            B = A.copy()
+            B[i, j] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                chol_with_jitter(B)
+
+
+class TestSolves:
+    def setup_method(self):
+        self.L = chol_with_jitter(spd(70, seed=4))[0]
+        self.b = np.random.default_rng(5).standard_normal((70, 3))
+
+    def test_bit_equal_to_scipy_with_its_checks(self):
+        L, b = self.L, self.b
+        assert np.array_equal(solve_lower(L, b), scipy.linalg.solve_triangular(L, b, lower=True))
+        assert np.array_equal(
+            solve_upper(L.T, b), scipy.linalg.solve_triangular(L.T, b, lower=False)
+        )
+        assert np.array_equal(solve_chol(L, b[:, 0]), scipy.linalg.cho_solve((L, True), b[:, 0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("solve", [solve_lower, solve_upper, solve_chol])
+    def test_non_finite_right_hand_side_raises(self, solve, value):
+        L = self.L.T if solve is solve_upper else self.L
+        for b in (self.b.copy(), self.b[:, 0].copy()):
+            b.flat[-1] = value
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(L, b)

@@ -266,6 +266,32 @@ class TestErrors:
         with pytest.raises(ValueError, match=f"array {name!r} has shape"):
             load_model(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            ("regressor", "chol"),
+            ("regressor", "alpha"),
+            ("weight-space-regressor", "chol"),
+            ("weight-space-regressor", "weights"),
+            ("classifier", "B_chol"),
+            ("classifier", "dual"),
+        ],
+    )
+    def test_non_finite_array_is_rejected_by_name(self, tmp_path, kind, name, value):
+        # the solves trust a loaded factor to be finite, so the load checks it
+        path = tmp_path / "model.bin"
+        if kind == "weight-space-regressor":
+            save_model(weight_space_tree_model(), path)
+        else:
+            save_model(regressor_or_classifier(kind), path)
+        magic, header, arrays = read_model_file(path)
+        arrays[name] = arrays[name].copy()
+        arrays[name][(-1, 0) if name.endswith("chol") else -1] = value  # a factor's lower triangle
+        write_model_file(path, magic, header, arrays)
+        with pytest.raises(ValueError, match=f"array {name!r} has a non-finite entry"):
+            load_model(path)
+
     @pytest.mark.parametrize(
         "kind, field, value",
         [

@@ -119,7 +119,8 @@ class TestFITCRegression:
 
     def test_runtime_scales_subquadratically_in_n(self):
         # doubling n at fixed p must less than triple the fit time; the two
-        # sizes alternate so a change in host speed hits both alike
+        # sizes alternate so a change in host speed hits both alike, and CPU
+        # time leaves out the time another process holds the CPU
         p = 64
         sizes = (1500, 3000)
         problems = {}
@@ -130,9 +131,9 @@ class TestFITCRegression:
         for _ in range(3):
             for n in sizes:
                 data, ind = problems[n]
-                t0 = time.perf_counter()
+                t0 = time.process_time()
                 fit_fitc(data, SPEC, 0.05, ind)
-                best[n] = min(best[n], time.perf_counter() - t0)
+                best[n] = min(best[n], time.process_time() - t0)
         assert best[3000] < 3.0 * best[1500]
 
     def test_invalid_tau2(self):
