@@ -12,11 +12,8 @@ kernels, reference baselines, and an experiment CLI.
 
 from ._linalg import NumericalError
 from .baselines import (
-    ConcatModel,
-    concat_gp,
     fan_zhang_cv,
     fan_zhang_fit_predict,
-    iid_gp,
     matern_feature_map,
     primal_oracle_predict,
 )

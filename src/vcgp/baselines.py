@@ -1,8 +1,9 @@
 """Reference methods and independent oracles.
 
-The iid and concatenated-features GPs reuse the exact regressor with
-degenerate kernel specs.  The kernel-local smoothing baseline solves one
-weighted ridge problem per test point.  The primal weight-space oracle
+The iid and concatenated-features GPs need no code of their own: they are
+the exact regressor with a constant task kernel (``experiments.run_method``
+builds them).  The kernel-local smoothing baseline solves one weighted
+ridge problem per test point.  The primal weight-space oracle
 performs the same Bayesian prediction as the product-kernel GP, but by
 explicitly building the joint Gaussian over all stacked per-observation
 coefficient vectors -- an O((n m)^3) route kept deliberately independent of
@@ -11,19 +12,14 @@ the GP code path so the two can validate each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
 from ._linalg import NumericalError, solve_chol
-from .gp_core import Dataset, FittedRegressor, PredictiveDistribution, fit_regressor
-from .kernels import Constant, KernelSpec, Linear, Matern, as_task_array
+from .gp_core import Dataset, PredictiveDistribution
+from .kernels import KernelSpec, Linear, Matern, as_task_array
 
 __all__ = [
-    "iid_gp",
-    "concat_gp",
-    "ConcatModel",
     "fan_zhang_fit_predict",
     "fan_zhang_cv",
     "matern_feature_map",
@@ -32,54 +28,6 @@ __all__ = [
 
 PRIMAL_MAX_N = 50
 PRIMAL_MAX_M = 10
-
-
-def iid_gp(data: Dataset, instance_kernel, tau2: float) -> FittedRegressor:
-    """Standard GP on instances only: the task kernel is constant one."""
-    spec = KernelSpec(instance_kernel=instance_kernel, task_kernel=Constant(1.0))
-    return fit_regressor(data, spec, tau2)
-
-
-@dataclass(frozen=True)
-class ConcatModel:
-    """GP over concatenated (x, t) vectors, for continuous task variables."""
-
-    inner: FittedRegressor
-    d: int
-
-    def _concat(self, X, T):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        T = as_task_array(T, discrete=False)
-        if T.shape[1] != self.d:
-            raise ValueError(f"task coordinates must have {self.d} dimensions")
-        return np.hstack([X, T])
-
-    def predict(self, x_star, t_star) -> PredictiveDistribution:
-        if isinstance(t_star, kernels.TaskPoint):
-            t_row = as_task_array([t_star])
-        else:
-            t_row = np.atleast_2d(np.asarray(t_star, dtype=float))
-        Z = self._concat(np.atleast_2d(np.asarray(x_star, dtype=float)), t_row)
-        mean, var = self.inner.predict_batch(Z, np.zeros((1, 1)))
-        return PredictiveDistribution(float(mean[0]), float(var[0]), self.inner.tau2)
-
-    def predict_batch(self, X_star, T_star):
-        Z = self._concat(X_star, T_star)
-        return self.inner.predict_batch(Z, np.zeros((Z.shape[0], 1)))
-
-
-def concat_gp(data: Dataset, kernel, tau2: float) -> ConcatModel:
-    """Standard GP over concatenated instance and task attribute vectors.
-
-    ``kernel`` (Linear or Matern) applies to the concatenation.  Discrete
-    task ids cannot be concatenated and raise an error.
-    """
-    if data.has_discrete_tasks:
-        raise ValueError("concatenation is undefined for discrete task ids")
-    Z = np.hstack([data.X, data.T])
-    inner_data = Dataset(X=Z, T=np.zeros((data.n, 1)), y=data.y)
-    spec = KernelSpec(instance_kernel=kernel, task_kernel=Constant(1.0))
-    return ConcatModel(inner=fit_regressor(inner_data, spec, tau2), d=data.T.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ The latent model puts the observation noise inside the latent covariance:
 latent values z have prior ``N(0, K + tau2*I)`` and labels follow
 ``y_i ~ Bernoulli(sigmoid(z_i))``.  The posterior mode is found by damped
 Newton iteration; predictions integrate the logistic likelihood against the
-Gaussian Laplace approximation with Gauss-Hermite quadrature.  The exact
-and FITC classifiers are one class, :class:`FittedClassifier`, whose basis
-(:class:`gp_core.DenseBasis` or :class:`sparse_fitc.InducingBasis`) carries
-the Laplace posterior to test points.
+Gaussian Laplace approximation with Gauss-Hermite quadrature.  The latent
+covariance is dense (:class:`DenseCovariance`) or low rank plus diagonal
+(:class:`gp_core.LowRankDiag`, FITC), and each forms its own Newton target.
+The exact and FITC classifiers are one class, :class:`FittedClassifier`,
+whose basis (:class:`gp_core.DenseBasis` or :class:`gp_core.LowRankBasis`)
+carries the Laplace posterior to test points.
 """
 
 from __future__ import annotations
@@ -17,16 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (
-    NumericalError,
-    add_diagonal,
-    chol_with_jitter,
-    solve_chol,
-    solve_lower,
-    solve_upper,
-)
-from .gp_core import Basis, Dataset, DenseBasis, SearchConfig, _as_task_row, _tune_grid
-from .gp_core import _GramCache, _latent_predictive, _train_gram
+from ._linalg import NumericalError, add_diagonal, chol_with_jitter, solve_lower, solve_upper
+from .gp_core import Basis, Dataset, DenseBasis, LowRankDiag, SearchConfig, _as_task_row
+from .gp_core import _GramCache, _latent_predictive, _train_gram, _tune_grid
 from .kernels import KernelSpec
 
 __all__ = [
@@ -96,53 +91,22 @@ class DenseCovariance:
         return self.A @ x
 
     def newton_factor(self, W: np.ndarray, context: str):
-        """``(chol(B), x -> sqrt(W) B^{-1} sqrt(W) x)`` for ``B = I + sqrt(W) A sqrt(W)``."""
+        """``(chol(B), b -> (I + W A)^{-1} b)`` for ``B = I + sqrt(W) A sqrt(W)``.
+
+        The Newton target is ``b - sqrt(W) B^{-1} sqrt(W) A b``.
+        """
         sw = np.sqrt(W)
         B = sw[:, None] * self.A
         B *= sw[None, :]
         L, _ = chol_with_jitter(add_diagonal(B, 1.0), context=context, overwrite=True)
 
-        def solve(x):
-            return sw * solve_upper(L.T, solve_lower(L, sw * x))
+        def target(b):
+            return b - sw * solve_upper(L.T, solve_lower(L, sw * (self.A @ b)))
 
-        return L, solve
+        return L, target
 
     def newton_half_logdet(self, W: np.ndarray, L: np.ndarray) -> float:
         return float(np.sum(np.log(np.diag(L))))
-
-
-class LowRankDiag:
-    """Latent covariance ``V^T V + diag(lam)`` with ``V`` of shape p x n.
-
-    Never formed: products cost O(np), and the Laplace system goes through
-    the Woodbury identity.  With ``R = diag(W / (1 + W lam))``,
-    ``sqrt(W) B^{-1} sqrt(W) = R - R V^T C^{-1} V R`` where
-    ``C = I_p + V R V^T``, and ``log|B| = sum log(1 + W lam) + log|C|``.
-    A Newton step therefore costs O(np^2) and factorizes only p x p.
-    """
-
-    def __init__(self, V: np.ndarray, lam: np.ndarray):
-        self.V = V
-        self.lam = lam
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.V.T @ (self.V @ x) + self.lam * x
-
-    def newton_factor(self, W: np.ndarray, context: str):
-        """``(chol(C), x -> sqrt(W) B^{-1} sqrt(W) x)``."""
-        V = self.V
-        r = W / (1.0 + W * self.lam)
-        C = np.eye(V.shape[0]) + (V * r) @ V.T
-        Lc, _ = chol_with_jitter(C, context=context)
-
-        def solve(x):
-            rx = r * x
-            return rx - r * (V.T @ solve_chol(Lc, V @ rx))
-
-        return Lc, solve
-
-    def newton_half_logdet(self, W: np.ndarray, Lc: np.ndarray) -> float:
-        return float(0.5 * np.sum(np.log1p(W * self.lam)) + np.sum(np.log(np.diag(Lc))))
 
 
 def laplace_mode(
@@ -150,13 +114,14 @@ def laplace_mode(
 ) -> LaplaceState:
     """Find the mode of ``log p(y|z) - 0.5 z^T A^{-1} z`` by damped Newton.
 
-    ``A`` is a dense matrix or a :class:`LowRankDiag`; the iteration only
-    multiplies by it and factorizes its Laplace system.  Works in the dual
-    parameterization ``z = A a`` so the quadratic term is available without
-    solves.  Each step is halved (up to 20 times) until the objective does
-    not decrease; the objective is therefore non-decreasing across
-    iterations.  Convergence is declared when the gradient infinity-norm
-    falls below 1e-8.
+    ``A`` is a dense matrix or a :class:`gp_core.LowRankDiag`; the iteration
+    only multiplies by it and asks it for the Newton target
+    ``(I + W A)^{-1} b``, which each covariance forms from its own factor.
+    Works in the dual parameterization ``z = A a`` so the quadratic term is
+    available without solves.  Each step is halved (up to 20 times) until
+    the objective does not decrease; the objective is therefore
+    non-decreasing across iterations.  Convergence is declared when the
+    gradient infinity-norm falls below 1e-8.
     """
     cov = DenseCovariance(A) if isinstance(A, np.ndarray) else A
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -168,8 +133,8 @@ def laplace_mode(
         pi = sigmoid(z)
         grad = (y - pi) - a
         W = pi * (1.0 - pi)
-        L = solve = None  # the previous step's factor goes before the next is made
-        L, solve = cov.newton_factor(W, context=f"Laplace system for {context}")
+        L = target = None  # the previous step's factor goes before the next is made
+        L, target = cov.newton_factor(W, context=f"Laplace system for {context}")
         if np.max(np.abs(grad)) < NEWTON_GRAD_TOL:
             return LaplaceState(
                 mode=z, dual=a, pi=pi, W=W, B_chol=L,
@@ -177,9 +142,7 @@ def laplace_mode(
                 log_lik=_log_likelihood(y, z), iterations=iteration - 1,
             )
         b = W * z + (y - pi)
-        # Newton target in the dual: a_new = b - sqrt(W) B^{-1} sqrt(W) A b
-        a_new = b - solve(cov @ b)
-        direction = a_new - a
+        direction = target(b) - a
         step = 1.0
         roundoff = 1e-12 * (1.0 + abs(psi))
         for _ in range(NEWTON_MAX_HALVINGS + 1):

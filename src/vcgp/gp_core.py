@@ -4,13 +4,17 @@ Fitting assembles the product-kernel Gram matrix K over the training data,
 factorizes ``K + tau2*I`` once, and caches the factor together with
 ``alpha = (K + tau2*I)^{-1} y``.  A linear instance kernel times a task
 Gram ``G = C C^T`` is Bayesian regression on stacked per-task coefficients
-(the paper's Theorem 1), and when those are fewer than half the points the
-fit runs in that weight space instead (:func:`fit_regressor`).  Either
-route, and FITC, is one :class:`FittedRegressor` whose *basis* maps test
-points to the features ``Phi`` of the predictive mean ``Phi^T weights`` and
-gives the latent variance: :class:`DenseBasis`, :class:`WeightBasis` or
-:class:`sparse_fitc.InducingBasis`.  The log marginal likelihood and its
-analytic gradients with respect to log-hyperparameters drive tuning.
+(the paper's Theorem 1): ``K = V^T V`` for the features ``V``, and when
+those are fewer than half the points the fit runs in that weight space
+instead (:func:`fit_regressor`).  ``V^T V + tau2 I`` has the same low-rank
+plus diagonal shape as FITC's surrogate, so both are one operator,
+:class:`LowRankDiag`, whose p x p Woodbury factor serves the Gaussian fit
+here and the Laplace Newton step of :mod:`gp_classify`.  Every route is one
+:class:`FittedRegressor` whose *basis* maps test points to the features
+``Phi`` of the predictive mean ``Phi^T weights`` and gives the latent
+variance: :class:`DenseBasis` or :class:`LowRankBasis`.  The log marginal
+likelihood and its analytic gradients with respect to log-hyperparameters
+drive tuning.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ __all__ = [
     "DenseBasis",
     "PredictiveDistribution",
     "FittedRegressor",
-    "WeightBasis",
+    "LowRankBasis",
+    "LowRankDiag",
     "SearchConfig",
     "fit_regressor",
     "lml_and_gradient",
@@ -195,21 +200,38 @@ class DenseBasis:
 
 
 @dataclass(frozen=True)
-class WeightBasis:
-    """Features ``Phi = x* kron C[t*]`` of the r stacked coefficients, ``G = C C^T``.
+class LowRankBasis:
+    """Features ``Phi`` of a finite feature map, for the covariance ``V^T V + diag(lam)``.
 
-    ``L`` factorizes ``V^T V + s I_r`` with ``s = tau2 + jitter``, and the
-    latent variance ``v*^T (I - V^T A^{-1} V) v*`` is ``s |L^{-1} Phi|^2``.
+    The columns of ``V`` are the training points' features.  With a task
+    factor ``G = C C^T`` the map is ``x kron C[t]`` (weight space, where
+    ``V^T V`` is the product Gram itself); with an inducing set it is
+    ``Luu^{-1} k_u(x, t)`` (FITC).  ``L`` is the p x p Woodbury factor of
+    :class:`LowRankDiag` and the latent variance is
+    ``residual + noise + |L^{-1} Phi|^2``: O(p^2) per test point.  The
+    residual, ``k** - |Phi|^2``, is the prior variance the features miss; it
+    is exactly 0 in weight space and not computed there.
     """
 
-    C: np.ndarray
+    task_factor: np.ndarray | None = None
+    inducing: object | None = None  # sparse_fitc.InducingSet
+    Luu: np.ndarray | None = None  # chol(K_uu + jitter)
 
     def features(self, model, X_star, T_star) -> np.ndarray:
-        return _weight_features(model.spec, self.C, X_star, T_star).T
+        if self.inducing is None:
+            return _weight_features(model.spec, self.task_factor, X_star, T_star).T
+        Ku = kernels.product_kernel_matrix(
+            self.inducing.X, self.inducing.T, X_star, T_star, model.spec
+        )
+        return solve_lower(self.Luu, Ku)
 
     def latent_var(self, model, X_star, T_star, Phi, L, noise=0.0, W=None) -> np.ndarray:
         U = solve_lower(L, Phi)
-        return (model.tau2 + model.jitter) * np.einsum("ij,ij->j", U, U)
+        residual = 0.0
+        if self.inducing is not None:
+            residual = kernels.product_kernel_diag(X_star, T_star, model.spec)
+            residual -= np.einsum("ij,ij->j", Phi, Phi)
+        return residual + noise + np.einsum("ij,ij->j", U, U)
 
 
 @dataclass(frozen=True)
@@ -217,20 +239,20 @@ class FittedRegressor:
     """Immutable posterior state of a product-kernel GP regressor.
 
     The predictive mean is ``Phi^T weights`` for the test features ``Phi``
-    of ``basis``, which also gives the latent variance from ``chol``, the
-    factor of ``K + (tau2 + jitter) I`` (:class:`DenseBasis`, weights
-    ``alpha``), of the r x r ``V^T V + (tau2 + jitter) I``
-    (:class:`WeightBasis`, weights the r coefficients' posterior mean) or of
-    FITC's p x p system (:class:`sparse_fitc.InducingBasis`).
-    ``alpha = (K + tau2*I)^{-1} y`` gives the evidence; FITC has none (None).
+    of ``basis``, which also gives the latent variance from ``chol``: the
+    factor of ``A = K + (tau2 + jitter) I`` (:class:`DenseBasis`, weights
+    ``alpha``) or the p x p Woodbury factor of ``A = V^T V + diag(lam)``
+    (:class:`LowRankBasis`, weights ``V alpha``; see :class:`LowRankDiag`).
+    ``alpha = A^{-1} y`` and ``half_logdet = 0.5 log|A|`` give the evidence.
     """
 
     spec: KernelSpec
     tau2: float
     data: Dataset
     chol: np.ndarray
-    alpha: np.ndarray | None
+    alpha: np.ndarray
     weights: np.ndarray
+    half_logdet: float
     jitter: float = 0.0
     basis: Basis = DenseBasis()
 
@@ -244,14 +266,10 @@ class FittedRegressor:
         return _latent_predictive(self, X_star, T_star, self.chol)
 
     def log_marginal_likelihood(self) -> float:
-        if self.alpha is None:
-            raise NotImplementedError("FITC regression has no evidence yet")
-        n = self.data.n
-        # |V V^T + s I_n| = s^(n - r) |V^T V + s I_r| for the r x r factor; r = n if dense
-        half_logdet = np.sum(np.log(np.diag(self.chol)))
-        half_logdet += 0.5 * (n - self.chol.shape[0]) * math.log(self.tau2 + self.jitter)
         return float(
-            -0.5 * self.data.y @ self.alpha - half_logdet - 0.5 * n * math.log(2.0 * math.pi)
+            -0.5 * self.data.y @ self.alpha
+            - self.half_logdet
+            - 0.5 * self.data.n * math.log(2.0 * math.pi)
         )
 
 
@@ -264,13 +282,13 @@ def fit_regressor(
     factor ``G = C C^T`` (constant, tree, Laplacian, explicit Gram; see
     :func:`kernels.task_factor`), ``K = V V^T`` where row i of ``V`` is
     ``x_i kron C[t_i]``, of width ``r = m * rank(G)``.  When ``r <= n / 2``
-    the fit factorizes the r x r matrix ``V^T V + tau2 I`` instead of the
-    n x n ``K + tau2 I``: O(n r^2) to fit, O(r^2) per predicted point and
-    O(n r) memory, against O(n^3), O(n^2) and O(n^2).  Both routes give the
-    same model to rounding.  Every other spec, and a task Gram with a
-    negative eigenvalue, takes the dense route.  The dense route takes its
-    Gram from ``grams`` when given (grid search, :func:`_tune_grid`); the
-    numbers are the same either way.
+    the fit factorizes the r x r matrix ``I + V^T V / tau2`` (Woodbury, see
+    :class:`LowRankDiag`) instead of the n x n ``K + tau2 I``: O(n r^2) to
+    fit, O(r^2) per predicted point and O(n r) memory, against O(n^3),
+    O(n^2) and O(n^2).  Both routes give the same model to rounding.  Every
+    other spec, and a task Gram with a negative eigenvalue, takes the dense
+    route.  The dense route takes its Gram from ``grams`` when given (grid
+    search, :func:`_tune_grid`); the numbers are the same either way.
 
     Raises :class:`NumericalError` (naming the kernel spec) if the matrix
     to factorize is not positive definite even after the jitter escalation.
@@ -334,7 +352,8 @@ def _fit_dense(
     L, jitter = chol_with_jitter(A, context=f"kernel spec {spec}", overwrite=True)
     alpha = solve_chol(L, data.y)
     return FittedRegressor(
-        spec=spec, tau2=float(tau2), data=data, chol=L, alpha=alpha, weights=alpha, jitter=jitter
+        spec=spec, tau2=float(tau2), data=data, chol=L, alpha=alpha, weights=alpha,
+        half_logdet=float(np.sum(np.log(np.diag(L)))), jitter=jitter,
     )
 
 
@@ -347,20 +366,89 @@ def _weight_features(spec: KernelSpec, C: np.ndarray, X: np.ndarray, T) -> np.nd
 def _fit_weight_space(
     data: Dataset, spec: KernelSpec, tau2: float, C: np.ndarray
 ) -> FittedRegressor:
-    """Factorize ``V^T V + tau2 * I`` for a linear instance kernel and task factor ``C``.
+    """Fit ``V^T V + tau2 I`` for a linear instance kernel and task factor ``C``.
 
-    ``w = (V^T V + s I)^{-1} V^T y`` and ``alpha = (y - V w) / s`` with
-    ``s = tau2 + jitter``, by the Woodbury identity.
+    Column i of ``V`` is ``x_i kron C[t_i]``; ``lam`` is tau2 itself, one
+    number for every point, so no r x n array is made besides ``V``.
     """
-    V = _weight_features(spec, C, data.X, data.T)
-    M = add_diagonal(V.T @ V, tau2)
-    L, jitter = chol_with_jitter(M, context=f"kernel spec {spec}", overwrite=True)
-    w = solve_chol(L, V.T @ data.y)
-    alpha = (data.y - V @ w) / (tau2 + jitter)
+    V = _weight_features(spec, C, data.X, data.T).T
+    return _fit_low_rank(data, spec, tau2, LowRankDiag(V, float(tau2)), LowRankBasis(task_factor=C))
+
+
+def _fit_low_rank(
+    data: Dataset, spec: KernelSpec, tau2: float, cov: LowRankDiag, basis: LowRankBasis,
+    jitter: float = 0.0,
+) -> FittedRegressor:
+    """The regressor of the covariance ``cov``: ``alpha = A^{-1} y``, weights ``V alpha``.
+
+    Woodbury with ``rho = 1 / lam``; ``chol`` factorizes ``I + V diag(1 / lam) V^T``.
+    """
+    L, solve = cov._woodbury(1.0 / cov.lam, context=f"low-rank system for kernel spec {spec}")
+    alpha, weights = solve(data.y / cov.lam)
     return FittedRegressor(
-        spec=spec, tau2=float(tau2), data=data, chol=L, alpha=alpha, weights=w, jitter=jitter,
-        basis=WeightBasis(C),
+        spec=spec, tau2=float(tau2), data=data, chol=L, alpha=alpha, weights=weights,
+        half_logdet=_low_rank_half_logdet(cov.lam, L, data.n), jitter=jitter, basis=basis,
     )
+
+
+def _low_rank_half_logdet(lam, L: np.ndarray, n: int) -> float:
+    """``0.5 log|V^T V + diag(lam)| = 0.5 (sum log lam + log|C|)``, lam counted n times."""
+    return float(0.5 * np.sum(np.log(np.broadcast_to(lam, n))) + np.sum(np.log(np.diag(L))))
+
+
+class LowRankDiag:
+    """Covariance ``A = V^T V + diag(lam)`` with ``V`` of shape p x n.
+
+    ``lam`` is a length-n vector, or one number for every point.  ``A`` is
+    never formed: products cost O(np), and solves go through the Woodbury
+    identity with the p x p factor of ``C = I_p + V diag(rho) V^T``
+    (:meth:`_woodbury`), O(np^2) to build.  The Gaussian likelihood uses
+    ``rho = 1 / lam`` (:func:`_fit_low_rank`), the Laplace Newton step
+    ``rho = W / (1 + W lam)`` (:meth:`newton_factor`).  ``C`` is at least
+    ``I`` in exact arithmetic, so its factor needs no jitter.
+    """
+
+    def __init__(self, V: np.ndarray, lam):
+        self.V = V
+        self.lam = lam
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.V.T @ (self.V @ x) + self.lam * x
+
+    def _woodbury(self, rho, context: str):
+        """``(chol(C), solve)`` with ``solve(u) = (u - rho V^T t, t)``, ``t = C^{-1} V u``.
+
+        By Woodbury, ``M^{-1} (u / rho) = u - rho V^T t`` and
+        ``V M^{-1} (u / rho) = t`` for ``M = diag(1 / rho) + V^T V``.
+        """
+        V = self.V
+        if np.ndim(rho):
+            C = (V * rho) @ V.T
+        else:  # one number for all points: scale the p x p product, not V
+            C = V @ V.T
+            C *= rho
+        L, _ = chol_with_jitter(add_diagonal(C, 1.0), context=context, overwrite=True)
+
+        def solve(u):
+            t = solve_chol(L, V @ u)
+            return u - rho * (V.T @ t), t
+
+        return L, solve
+
+    def newton_factor(self, W: np.ndarray, context: str):
+        """``(chol(C), b -> (I + W A)^{-1} b)`` with ``rho = W / (1 + W lam)``.
+
+        ``I + W A = D + W V^T V`` with ``D = 1 + W lam``, so the Newton target
+        is ``u - rho V^T C^{-1} V u`` with ``u = b / D``; no product with ``A``
+        is formed, which would cancel catastrophically at large latent scale.
+        """
+        d = 1.0 + W * self.lam
+        L, solve = self._woodbury(W / d, context)
+        return L, lambda b: solve(b / d)[0]
+
+    def newton_half_logdet(self, W: np.ndarray, L: np.ndarray) -> float:
+        """``0.5 log|I + sqrt(W) A sqrt(W)| = 0.5 (sum log(1 + W lam) + log|C|)``."""
+        return float(0.5 * np.sum(np.log1p(W * self.lam)) + np.sum(np.log(np.diag(L))))
 
 
 # ---------------------------------------------------------------------------

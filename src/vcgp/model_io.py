@@ -3,7 +3,7 @@
 Layout of a model file:
 
   line 1   ASCII magic: ``VCGP-MODEL 1 <kind>`` with kind in
-           {regressor, weight-space-regressor, classifier}
+           {regressor, weight-space-woodbury-regressor, classifier}
   line 2   JSON header: kernel spec, tau2, jitter, array shapes and task
            variant (and a classifier's log-likelihood and Newton
            iterations), in a fixed key order
@@ -18,6 +18,12 @@ factor's width), that holds a NaN or inf in any float array, whose header
 lacks a field or holds an invalid value, or that has bytes after the last
 array is rejected.  The file kind follows from the model's class and
 basis; FITC models have none and are not saved.
+
+A weight-space regressor's ``chol`` factorizes ``I + V V^T / lam`` with
+``lam = tau2 + jitter`` (:class:`gp_core.LowRankDiag`).  Files of the older
+kind ``weight-space-regressor`` hold the factor of ``V V^T + lam I``
+instead; they still load, through the exact rescaling ``chol / sqrt(lam)``,
+and are never written.
 """
 
 from __future__ import annotations
@@ -28,31 +34,39 @@ import math
 import numpy as np
 
 from .gp_classify import FittedClassifier, LaplaceState
-from .gp_core import Dataset, DenseBasis, FittedRegressor, WeightBasis
+from .gp_core import Dataset, DenseBasis, FittedRegressor, LowRankBasis, _low_rank_half_logdet
 from .kernels import Constant, FixedGram, Laplacian, Linear, Tree, spec_from_dict, spec_to_dict
 
 __all__ = ["save_model", "load_model"]
 
 _MAGIC = "VCGP-MODEL 1"
 _CHOL_ARRAYS = ("chol", "B_chol")
+_WEIGHT_SPACE = "weight-space-woodbury-regressor"
+_OLD_WEIGHT_SPACE = "weight-space-regressor"  # read only: chol factorizes V V^T + lam I
+_WEIGHT_SPACE_ARRAYS = ("X", "T", "y", "task_factor", "chol", "weights", "alpha")
 _ARRAY_NAMES = {
     "regressor": ("X", "T", "y", "chol", "alpha"),
-    "weight-space-regressor": ("X", "T", "y", "task_factor", "chol", "weights", "alpha"),
+    _WEIGHT_SPACE: _WEIGHT_SPACE_ARRAYS,
+    _OLD_WEIGHT_SPACE: _WEIGHT_SPACE_ARRAYS,
     "classifier": ("X", "T", "y", "mode", "dual", "pi", "W", "B_chol"),
 }
-# the file kind of each (model class, basis) pair that has one; FITC models have none
-_KINDS = {
-    (FittedRegressor, DenseBasis): "regressor",
-    (FittedRegressor, WeightBasis): "weight-space-regressor",
-    (FittedClassifier, DenseBasis): "classifier",
-}
+
+
+def _kind(model) -> str | None:
+    """The file kind a model is written as; None for FITC models and non-models."""
+    basis = getattr(model, "basis", None)
+    if type(basis) is DenseBasis:
+        return {FittedRegressor: "regressor", FittedClassifier: "classifier"}.get(type(model))
+    if type(model) is FittedRegressor and type(basis) is LowRankBasis and basis.inducing is None:
+        return _WEIGHT_SPACE
+    return None
 
 
 def _model_array(model, name: str) -> np.ndarray:
     if name in ("X", "T", "y"):
         return getattr(model.data, name)
     if name == "task_factor":
-        return model.basis.C
+        return model.basis.task_factor
     return getattr(model.state if isinstance(model, FittedClassifier) else model, name)
 
 
@@ -61,12 +75,14 @@ def save_model(model, path) -> None:
 
     Raises ``TypeError`` for anything else, FITC models included.
     """
-    basis = getattr(model, "basis", None)
-    kind = _KINDS.get((type(model), type(basis)))
+    kind = _kind(model)
     if kind is None:
         what = type(model).__name__
+        basis = getattr(model, "basis", None)
         if basis is not None:
             what += f" with {type(basis).__name__}"
+        if getattr(basis, "inducing", None) is not None:
+            what += " over inducing points"
         raise TypeError(f"cannot serialize model of type {what}")
     extra = {}
     if kind == "classifier":
@@ -140,17 +156,24 @@ def load_model(path):
             spec=spec, tau2=header["tau2"], data=data, state=state, weights=state.dual,
             jitter=header["jitter"],
         )
-    basis = DenseBasis()
-    if kind == "weight-space-regressor":
+    L = arrays["chol"]
+    if kind == "regressor":
+        basis, half_logdet = DenseBasis(), float(np.sum(np.log(np.diag(L))))
+    else:
         _check_task_factor(arrays["task_factor"], spec)
-        basis = WeightBasis(arrays["task_factor"])
+        lam = header["tau2"] + header["jitter"]
+        if kind == _OLD_WEIGHT_SPACE:
+            L /= math.sqrt(lam)  # V V^T + lam I = lam (I + V V^T / lam)
+        basis = LowRankBasis(task_factor=arrays["task_factor"])
+        half_logdet = _low_rank_half_logdet(lam, L, data.n)
     return FittedRegressor(
         spec=spec,
         tau2=header["tau2"],
         data=data,
-        chol=arrays["chol"],
+        chol=L,
         alpha=arrays["alpha"],
         weights=arrays.get("weights", arrays["alpha"]),
+        half_logdet=half_logdet,
         jitter=header["jitter"],
         basis=basis,
     )

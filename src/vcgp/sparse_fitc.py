@@ -2,13 +2,15 @@
 
 The exact covariance is replaced by the fully-independent-training-
 conditional surrogate ``Q + diag(K - Q)`` with ``Q = K_nu K_uu^{-1} K_un``
-over p inducing points.  Neither fit forms or factorizes an n x n matrix:
-the regressor fits in O(n p^2); the classifier runs the exact classifier's
-Laplace Newton iteration on the surrogate (plus the latent noise) held as
-low rank plus diagonal, at O(n p^2) per Newton step.  The fits return the
-exact model classes, :class:`gp_core.FittedRegressor` and
-:class:`gp_classify.FittedClassifier`, with an :class:`InducingBasis`,
-which predicts in O(p^2) per test point.
+over p inducing points.  The surrogate plus the latent noise is held as
+:class:`gp_core.LowRankDiag`, the operator weight-space regression uses too,
+so neither fit forms or factorizes an n x n matrix: the regressor is the
+shared low-rank Gaussian fit, O(n p^2), with its evidence; the classifier
+runs the exact classifier's Laplace Newton iteration at O(n p^2) per step.
+The fits return the exact model classes, :class:`gp_core.FittedRegressor`
+and :class:`gp_classify.FittedClassifier`, with a
+:class:`gp_core.LowRankBasis` over the inducing points, which predicts in
+O(p^2) per test point.
 """
 
 from __future__ import annotations
@@ -18,20 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._linalg import chol_with_jitter, solve_chol, solve_lower
-from .gp_classify import FittedClassifier, LowRankDiag, laplace_mode
-from .gp_core import Dataset, FittedRegressor
+from ._linalg import chol_with_jitter, solve_lower
+from .gp_classify import FittedClassifier, laplace_mode
+from .gp_core import Dataset, FittedRegressor, LowRankBasis, LowRankDiag, _fit_low_rank
 from .kernels import KernelSpec, as_task_array
 
 __all__ = [
     "InducingSet",
-    "InducingBasis",
     "select_inducing",
     "fit_fitc",
     "fit_fitc_classifier",
 ]
 
-# the FITC classifier is the exact class with an InducingBasis; the name
+# the FITC classifier is the exact class with a LowRankBasis; the name
 # stays because the benchmark's tracer (benchmark/layertrace.py) looks it up
 FittedFITCClassifier = FittedClassifier
 
@@ -97,52 +98,21 @@ def _fitc_parts(data: Dataset, spec: KernelSpec, tau2: float, inducing: Inducing
     return Luu, V, lam, jitter
 
 
-@dataclass(frozen=True)
-class InducingBasis:
-    """Features ``Phi = Luu^{-1} k_u*`` over the p inducing points.
-
-    Test points relate to the training data only through the inducing set,
-    while their latent prior variance keeps its exact diagonal.  ``L`` is
-    the model's p x p system factor and the latent variance
-    ``k** + noise - |Phi|^2 + |L^{-1} Phi|^2``: O(p^2) per test point.
-    """
-
-    inducing: InducingSet
-    Luu: np.ndarray  # chol(K_uu + jitter)
-
-    def features(self, model, X_star, T_star) -> np.ndarray:
-        Ku = kernels.product_kernel_matrix(
-            self.inducing.X, self.inducing.T, X_star, T_star, model.spec
-        )
-        return solve_lower(self.Luu, Ku)
-
-    def latent_var(self, model, X_star, T_star, Phi, L, noise=0.0, W=None) -> np.ndarray:
-        U = solve_lower(L, Phi)
-        prior = kernels.product_kernel_diag(X_star, T_star, model.spec)
-        prior += noise
-        return prior - np.einsum("ij,ij->j", Phi, Phi) + np.einsum("ij,ij->j", U, U)
-
-
 def fit_fitc(
     data: Dataset, spec: KernelSpec, tau2: float, inducing: InducingSet
 ) -> FittedRegressor:
     """Fit the FITC regressor in O(n p^2).
 
-    Its ``chol`` factorizes ``B = I_p + V Lam^{-1} V^T`` and its weights are
-    ``B^{-1} V Lam^{-1} y``.  With the inducing set equal to the full
-    training set this reproduces the exact GP posterior.
+    Its ``chol`` factorizes ``I_p + V Lam^{-1} V^T``, its weights are
+    ``V alpha`` and its evidence is that of the surrogate ``V^T V + Lam``
+    (see :class:`gp_core.LowRankDiag`).  With the inducing set equal to the
+    full training set this reproduces the exact GP posterior and evidence.
     """
     if not tau2 > 0:
         raise ValueError("tau2 must be positive")
     Luu, V, lam, jitter = _fitc_parts(data, spec, tau2, inducing)
-    Vs = V / np.sqrt(lam)
-    B = np.eye(inducing.p) + Vs @ Vs.T
-    LB, _ = chol_with_jitter(B, context=f"FITC system for kernel spec {spec}")
-    return FittedRegressor(
-        spec=spec, tau2=float(tau2), data=data, chol=LB, alpha=None,
-        weights=solve_chol(LB, V @ (data.y / lam)), jitter=jitter,
-        basis=InducingBasis(inducing, Luu),
-    )
+    basis = LowRankBasis(inducing=inducing, Luu=Luu)
+    return _fit_low_rank(data, spec, tau2, LowRankDiag(V, lam), basis, jitter)
 
 
 def fit_fitc_classifier(
@@ -164,5 +134,5 @@ def fit_fitc_classifier(
     )
     return FittedClassifier(
         spec=spec, tau2=float(tau2), data=data, state=state, weights=V @ state.dual,
-        jitter=jitter, basis=InducingBasis(inducing, Luu),
+        jitter=jitter, basis=LowRankBasis(inducing=inducing, Luu=Luu),
     )

@@ -3,30 +3,40 @@ import pytest
 
 from vcgp._linalg import NumericalError
 from vcgp.baselines import (
-    concat_gp,
     fan_zhang_cv,
     fan_zhang_fit_predict,
-    iid_gp,
     matern_feature_map,
     primal_oracle_predict,
 )
 from vcgp.data_io import synth_vcm
+from vcgp.experiments import RunSettings, run_method
 from vcgp.gp_core import Dataset, fit_regressor
-from vcgp.kernels import Constant, FixedGram, KernelSpec, Linear, Matern
+from vcgp.kernels import Constant, FixedGram, KernelSpec, Linear, Matern, product_kernel_diag
+
+
+LIN_CONST = KernelSpec(instance_kernel=Linear(), task_kernel=Constant(1.0))
+
+
+def iid_mae(train, test, spec, tau2):
+    """MAE of the plain GP (constant task kernel), the model ``run_method`` fits for iid."""
+    mean, _ = fit_regressor(train, spec, tau2).predict_batch(test.X, test.T)
+    return float(np.mean(np.abs(mean - test.y)))
 
 
 class TestIidGP:
     def test_equals_constant_task_kernel_gp(self):
         rng = np.random.default_rng(0)
-        data = Dataset(X=rng.standard_normal((10, 2)), T=rng.uniform(0, 1, (10, 1)), y=rng.standard_normal(10))
-        a = iid_gp(data, Linear(), 0.3)
-        b = fit_regressor(data, KernelSpec(instance_kernel=Linear(), task_kernel=Constant(1.0)), 0.3)
-        Xs, Ts = rng.standard_normal((5, 2)), rng.uniform(0, 1, (5, 1))
-        np.testing.assert_array_equal(a.predict_batch(Xs, Ts)[0], b.predict_batch(Xs, Ts)[0])
+        data = Dataset(
+            X=rng.standard_normal((15, 2)), T=rng.uniform(0, 1, (15, 1)), y=rng.standard_normal(15)
+        )
+        train, test = data.subset(np.arange(10)), data.subset(np.arange(10, 15))
+        settings = RunSettings(tau2=0.3)
+        got = run_method("iid-lin", train, test, settings, seed=0)
+        assert got == iid_mae(train, test, LIN_CONST, 0.3)
 
     def test_single_point_matches_normal_equations(self):
         data = Dataset(X=[[2.0]], T=np.zeros((1, 1)), y=[1.0])
-        model = iid_gp(data, Linear(), 0.5)
+        model = fit_regressor(data, LIN_CONST, 0.5)
         # posterior for 1 point, unit prior: w_hat = x y / (x^2 + tau2)
         pd = model.predict([2.0], np.zeros(1))
         assert pd.mean == pytest.approx(4.0 / 4.5)
@@ -40,55 +50,51 @@ class TestIidGP:
             res = synth_vcm(280, m=2, d=1, task_kernel=task_kernel, tau2=0.05, seed=s)
             train = res.dataset.subset(np.arange(80))
             test = res.dataset.subset(np.arange(80, 280))
-            vc = fit_regressor(train, spec, 0.05)
-            iid = iid_gp(train, Linear(), 0.05)
-            mae_vc = np.mean(np.abs(vc.predict_batch(test.X, test.T)[0] - test.y))
-            mae_iid = np.mean(np.abs(iid.predict_batch(test.X, test.T)[0] - test.y))
-            wins += mae_iid >= mae_vc
+            wins += iid_mae(train, test, LIN_CONST, 0.05) >= iid_mae(train, test, spec, 0.05)
         assert wins > seeds / 2
 
 
 class TestConcatGP:
+    """``run_method``'s concat path: a plain GP over the (x, t) concatenation."""
+
     def test_constant_task_matches_iid_with_bias_feature(self):
         rng = np.random.default_rng(1)
-        n, c = 8, 1.7
+        n, c = 13, 1.7
         X = rng.standard_normal((n, 2))
         T = np.full((n, 1), c)
         y = rng.standard_normal(n)
-        concat = concat_gp(Dataset(X=X, T=T, y=y), Linear(), 0.2)
+        settings = RunSettings(tau2=0.2)
+        train, test = Dataset(X=X[:8], T=T[:8], y=y[:8]), Dataset(X=X[8:], T=T[8:], y=y[8:])
+        concat = run_method("concat-lin", train, test, settings, seed=0)
         # same Gram: inner products plus the constant offset c^2
         Xb = np.hstack([X, np.full((n, 1), c)])
-        iid = iid_gp(Dataset(X=Xb, T=np.zeros((n, 1)), y=y), Linear(), 0.2)
-        Xs = rng.standard_normal((5, 2))
-        Ts = np.full((5, 1), c)
-        got, _ = concat.predict_batch(Xs, Ts)
-        want, _ = iid.predict_batch(np.hstack([Xs, np.full((5, 1), c)]), np.zeros((5, 1)))
-        np.testing.assert_allclose(got, want, atol=1e-10)
+        biased = Dataset(X=Xb, T=rng.uniform(0, 1, (n, 1)), y=y)
+        train, test = biased.subset(np.arange(8)), biased.subset(np.arange(8, n))
+        iid = run_method("iid-lin", train, test, settings, seed=0)
+        assert concat == pytest.approx(iid, abs=1e-10)
 
     def test_matern_zero_distance(self):
         k = Matern(nu=1.5, lengthscale=1.0, amplitude=1.4)
         rng = np.random.default_rng(2)
-        data = Dataset(X=rng.standard_normal((4, 2)), T=rng.uniform(0, 1, (4, 1)), y=rng.standard_normal(4))
-        model = concat_gp(data, k, 0.1)
+        X, T = rng.standard_normal((4, 2)), rng.uniform(0, 1, (4, 1))
+        spec = KernelSpec(instance_kernel=k, task_kernel=Constant(1.0))
+        data = Dataset(X=np.hstack([X, T]), T=np.zeros((4, 1)), y=rng.standard_normal(4))
+        model = fit_regressor(data, spec, 0.1)
         pd = model.predict(data.X[0], data.T[0])
-        from vcgp.kernels import product_kernel_diag
-
-        prior = product_kernel_diag(
-            np.hstack([data.X[:1], data.T[:1]]), np.zeros((1, 1)), model.inner.spec
-        )
+        prior = product_kernel_diag(data.X[:1], data.T[:1], spec)
         assert prior[0] == pytest.approx(1.4**2)
         assert np.isfinite(pd.mean)
 
     def test_rejects_discrete_tasks(self):
         data = Dataset(X=[[1.0]], T=np.array([1]), y=[0.0])
-        with pytest.raises(ValueError):
-            concat_gp(data, Linear(), 0.1)
+        with pytest.raises(ValueError, match="continuous task variables"):
+            run_method("concat-lin", data, data, RunSettings(tau2=0.1), seed=0)
 
     def test_smoke_at_thousand_points(self):
-        res = synth_vcm(1000, m=3, d=2, task_kernel=Matern(lengthscale=0.3), tau2=0.1, seed=3)
-        model = concat_gp(res.dataset, Matern(lengthscale=1.0), 0.1)
-        mean, var = model.predict_batch(res.dataset.X[:10], res.dataset.T[:10])
-        assert np.all(np.isfinite(mean)) and np.all(var >= 0)
+        res = synth_vcm(1010, m=3, d=2, task_kernel=Matern(lengthscale=0.3), tau2=0.1, seed=3)
+        train, test = res.dataset.subset(np.arange(1000)), res.dataset.subset(np.arange(1000, 1010))
+        settings = RunSettings(tau2=0.1, instance_matern={"lengthscale": 1.0})
+        assert np.isfinite(run_method("concat-mat", train, test, settings, seed=0))
 
 
 class TestFanZhang:

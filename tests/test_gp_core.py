@@ -12,7 +12,7 @@ from vcgp.gp_core import (
     Dataset,
     DenseBasis,
     SearchConfig,
-    WeightBasis,
+    LowRankBasis,
     _fit_dense,
     _fit_weight_space,
     _param_values,
@@ -276,7 +276,7 @@ class TestWeightSpaceRoute:
         rng = np.random.default_rng(41)
         for n, weight_space in ((20, True), (19, False)):  # r = 2 * 5 = 10
             data = self._data(spec.task_kernel, n, self.M, rng)
-            assert isinstance(fit_regressor(data, spec, 0.1).basis, WeightBasis) == weight_space
+            assert isinstance(fit_regressor(data, spec, 0.1).basis, LowRankBasis) == weight_space
 
     def test_other_specs_stay_dense(self):
         rng = np.random.default_rng(42)
@@ -313,7 +313,7 @@ class TestWeightSpaceRoute:
         spec = KernelSpec(Linear(), Tree(_WS_TREE))
         data = self._data(spec.task_kernel, 30, 1, np.random.default_rng(44))
         model = fit_regressor(data, spec, 0.1)
-        assert isinstance(model.basis, WeightBasis)
+        assert isinstance(model.basis, LowRankBasis)
         with pytest.raises(ValueError, match="task ids must lie in 1..5"):
             model.predict_batch([[1.0]], [6])
 

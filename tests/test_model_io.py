@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vcgp.gp_classify import fit_classifier
-from vcgp.gp_core import Dataset, DenseBasis, WeightBasis, fit_regressor
+from vcgp.gp_core import Dataset, DenseBasis, LowRankBasis, fit_regressor
 from vcgp.kernels import KernelSpec, Linear, Matern, TaskTree, Tree
 from vcgp.model_io import load_model, save_model
 from vcgp.multitask_hb import random_tree
@@ -26,6 +26,18 @@ LIN_MATERN = KernelSpec(instance_kernel=Linear(), task_kernel=Matern())
 # models existed: Linear x Tree over 3 tasks, n=6, m=2, tau2=0.1
 DENSE_FORMAT1_FILE = Path(__file__).parent / "data" / "dense_regressor_format1.bin"
 
+# a weight-space regressor file as the format-1 writer wrote it while the
+# factor was that of V^T V + tau2 I: Linear x Tree over 3 tasks, n=14, m=2,
+# tau2=0.1; with the writer's predictions at WEIGHT_SPACE_TEST_POINTS and
+# its log marginal likelihood
+WEIGHT_SPACE_FORMAT1_FILE = Path(__file__).parent / "data" / "weight_space_regressor_format1.bin"
+WEIGHT_SPACE_TEST_POINTS = (np.array([[0.5, -1.0], [1.5, 0.25], [-0.75, 2.0]]), np.array([1, 2, 3]))
+WEIGHT_SPACE_FORMAT1_MEAN = [-0.4450342122913361, 0.05685533546894351, 0.5897031107674062]
+WEIGHT_SPACE_FORMAT1_VAR = [0.0806440124734945, 0.07412744018578639, 0.05544413336194013]
+WEIGHT_SPACE_FORMAT1_LML = -46.665479293683745
+TOL_ORACLE = 1e-8  # TOL_ORACLE of test_acceptance.py
+WEIGHT_SPACE_MAGIC = b"VCGP-MODEL 1 weight-space-woodbury-regressor"
+
 
 def weight_space_tree_model():
     """A Linear x Tree fit at n=40, k=7, m=2: r = 14 <= n/2, so in weight space."""
@@ -35,7 +47,7 @@ def weight_space_tree_model():
         X=rng.standard_normal((40, 2)), T=rng.integers(1, 8, size=40), y=rng.standard_normal(40)
     )
     model = fit_regressor(data, KernelSpec(instance_kernel=Linear(), task_kernel=Tree(tree)), 0.1)
-    assert isinstance(model.basis, WeightBasis) and model.chol.shape == (14, 14)
+    assert isinstance(model.basis, LowRankBasis) and model.chol.shape == (14, 14)
     return model
 
 
@@ -179,9 +191,9 @@ class TestRoundTrip:
         model = weight_space_tree_model()
         path = tmp_path / "primal.bin"
         save_model(model, path)
-        assert path.read_bytes().split(b"\n", 1)[0] == b"VCGP-MODEL 1 weight-space-regressor"
+        assert path.read_bytes().split(b"\n", 1)[0] == WEIGHT_SPACE_MAGIC
         loaded = load_model(path)
-        assert np.array_equal(loaded.basis.C, model.basis.C)
+        assert np.array_equal(loaded.basis.task_factor, model.basis.task_factor)
         for name in ("chol", "weights", "alpha"):
             assert np.array_equal(getattr(loaded, name), getattr(model, name)), name
         rng = np.random.default_rng(10)
@@ -192,6 +204,9 @@ class TestRoundTrip:
             a, b = model.predict(x, t), loaded.predict(x, t)
             assert (a.mean, a.latent_var) == (b.mean, b.latent_var)
         assert loaded.log_marginal_likelihood() == model.log_marginal_likelihood()
+        again = tmp_path / "again.bin"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_dense_file_from_the_format1_writer_loads(self, tmp_path):
         model = load_model(DENSE_FORMAT1_FILE)
@@ -204,6 +219,21 @@ class TestRoundTrip:
         assert isinstance(fresh.basis, DenseBasis)
         np.testing.assert_allclose(fresh.chol, model.chol, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(fresh.alpha, model.alpha, rtol=1e-12)
+
+    def test_weight_space_file_from_the_format1_writer_loads(self, tmp_path):
+        model = load_model(WEIGHT_SPACE_FORMAT1_FILE)
+        assert isinstance(model.basis, LowRankBasis) and model.chol.shape == (6, 6)
+        mean, var = model.predict_batch(*WEIGHT_SPACE_TEST_POINTS)
+        np.testing.assert_allclose(mean, WEIGHT_SPACE_FORMAT1_MEAN, rtol=0, atol=TOL_ORACLE)
+        np.testing.assert_allclose(var, WEIGHT_SPACE_FORMAT1_VAR, rtol=0, atol=TOL_ORACLE)
+        assert abs(model.log_marginal_likelihood() - WEIGHT_SPACE_FORMAT1_LML) < TOL_ORACLE
+        # it is written back as the new kind, never as the old one
+        path = tmp_path / "again.bin"
+        save_model(model, path)
+        assert path.read_bytes().split(b"\n", 1)[0] == WEIGHT_SPACE_MAGIC
+        again = load_model(path)
+        for got, want in zip(again.predict_batch(*WEIGHT_SPACE_TEST_POINTS), (mean, var)):
+            assert np.array_equal(got, want)
 
     def test_byte_deterministic(self, tmp_path):
         data = continuous_data(seed=5)
