@@ -212,7 +212,10 @@ def _split_pairs(cfg: dict, pool_size: int, times, n: int, seed: int):
     split = cfg["split"]
     if "kfold" in split:
         k = config_value("split.kfold", split["kfold"], dict).get("k")
-        return data_io.kfold_splits(pool_size, config_value("split.kfold.k", k, int), n=n, seed=seed)
+        k = config_value("split.kfold.k", k, int)
+        if not 2 <= k <= pool_size:
+            raise UsageError(f"config key 'split.kfold.k' must lie in 2..{pool_size}, got {k}")
+        return data_io.kfold_splits(pool_size, k, n=n, seed=seed)
     b = config_value("split.blocked", split["blocked"], dict)
     if times is None:
         raise UsageError("blocked splits need a temporal task field")

@@ -326,8 +326,8 @@ def kfold_splits(
     n_records: int, k: int, n: int | None = None, seed: int = 0
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Shuffled k-fold pairs, optionally subsampling each training fold to n."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    if not 2 <= k <= n_records:
+        raise ValueError(f"k must lie in 2..{n_records}, the number of records, got {k}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n_records)
     folds = np.array_split(order, k)

@@ -102,8 +102,10 @@ def config_value(name: str, value, kind: type, default=_REQUIRED):
             raise ValueError(f"config is missing required key {name!r}")
         return default
     container, want = _KINDS[kind]
+    # a YAML yes/true is a bool, which Python would take as the number 1
+    ok = isinstance(value, container) if container else not isinstance(value, bool)
     try:
-        if container is None or isinstance(value, container):
+        if ok:
             return kind(value)
     except (TypeError, ValueError):
         pass

@@ -5,11 +5,11 @@ latent values z have prior ``N(0, K + tau2*I)`` and labels follow
 ``y_i ~ Bernoulli(sigmoid(z_i))``.  The posterior mode is found by damped
 Newton iteration; predictions integrate the logistic likelihood against the
 Gaussian Laplace approximation with Gauss-Hermite quadrature.  The latent
-covariance is dense (:class:`DenseCovariance`) or low rank plus diagonal
-(:class:`gp_core.LowRankDiag`, FITC), and each forms its own Newton target.
-The exact and FITC classifiers are one class, :class:`FittedClassifier`,
-whose basis (:class:`gp_core.DenseBasis` or :class:`gp_core.LowRankBasis`)
-carries the Laplace posterior to test points.
+covariance comes from the regressor's builder (dense, or the weight-space or
+FITC :class:`gp_core.LowRankDiag`), each covariance forms its own Newton
+target, and :func:`_fit_laplace` finishes every classifier into one class,
+:class:`FittedClassifier`, whose basis (:class:`gp_core.DenseBasis` or
+:class:`gp_core.LowRankBasis`) carries the posterior to test points.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import NumericalError, add_diagonal, chol_with_jitter, solve_lower, solve_upper
-from .gp_core import Basis, Dataset, DenseBasis, LowRankDiag, SearchConfig, _as_task_row
-from .gp_core import _GramCache, _latent_predictive, _train_gram, _tune_grid
+from ._linalg import NumericalError, add_diagonal, chol_with_jitter
+from .gp_core import Basis, Dataset, DenseBasis, DenseCovariance, LowRankDiag, SearchConfig
+from .gp_core import _as_task_row, _exact_covariance, _GramCache, _latent_predictive, _tune_grid
 from .kernels import KernelSpec
 
 __all__ = [
@@ -81,40 +81,12 @@ class LaplaceState:
         return float(self.log_lik - 0.5 * self.mode @ self.dual - self.half_logdet_B)
 
 
-class DenseCovariance:
-    """Dense latent covariance; the Laplace system ``B`` is factorized as is."""
-
-    def __init__(self, A: np.ndarray):
-        self.A = A
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x
-
-    def newton_factor(self, W: np.ndarray, context: str):
-        """``(chol(B), b -> (I + W A)^{-1} b)`` for ``B = I + sqrt(W) A sqrt(W)``.
-
-        The Newton target is ``b - sqrt(W) B^{-1} sqrt(W) A b``.
-        """
-        sw = np.sqrt(W)
-        B = sw[:, None] * self.A
-        B *= sw[None, :]
-        L, _ = chol_with_jitter(add_diagonal(B, 1.0), context=context, overwrite=True)
-
-        def target(b):
-            return b - sw * solve_upper(L.T, solve_lower(L, sw * (self.A @ b)))
-
-        return L, target
-
-    def newton_half_logdet(self, W: np.ndarray, L: np.ndarray) -> float:
-        return float(np.sum(np.log(np.diag(L))))
-
-
 def laplace_mode(
-    A: np.ndarray | LowRankDiag, y: np.ndarray, context: str = "covariance"
+    A: np.ndarray | DenseCovariance | LowRankDiag, y: np.ndarray, context: str = "covariance"
 ) -> LaplaceState:
     """Find the mode of ``log p(y|z) - 0.5 z^T A^{-1} z`` by damped Newton.
 
-    ``A`` is a dense matrix or a :class:`gp_core.LowRankDiag`; the iteration
+    ``A`` is a dense matrix or a covariance of :mod:`gp_core`; the iteration
     only multiplies by it and asks it for the Newton target
     ``(I + W A)^{-1} b``, which each covariance forms from its own factor.
     Works in the dual parameterization ``z = A a`` so the quadratic term is
@@ -173,7 +145,8 @@ class FittedClassifier:
 
     The latent mean is ``Phi^T weights`` for the test features ``Phi`` of
     ``basis``, which also gives the latent variance from ``state.B_chol``
-    (dense: weights ``state.dual``; FITC: the p x p :class:`LowRankDiag` factor).
+    (dense: the n x n Laplace factor, weights ``state.dual``; weight space and
+    FITC: the p x p :class:`LowRankDiag` Newton factor, weights ``V dual``).
     """
 
     spec: KernelSpec
@@ -210,26 +183,34 @@ class FittedClassifier:
 def fit_classifier(
     data: Dataset, spec: KernelSpec, tau2: float, *, grams: _GramCache | None = None
 ) -> FittedClassifier:
-    """Fit the Laplace-approximate GP classifier.
+    """Fit the Laplace-approximate GP classifier on :func:`gp_core._exact_covariance`.
 
     Labels must be 0/1.  Raises :class:`NumericalError` if the Newton
-    iteration does not converge within 100 steps.  The Gram comes from
-    ``grams`` when given (grid search); the numbers are the same either way.
+    iteration does not converge within 100 steps.
     """
-    if not tau2 > 0:
-        raise ValueError("tau2 must be positive")
-    y = data.y
-    if not np.all(np.isin(y, (0.0, 1.0))):
+    return _fit_laplace(data, spec, tau2, *_exact_covariance(data, spec, tau2, grams))
+
+
+def _fit_laplace(
+    data: Dataset, spec: KernelSpec, tau2: float, cov, basis: Basis, jitter: float = 0.0
+) -> FittedClassifier:
+    """The classifier of the latent covariance ``cov``; ``jitter`` is what its builder added.
+
+    A dense covariance is factorized up front, the factor dropped at once, so
+    an indefinite ``K + tau2 I`` fails naming the spec; ``V^T V + lam`` cannot.
+    """
+    if not np.all(np.isin(data.y, (0.0, 1.0))):
         raise ValueError("classification labels must be 0 or 1")
-    A = add_diagonal(_train_gram(data, spec, grams), tau2)
-    # factorization check (and jitter) up front so failures name the spec;
-    # the factor itself is dropped at once
-    jitter = chol_with_jitter(A, context=f"kernel spec {spec}")[1]
-    if jitter:
-        add_diagonal(A, jitter)
-    state = laplace_mode(A, y, context=f"kernel spec {spec}")
+    context = f"kernel spec {spec}"
+    if isinstance(cov, DenseCovariance):
+        added = chol_with_jitter(cov.A, context=context)[1]
+        if added:
+            add_diagonal(cov.A, added)
+        jitter += added
+    state = laplace_mode(cov, data.y, context=context)
     return FittedClassifier(
-        spec=spec, tau2=float(tau2), data=data, state=state, weights=state.dual, jitter=jitter
+        spec=spec, tau2=float(tau2), data=data, state=state, weights=cov.weights(state.dual),
+        jitter=jitter, basis=basis,
     )
 
 

@@ -1,15 +1,15 @@
 """Exact Bayesian regression for varying-coefficient GP models.
 
-Fitting assembles the product-kernel Gram matrix K over the training data,
-factorizes ``K + tau2*I`` once, and caches the factor together with
-``alpha = (K + tau2*I)^{-1} y``.  A linear instance kernel times a task
-Gram ``G = C C^T`` is Bayesian regression on stacked per-task coefficients
-(the paper's Theorem 1): ``K = V^T V`` for the features ``V``, and when
-those are fewer than half the points the fit runs in that weight space
-instead (:func:`fit_regressor`).  ``V^T V + tau2 I`` has the same low-rank
-plus diagonal shape as FITC's surrogate, so both are one operator,
-:class:`LowRankDiag`, whose p x p Woodbury factor serves the Gaussian fit
-here and the Laplace Newton step of :mod:`gp_classify`.  Every route is one
+Every fit is a covariance builder followed by a likelihood finisher.  The
+exact builder, :func:`_exact_covariance`, gives ``K + tau2 I`` over the
+training data as a :class:`DenseCovariance`; but a linear instance kernel
+times a task Gram ``G = C C^T`` is Bayesian inference on stacked per-task
+coefficients (the paper's Theorem 1), ``K = V^T V``, and when the features
+``V`` are fewer than half the points it gives the weight-space
+:class:`LowRankDiag` instead, the shape of FITC's surrogate too.  Both
+covariances offer products, a Gaussian fit and the Laplace Newton step, so
+one finisher per likelihood serves every route: :func:`_fit_gaussian` here
+and :func:`gp_classify._fit_laplace`.  Every route is one
 :class:`FittedRegressor` whose *basis* maps test points to the features
 ``Phi`` of the predictive mean ``Phi^T weights`` and gives the latent
 variance: :class:`DenseBasis` or :class:`LowRankBasis`.  The log marginal
@@ -30,6 +30,7 @@ import scipy.optimize
 
 from . import kernels
 from ._linalg import NumericalError, add_diagonal, chol_with_jitter, solve_chol, solve_lower
+from ._linalg import solve_upper
 from .kernels import Constant, KernelSpec, Linear, Matern, TaskPoint, as_task_array
 from .kernels import matern_gram_grads
 
@@ -37,6 +38,7 @@ __all__ = [
     "Basis",
     "Dataset",
     "DenseBasis",
+    "DenseCovariance",
     "PredictiveDistribution",
     "FittedRegressor",
     "LowRankBasis",
@@ -276,29 +278,12 @@ class FittedRegressor:
 def fit_regressor(
     data: Dataset, spec: KernelSpec, tau2: float, *, grams: _GramCache | None = None
 ) -> FittedRegressor:
-    """Fit the exact GP regressor, in weight space where that is smaller.
-
-    With a linear instance kernel and a task kernel whose Gram has a PSD
-    factor ``G = C C^T`` (constant, tree, Laplacian, explicit Gram; see
-    :func:`kernels.task_factor`), ``K = V V^T`` where row i of ``V`` is
-    ``x_i kron C[t_i]``, of width ``r = m * rank(G)``.  When ``r <= n / 2``
-    the fit factorizes the r x r matrix ``I + V^T V / tau2`` (Woodbury, see
-    :class:`LowRankDiag`) instead of the n x n ``K + tau2 I``: O(n r^2) to
-    fit, O(r^2) per predicted point and O(n r) memory, against O(n^3),
-    O(n^2) and O(n^2).  Both routes give the same model to rounding.  Every
-    other spec, and a task Gram with a negative eigenvalue, takes the dense
-    route.  The dense route takes its Gram from ``grams`` when given (grid
-    search, :func:`_tune_grid`); the numbers are the same either way.
+    """Fit the exact GP regressor on :func:`_exact_covariance`, in weight space where smaller.
 
     Raises :class:`NumericalError` (naming the kernel spec) if the matrix
     to factorize is not positive definite even after the jitter escalation.
     """
-    if not tau2 > 0:
-        raise ValueError("tau2 must be positive")
-    C = kernels.task_factor(spec.task_kernel) if isinstance(spec.instance_kernel, Linear) else None
-    if C is None or 2 * data.m * C.shape[1] > data.n:
-        return _fit_dense(data, spec, tau2, grams)
-    return _fit_weight_space(data, spec, tau2, C)
+    return _fit_gaussian(data, spec, tau2, *_exact_covariance(data, spec, tau2, grams))
 
 
 class _GramCache:
@@ -337,63 +322,97 @@ def _same_kernel(a, b) -> bool:
     return a is b or (isinstance(b, (Matern, Linear, Constant)) and type(a) is type(b) and a == b)
 
 
-def _train_gram(data: Dataset, spec: KernelSpec, grams: _GramCache | None) -> np.ndarray:
-    """The product Gram over the training points, from ``grams`` or built afresh."""
-    if grams is None:
-        return kernels.product_kernel_matrix(data.X, data.T, data.X, data.T, spec)
-    return grams.product(spec)
-
-
-def _fit_dense(
-    data: Dataset, spec: KernelSpec, tau2: float, grams: _GramCache | None = None
-) -> FittedRegressor:
-    """Factorize ``K + tau2 * I``."""
-    A = add_diagonal(_train_gram(data, spec, grams), tau2)
-    L, jitter = chol_with_jitter(A, context=f"kernel spec {spec}", overwrite=True)
-    alpha = solve_chol(L, data.y)
-    return FittedRegressor(
-        spec=spec, tau2=float(tau2), data=data, chol=L, alpha=alpha, weights=alpha,
-        half_logdet=float(np.sum(np.log(np.diag(L)))), jitter=jitter,
-    )
-
-
 def _weight_features(spec: KernelSpec, C: np.ndarray, X: np.ndarray, T) -> np.ndarray:
     """The rows ``x_i kron C[t_i]``: ``V V^T`` is the linear-instance product Gram."""
     rows = kernels.task_factor_rows(spec.task_kernel, C, T)
     return (X[:, :, None] * rows[:, None, :]).reshape(X.shape[0], -1)
 
 
-def _fit_weight_space(
-    data: Dataset, spec: KernelSpec, tau2: float, C: np.ndarray
-) -> FittedRegressor:
-    """Fit ``V^T V + tau2 I`` for a linear instance kernel and task factor ``C``.
+def _exact_covariance(
+    data: Dataset, spec: KernelSpec, tau2: float, grams: _GramCache | None = None
+) -> tuple[DenseCovariance | LowRankDiag, Basis]:
+    """``(covariance, basis)`` of ``K + tau2 I`` over the training points.
 
-    Column i of ``V`` is ``x_i kron C[t_i]``; ``lam`` is tau2 itself, one
-    number for every point, so no r x n array is made besides ``V``.
+    A linear instance kernel times a task Gram with a PSD factor
+    ``G = C C^T`` (:func:`kernels.task_factor`) has ``K = V^T V``, column i
+    of ``V`` being ``x_i kron C[t_i]``, of height ``r = m * rank(G)``.  When
+    ``r <= n / 2`` the covariance is the weight-space :class:`LowRankDiag`,
+    whose fits cost O(n r^2) and predictions O(r^2) per point, against
+    O(n^3) and O(n^2) for the n x n :class:`DenseCovariance` of every other
+    spec.  A dense Gram comes from ``grams`` when given (grid search), with
+    the same numbers either way.
     """
+    if not tau2 > 0:
+        raise ValueError("tau2 must be positive")
+    C = kernels.task_factor(spec.task_kernel) if isinstance(spec.instance_kernel, Linear) else None
+    if C is None or 2 * data.m * C.shape[1] > data.n:
+        if grams is None:
+            K = kernels.product_kernel_matrix(data.X, data.T, data.X, data.T, spec)
+        else:
+            K = grams.product(spec)
+        return DenseCovariance(add_diagonal(K, tau2)), DenseBasis()
     V = _weight_features(spec, C, data.X, data.T).T
-    return _fit_low_rank(data, spec, tau2, LowRankDiag(V, float(tau2)), LowRankBasis(task_factor=C))
+    return LowRankDiag(V, float(tau2)), LowRankBasis(task_factor=C)
 
 
-def _fit_low_rank(
-    data: Dataset, spec: KernelSpec, tau2: float, cov: LowRankDiag, basis: LowRankBasis,
-    jitter: float = 0.0,
+def _fit_gaussian(
+    data: Dataset, spec: KernelSpec, tau2: float, cov, basis: Basis, jitter: float = 0.0
 ) -> FittedRegressor:
-    """The regressor of the covariance ``cov``: ``alpha = A^{-1} y``, weights ``V alpha``.
-
-    Woodbury with ``rho = 1 / lam``; ``chol`` factorizes ``I + V diag(1 / lam) V^T``.
-    """
-    L, solve = cov._woodbury(1.0 / cov.lam, context=f"low-rank system for kernel spec {spec}")
-    alpha, weights = solve(data.y / cov.lam)
+    """The regressor of the covariance ``cov`` of ``y``; ``jitter`` is what its builder added."""
+    L, alpha, weights, half_logdet, added = cov.gaussian_fit(data.y, f"kernel spec {spec}")
     return FittedRegressor(
         spec=spec, tau2=float(tau2), data=data, chol=L, alpha=alpha, weights=weights,
-        half_logdet=_low_rank_half_logdet(cov.lam, L, data.n), jitter=jitter, basis=basis,
+        half_logdet=half_logdet, jitter=jitter + added, basis=basis,
     )
+
+
+class DenseCovariance:
+    """Covariance ``A``, an n x n array; :meth:`gaussian_fit` factorizes it in its own buffer."""
+
+    def __init__(self, A: np.ndarray):
+        self.A = A
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.A @ x
+
+    def gaussian_fit(self, y: np.ndarray, context: str):
+        """``(chol(A), alpha, alpha, 0.5 log|A|, jitter)`` with ``alpha = A^{-1} y``."""
+        L, jitter = chol_with_jitter(self.A, context=context, overwrite=True)
+        alpha = solve_chol(L, y)
+        return L, alpha, alpha, float(np.sum(np.log(np.diag(L)))), jitter
+
+    def weights(self, dual: np.ndarray) -> np.ndarray:
+        """Weights of the features ``K(train, *)``: the dual itself."""
+        return dual
+
+    def newton_factor(self, W: np.ndarray, context: str):
+        """``(chol(B), b -> (I + W A)^{-1} b)`` for ``B = I + sqrt(W) A sqrt(W)``.
+
+        The Newton target is ``b - sqrt(W) B^{-1} sqrt(W) A b``.
+        """
+        sw = np.sqrt(W)
+        B = sw[:, None] * self.A
+        B *= sw[None, :]
+        L, _ = chol_with_jitter(add_diagonal(B, 1.0), context=context, overwrite=True)
+
+        def target(b):
+            return b - sw * solve_upper(L.T, solve_lower(L, sw * (self.A @ b)))
+
+        return L, target
+
+    def newton_half_logdet(self, W: np.ndarray, L: np.ndarray) -> float:
+        """``0.5 log|B| = sum log diag chol(B)``."""
+        return float(np.sum(np.log(np.diag(L))))
 
 
 def _low_rank_half_logdet(lam, L: np.ndarray, n: int) -> float:
     """``0.5 log|V^T V + diag(lam)| = 0.5 (sum log lam + log|C|)``, lam counted n times."""
     return float(0.5 * np.sum(np.log(np.broadcast_to(lam, n))) + np.sum(np.log(np.diag(L))))
+
+
+def _newton_half_logdet(W: np.ndarray, lam, L: np.ndarray) -> float:
+    """``0.5 log|I + sqrt(W) (V^T V + diag(lam)) sqrt(W)| = 0.5 (sum log(1 + W lam) + log|C|)``."""
+    return float(0.5 * np.sum(np.log1p(W * lam)) + np.sum(np.log(np.diag(L))))
 
 
 class LowRankDiag:
@@ -403,7 +422,7 @@ class LowRankDiag:
     never formed: products cost O(np), and solves go through the Woodbury
     identity with the p x p factor of ``C = I_p + V diag(rho) V^T``
     (:meth:`_woodbury`), O(np^2) to build.  The Gaussian likelihood uses
-    ``rho = 1 / lam`` (:func:`_fit_low_rank`), the Laplace Newton step
+    ``rho = 1 / lam`` (:meth:`gaussian_fit`), the Laplace Newton step
     ``rho = W / (1 + W lam)`` (:meth:`newton_factor`).  ``C`` is at least
     ``I`` in exact arithmetic, so its factor needs no jitter.
     """
@@ -414,6 +433,16 @@ class LowRankDiag:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.V.T @ (self.V @ x) + self.lam * x
+
+    def gaussian_fit(self, y: np.ndarray, context: str):
+        """``(chol(C), alpha, V alpha, 0.5 log|A|, 0.0)``, ``alpha = A^{-1} y``, rho = 1/lam."""
+        L, solve = self._woodbury(1.0 / self.lam, context=f"low-rank system for {context}")
+        alpha, weights = solve(y / self.lam)
+        return L, alpha, weights, _low_rank_half_logdet(self.lam, L, y.shape[0]), 0.0
+
+    def weights(self, dual: np.ndarray) -> np.ndarray:
+        """Weights of the features (the columns of ``V``): ``V dual``."""
+        return self.V @ dual
 
     def _woodbury(self, rho, context: str):
         """``(chol(C), solve)`` with ``solve(u) = (u - rho V^T t, t)``, ``t = C^{-1} V u``.
@@ -447,8 +476,7 @@ class LowRankDiag:
         return L, lambda b: solve(b / d)[0]
 
     def newton_half_logdet(self, W: np.ndarray, L: np.ndarray) -> float:
-        """``0.5 log|I + sqrt(W) A sqrt(W)| = 0.5 (sum log(1 + W lam) + log|C|)``."""
-        return float(0.5 * np.sum(np.log1p(W * self.lam)) + np.sum(np.log(np.diag(L))))
+        return _newton_half_logdet(W, self.lam, L)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +564,7 @@ def lml_and_gradient(
     gradient is ``0.5 * (alpha . alpha - tr A^{-1}) * tau2``.  No n x n array
     is made per parameter.
     """
-    X, T, y = data.X, data.T, data.y
-    n = data.n
+    X, T = data.X, data.T
     inst, task = spec.instance_kernel, spec.task_kernel
 
     if isinstance(inst, Matern):
@@ -549,13 +576,11 @@ def lml_and_gradient(
     else:
         KT, dKT = kernels.task_gram(task, T, T), []
 
-    A = add_diagonal(KX * KT, tau2)
-    L, _ = chol_with_jitter(A, context=f"kernel spec {spec}", overwrite=True)
-    alpha = solve_chol(L, y)
-    lml = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi))
-
-    W, trace_inv = _evidence_weights(L, alpha)
-    del L
+    cov = DenseCovariance(add_diagonal(KX * KT, tau2))
+    fit = _fit_gaussian(data, spec, tau2, cov, DenseBasis())
+    lml, alpha = fit.log_marginal_likelihood(), fit.alpha
+    W, trace_inv = _evidence_weights(fit.chol, alpha)
+    del fit
     grad: list[float] = []
     amplitude = None
     if dKX:

@@ -3,7 +3,8 @@
 Layout of a model file:
 
   line 1   ASCII magic: ``VCGP-MODEL 1 <kind>`` with kind in
-           {regressor, weight-space-woodbury-regressor, classifier}
+           {regressor, weight-space-woodbury-regressor, classifier,
+           weight-space-woodbury-classifier}
   line 2   JSON header: kernel spec, tau2, jitter, array shapes and task
            variant (and a classifier's log-likelihood and Newton
            iterations), in a fixed key order
@@ -13,17 +14,20 @@ Layout of a model file:
 The header's ``arrays`` list fixes both the order and the shapes, so the
 payload is self-describing and byte-deterministic.  A file whose arrays do
 not fit together (n training rows, n x n factors, length-n vectors; for a
-weight-space regressor an r x r factor and r weights, r = m times the task
+weight-space model an r x r factor and r weights, r = m times the task
 factor's width), that holds a NaN or inf in any float array, whose header
 lacks a field or holds an invalid value, or that has bytes after the last
 array is rejected.  The file kind follows from the model's class and
 basis; FITC models have none and are not saved.
 
-A weight-space regressor's ``chol`` factorizes ``I + V V^T / lam`` with
-``lam = tau2 + jitter`` (:class:`gp_core.LowRankDiag`).  Files of the older
-kind ``weight-space-regressor`` hold the factor of ``V V^T + lam I``
-instead; they still load, through the exact rescaling ``chol / sqrt(lam)``,
-and are never written.
+A weight-space model's covariance is ``V^T V + lam I``, ``lam = tau2 +
+jitter`` (:class:`gp_core.LowRankDiag`): a regressor's ``chol`` factorizes
+``I + V V^T / lam``, a classifier's ``B_chol`` is its r x r Newton factor.
+Files of the older kind ``weight-space-regressor`` hold the factor of
+``V V^T + lam I``; they load through the exact rescaling
+``chol / sqrt(lam)`` and are never written.  ``classifier`` files of
+weight-space specs, written before classifiers had that route, load as
+dense models.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import numpy as np
 
 from .gp_classify import FittedClassifier, LaplaceState
 from .gp_core import Dataset, DenseBasis, FittedRegressor, LowRankBasis, _low_rank_half_logdet
+from .gp_core import _newton_half_logdet
 from .kernels import Constant, FixedGram, Laplacian, Linear, Tree, spec_from_dict, spec_to_dict
 
 __all__ = ["save_model", "load_model"]
@@ -44,22 +49,22 @@ _CHOL_ARRAYS = ("chol", "B_chol")
 _WEIGHT_SPACE = "weight-space-woodbury-regressor"
 _OLD_WEIGHT_SPACE = "weight-space-regressor"  # read only: chol factorizes V V^T + lam I
 _WEIGHT_SPACE_ARRAYS = ("X", "T", "y", "task_factor", "chol", "weights", "alpha")
+_CLASSIFIER_ARRAYS = ("X", "T", "y", "mode", "dual", "pi", "W", "B_chol")
 _ARRAY_NAMES = {
     "regressor": ("X", "T", "y", "chol", "alpha"),
     _WEIGHT_SPACE: _WEIGHT_SPACE_ARRAYS,
     _OLD_WEIGHT_SPACE: _WEIGHT_SPACE_ARRAYS,
-    "classifier": ("X", "T", "y", "mode", "dual", "pi", "W", "B_chol"),
+    "classifier": _CLASSIFIER_ARRAYS,
+    "weight-space-woodbury-classifier": _CLASSIFIER_ARRAYS + ("task_factor", "weights"),
 }
 
 
 def _kind(model) -> str | None:
     """The file kind a model is written as; None for FITC models and non-models."""
-    basis = getattr(model, "basis", None)
-    if type(basis) is DenseBasis:
-        return {FittedRegressor: "regressor", FittedClassifier: "classifier"}.get(type(model))
-    if type(model) is FittedRegressor and type(basis) is LowRankBasis and basis.inducing is None:
-        return _WEIGHT_SPACE
-    return None
+    kind = {FittedRegressor: "regressor", FittedClassifier: "classifier"}.get(type(model))
+    if kind is None or type(model.basis) is DenseBasis:
+        return kind
+    return None if model.basis.inducing is not None else f"weight-space-woodbury-{kind}"
 
 
 def _model_array(model, name: str) -> np.ndarray:
@@ -67,6 +72,8 @@ def _model_array(model, name: str) -> np.ndarray:
         return getattr(model.data, name)
     if name == "task_factor":
         return model.basis.task_factor
+    if name == "weights":
+        return model.weights
     return getattr(model.state if isinstance(model, FittedClassifier) else model, name)
 
 
@@ -85,7 +92,7 @@ def save_model(model, path) -> None:
             what += " over inducing points"
         raise TypeError(f"cannot serialize model of type {what}")
     extra = {}
-    if kind == "classifier":
+    if kind.endswith("classifier"):
         extra = {"log_lik": model.state.log_lik, "iterations": model.state.iterations}
     arrays = {name: _model_array(model, name) for name in _ARRAY_NAMES[kind]}
     header = {
@@ -141,41 +148,31 @@ def load_model(path):
 
     spec = spec_from_dict(header["spec"])
     data = Dataset(X=arrays["X"], T=arrays["T"], y=arrays["y"])
-    if kind == "classifier":
-        state = LaplaceState(
-            mode=arrays["mode"],
-            dual=arrays["dual"],
-            pi=arrays["pi"],
-            W=arrays["W"],
-            B_chol=arrays["B_chol"],
-            half_logdet_B=float(np.sum(np.log(np.diag(arrays["B_chol"])))),
-            log_lik=header["log_lik"],
-            iterations=header["iterations"],
-        )
-        return FittedClassifier(
-            spec=spec, tau2=header["tau2"], data=data, state=state, weights=state.dual,
-            jitter=header["jitter"],
-        )
-    L = arrays["chol"]
-    if kind == "regressor":
-        basis, half_logdet = DenseBasis(), float(np.sum(np.log(np.diag(L))))
-    else:
+    common = dict(spec=spec, tau2=header["tau2"], data=data, jitter=header["jitter"])
+    common["basis"] = DenseBasis()
+    if "task_factor" in arrays:
         _check_task_factor(arrays["task_factor"], spec)
-        lam = header["tau2"] + header["jitter"]
-        if kind == _OLD_WEIGHT_SPACE:
-            L /= math.sqrt(lam)  # V V^T + lam I = lam (I + V V^T / lam)
-        basis = LowRankBasis(task_factor=arrays["task_factor"])
+        common["basis"] = LowRankBasis(task_factor=arrays["task_factor"])
+    lam = header["tau2"] + header["jitter"]  # a weight-space covariance is V^T V + lam I
+    if kind.endswith("classifier"):
+        W, B = arrays["W"], arrays["B_chol"]
+        state = LaplaceState(
+            mode=arrays["mode"], dual=arrays["dual"], pi=arrays["pi"], W=W, B_chol=B,
+            half_logdet_B=(float(np.sum(np.log(np.diag(B)))) if kind == "classifier"
+                           else _newton_half_logdet(W, lam, B)),
+            log_lik=header["log_lik"], iterations=header["iterations"],
+        )
+        return FittedClassifier(state=state, weights=arrays.get("weights", state.dual), **common)
+    L = arrays["chol"]
+    if kind == _OLD_WEIGHT_SPACE:
+        L /= math.sqrt(lam)  # V V^T + lam I = lam (I + V V^T / lam)
+    if kind == "regressor":
+        half_logdet = float(np.sum(np.log(np.diag(L))))
+    else:
         half_logdet = _low_rank_half_logdet(lam, L, data.n)
     return FittedRegressor(
-        spec=spec,
-        tau2=header["tau2"],
-        data=data,
-        chol=L,
-        alpha=arrays["alpha"],
-        weights=arrays.get("weights", arrays["alpha"]),
-        half_logdet=half_logdet,
-        jitter=header["jitter"],
-        basis=basis,
+        chol=L, alpha=arrays["alpha"], weights=arrays.get("weights", arrays["alpha"]),
+        half_logdet=half_logdet, **common,
     )
 
 
@@ -214,7 +211,7 @@ def _check_header(header, kind: str) -> None:
     """Raise ``ValueError`` naming the first header field that is missing or invalid."""
     if not isinstance(header, dict):
         raise ValueError(f"model file header must be a JSON object, not {type(header).__name__}")
-    checks = _HEADER_CHECKS | (_CLASSIFIER_HEADER_CHECKS if kind == "classifier" else {})
+    checks = _HEADER_CHECKS | (_CLASSIFIER_HEADER_CHECKS if kind.endswith("classifier") else {})
     for field, (ok, want) in checks.items():
         if field not in header:
             raise ValueError(f"model file header lacks the field {field!r}")
@@ -265,7 +262,7 @@ def _check_task_factor(C: np.ndarray, spec) -> None:
         task, (Constant, Tree, Laplacian, FixedGram)
     ):
         raise ValueError(
-            f"a weight-space regressor needs a linear instance kernel and a constant or "
+            f"a weight-space model needs a linear instance kernel and a constant or "
             f"discrete task kernel, not {spec}"
         )
     k = 1 if isinstance(task, Constant) else task.gram.shape[0]

@@ -2,15 +2,16 @@
 
 The exact covariance is replaced by the fully-independent-training-
 conditional surrogate ``Q + diag(K - Q)`` with ``Q = K_nu K_uu^{-1} K_un``
-over p inducing points.  The surrogate plus the latent noise is held as
-:class:`gp_core.LowRankDiag`, the operator weight-space regression uses too,
-so neither fit forms or factorizes an n x n matrix: the regressor is the
-shared low-rank Gaussian fit, O(n p^2), with its evidence; the classifier
-runs the exact classifier's Laplace Newton iteration at O(n p^2) per step.
-The fits return the exact model classes, :class:`gp_core.FittedRegressor`
-and :class:`gp_classify.FittedClassifier`, with a
-:class:`gp_core.LowRankBasis` over the inducing points, which predicts in
-O(p^2) per test point.
+over p inducing points.  One builder, :func:`_fitc_covariance`, holds the
+surrogate plus the latent noise as :class:`gp_core.LowRankDiag`, the
+covariance of the exact models' weight-space route, and the exact models'
+finishers complete it: :func:`gp_core._fit_gaussian` for the regressor,
+:func:`gp_classify._fit_laplace` for the classifier.  Neither fit forms or
+factorizes an n x n matrix: the Gaussian fit costs O(n p^2), and each
+Laplace Newton step O(n p^2).  The fits return the exact model classes,
+:class:`gp_core.FittedRegressor` and :class:`gp_classify.FittedClassifier`,
+with a :class:`gp_core.LowRankBasis` over the inducing points, which
+predicts in O(p^2) per test point.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from . import kernels
 from ._linalg import chol_with_jitter, solve_lower
-from .gp_classify import FittedClassifier, laplace_mode
-from .gp_core import Dataset, FittedRegressor, LowRankBasis, LowRankDiag, _fit_low_rank
+from .gp_classify import FittedClassifier, _fit_laplace
+from .gp_core import Dataset, FittedRegressor, LowRankBasis, LowRankDiag, _fit_gaussian
 from .kernels import KernelSpec, as_task_array
 
 __all__ = [
@@ -80,12 +81,15 @@ def select_inducing(data: Dataset, p: int, seed: int) -> InducingSet:
     return InducingSet(X=data.X[idx], T=data.T[idx], indices=idx, seed=seed)
 
 
-def _fitc_parts(data: Dataset, spec: KernelSpec, tau2: float, inducing: InducingSet):
-    """Shared FITC precomputations: (Luu, V, lam, jitter).
+def _fitc_covariance(data: Dataset, spec: KernelSpec, tau2: float, inducing: InducingSet):
+    """``(covariance, basis, jitter)``: the FITC surrogate plus noise, its basis, K_uu's jitter.
 
-    ``V = Luu^{-1} K_un`` carries the low-rank part; ``lam`` is the FITC
+    The covariance is :class:`gp_core.LowRankDiag` ``(V, lam)``:
+    ``V = Luu^{-1} K_un`` carries the low-rank part and ``lam`` is the FITC
     diagonal ``diag(K - Q) + tau2``, floored away from zero for safety.
     """
+    if not tau2 > 0:
+        raise ValueError("tau2 must be positive")
     Kuu = kernels.product_kernel_matrix(
         inducing.X, inducing.T, inducing.X, inducing.T, spec
     )
@@ -95,7 +99,7 @@ def _fitc_parts(data: Dataset, spec: KernelSpec, tau2: float, inducing: Inducing
     kdiag = kernels.product_kernel_diag(data.X, data.T, spec)
     lam = kdiag - np.einsum("ij,ij->j", V, V) + tau2
     lam = np.maximum(lam, 1e-12 * max(float(np.mean(kdiag)), 1.0))
-    return Luu, V, lam, jitter
+    return LowRankDiag(V, lam), LowRankBasis(inducing=inducing, Luu=Luu), jitter
 
 
 def fit_fitc(
@@ -108,11 +112,7 @@ def fit_fitc(
     (see :class:`gp_core.LowRankDiag`).  With the inducing set equal to the
     full training set this reproduces the exact GP posterior and evidence.
     """
-    if not tau2 > 0:
-        raise ValueError("tau2 must be positive")
-    Luu, V, lam, jitter = _fitc_parts(data, spec, tau2, inducing)
-    basis = LowRankBasis(inducing=inducing, Luu=Luu)
-    return _fit_low_rank(data, spec, tau2, LowRankDiag(V, lam), basis, jitter)
+    return _fit_gaussian(data, spec, tau2, *_fitc_covariance(data, spec, tau2, inducing))
 
 
 def fit_fitc_classifier(
@@ -124,15 +124,4 @@ def fit_fitc_classifier(
     model's ``state.B_chol`` is the p x p factor of ``I_p + V R V^T`` (see
     :class:`LowRankDiag`) and its weights are ``V`` times the dual.
     """
-    if not tau2 > 0:
-        raise ValueError("tau2 must be positive")
-    if not np.all(np.isin(data.y, (0.0, 1.0))):
-        raise ValueError("classification labels must be 0 or 1")
-    Luu, V, lam, jitter = _fitc_parts(data, spec, tau2, inducing)
-    state = laplace_mode(
-        LowRankDiag(V, lam), data.y, context=f"FITC surrogate for kernel spec {spec}"
-    )
-    return FittedClassifier(
-        spec=spec, tau2=float(tau2), data=data, state=state, weights=V @ state.dual,
-        jitter=jitter, basis=LowRankBasis(inducing=inducing, Luu=Luu),
-    )
+    return _fit_laplace(data, spec, tau2, *_fitc_covariance(data, spec, tau2, inducing))

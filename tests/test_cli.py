@@ -214,6 +214,11 @@ class TestRun:
             ("split.kfold.k", None, "split.kfold.k"),
             ("budget_seconds", "soon", "budget_seconds"),
             ("model.tau2", "abc", "model.tau2"),
+            # YAML's yes is a bool, which is not a number here
+            ("model.tau2", True, "model.tau2"),
+            ("split.kfold.k", True, "split.kfold.k"),
+            # more folds than the 300 records
+            ("split.kfold.k", 301, "split.kfold.k"),
             ("tuning", {"method": "gradient", "n_restarts": "x"}, "tuning.n_restarts"),
             ("seed", "x", "seed"),
             ("methods", "vcgp-mat", "methods"),

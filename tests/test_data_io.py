@@ -198,6 +198,12 @@ class TestKfoldSplits:
         with pytest.raises(ValueError):
             kfold_splits(10, k=1)
 
+    def test_k_above_the_record_count_is_rejected(self):
+        # empty test folds would otherwise fail later, as an empty dataset
+        with pytest.raises(ValueError, match=r"k must lie in 2\.\.5.*got 8"):
+            kfold_splits(5, k=8)
+        assert len(kfold_splits(5, k=5)) == 5
+
 
 class TestSynth:
     def test_constant_task_kernel_gives_constant_coefficients(self):

@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from vcgp._linalg import NumericalError
+from vcgp._linalg import NumericalError, add_diagonal, solve_lower
 from vcgp.baselines import primal_oracle_predict
+from vcgp.gp_classify import fit_classifier, laplace_mode, logistic_gaussian_integral
 from vcgp.gp_core import (
     Dataset,
     DenseBasis,
+    DenseCovariance,
     SearchConfig,
     LowRankBasis,
-    _fit_dense,
-    _fit_weight_space,
+    LowRankDiag,
+    _fit_gaussian,
     _param_values,
+    _weight_features,
     _with_param_values,
     fit_regressor,
     free_param_names,
@@ -33,12 +36,26 @@ from vcgp.kernels import (
     TaskTree,
     Tree,
     instance_gram,
+    product_kernel_diag,
+    product_kernel_matrix,
     task_factor,
     task_gram,
 )
 
 LIN_CONST = KernelSpec(instance_kernel=Linear(), task_kernel=Constant(1.0))
 TOL_ORACLE = 1e-8  # TOL_ORACLE of test_acceptance.py
+
+
+def dense_fit(data, spec, tau2):
+    """The Gaussian finisher on the dense ``K + tau2 I``, whatever the spec's route."""
+    K = product_kernel_matrix(data.X, data.T, data.X, data.T, spec)
+    return _fit_gaussian(data, spec, tau2, DenseCovariance(add_diagonal(K, tau2)), DenseBasis())
+
+
+def weight_space_fit(data, spec, tau2, C):
+    """The Gaussian finisher on ``V^T V + tau2 I`` for the task factor ``C``."""
+    V = _weight_features(spec, C, data.X, data.T).T
+    return _fit_gaussian(data, spec, tau2, LowRankDiag(V, tau2), LowRankBasis(task_factor=C))
 
 
 def scalar_data():
@@ -234,9 +251,10 @@ class TestWeightSpaceRoute:
             return rng.uniform(0, 1, (n, 1))
         return rng.integers(1, kernel.gram.shape[0] + 1, size=n)
 
-    def _data(self, kernel, n, m, rng):
+    def _data(self, kernel, n, m, rng, labels=False):
         T = self._tasks(kernel, n, rng)
-        return Dataset(X=rng.standard_normal((n, m)), T=T, y=rng.standard_normal(n))
+        X, y = rng.standard_normal((n, m)), rng.standard_normal(n)
+        return Dataset(X=X, T=T, y=(y > 0).astype(float) if labels else y)
 
     @pytest.mark.parametrize("tau2", [1e-6, 0.1, 10.0])
     @pytest.mark.parametrize("above", [False, True], ids=["r-below-half-n", "r-above-half-n"])
@@ -252,7 +270,7 @@ class TestWeightSpaceRoute:
         X_star, T_star = rng.standard_normal((6, self.M)), self._tasks(kernel, 6, rng)
 
         assert isinstance(fit_regressor(data, spec, tau2).basis, DenseBasis) == above
-        ws, dense = _fit_weight_space(data, spec, tau2, C), _fit_dense(data, spec, tau2)
+        ws, dense = weight_space_fit(data, spec, tau2, C), dense_fit(data, spec, tau2)
         assert ws.chol.shape == (r, r) and dense.chol.shape == (n, n)
         (ws_mean, ws_var), (d_mean, d_var) = ws.predict_batch(X_star, T_star), dense.predict_batch(X_star, T_star)
         np.testing.assert_allclose(ws_mean, d_mean, rtol=0, atol=TOL_ORACLE)
@@ -271,12 +289,39 @@ class TestWeightSpaceRoute:
             assert mean == pytest.approx(want.mean, abs=TOL_ORACLE)
             assert var == pytest.approx(want.latent_var, abs=TOL_ORACLE)
 
-    def test_route_boundary_is_r_at_most_half_n(self):
+    @pytest.mark.parametrize("tau2", [1e-6, 0.1, 10.0])
+    @pytest.mark.parametrize("label", sorted(_WS_TASK_KERNELS))
+    def test_classifier_matches_dense_laplace(self, label, tau2):
+        # the tolerances of test_sparse_fitc.py's dense-oracle tests
+        kernel = _WS_TASK_KERNELS[label]
+        spec = KernelSpec(Linear(), kernel)
+        n = 2 * self.M * task_factor(kernel).shape[1] + 1
+        rng = np.random.default_rng(45)
+        data = self._data(kernel, n, self.M, rng, labels=True)
+        X_star, T_star = rng.standard_normal((6, self.M)), self._tasks(kernel, 6, rng)
+
+        ws = fit_classifier(data, spec, tau2)
+        assert isinstance(ws.basis, LowRankBasis) and ws.state.B_chol.shape[0] < n
+        K = product_kernel_matrix(data.X, data.T, data.X, data.T, spec)
+        dense = laplace_mode(K + tau2 * np.eye(n), data.y)
+        np.testing.assert_allclose(ws.mode, dense.mode, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(ws.state.dual, dense.dual, rtol=0, atol=1e-6)
+        assert ws.log_marginal_likelihood() == pytest.approx(
+            dense.log_marginal_likelihood(), abs=1e-6
+        )
+        Ks = product_kernel_matrix(data.X, data.T, X_star, T_star, spec)
+        U = solve_lower(dense.B_chol, np.sqrt(dense.W)[:, None] * Ks)
+        var = product_kernel_diag(X_star, T_star, spec) + tau2 - np.einsum("ij,ij->j", U, U)
+        want = logistic_gaussian_integral(Ks.T @ dense.dual, var)
+        np.testing.assert_allclose(ws.predict_proba_batch(X_star, T_star), want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("fit", [fit_regressor, fit_classifier])
+    def test_route_boundary_is_r_at_most_half_n(self, fit):
         spec = KernelSpec(Linear(), Tree(_WS_TREE))
         rng = np.random.default_rng(41)
         for n, weight_space in ((20, True), (19, False)):  # r = 2 * 5 = 10
-            data = self._data(spec.task_kernel, n, self.M, rng)
-            assert isinstance(fit_regressor(data, spec, 0.1).basis, LowRankBasis) == weight_space
+            data = self._data(spec.task_kernel, n, self.M, rng, labels=True)
+            assert isinstance(fit(data, spec, 0.1).basis, LowRankBasis) == weight_space
 
     def test_other_specs_stay_dense(self):
         rng = np.random.default_rng(42)
@@ -302,12 +347,24 @@ class TestWeightSpaceRoute:
     def test_zero_gram_fits_with_no_weights(self):
         data = Dataset(X=[[1.0], [2.0], [3.0]], T=np.array([1, 2, 1]), y=[1.0, -1.0, 0.5])
         spec = KernelSpec(Linear(), FixedGram(np.zeros((2, 2))))
-        ws, dense = fit_regressor(data, spec, 0.5), _fit_dense(data, spec, 0.5)
+        ws, dense = fit_regressor(data, spec, 0.5), dense_fit(data, spec, 0.5)
         assert ws.chol.shape == (0, 0)
         np.testing.assert_allclose(ws.alpha, dense.alpha, rtol=1e-14)
         assert ws.log_marginal_likelihood() == pytest.approx(dense.log_marginal_likelihood(), rel=1e-14)
         mean, var = ws.predict_batch([[1.0], [2.0]], [1, 2])
         assert np.array_equal(mean, [0.0, 0.0]) and np.array_equal(var, [0.0, 0.0])
+
+    def test_zero_gram_classifies_with_no_weights(self):
+        data = Dataset(X=[[1.0], [2.0], [3.0]], T=np.array([1, 2, 1]), y=[1.0, 0.0, 1.0])
+        ws = fit_classifier(data, KernelSpec(Linear(), FixedGram(np.zeros((2, 2)))), 0.5)
+        dense = laplace_mode(0.5 * np.eye(3), data.y)
+        assert ws.state.B_chol.shape == (0, 0) and ws.weights.shape == (0,)
+        np.testing.assert_allclose(ws.mode, dense.mode, rtol=1e-14)
+        np.testing.assert_allclose(ws.state.dual, dense.dual, rtol=1e-14)
+        assert ws.log_marginal_likelihood() == pytest.approx(dense.log_marginal_likelihood(), rel=1e-14)
+        # no weights: the latent is the noise alone, N(0, tau2), at every test point
+        p = ws.predict_proba_batch([[1.0], [2.0]], [1, 2])
+        np.testing.assert_allclose(p, [0.5, 0.5], rtol=0, atol=1e-14)
 
     def test_task_ids_out_of_range_are_rejected(self):
         spec = KernelSpec(Linear(), Tree(_WS_TREE))

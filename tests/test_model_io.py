@@ -37,6 +37,15 @@ WEIGHT_SPACE_FORMAT1_VAR = [0.0806440124734945, 0.07412744018578639, 0.055444133
 WEIGHT_SPACE_FORMAT1_LML = -46.665479293683745
 TOL_ORACLE = 1e-8  # TOL_ORACLE of test_acceptance.py
 WEIGHT_SPACE_MAGIC = b"VCGP-MODEL 1 weight-space-woodbury-regressor"
+WEIGHT_SPACE_CLASSIFIER_MAGIC = b"VCGP-MODEL 1 weight-space-woodbury-classifier"
+
+# a dense classifier file as the format-1 writer wrote it before classifiers
+# had a weight-space route: Linear x Tree over 3 tasks, n=14, m=2, tau2=0.1
+# (r = 6 <= n/2, so a fit now takes weight space); with the writer's
+# single-point probabilities at WEIGHT_SPACE_TEST_POINTS and its evidence
+CLASSIFIER_FORMAT1_FILE = Path(__file__).parent / "data" / "linear_tree_classifier_format1.bin"
+CLASSIFIER_FORMAT1_PROBA = [0.7575154905873741, 0.8013122301171102, 0.0882289402131099]
+CLASSIFIER_FORMAT1_LML = -8.111430597247356
 
 
 def weight_space_tree_model():
@@ -48,6 +57,15 @@ def weight_space_tree_model():
     )
     model = fit_regressor(data, KernelSpec(instance_kernel=Linear(), task_kernel=Tree(tree)), 0.1)
     assert isinstance(model.basis, LowRankBasis) and model.chol.shape == (14, 14)
+    return model
+
+
+def weight_space_tree_classifier():
+    """The data of :func:`weight_space_tree_model` with 0/1 labels, fitted in weight space."""
+    model = weight_space_tree_model()
+    data = Dataset(X=model.data.X, T=model.data.T, y=(model.data.y > 0).astype(float))
+    model = fit_classifier(data, model.spec, 0.1)
+    assert isinstance(model.basis, LowRankBasis) and model.state.B_chol.shape == (14, 14)
     return model
 
 
@@ -78,6 +96,8 @@ MISSING = object()
 
 
 def regressor_or_classifier(kind):
+    if kind == "weight-space-classifier":
+        return weight_space_tree_classifier()
     data = continuous_data(seed=6)
     if kind == "regressor":
         return fit_regressor(data, LIN_MATERN, 0.2)
@@ -235,6 +255,44 @@ class TestRoundTrip:
         for got, want in zip(again.predict_batch(*WEIGHT_SPACE_TEST_POINTS), (mean, var)):
             assert np.array_equal(got, want)
 
+    def test_weight_space_classifier(self, tmp_path):
+        model = weight_space_tree_classifier()
+        path = tmp_path / "primal.bin"
+        save_model(model, path)
+        assert path.read_bytes().split(b"\n", 1)[0] == WEIGHT_SPACE_CLASSIFIER_MAGIC
+        loaded = load_model(path)
+        assert isinstance(loaded.basis, LowRankBasis)
+        assert np.array_equal(loaded.basis.task_factor, model.basis.task_factor)
+        assert np.array_equal(loaded.weights, model.weights)
+        for name in ("mode", "dual", "pi", "W", "B_chol"):
+            assert np.array_equal(getattr(loaded.state, name), getattr(model.state, name)), name
+        rng = np.random.default_rng(11)
+        Xs, Ts = rng.standard_normal((16, 2)), rng.integers(1, 8, size=16)
+        for x, t in zip(Xs, Ts):
+            assert model.predict_proba(x, t) == loaded.predict_proba(x, t)
+        assert loaded.log_marginal_likelihood() == model.log_marginal_likelihood()
+        again = tmp_path / "again.bin"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_dense_classifier_file_of_a_weight_space_spec_loads_as_dense(self, tmp_path):
+        model = load_model(CLASSIFIER_FORMAT1_FILE)
+        assert isinstance(model.basis, DenseBasis) and model.state.B_chol.shape == (14, 14)
+        got = [model.predict_proba(x, t) for x, t in zip(*WEIGHT_SPACE_TEST_POINTS)]
+        assert got == CLASSIFIER_FORMAT1_PROBA
+        assert model.log_marginal_likelihood() == CLASSIFIER_FORMAT1_LML
+        path = tmp_path / "again.bin"
+        save_model(model, path)
+        assert path.read_bytes() == CLASSIFIER_FORMAT1_FILE.read_bytes()
+        # a fresh fit takes weight space and gives the same model to the
+        # dense-oracle tolerance of test_sparse_fitc.py
+        fresh = fit_classifier(model.data, model.spec, model.tau2)
+        assert isinstance(fresh.basis, LowRankBasis) and fresh.state.B_chol.shape == (6, 6)
+        np.testing.assert_allclose(
+            fresh.predict_proba_batch(*WEIGHT_SPACE_TEST_POINTS), got, rtol=0, atol=1e-6
+        )
+        assert abs(fresh.log_marginal_likelihood() - CLASSIFIER_FORMAT1_LML) < 1e-6
+
     def test_byte_deterministic(self, tmp_path):
         data = continuous_data(seed=5)
         model = fit_regressor(
@@ -284,6 +342,9 @@ class TestErrors:
             ("classifier", "dual"),
             ("classifier", "pi"),
             ("classifier", "W"),
+            ("weight-space-classifier", "B_chol"),
+            ("weight-space-classifier", "weights"),
+            ("weight-space-classifier", "dual"),
         ],
     )
     def test_header_shapes_that_disagree(self, tmp_path, kind, name):
@@ -306,6 +367,9 @@ class TestErrors:
             ("weight-space-regressor", "weights"),
             ("classifier", "B_chol"),
             ("classifier", "dual"),
+            ("weight-space-classifier", "B_chol"),
+            ("weight-space-classifier", "weights"),
+            ("weight-space-classifier", "W"),
         ],
     )
     def test_non_finite_array_is_rejected_by_name(self, tmp_path, kind, name, value):
@@ -350,6 +414,10 @@ class TestErrors:
             ("classifier", "iterations", -1),
             ("classifier", "iterations", 2.5),
             ("classifier", "iterations", True),
+            ("weight-space-classifier", "log_lik", MISSING),
+            ("weight-space-classifier", "iterations", MISSING),
+            ("weight-space-classifier", "tau2", 0.0),
+            ("weight-space-classifier", "iterations", -1),
         ],
     )
     def test_header_fields_that_are_missing_or_invalid(self, tmp_path, kind, field, value):

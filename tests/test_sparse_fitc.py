@@ -37,7 +37,7 @@ from vcgp.model_io import save_model
 from vcgp.multitask_hb import random_tree
 from vcgp.sparse_fitc import (
     InducingSet,
-    _fitc_parts,
+    _fitc_covariance,
     fit_fitc,
     fit_fitc_classifier,
     select_inducing,
@@ -190,7 +190,8 @@ class TestFITCClassifierAgainstDenseSurrogate:
         tau2 = 0.1
         inducing = select_inducing(data, 25, seed=17)
         fitc = fit_fitc_classifier(data, SPEC, tau2, inducing)
-        Luu, V, lam, _ = _fitc_parts(data, SPEC, tau2, inducing)
+        cov, basis, _ = _fitc_covariance(data, SPEC, tau2, inducing)
+        Luu, V, lam = basis.Luu, cov.V, cov.lam
         dense = laplace_mode(V.T @ V + np.diag(lam), data.y)
         assert fitc.state.B_chol.shape == (25, 25)
         np.testing.assert_allclose(fitc.mode, dense.mode, atol=1e-6)
@@ -223,7 +224,8 @@ class TestFITCClassifierAgainstDenseSurrogate:
         data = Dataset(X=base.X, T=base.T, y=threshold_labels(base.y))
         inducing = select_inducing(data, 100, seed=1)
         fitc = fit_fitc_classifier(data, spec, 0.1, inducing)
-        _, V, lam, _ = _fitc_parts(data, spec, 0.1, inducing)
+        cov, _, _ = _fitc_covariance(data, spec, 0.1, inducing)
+        V, lam = cov.V, cov.lam
         low = laplace_mode(LowRankDiag(V, lam), data.y)
         np.testing.assert_array_equal(fitc.state.dual, low.dual)
         self.assert_matches_dense_laplace(V, lam, data.y)
@@ -289,19 +291,21 @@ class TestFITCClassifierAgainstDenseSurrogate:
 
 def fitted(likelihood, route):
     """A fitted model of ``likelihood`` on ``route``, over m = 2 features."""
+    spec = SPEC
     if route == "weight-space":
         rng = np.random.default_rng(21)
         data = Dataset(
             X=rng.standard_normal((40, 2)), T=rng.integers(1, 6, size=40), y=rng.standard_normal(40)
         )
-        return fit_regressor(data, KernelSpec(Linear(), Tree(random_tree(5, rng))), 0.1)
-    data = make_data(30, seed=22)
+        spec = KernelSpec(Linear(), Tree(random_tree(5, rng)))
+    else:
+        data = make_data(30, seed=22)
     if likelihood == "classification":
         data = Dataset(X=data.X, T=data.T, y=threshold_labels(data.y))
     if route == "fitc":
         fit = fit_fitc if likelihood == "regression" else fit_fitc_classifier
         return fit(data, SPEC, 0.1, select_inducing(data, 8, seed=23))
-    return (fit_regressor if likelihood == "regression" else fit_classifier)(data, SPEC, 0.1)
+    return (fit_regressor if likelihood == "regression" else fit_classifier)(data, spec, 0.1)
 
 
 class TestOneModelClassPerLikelihood:
@@ -314,6 +318,7 @@ class TestOneModelClassPerLikelihood:
             ("regression", "weight-space", FittedRegressor, LowRankBasis),
             ("regression", "fitc", FittedRegressor, LowRankBasis),
             ("classification", "dense", FittedClassifier, DenseBasis),
+            ("classification", "weight-space", FittedClassifier, LowRankBasis),
             ("classification", "fitc", FittedClassifier, LowRankBasis),
         ],
     )
