@@ -8,8 +8,9 @@ Subcommands:
   synth      generate a synthetic varying-coefficient dataset as CSV
   summarize  aggregate a results CSV into means and standard errors
 
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure,
-3 time budget exceeded.
+`run` reads the YAML and applies --seed, --out and --budget-seconds here;
+`experiments.parse_config` parses and checks every key.  Exit codes: 0 success,
+1 usage or configuration error, 2 numerical failure, 3 time budget exceeded.
 """
 
 from __future__ import annotations
@@ -17,22 +18,18 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import os
 import sys
 
 import numpy as np
 import yaml
 
-from . import data_io, experiments, verify
+from . import data_io, verify
 from ._linalg import NumericalError
-from .data_io import PreprocessPolicy, Preprocessor, Schema, synth_vcm
+from .data_io import Preprocessor, synth_vcm
 from .experiments import (
-    METHOD_NAMES,
     BudgetExceeded,
-    RunSettings,
-    config_value,
-    derive_seed,
     mae,
+    parse_config,
     result_rows_to_csv,
     run_experiment,
     summarize_rows,
@@ -104,99 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ---------------------------------------------------------------------------
-# config handling
-# ---------------------------------------------------------------------------
-
-
-def load_config(path: str) -> dict:
-    with open(path) as fh:
-        cfg = yaml.safe_load(fh)
-    if not isinstance(cfg, dict):
-        raise UsageError("config must be a YAML mapping")
-    return cfg
-
-
-def _validate_config(cfg: dict) -> list[str]:
-    """Check the top-level keys, dataset and split; return the methods to run."""
-    methods = config_value("methods", cfg.get("methods"), list, None) or [cfg.get("method")]
-    for m in methods:
-        if m not in METHOD_NAMES:
-            raise UsageError(f"unknown method {m!r}; choose from {METHOD_NAMES}")
-    dataset = config_value("dataset", cfg.get("dataset"), dict)
-    if ("csv" in dataset) == ("synth" in dataset):
-        raise UsageError("dataset needs exactly one of 'csv' or 'synth'")
-    if "csv" in dataset:
-        if not os.path.exists(dataset["csv"]):
-            raise UsageError(f"dataset file not found: {dataset['csv']}")
-        if "schema" not in dataset:
-            raise UsageError("csv datasets need a schema section")
-    split = config_value("split", cfg.get("split"), dict)
-    if ("blocked" in split) == ("kfold" in split):
-        raise UsageError("split needs exactly one of 'blocked' or 'kfold'")
-    config_value("train_sizes", cfg.get("train_sizes"), list)
-    return methods
-
-
-def _schema_from(cfg: dict) -> Schema:
-    columns = {key: tuple(config_value(f"dataset.schema.{key}", cfg.get(key), list, ()))
-               for key in ("numeric", "categorical", "task_coords")}
-    return Schema(
-        target=config_value("dataset.schema.target", cfg.get("target"), str),
-        **columns,
-        task_time=cfg.get("task_time"),
-        task_id=cfg.get("task_id"),
-    )
-
-
-def _policy_from(cfg: dict) -> PreprocessPolicy:
-    brackets = config_value("dataset.policy.brackets", cfg.get("brackets"), dict, {})
-    brackets = {c: (float(lo), float(hi)) for c, (lo, hi) in brackets.items()}
-    return PreprocessPolicy(
-        brackets=brackets,
-        drop_missing=bool(cfg.get("drop_missing", True)),
-        standardize=bool(cfg.get("standardize", True)),
-    )
-
-
-def _settings_from(cfg: dict) -> RunSettings:
-    model = config_value("model", cfg.get("model"), dict, {})
-    return RunSettings(
-        problem=cfg.get("problem", "regression"),
-        task_kernel=model.get("task_kernel"),
-        instance_matern=model.get("instance_matern", {}),
-        tau2=model.get("tau2", 0.1),
-        tuning=cfg.get("tuning"),
-        fitc=model.get("fitc"),
-        fanzhang=cfg.get("fanzhang", {}),
-    )
-
-
-def _prepare_source(cfg: dict, seed: int):
-    """Load or synthesize the full record pool; return (records_or_dataset, schema, policy)."""
-    dataset = cfg["dataset"]
-    if "synth" in dataset:
-        s = config_value("dataset.synth", dataset["synth"], dict)
-        task_kernel = kernel_from_dict(
-            s.get("task_kernel", {"type": "matern", "lengthscale": 0.2}), task=True
-        )
-        res = synth_vcm(
-            n=config_value("dataset.synth.n", s.get("n"), int),
-            m=config_value("dataset.synth.m", s.get("m"), int, 3),
-            d=config_value("dataset.synth.d", s.get("d"), int, 1),
-            task_kernel=task_kernel,
-            tau2=config_value("dataset.synth.tau2", s.get("tau2"), float, 0.05),
-            seed=config_value("dataset.synth.seed", s.get("seed"), int, derive_seed(seed, "synth")),
-        )
-        return res.dataset, None, None
-    schema = _schema_from(config_value("dataset.schema", dataset["schema"], dict))
-    policy = _policy_from(config_value("dataset.policy", dataset.get("policy"), dict, {}))
-    records = data_io.filter_records(data_io.load_csv(dataset["csv"], schema), schema, policy)
-    if not records:
-        raise UsageError("preprocessing filtered out every record")
-    return records, schema, policy
-
-
 def _binarize_at_train_median(train: Dataset, test: Dataset):
     """Turn continuous targets into labels: above the training median -> 1."""
     if set(np.unique(train.y)) <= {0.0, 1.0} and set(np.unique(test.y)) <= {0.0, 1.0}:
@@ -208,42 +112,18 @@ def _binarize_at_train_median(train: Dataset, test: Dataset):
     )
 
 
-def _split_pairs(cfg: dict, pool_size: int, times, n: int, seed: int):
-    split = cfg["split"]
-    if "kfold" in split:
-        k = config_value("split.kfold", split["kfold"], dict).get("k")
-        k = config_value("split.kfold.k", k, int)
-        if not 2 <= k <= pool_size:
-            raise UsageError(f"config key 'split.kfold.k' must lie in 2..{pool_size}, got {k}")
-        return data_io.kfold_splits(pool_size, k, n=n, seed=seed)
-    b = config_value("split.blocked", split["blocked"], dict)
-    if times is None:
-        raise UsageError("blocked splits need a temporal task field")
-    num_blocks = config_value("split.blocked.num_blocks", b.get("num_blocks"), int)
-    window = config_value("split.blocked.window", b.get("window"), int)
-    return data_io.blocked_splits(times, num_blocks, window, n, seed=seed)
-
-
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out is not None:
-        cfg["out"] = args.out
-    if args.budget_seconds is not None:
-        cfg["budget_seconds"] = args.budget_seconds
-    methods = _validate_config(cfg)
+    with open(args.config) as fh:
+        cfg = yaml.safe_load(fh)
+    if not isinstance(cfg, dict):
+        raise UsageError("config must be a YAML mapping")
+    for key in ("seed", "out", "budget_seconds"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    config = parse_config(cfg)
 
-    seed = config_value("seed", cfg.get("seed"), int, 0)
-    out = cfg.get("out", "results.csv")
-    budget = config_value("budget_seconds", cfg.get("budget_seconds"), float, None)
-    settings = _settings_from(cfg)
-    train_sizes = [config_value("train_sizes", n, int) for n in cfg["train_sizes"]]
-
-    source, schema, policy = _prepare_source(cfg, seed)
-    classification = settings.problem == "classification"
-
-    if isinstance(source, Dataset):
+    if config.synth is not None:
+        source = synth_vcm(**config.synth).dataset
         times = source.T[:, 0] if source.T.ndim == 2 else None
         pool_size = source.n
 
@@ -251,7 +131,10 @@ def cmd_run(args) -> int:
             return source.subset(train_idx), source.subset(test_idx)
 
     else:
-        records = source
+        schema, policy = config.schema, config.policy
+        records = data_io.filter_records(data_io.load_csv(config.csv, schema), schema, policy)
+        if not records:
+            raise UsageError("preprocessing filtered out every record")
         if schema.task_time is not None:
             times = np.array(
                 [r.values[schema.task_time].toordinal() for r in records], dtype=float
@@ -268,39 +151,25 @@ def cmd_run(args) -> int:
             pre = Preprocessor(schema, policy).fit(train_recs)
             return pre.transform(train_recs), pre.transform(test_recs)
 
-    @functools.cache
-    def splits(n):
-        return _split_pairs(cfg, pool_size, times, n, seed=derive_seed(seed, "split", n))
+    splits = config.splits(pool_size, times)
 
     @functools.cache
     def fold_pair(n, fold):
         # shared by every method, so a CSV fold's Preprocessor is fitted once
-        train, test = train_test(*splits(n)[fold])
-        if classification:
+        train, test = train_test(*splits[n][fold])
+        if config.settings.problem == "classification":
             train, test = _binarize_at_train_median(train, test)
         return train, test
 
-    n_folds = len(splits(min(train_sizes)))
-
     try:
-        rows = run_experiment(
-            lambda method, n, fold, fold_seed: fold_pair(n, fold),
-            methods,
-            train_sizes,
-            n_folds,
-            settings,
-            global_seed=seed,
-            budget_seconds=budget,
-        )
+        rows = run_experiment(config, len(splits[config.train_sizes[0]]), fold_pair)
     except BudgetExceeded as exc:
-        result_rows_to_csv(exc.rows, out)
-        print(f"budget exceeded; {len(exc.rows)} partial rows written to {out}", file=sys.stderr)
+        result_rows_to_csv(exc.rows, config.out)
+        print(f"budget exceeded; {len(exc.rows)} partial rows written to {config.out}",
+              file=sys.stderr)
         return EXIT_BUDGET
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    result_rows_to_csv(rows, out)
-    print(f"{len(rows)} result rows written to {out}")
+    result_rows_to_csv(rows, config.out)
+    print(f"{len(rows)} result rows written to {config.out}")
     return EXIT_OK
 
 
@@ -391,10 +260,7 @@ def main(argv=None) -> int:
         if args.command == "summarize":
             return cmd_summarize(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, MemoryError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

@@ -55,9 +55,6 @@ class Schema:
     task_id: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "numeric", tuple(self.numeric))
-        object.__setattr__(self, "categorical", tuple(self.categorical))
-        object.__setattr__(self, "task_coords", tuple(self.task_coords))
         discrete = self.task_id is not None
         continuous = bool(self.task_coords) or self.task_time is not None
         if discrete == continuous:

@@ -5,19 +5,27 @@ Every random choice flows from the experiment's global seed through
 sub-seed, so any individual fold can be reproduced in isolation.  Result
 rows are plain dictionaries written as CSV, sorted by (method, n, fold)
 regardless of execution order.
+
+The ``vcgp run`` config format is parsed here and nowhere else:
+:func:`parse_config` reads every key once, through :func:`config_value`,
+into a frozen :class:`ExperimentConfig`, and :meth:`ExperimentConfig.splits`
+checks the split and train sizes against the record pool.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
-from . import baselines, gp_classify, gp_core, sparse_fitc
+from . import baselines, data_io, gp_classify, gp_core, sparse_fitc
+from .data_io import PreprocessPolicy, Schema
 from .gp_core import Dataset, SearchConfig
 from .kernels import Constant, KernelSpec, Linear, Matern, TaskKernel, kernel_from_dict
 
@@ -27,6 +35,9 @@ __all__ = [
     "mae",
     "zero_one_loss",
     "RunSettings",
+    "run_settings",
+    "ExperimentConfig",
+    "parse_config",
     "run_method",
     "result_rows_to_csv",
     "summarize_rows",
@@ -86,105 +97,251 @@ def classify_probabilities(p: np.ndarray) -> np.ndarray:
 
 
 _REQUIRED = object()
-# what each kind of config value must be: (container types or None, description)
-_KINDS = {float: (None, "a number"), int: (None, "an integer"), dict: (Mapping, "a mapping"),
-          list: ((list, tuple), "a list"), str: (str, "a string")}
+# each kind's accepted types and description (YAML reads 1e-3 as a string; float() takes it)
+_KINDS = {float: ((int, float, str), "a number"), int: ((int, str), "an integer"),
+          dict: (Mapping, "a mapping"), list: ((list, tuple), "a list"), str: (str, "a string"),
+          bool: (bool, "true or false")}
 
 
-def config_value(name: str, value, kind: type, default=_REQUIRED):
+def config_value(name: str, value, kind: type, default=_REQUIRED, low=None, high=math.inf,
+                 choices=None):
     """``kind(value)`` for a kind in ``_KINDS``, or ``default`` if value is None.
 
-    Raises ``ValueError`` naming the dotted config key ``name`` when the
-    value is missing without a default or is not of that kind.
+    A number must exceed ``low`` (the bounded numbers are variances, times and
+    tolerances), an integer lie in ``low..high``, a string be in ``choices``.
+    Anything else raises ``ValueError`` naming the dotted config key ``name``.
     """
     if value is None:
         if default is _REQUIRED:
             raise ValueError(f"config is missing required key {name!r}")
         return default
-    container, want = _KINDS[kind]
-    # a YAML yes/true is a bool, which Python would take as the number 1
-    ok = isinstance(value, container) if container else not isinstance(value, bool)
-    try:
-        if ok:
-            return kind(value)
-    except (TypeError, ValueError):
-        pass
+    types, want = _KINDS[kind]
+    if choices is not None:
+        want = f"one of {', '.join(choices)}"
+    elif low is not None and kind is float:
+        want = f"a number above {low}"
+    elif low is not None:
+        want = f"an integer in {low}..{high}" if high < math.inf else f"an integer of at least {low}"
+    # a YAML yes/true is a bool, which Python would also take as the number 1
+    if isinstance(value, types) and (kind is bool or not isinstance(value, bool)):
+        try:
+            parsed = kind(value)
+        except (TypeError, ValueError):
+            pass
+        else:
+            in_range = low is None or (parsed > low if kind is float else low <= parsed <= high)
+            if in_range and (choices is None or parsed in choices):
+                return parsed
     raise ValueError(f"config key {name!r} must be {want}, got {value!r}")
 
 
-def _float_list(name: str, value, default=_REQUIRED) -> list[float]:
-    """A list of numbers; a bad element raises ``ValueError`` naming ``name[i]``."""
+def _numbers(name: str, value, kind: type, default=_REQUIRED, low=None, size=None) -> list:
+    """A non-empty list of ``kind`` (of ``size`` items, if given); a bad item names ``name[i]``."""
     values = config_value(name, value, list, default)
-    return [config_value(f"{name}[{i}]", v, float) for i, v in enumerate(values)]
+    if not values or size not in (None, len(values)):
+        raise ValueError(f"config key {name!r} must list {size or 'some'} numbers, got {value!r}")
+    return [config_value(f"{name}[{i}]", v, kind, low=low) for i, v in enumerate(values)]
+
+
+def _task_kernel(name: str, value, default: Mapping) -> TaskKernel:
+    """The task kernel dict at config key ``name`` (or ``default``), parsed; errors name the key."""
+    kernel = config_value(name, value, dict, default)
+    try:
+        return kernel_from_dict(kernel, task=True)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (config key {name!r})") from None
 
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Per-method model settings resolved from the experiment config.
+    """Per-method model settings, parsed from the experiment config by :func:`run_settings`."""
 
-    The sections are parsed and checked once, at construction, into the
-    fields after ``fanzhang``; a malformed one raises ``ValueError`` naming
-    its config key before any fold runs.
-    """
+    problem: str                      # regression | classification
+    instance_kernel: Matern           # for the -mat methods
+    task_kernel: TaskKernel           # for the vcgp methods
+    tau2: float
+    search: SearchConfig | None       # seed 0; None for no tuning
+    fitc: tuple[int, int] | None      # (p, seed) of the inducing points; None for exact fits
+    fanzhang: Mapping                 # the -mat feature map's kernel and fan_zhang_cv's settings
 
-    problem: str = "regression"  # regression | classification
-    task_kernel: Mapping | None = None           # kernel dict for vcgp methods
-    instance_matern: Mapping = field(default_factory=dict)
-    tau2: float = 0.1
-    tuning: Mapping | None = None                # {"method": none|grid|gradient, ...}
-    fitc: Mapping | None = None                  # {"p": int, "seed": int}
-    fanzhang: Mapping = field(default_factory=dict)
-    instance_kernel: Matern = field(init=False, repr=False, compare=False)
-    vcgp_task_kernel: TaskKernel = field(init=False, repr=False, compare=False)
-    search: SearchConfig | None = field(init=False, repr=False, compare=False)  # seed 0
-    fitc_p_seed: tuple[int, int] | None = field(init=False, repr=False, compare=False)
-    fanzhang_args: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.problem not in ("regression", "classification"):
-            raise ValueError("problem must be regression or classification")
-        tau2 = config_value("model.tau2", self.tau2, float)
-        matern = config_value("model.instance_matern", self.instance_matern, dict, {})
-        tuning = config_value("tuning", self.tuning, dict, {})
-        fitc = config_value("model.fitc", self.fitc, dict, {})
-        fz = config_value("fanzhang", self.fanzhang, dict, {})
-        fz_matern = config_value("fanzhang.matern", fz.get("matern"), dict, {})
-        task = self.task_kernel
-        parsed = dict(
-            tau2=tau2,
-            instance_kernel=kernel_from_dict({**matern, "type": "matern"}),
-            vcgp_task_kernel=Matern() if task is None else kernel_from_dict(task, task=True),
-            search=_search_config(tuning, tau2),
-            fitc_p_seed=(
-                config_value("model.fitc.p", fitc.get("p"), int, 1000),
-                config_value("model.fitc.seed", fitc.get("seed"), int, 0),
-            ) if fitc else None,
-            fanzhang_args=dict(
-                kernel=kernel_from_dict({**fz_matern, "type": "matern"}),
-                n_basis=config_value("fanzhang.n_basis", fz.get("n_basis"), int, 200),
-                bandwidths=_float_list(
-                    "fanzhang.bandwidths", fz.get("bandwidths"), (0.05, 0.1, 0.3, 1.0)
-                ),
-                ridges=_float_list("fanzhang.ridges", fz.get("ridges"), (1e-6, 1e-3, 1e-1)),
-                n_folds=config_value("fanzhang.cv_folds", fz.get("cv_folds"), int, 5),
+def run_settings(cfg: Mapping) -> RunSettings:
+    """The ``problem``, ``model``, ``tuning`` and ``fanzhang`` sections of ``cfg``, parsed."""
+    problem = config_value("problem", cfg.get("problem"), str, "regression",
+                           choices=("regression", "classification"))
+    model = config_value("model", cfg.get("model"), dict, {})
+    matern = config_value("model.instance_matern", model.get("instance_matern"), dict, {})
+    tau2 = config_value("model.tau2", model.get("tau2"), float, 0.1, low=0)
+    fitc = config_value("model.fitc", model.get("fitc"), dict, {})
+    fz = config_value("fanzhang", cfg.get("fanzhang"), dict, {})
+    fz_matern = config_value("fanzhang.matern", fz.get("matern"), dict, {})
+    return RunSettings(
+        problem=problem,
+        instance_kernel=kernel_from_dict({**matern, "type": "matern"}),
+        task_kernel=_task_kernel("model.task_kernel", model.get("task_kernel"), {"type": "matern"}),
+        tau2=tau2,
+        search=_search_config(config_value("tuning", cfg.get("tuning"), dict, {}), tau2, problem),
+        fitc=(
+            config_value("model.fitc.p", fitc.get("p"), int, 1000, low=1),
+            config_value("model.fitc.seed", fitc.get("seed"), int, 0),
+        ) if fitc else None,
+        fanzhang=dict(
+            kernel=kernel_from_dict({**fz_matern, "type": "matern"}),
+            n_basis=config_value("fanzhang.n_basis", fz.get("n_basis"), int, 200, low=1),
+            bandwidths=_numbers(
+                "fanzhang.bandwidths", fz.get("bandwidths"), float, (0.05, 0.1, 0.3, 1.0), low=0
             ),
-        )
-        for name, value in parsed.items():
-            object.__setattr__(self, name, value)
+            ridges=_numbers("fanzhang.ridges", fz.get("ridges"), float, (1e-6, 1e-3, 1e-1)),
+            n_folds=config_value("fanzhang.cv_folds", fz.get("cv_folds"), int, 5, low=2),
+        ),
+    )
 
 
-def _search_config(tuning: Mapping, tau2: float) -> SearchConfig | None:
+def _search_config(tuning: Mapping, tau2: float, problem: str) -> SearchConfig | None:
     """The tuning section as a :class:`SearchConfig` with seed 0, or None for no tuning."""
-    if tuning.get("method", "none") == "none":
+    # the Laplace evidence has no gradient here, so classifiers tune on a grid only
+    methods = ("none", "grid") + (("gradient",) if problem == "regression" else ())
+    method = config_value("tuning.method", tuning.get("method"), str, "none", choices=methods)
+    if method == "none":
         return None
-    grid = config_value("tuning.grid", tuning.get("grid"), dict, None)
+    grid = config_value("tuning.grid", tuning.get("grid"), dict, {})
+    if method == "grid" and not grid:
+        raise ValueError("config key 'tuning.grid' must map at least one parameter to its values")
     return SearchConfig(
-        method=tuning["method"],
-        grid=grid and {k: _float_list(f"tuning.grid.{k}", v) for k, v in grid.items()},
-        n_restarts=config_value("tuning.n_restarts", tuning.get("n_restarts"), int, 5),
-        max_iter=config_value("tuning.max_iter", tuning.get("max_iter"), int, 200),
-        grad_tol=config_value("tuning.grad_tol", tuning.get("grad_tol"), float, 1e-5),
-        tau2_init=config_value("tuning.tau2_init", tuning.get("tau2_init"), float, tau2),
+        method=method,
+        grid={k: _numbers(f"tuning.grid.{k}", v, float, low=0) for k, v in grid.items()} or None,
+        n_restarts=config_value("tuning.n_restarts", tuning.get("n_restarts"), int, 5, low=1),
+        max_iter=config_value("tuning.max_iter", tuning.get("max_iter"), int, 200, low=1),
+        grad_tol=config_value("tuning.grad_tol", tuning.get("grad_tol"), float, 1e-5, low=0),
+        tau2_init=config_value("tuning.tau2_init", tuning.get("tau2_init"), float, tau2, low=0),
+    )
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A ``vcgp run`` config, each key parsed and checked once by :func:`parse_config`."""
+
+    seed: int
+    out: str
+    budget_seconds: float | None
+    methods: tuple[str, ...]
+    train_sizes: tuple[int, ...]
+    settings: RunSettings
+    synth: Mapping | None = None             # synth_vcm's arguments, for a synthetic dataset
+    csv: str | None = None                   # or a CSV file, its schema and policy
+    schema: Schema | None = None
+    policy: PreprocessPolicy | None = None
+    kfold: int | None = None                 # split.kfold.k, for a k-fold split
+    blocked: tuple[int, int] | None = None   # or (num_blocks, window)
+
+    def splits(self, pool_size: int, times) -> dict[int, list]:
+        """Each train size's (train, test) index pairs over a pool of ``pool_size`` records.
+
+        ``times`` orders the records for a blocked split (None if they have no
+        temporal task field).  The split and every train size are checked
+        against the pool first, raising ``ValueError`` naming the config key.
+        """
+        if self.kfold is not None:
+            k = config_value("split.kfold.k", self.kfold, int, low=2, high=pool_size)
+            largest = pool_size - math.ceil(pool_size / k)  # the smallest training fold
+            split = functools.partial(data_io.kfold_splits, pool_size, k)
+        else:
+            if times is None:
+                raise ValueError("config key 'split.blocked' needs a temporal task field")
+            num_blocks, window = self.blocked
+            config_value("split.blocked.num_blocks", num_blocks, int, low=2, high=pool_size)
+            blocks = [b.size for b in np.array_split(np.arange(pool_size), num_blocks)]
+            largest = min(sum(blocks[i:i + window]) for i in range(num_blocks - window))
+            split = functools.partial(data_io.blocked_splits, times, num_blocks, window)
+        for i, n in enumerate(self.train_sizes):
+            config_value(f"train_sizes[{i}]", n, int, low=1, high=largest)
+        return {n: split(n, seed=derive_seed(self.seed, "split", n)) for n in self.train_sizes}
+
+
+def parse_config(cfg: Mapping) -> ExperimentConfig:
+    """Parse and check every key of a ``vcgp run`` config mapping, once.
+
+    A missing, malformed or out-of-range value raises ``ValueError`` naming its
+    dotted key.  :meth:`ExperimentConfig.splits` checks the bounds set by the data.
+    """
+    seed = config_value("seed", cfg.get("seed"), int, 0)
+    settings = run_settings(cfg)
+    names = METHOD_NAMES
+    if settings.problem == "classification":  # kernel-local smoothing has no classifier
+        names = tuple(m for m in METHOD_NAMES if not m.startswith("fanzhang"))
+    methods = [config_value(f"methods[{i}]", m, str, choices=names)
+               for i, m in enumerate(config_value("methods", cfg.get("methods"), list, []))]
+    # tuning needs two training points
+    train_sizes = tuple(_numbers("train_sizes", cfg.get("train_sizes"), int,
+                                 low=2 if settings.search else 1))
+    split = config_value("split", cfg.get("split"), dict)
+    if ("blocked" in split) == ("kfold" in split):
+        raise ValueError("config key 'split' needs exactly one of 'split.blocked' or 'split.kfold'")
+    fields = _dataset(config_value("dataset", cfg.get("dataset"), dict), seed)
+    if "kfold" in split:
+        kfold = config_value("split.kfold", split["kfold"], dict)
+        fields["kfold"] = config_value("split.kfold.k", kfold.get("k"), int, low=2)
+    else:
+        b = config_value("split.blocked", split["blocked"], dict)
+        num_blocks = config_value("split.blocked.num_blocks", b.get("num_blocks"), int, low=2)
+        fields["blocked"] = (num_blocks, config_value("split.blocked.window", b.get("window"),
+                                                      int, low=1, high=num_blocks - 1))
+    return ExperimentConfig(
+        seed=seed,
+        out=config_value("out", cfg.get("out"), str, "results.csv"),
+        budget_seconds=config_value("budget_seconds", cfg.get("budget_seconds"), float, None,
+                                    low=0),
+        methods=tuple(methods or [config_value("method", cfg.get("method"), str, choices=names)]),
+        train_sizes=train_sizes,
+        settings=settings,
+        **fields,
+    )
+
+
+def _dataset(dataset: Mapping, seed: int) -> dict:
+    """The ``synth``, or ``csv``, ``schema`` and ``policy``, fields of :class:`ExperimentConfig`."""
+    if ("csv" in dataset) == ("synth" in dataset):
+        raise ValueError("config key 'dataset' needs exactly one of 'dataset.csv' or 'dataset.synth'")
+    if "synth" in dataset:
+        s = config_value("dataset.synth", dataset["synth"], dict)
+        return dict(synth=dict(
+            n=config_value("dataset.synth.n", s.get("n"), int, low=1),
+            m=config_value("dataset.synth.m", s.get("m"), int, 3, low=1),
+            d=config_value("dataset.synth.d", s.get("d"), int, 1, low=1),
+            task_kernel=_task_kernel("dataset.synth.task_kernel", s.get("task_kernel"),
+                                     {"type": "matern", "lengthscale": 0.2}),
+            tau2=config_value("dataset.synth.tau2", s.get("tau2"), float, 0.05),
+            seed=config_value("dataset.synth.seed", s.get("seed"), int, derive_seed(seed, "synth"),
+                              low=0),
+        ))
+    path = config_value("dataset.csv", dataset["csv"], str)
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])  # each schema column must be one of these
+    schema = config_value("dataset.schema", dataset.get("schema"), dict)
+    policy = config_value("dataset.policy", dataset.get("policy"), dict, {})
+    brackets = config_value("dataset.policy.brackets", policy.get("brackets"), dict, {})
+    columns = {}
+    for key in ("target", "task_time", "task_id"):
+        columns[key] = config_value(f"dataset.schema.{key}", schema.get(key), str,
+                                    _REQUIRED if key == "target" else None, choices=header)
+    for key in ("numeric", "categorical", "task_coords"):
+        names = config_value(f"dataset.schema.{key}", schema.get(key), list, ())
+        columns[key] = tuple(config_value(f"dataset.schema.{key}[{i}]", c, str, choices=header)
+                             for i, c in enumerate(names))
+    if (columns["task_id"] is None) == (not columns["task_coords"] and not columns["task_time"]):
+        raise ValueError("config needs exactly one task variant: 'dataset.schema.task_id', or "
+                         "'dataset.schema.task_coords' and/or 'dataset.schema.task_time'")
+    return dict(
+        csv=path,
+        schema=Schema(**columns),
+        policy=PreprocessPolicy(
+            brackets={column: tuple(_numbers(f"dataset.policy.brackets.{column}", pair, float,
+                                             size=2)) for column, pair in brackets.items()},
+            drop_missing=config_value("dataset.policy.drop_missing", policy.get("drop_missing"),
+                                      bool, True),
+            standardize=config_value("dataset.policy.standardize", policy.get("standardize"),
+                                     bool, True),
+        ),
     )
 
 
@@ -218,7 +375,7 @@ def run_method(
 
     inst = Linear() if method.endswith("-lin") else settings.instance_kernel
     # iid and concat run a plain GP (constant task kernel); concat rebuilds X
-    task = settings.vcgp_task_kernel if method.startswith("vcgp") else Constant(1.0)
+    task = settings.task_kernel if method.startswith("vcgp") else Constant(1.0)
     spec = KernelSpec(instance_kernel=inst, task_kernel=task)
     tau2 = settings.tau2
     model = None
@@ -228,9 +385,9 @@ def run_method(
         model = tune(train, spec, replace(settings.search, seed=derive_seed(seed, "tune")))
         spec, tau2 = model.spec, model.tau2
 
-    if settings.fitc_p_seed:
+    if settings.fitc:
         model = None  # FITC takes the exact evidence's hyperparameters, not its model
-        p, fitc_seed = settings.fitc_p_seed
+        p, fitc_seed = settings.fitc
         inducing = sparse_fitc.select_inducing(
             train, min(p, train.n), derive_seed(seed, "inducing", fitc_seed)
         )
@@ -248,7 +405,7 @@ def run_method(
 
 
 def _run_fanzhang(method, train, test, settings, seed) -> float:
-    fz = settings.fanzhang_args
+    fz = settings.fanzhang
     feature_map = None
     if method.endswith("-mat"):
         feature_map = baselines.matern_feature_map(
@@ -266,30 +423,22 @@ def _run_fanzhang(method, train, test, settings, seed) -> float:
     return mae(pred, test.y)
 
 
-def run_experiment(
-    dataset_for_fold,
-    methods: Sequence[str],
-    train_sizes: Sequence[int],
-    n_folds: int,
-    settings: RunSettings,
-    global_seed: int,
-    budget_seconds: float | None = None,
-) -> list[dict]:
-    """Run the full (method, n, fold) grid and return result rows.
+def run_experiment(config: ExperimentConfig, n_folds: int, dataset_for_fold) -> list[dict]:
+    """Run the config's full (method, n, fold) grid and return result rows.
 
-    ``dataset_for_fold(method, n, fold, seed)`` must return a (train, test)
-    dataset pair; randomness inside it should use the provided derived seed.
-    Raises :class:`BudgetExceeded` carrying the completed rows if the time
-    budget runs out.
+    ``dataset_for_fold(n, fold)`` returns the (train, test) dataset pair of
+    fold ``fold`` at training size ``n``.  Raises :class:`BudgetExceeded`
+    carrying the completed rows if the time budget runs out.
     """
     rows: list[dict] = []
     start = time.perf_counter()
+    settings, budget_seconds = config.settings, config.budget_seconds
     metric_name = "zero_one" if settings.problem == "classification" else "mae"
-    for method in methods:
-        for n in train_sizes:
+    for method in config.methods:
+        for n in config.train_sizes:
             for fold in range(n_folds):
-                fold_seed = derive_seed(global_seed, "fold", method, int(n), int(fold))
-                train, test = dataset_for_fold(method, n, fold, fold_seed)
+                fold_seed = derive_seed(config.seed, "fold", method, int(n), int(fold))
+                train, test = dataset_for_fold(n, fold)
                 t0 = time.perf_counter()
                 value = run_method(method, train, test, settings, fold_seed)
                 wall = time.perf_counter() - t0

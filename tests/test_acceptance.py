@@ -16,7 +16,7 @@ from vcgp import verify
 from vcgp.baselines import primal_oracle_predict
 from vcgp.cli import EXIT_OK, main
 from vcgp.data_io import synth_vcm, threshold_labels
-from vcgp.experiments import RunSettings, derive_seed, run_method
+from vcgp.experiments import derive_seed, run_method, run_settings
 from vcgp.gp_core import Dataset, fit_regressor
 from vcgp.kernels import FixedGram, KernelSpec, Linear, Matern
 
@@ -104,13 +104,15 @@ def _ordering_battery(problem: str, sizes, n_seeds: int):
         }
     else:
         tuning = {"method": "grid", "grid": {"tau2": [0.01, 0.1]}}
-    settings = RunSettings(
-        problem=problem,
-        task_kernel={"type": "matern", "nu": 1.5, "lengthscale": 0.15},
-        instance_matern={"lengthscale": 2.0},
-        tau2=0.05,
-        tuning=tuning,
-    )
+    settings = run_settings({
+        "problem": problem,
+        "model": {
+            "task_kernel": {"type": "matern", "nu": 1.5, "lengthscale": 0.15},
+            "instance_matern": {"lengthscale": 2.0},
+            "tau2": 0.05,
+        },
+        "tuning": tuning,
+    })
     methods = ("vcgp-mat", "iid-mat", "vcgp-lin", "iid-lin")
     values = {m: {n: [] for n in sizes} for m in methods}
     n_test = 300

@@ -9,7 +9,7 @@ from vcgp.baselines import (
     primal_oracle_predict,
 )
 from vcgp.data_io import synth_vcm
-from vcgp.experiments import RunSettings, run_method
+from vcgp.experiments import run_method, run_settings
 from vcgp.gp_core import Dataset, fit_regressor
 from vcgp.kernels import Constant, FixedGram, KernelSpec, Linear, Matern, product_kernel_diag
 
@@ -30,7 +30,7 @@ class TestIidGP:
             X=rng.standard_normal((15, 2)), T=rng.uniform(0, 1, (15, 1)), y=rng.standard_normal(15)
         )
         train, test = data.subset(np.arange(10)), data.subset(np.arange(10, 15))
-        settings = RunSettings(tau2=0.3)
+        settings = run_settings({"model": {"tau2": 0.3}})
         got = run_method("iid-lin", train, test, settings, seed=0)
         assert got == iid_mae(train, test, LIN_CONST, 0.3)
 
@@ -63,7 +63,7 @@ class TestConcatGP:
         X = rng.standard_normal((n, 2))
         T = np.full((n, 1), c)
         y = rng.standard_normal(n)
-        settings = RunSettings(tau2=0.2)
+        settings = run_settings({"model": {"tau2": 0.2}})
         train, test = Dataset(X=X[:8], T=T[:8], y=y[:8]), Dataset(X=X[8:], T=T[8:], y=y[8:])
         concat = run_method("concat-lin", train, test, settings, seed=0)
         # same Gram: inner products plus the constant offset c^2
@@ -88,12 +88,12 @@ class TestConcatGP:
     def test_rejects_discrete_tasks(self):
         data = Dataset(X=[[1.0]], T=np.array([1]), y=[0.0])
         with pytest.raises(ValueError, match="continuous task variables"):
-            run_method("concat-lin", data, data, RunSettings(tau2=0.1), seed=0)
+            run_method("concat-lin", data, data, run_settings({"model": {"tau2": 0.1}}), seed=0)
 
     def test_smoke_at_thousand_points(self):
         res = synth_vcm(1010, m=3, d=2, task_kernel=Matern(lengthscale=0.3), tau2=0.1, seed=3)
         train, test = res.dataset.subset(np.arange(1000)), res.dataset.subset(np.arange(1000, 1010))
-        settings = RunSettings(tau2=0.1, instance_matern={"lengthscale": 1.0})
+        settings = run_settings({"model": {"tau2": 0.1, "instance_matern": {"lengthscale": 1.0}}})
         assert np.isfinite(run_method("concat-mat", train, test, settings, seed=0))
 
 

@@ -1,10 +1,16 @@
+import contextlib
 import csv
+import io
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vcgp import kernels
+from vcgp import experiments, kernels
 from vcgp.cli import EXIT_BUDGET, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from vcgp.data_io import Preprocessor
 
@@ -225,9 +231,40 @@ class TestRun:
             # a mistyped grid key would otherwise be ignored, leaving the run untuned
             ("tuning", {"method": "grid", "grid": {"task.lenghtscale": [0.1, 0.3, 1.0]}},
              "task.lenghtscale"),
+            # each train size against the 150-record training folds, before any fold runs
+            ("train_sizes", [200], "train_sizes[0]"),
+            ("train_sizes", [60, 200], "train_sizes[1]"),
+            ("train_sizes", [], "train_sizes"),
+            ("train_sizes", [0], "train_sizes[0]"),
+            # 12 blocks of 25 records: a window of 2 holds 50 < 60
+            ("split", {"blocked": {"num_blocks": 12, "window": 2}}, "train_sizes[0]"),
+            ("split", {"blocked": {"num_blocks": 4, "window": 4}}, "split.blocked.window"),
+            ("split", {"blocked": {"num_blocks": 301, "window": 2}}, "split.blocked.num_blocks"),
+            ("split.kfold.k", 2.5, "split.kfold.k"),
+            # out is a path: 2 would write the CSV to stderr
+            ("out", 2, "out"),
+            ("out", ["x"], "out"),
+            ("problem", "regresion", "problem"),
+            ("methods", ["vcgp-mat", "vcgp"], "methods[1]"),
+            ("tuning", {"method": "grdi"}, "tuning.method"),
+            ("tuning", {"method": "grid"}, "tuning.grid"),
+            ("tuning", {"method": "grid", "grid": {}}, "tuning.grid"),
+            ("tuning", {"method": "grid", "grid": {"tau2": []}}, "tuning.grid.tau2"),
+            ("tuning", {"method": "grid", "grid": {"tau2": [0.1, -1]}}, "tuning.grid.tau2[1]"),
+            ("tuning", {"method": "gradient", "tau2_init": -1}, "tuning.tau2_init"),
+            ("model.tau2", -1, "model.tau2"),
+            ("model.fitc", {"p": 0}, "model.fitc.p"),
+            ("model.task_kernel", "matern", "model.task_kernel"),
+            ("fanzhang", {"cv_folds": 0}, "fanzhang.cv_folds"),
+            ("fanzhang", {"bandwidths": []}, "fanzhang.bandwidths"),
+            ("dataset.synth.seed", -1, "dataset.synth.seed"),
+            ("dataset.synth.n", 0, "dataset.synth.n"),
+            ("budget_seconds", -1, "budget_seconds"),
         ],
     )
-    def test_malformed_section_names_its_key(self, tmp_path, capsys, path, value, key):
+    def test_malformed_section_names_its_key(
+        self, tmp_path, capsys, monkeypatch, path, value, key
+    ):
         cfg = yaml.safe_load(write_config(tmp_path)[0].read_text())
         *parents, last = path.split(".")
         section = cfg
@@ -239,7 +276,29 @@ class TestRun:
             section[last] = value
         config = tmp_path / "bad.yaml"
         config.write_text(yaml.safe_dump(cfg))
+        folds = []
+        monkeypatch.setattr(experiments, "run_method", lambda *args: folds.append(args))
         assert main(["run", str(config)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}'" in err, err
+        assert not folds  # checked before any fold runs
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            # classifiers tune on a grid only
+            (dict(problem="classification", tuning={"method": "gradient"}), "tuning.method"),
+            # kernel-local smoothing has no classifier
+            (dict(problem="classification", methods=["vcgp-lin", "fanzhang-lin"]), "methods[1]"),
+            (dict(tuning={"method": "grid", "grid": {"tau2": [0.1]}}, train_sizes=[1]),
+             "train_sizes[0]"),
+        ],
+    )
+    def test_value_that_clashes_with_another_key_names_its_key(
+        self, tmp_path, capsys, overrides, key
+    ):
+        path, _ = write_config(tmp_path, **overrides)
+        assert main(["run", str(path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{key}'" in err, err
 
@@ -250,6 +309,16 @@ class TestRun:
             ("schema", {"numeric": ["a"]}, "dataset.schema.target"),
             ("policy", {"brackets": 5}, "dataset.policy.brackets"),
             ("policy", 5, "dataset.policy"),
+            ("schema", {"target": "y", "numeric": ["a"], "task_id": ["t"]},
+             "dataset.schema.task_id"),
+            ("schema", {"target": "y", "numeric": [1], "task_coords": ["t"]},
+             "dataset.schema.numeric[0]"),
+            # "no" is a string, which would run as true
+            ("policy", {"drop_missing": "no"}, "dataset.policy.drop_missing"),
+            ("policy", {"standardize": "no"}, "dataset.policy.standardize"),
+            ("policy", {"brackets": {"a": [1]}}, "dataset.policy.brackets.a"),
+            ("policy", {"brackets": {"a": "ab"}}, "dataset.policy.brackets.a"),
+            ("policy", {"brackets": {"a": [0, "x"]}}, "dataset.policy.brackets.a[1]"),
         ],
     )
     def test_malformed_csv_section_names_its_key(self, tmp_path, capsys, section, value, key):
@@ -268,6 +337,63 @@ class TestRun:
         rows = read_rows(cfg["out"])
         assert {r["metric"] for r in rows} == {"zero_one"}
         assert all(0.0 <= float(r["value"]) <= 1.0 for r in rows)
+
+
+# Keys that the two malformed-config tables above set, each with a home in one
+# valid toy config, and values that are wrong-typed, out of range or missing (None)
+FUZZ_KEYS = (
+    "seed", "out", "budget_seconds", "problem", "methods", "train_sizes", "split", "split.kfold",
+    "split.kfold.k", "dataset", "dataset.synth.n", "dataset.synth.seed", "model", "model.tau2",
+    "model.task_kernel", "model.instance_matern", "model.fitc", "model.fitc.p", "tuning",
+    "tuning.method", "tuning.grid", "tuning.grid.tau2", "tuning.n_restarts", "tuning.tau2_init",
+    "fanzhang", "fanzhang.bandwidths", "fanzhang.cv_folds", "dataset.schema",
+    "dataset.schema.target", "dataset.schema.numeric", "dataset.schema.task_id", "dataset.policy",
+    "dataset.policy.brackets", "dataset.policy.drop_missing", "dataset.policy.standardize",
+)
+FUZZ_VALUES = (None, "x", -1, 0, 2.5, True, [], ["x"], [-1], {})
+
+
+def fuzzed_config(tmp_path, key, value):
+    """write_config's valid config with ``key`` set to ``value`` (None deletes it)."""
+    extra = dict(
+        tuning={"method": "grid", "grid": {"tau2": [0.05], "task.lengthscale": [0.2]},
+                "n_restarts": 2, "tau2_init": 0.1},
+        fanzhang={"bandwidths": [0.3], "cv_folds": 3},
+    )
+    if key.startswith(("dataset.schema", "dataset.policy")):
+        data_csv = tmp_path / "d.csv"
+        data_csv.write_text("a,t,y\n" + "".join(f"{i},{i / 20},{i % 3}\n" for i in range(20)))
+        extra.update(train_sizes=[8], dataset={
+            "csv": str(data_csv), "schema": {"target": "y", "numeric": ["a"], "task_coords": ["t"]},
+            "policy": {"brackets": {"y": [0, 100]}, "drop_missing": True, "standardize": True},
+        })
+    cfg = write_config(tmp_path, **extra)[1]
+    cfg["model"]["fitc"] = {"p": 20, "seed": 0}
+    *parents, last = key.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section.pop(last, None)
+    if value is not None:
+        section[last] = value
+    path = tmp_path / "fuzzed.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+@settings(max_examples=50)
+@given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
+def test_config_fuzz_runs_or_names_the_key(key, value):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        path = fuzzed_config(pathlib.Path(tmp), key, value)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", str(path)])
+    err = err.getvalue()
+    # a message about a missing or bad key names it, or a key below it
+    assert code == EXIT_OK or (
+        code == EXIT_USAGE and err.startswith("error: ") and f"'{key}" in err
+    ), (code, err)
 
 
 class TestVerifyCommand:

@@ -4,11 +4,11 @@ import pytest
 from vcgp import gp_classify, gp_core
 from vcgp.data_io import synth_vcm, threshold_labels
 from vcgp.experiments import (
-    RunSettings,
     classify_probabilities,
     derive_seed,
     mae,
     run_method,
+    run_settings,
     summarize_rows,
     zero_one_loss,
 )
@@ -57,23 +57,22 @@ class TestRunMethod:
     def test_unknown_method(self):
         train, test = self.make_splits("regression")
         with pytest.raises(ValueError, match="unknown method"):
-            run_method("magic", train, test, RunSettings(), seed=0)
+            run_method("magic", train, test, run_settings({}), seed=0)
 
     def test_fanzhang_classification_unsupported(self):
         train, test = self.make_splits("classification")
         with pytest.raises(ValueError, match="unsupported"):
             run_method(
-                "fanzhang-lin", train, test, RunSettings(problem="classification"), seed=0
+                "fanzhang-lin", train, test, run_settings({"problem": "classification"}), seed=0
             )
 
     def test_every_regression_method_runs(self):
         train, test = self.make_splits("regression")
-        settings = RunSettings(
-            problem="regression",
-            task_kernel={"type": "matern", "lengthscale": 0.2},
-            tau2=0.05,
-            fanzhang={"bandwidths": [0.1, 0.5], "ridges": [1e-3], "cv_folds": 3},
-        )
+        settings = run_settings({
+            "problem": "regression",
+            "model": {"task_kernel": {"type": "matern", "lengthscale": 0.2}, "tau2": 0.05},
+            "fanzhang": {"bandwidths": [0.1, 0.5], "ridges": [1e-3], "cv_folds": 3},
+        })
         for method in ("vcgp-lin", "vcgp-mat", "iid-lin", "iid-mat",
                        "concat-lin", "concat-mat", "fanzhang-lin", "fanzhang-mat"):
             value = run_method(method, train, test, settings, seed=1)
@@ -81,23 +80,21 @@ class TestRunMethod:
 
     def test_classification_methods_run(self):
         train, test = self.make_splits("classification")
-        settings = RunSettings(
-            problem="classification",
-            task_kernel={"type": "matern", "lengthscale": 0.2},
-            tau2=0.05,
-        )
+        settings = run_settings({
+            "problem": "classification",
+            "model": {"task_kernel": {"type": "matern", "lengthscale": 0.2}, "tau2": 0.05},
+        })
         for method in ("vcgp-lin", "iid-mat", "concat-lin"):
             value = run_method(method, train, test, settings, seed=2)
             assert 0.0 <= value <= 1.0
 
     def test_fitc_setting_is_used(self):
         train, test = self.make_splits("regression")
-        settings = RunSettings(
-            problem="regression",
-            task_kernel={"type": "matern", "lengthscale": 0.2},
-            tau2=0.05,
-            fitc={"p": 20, "seed": 1},
-        )
+        settings = run_settings({
+            "problem": "regression",
+            "model": {"task_kernel": {"type": "matern", "lengthscale": 0.2}, "tau2": 0.05,
+                      "fitc": {"p": 20, "seed": 1}},
+        })
         value = run_method("vcgp-mat", train, test, settings, seed=3)
         assert np.isfinite(value)
 
@@ -122,7 +119,9 @@ class TestRunMethod:
 
             monkeypatch.setattr(module, name, counted)
         train, test = self.make_splits(problem)
-        settings = RunSettings(problem=problem, task_kernel={"type": "matern"}, tuning=tuning)
+        settings = run_settings(
+            {"problem": problem, "model": {"task_kernel": {"type": "matern"}}, "tuning": tuning}
+        )
         run_method(method, train, test, settings, seed=4)
         assert len(calls) == fits
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vcgp import verify
 from vcgp.gp_core import Dataset, fit_regressor
 from vcgp.kernels import KernelSpec, Linear, TaskTree, Tree, tree_task_kernel
 from vcgp.multitask_hb import (
@@ -190,3 +191,19 @@ class TestWeightCovariance:
             np.testing.assert_allclose(
                 Sigma, np.kron(tree_task_kernel(tree), np.eye(m)), atol=1e-10
             )
+
+
+class TestBatteryReports:
+    """The verify batteries rename each check's report and keep the rest of it."""
+
+    def test_prop2_scope_keeps_details(self):
+        reports = verify.run_scope("prop2")
+        assert len(reports) == 100
+        for rep in reports:
+            assert set(rep.details) == {"identity_dev", "inverse_rel_dev"}, rep.name
+            assert rep.statistic == max(rep.details.values())
+
+    def test_prop1_analytic_battery_keeps_details(self):
+        reports = verify.prop1_analytic_battery(n_trees=3)
+        assert [r.name for r in reports] == [f"prop1-analytic/tree{c:02d}" for c in range(3)]
+        assert all(r.passed and "kron_dev" in r.details for r in reports)
