@@ -143,11 +143,45 @@ def _numbers(name: str, value, kind: type, default=_REQUIRED, low=None, size=Non
     return [config_value(f"{name}[{i}]", v, kind, low=low) for i, v in enumerate(values)]
 
 
-def _task_kernel(name: str, value, default: Mapping) -> TaskKernel:
-    """The task kernel dict at config key ``name`` (or ``default``), parsed; errors name the key."""
+# the keys of each config section, by dotted name ("" is the top level);
+# tuning.grid and dataset.policy.brackets are checked by what they name
+_SECTION_KEYS = {
+    "": ("seed", "out", "budget_seconds", "problem", "methods", "method", "train_sizes",
+         "dataset", "split", "model", "tuning", "fanzhang"),
+    "model": ("task_kernel", "instance_matern", "tau2", "fitc"),
+    "model.fitc": ("p", "seed"),
+    "tuning": ("method", "grid", "n_restarts", "max_iter", "grad_tol", "tau2_init"),
+    "fanzhang": ("matern", "n_basis", "bandwidths", "ridges", "cv_folds"),
+    "dataset": ("csv", "synth", "schema", "policy"),
+    "dataset.synth": ("n", "m", "d", "task_kernel", "tau2", "seed"),
+    "dataset.schema": ("target", "numeric", "categorical", "task_coords", "task_time", "task_id"),
+    "dataset.policy": ("brackets", "drop_missing", "standardize"),
+    "split": ("kfold", "blocked"),
+    "split.kfold": ("k",),
+    "split.blocked": ("num_blocks", "window"),
+}
+
+
+def _section(name: str, value, default=_REQUIRED) -> Mapping:
+    """The mapping at config key ``name``; a key it does not take raises ``ValueError`` naming it."""
+    section = config_value(name, value, dict, default) if name else value
+    keys = _SECTION_KEYS[name]
+    for key in section:
+        if key not in keys:
+            dotted = f"{name}.{key}" if name else str(key)
+            raise ValueError(f"unknown config key {dotted!r}; "
+                             f"{name or 'the top level'} takes {', '.join(keys)}")
+    return section
+
+
+def _kernel(name: str, value, default: Mapping, task: bool = False, **fixed):
+    """The kernel dict at config key ``name`` (or ``default``), updated by ``fixed``, parsed.
+
+    Errors name the key.
+    """
     kernel = config_value(name, value, dict, default)
     try:
-        return kernel_from_dict(kernel, task=True)
+        return kernel_from_dict({**kernel, **fixed}, task=task)
     except ValueError as exc:
         raise ValueError(f"{exc} (config key {name!r})") from None
 
@@ -169,29 +203,34 @@ def run_settings(cfg: Mapping) -> RunSettings:
     """The ``problem``, ``model``, ``tuning`` and ``fanzhang`` sections of ``cfg``, parsed."""
     problem = config_value("problem", cfg.get("problem"), str, "regression",
                            choices=("regression", "classification"))
-    model = config_value("model", cfg.get("model"), dict, {})
-    matern = config_value("model.instance_matern", model.get("instance_matern"), dict, {})
+    model = _section("model", cfg.get("model"), {})
     tau2 = config_value("model.tau2", model.get("tau2"), float, 0.1, low=0)
-    fitc = config_value("model.fitc", model.get("fitc"), dict, {})
-    fz = config_value("fanzhang", cfg.get("fanzhang"), dict, {})
-    fz_matern = config_value("fanzhang.matern", fz.get("matern"), dict, {})
+    fitc = _section("model.fitc", model.get("fitc"), {})
+    fz = _section("fanzhang", cfg.get("fanzhang"), {})
+    ridges = _numbers("fanzhang.ridges", fz.get("ridges"), float, (1e-6, 1e-3, 1e-1))
+    for i, ridge in enumerate(ridges):
+        if not ridge >= 0:  # config_value's low is exclusive, and a ridge may be 0
+            raise ValueError(f"config key 'fanzhang.ridges[{i}]' must be a number of at least 0, "
+                             f"got {ridge!r}")
     return RunSettings(
         problem=problem,
-        instance_kernel=kernel_from_dict({**matern, "type": "matern"}),
-        task_kernel=_task_kernel("model.task_kernel", model.get("task_kernel"), {"type": "matern"}),
+        instance_kernel=_kernel("model.instance_matern", model.get("instance_matern"), {},
+                                type="matern"),
+        task_kernel=_kernel("model.task_kernel", model.get("task_kernel"), {"type": "matern"},
+                            task=True),
         tau2=tau2,
-        search=_search_config(config_value("tuning", cfg.get("tuning"), dict, {}), tau2, problem),
+        search=_search_config(_section("tuning", cfg.get("tuning"), {}), tau2, problem),
         fitc=(
             config_value("model.fitc.p", fitc.get("p"), int, 1000, low=1),
             config_value("model.fitc.seed", fitc.get("seed"), int, 0),
         ) if fitc else None,
         fanzhang=dict(
-            kernel=kernel_from_dict({**fz_matern, "type": "matern"}),
+            kernel=_kernel("fanzhang.matern", fz.get("matern"), {}, type="matern"),
             n_basis=config_value("fanzhang.n_basis", fz.get("n_basis"), int, 200, low=1),
             bandwidths=_numbers(
                 "fanzhang.bandwidths", fz.get("bandwidths"), float, (0.05, 0.1, 0.3, 1.0), low=0
             ),
-            ridges=_numbers("fanzhang.ridges", fz.get("ridges"), float, (1e-6, 1e-3, 1e-1)),
+            ridges=ridges,
             n_folds=config_value("fanzhang.cv_folds", fz.get("cv_folds"), int, 5, low=2),
         ),
     )
@@ -264,6 +303,7 @@ def parse_config(cfg: Mapping) -> ExperimentConfig:
     A missing, malformed or out-of-range value raises ``ValueError`` naming its
     dotted key.  :meth:`ExperimentConfig.splits` checks the bounds set by the data.
     """
+    cfg = _section("", cfg)
     seed = config_value("seed", cfg.get("seed"), int, 0)
     settings = run_settings(cfg)
     names = METHOD_NAMES
@@ -274,15 +314,15 @@ def parse_config(cfg: Mapping) -> ExperimentConfig:
     # tuning needs two training points
     train_sizes = tuple(_numbers("train_sizes", cfg.get("train_sizes"), int,
                                  low=2 if settings.search else 1))
-    split = config_value("split", cfg.get("split"), dict)
+    split = _section("split", cfg.get("split"))
     if ("blocked" in split) == ("kfold" in split):
         raise ValueError("config key 'split' needs exactly one of 'split.blocked' or 'split.kfold'")
-    fields = _dataset(config_value("dataset", cfg.get("dataset"), dict), seed)
+    fields = _dataset(_section("dataset", cfg.get("dataset")), seed)
     if "kfold" in split:
-        kfold = config_value("split.kfold", split["kfold"], dict)
+        kfold = _section("split.kfold", split["kfold"])
         fields["kfold"] = config_value("split.kfold.k", kfold.get("k"), int, low=2)
     else:
-        b = config_value("split.blocked", split["blocked"], dict)
+        b = _section("split.blocked", split["blocked"])
         num_blocks = config_value("split.blocked.num_blocks", b.get("num_blocks"), int, low=2)
         fields["blocked"] = (num_blocks, config_value("split.blocked.window", b.get("window"),
                                                       int, low=1, high=num_blocks - 1))
@@ -303,13 +343,13 @@ def _dataset(dataset: Mapping, seed: int) -> dict:
     if ("csv" in dataset) == ("synth" in dataset):
         raise ValueError("config key 'dataset' needs exactly one of 'dataset.csv' or 'dataset.synth'")
     if "synth" in dataset:
-        s = config_value("dataset.synth", dataset["synth"], dict)
+        s = _section("dataset.synth", dataset["synth"])
         return dict(synth=dict(
             n=config_value("dataset.synth.n", s.get("n"), int, low=1),
             m=config_value("dataset.synth.m", s.get("m"), int, 3, low=1),
             d=config_value("dataset.synth.d", s.get("d"), int, 1, low=1),
-            task_kernel=_task_kernel("dataset.synth.task_kernel", s.get("task_kernel"),
-                                     {"type": "matern", "lengthscale": 0.2}),
+            task_kernel=_kernel("dataset.synth.task_kernel", s.get("task_kernel"),
+                                {"type": "matern", "lengthscale": 0.2}, task=True),
             tau2=config_value("dataset.synth.tau2", s.get("tau2"), float, 0.05),
             seed=config_value("dataset.synth.seed", s.get("seed"), int, derive_seed(seed, "synth"),
                               low=0),
@@ -317,8 +357,8 @@ def _dataset(dataset: Mapping, seed: int) -> dict:
     path = config_value("dataset.csv", dataset["csv"], str)
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), [])  # each schema column must be one of these
-    schema = config_value("dataset.schema", dataset.get("schema"), dict)
-    policy = config_value("dataset.policy", dataset.get("policy"), dict, {})
+    schema = _section("dataset.schema", dataset.get("schema"))
+    policy = _section("dataset.policy", dataset.get("policy"), {})
     brackets = config_value("dataset.policy.brackets", policy.get("brackets"), dict, {})
     columns = {}
     for key in ("target", "task_time", "task_id"):
@@ -331,6 +371,12 @@ def _dataset(dataset: Mapping, seed: int) -> dict:
     if (columns["task_id"] is None) == (not columns["task_coords"] and not columns["task_time"]):
         raise ValueError("config needs exactly one task variant: 'dataset.schema.task_id', or "
                          "'dataset.schema.task_coords' and/or 'dataset.schema.task_time'")
+    # a bracket compares numbers, so it needs a column the schema loads as one
+    numbers = (columns["target"], columns["task_id"], *columns["numeric"], *columns["task_coords"])
+    for column in brackets:
+        if column not in numbers:
+            raise ValueError(f"config key 'dataset.policy.brackets.{column}' must name the target, "
+                             "a numeric, task_coords or task_id column of 'dataset.schema'")
     return dict(
         csv=path,
         schema=Schema(**columns),

@@ -545,8 +545,41 @@ def _evidence_weights(L: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, flo
     return W.T, trace_inv
 
 
+class _Workspace:
+    """The n x n float arrays of :func:`lml_and_gradient`, by role, kept from call to call.
+
+    :func:`_tune_gradient` holds one for its whole search, so each evaluation
+    overwrites the arrays of the last instead of allocating new ones, which
+    the allocator would hand back to the system on release and page-fault in
+    again.  An array is made on first use of its role: ``instance.K``,
+    ``task.K`` and each side's ``grad0``, ``grad1``, ... from
+    :func:`kernels.matern_gram_grads`; ``cov`` for ``KX * KT + tau2 I``, its
+    factor and the evidence weights; ``scratch`` for each Matern slope and
+    then ``W * KT``.  A Matern x Matern spec with one lengthscale per kernel
+    uses six.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, role: str) -> np.ndarray:
+        if role not in self._arrays:
+            self._arrays[role] = np.empty((self.n, self.n))
+        return self._arrays[role]
+
+    def matern_buffer(self, side: str):
+        """``buffer`` for :func:`kernels.matern_gram_grads` on one side.
+
+        The slope and nu = 5/2's spare go to ``scratch`` and ``cov``, which
+        are free until both Grams are built.
+        """
+        shared = {"slope": "scratch", "spare": "cov"}
+        return lambda role: self[shared.get(role, f"{side}.{role}")]
+
+
 def lml_and_gradient(
-    data: Dataset, spec: KernelSpec, tau2: float
+    data: Dataset, spec: KernelSpec, tau2: float, *, _workspace: _Workspace | None = None
 ) -> tuple[float, dict[str, float]]:
     """Log marginal likelihood and its gradient w.r.t. log-hyperparameters.
 
@@ -562,21 +595,26 @@ def lml_and_gradient(
     one ``vdot`` with its derivative matrix, both amplitude gradients are the
     single number ``vdot(W * KT, KX)`` (the derivative is 2K), and the tau2
     gradient is ``0.5 * (alpha . alpha - tr A^{-1}) * tau2``.  No n x n array
-    is made per parameter.
+    is made per parameter.  Every n x n array a Matern side or the solve
+    needs is an array of ``_workspace`` (a :class:`_Workspace` over the
+    ``data.n`` points; a fresh one when omitted), so a search that keeps
+    one allocates none of them twice.  The numbers do not depend on it.
     """
+    ws = _Workspace(data.n) if _workspace is None else _workspace
     X, T = data.X, data.T
     inst, task = spec.instance_kernel, spec.task_kernel
 
     if isinstance(inst, Matern):
-        KX, dKX = matern_gram_grads(inst, X)
+        KX, dKX = matern_gram_grads(inst, X, ws.matern_buffer("instance"))
     else:
         KX, dKX = kernels.instance_gram(inst, X, X), []
     if isinstance(task, Matern):
-        KT, dKT = matern_gram_grads(task, as_task_array(T, discrete=False))
+        T = as_task_array(T, discrete=False)
+        KT, dKT = matern_gram_grads(task, T, ws.matern_buffer("task"))
     else:
         KT, dKT = kernels.task_gram(task, T, T), []
 
-    cov = DenseCovariance(add_diagonal(KX * KT, tau2))
+    cov = DenseCovariance(add_diagonal(np.multiply(KX, KT, out=ws["cov"]), tau2))
     fit = _fit_gaussian(data, spec, tau2, cov, DenseBasis())
     lml, alpha = fit.log_marginal_likelihood(), fit.alpha
     W, trace_inv = _evidence_weights(fit.chol, alpha)
@@ -584,10 +622,9 @@ def lml_and_gradient(
     grad: list[float] = []
     amplitude = None
     if dKX:
-        WT = W * KT
+        WT = np.multiply(W, KT, out=ws["scratch"])
         amplitude = float(np.vdot(WT, KX))
         grad += [0.5 * float(np.vdot(WT, dK)) for dK in dKX] + [amplitude]
-        del WT
     if dKT:
         W *= KX
         amplitude = float(np.vdot(W, KT)) if amplitude is None else amplitude
@@ -699,10 +736,13 @@ def _tune_gradient(data: Dataset, spec: KernelSpec, search: SearchConfig) -> Fit
     theta0 = np.array([math.log(v) for v in _param_values(spec, search.tau2_init)])
     bounds = [_KERNEL_LOG_BOUNDS] * (theta0.size - 1) + [_TAU2_LOG_BOUNDS]
     fail_penalty = 1e25
+    workspace = _Workspace(data.n)
 
     def objective(theta):
         try:
-            lml, grad = lml_and_gradient(data, *_with_param_values(spec, np.exp(theta)))
+            lml, grad = lml_and_gradient(
+                data, *_with_param_values(spec, np.exp(theta)), _workspace=workspace
+            )
         except NumericalError:
             return fail_penalty, np.zeros_like(theta)
         return -lml, -np.array(list(grad.values()))
@@ -725,6 +765,7 @@ def _tune_gradient(data: Dataset, spec: KernelSpec, search: SearchConfig) -> Fit
         )
         if res.fun < fail_penalty and (best is None or res.fun < best[0]):
             best = (res.fun, res.x)
+    del objective, workspace  # the final fit must not hold the search's arrays too
     if best is None:
         raise NumericalError("hyperparameter search failed for every restart")
     return fit_regressor(data, *_with_param_values(spec, np.exp(best[1])))

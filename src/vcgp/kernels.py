@@ -364,9 +364,9 @@ class KernelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _exp_neg(x: np.ndarray) -> np.ndarray:
-    """``np.exp(-x)`` in one new array (0-d for a scalar ``x``)."""
-    out = np.negative(x, out=np.empty_like(x))
+def _exp_neg(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.exp(-x)`` in ``out``, or in one new array (0-d for a scalar ``x``)."""
+    out = np.negative(x, out=np.empty_like(x) if out is None else out)
     return np.exp(out, out=out)
 
 
@@ -396,36 +396,40 @@ def _matern_shape(u: np.ndarray, nu: float) -> np.ndarray:
     raise ValueError(f"nu must be one of {_MATERN_NUS}")
 
 
-def _matern_shape_and_slope(u: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """The profile m_nu(u) and its slope ``-m_nu'(u) / u``, from one ``exp``.
+def _matern_shape_and_slope(
+    u: np.ndarray, nu: float, K: np.ndarray, S: np.ndarray, spare: np.ndarray | None
+) -> None:
+    """Write the profile m_nu(u) into ``K`` and its slope ``-m_nu'(u) / u`` into ``S``.
 
-    Both are new arrays.  The slope is finite at u = 0 for nu = 3/2 and 5/2
-    (``3 e`` and ``(5/3)(1 + sqrt5 u) e``); for nu = 1/2 it is ``e / u``,
-    unbounded as u -> 0, and set to 0 at u = 0: it only enters multiplied
-    by u^2 or by a squared coordinate difference, both 0 there.
+    Both come from one ``exp``; ``spare`` is scratch of u's shape, read for
+    nu = 5/2 only.  ``K``, ``S`` and ``spare`` are distinct from each other
+    and from ``u``, which is left as it is.  The slope is finite at u = 0 for
+    nu = 3/2 and 5/2 (``3 e`` and ``(5/3)(1 + sqrt5 u) e``); for nu = 1/2 it
+    is ``e / u``, unbounded as u -> 0, and set to 0 at u = 0: it only enters
+    multiplied by u^2 or by a squared coordinate difference, both 0 there.
     """
     if nu == 0.5:
-        e = _exp_neg(u)
-        return e, np.divide(e, u, out=np.zeros_like(u), where=u > 0)
-    if nu == 1.5:
-        su = _SQRT3 * u
-        e = _exp_neg(su)
-        su += 1.0
-        su *= e
-        e *= 3.0
-        return su, e
-    if nu == 2.5:
-        su = _SQRT5 * u
-        e = _exp_neg(su)
-        sq = su * su
-        sq /= 3.0
-        su += 1.0
-        sq += su
-        sq *= e
-        su *= e
-        su *= 5.0 / 3.0
-        return sq, su
-    raise ValueError(f"nu must be one of {_MATERN_NUS}")
+        _exp_neg(u, out=K)
+        S.fill(0.0)  # the division below skips u = 0
+        np.divide(K, u, out=S, where=u > 0)
+    elif nu == 1.5:
+        np.multiply(_SQRT3, u, out=K)
+        _exp_neg(K, out=S)
+        K += 1.0
+        K *= S
+        S *= 3.0
+    elif nu == 2.5:
+        np.multiply(_SQRT5, u, out=S)
+        _exp_neg(S, out=spare)
+        np.multiply(S, S, out=K)
+        K /= 3.0
+        S += 1.0
+        K += S
+        K *= spare
+        S *= spare
+        S *= 5.0 / 3.0
+    else:
+        raise ValueError(f"nu must be one of {_MATERN_NUS}")
 
 
 def matern(r, nu: float = 1.5, lengthscale: float = 1.0, amplitude: float = 1.0):
@@ -451,13 +455,15 @@ def matern(r, nu: float = 1.5, lengthscale: float = 1.0, amplitude: float = 1.0)
     return out if out.ndim else float(out)
 
 
-def _scaled_dist(Z1: np.ndarray, Z2: np.ndarray, kernel: Matern) -> np.ndarray:
+def _scaled_dist(
+    Z1: np.ndarray, Z2: np.ndarray, kernel: Matern, out: np.ndarray | None = None
+) -> np.ndarray:
     ls = np.atleast_1d(np.asarray(kernel.lengthscale, dtype=float))
     if ls.size not in (1, Z1.shape[1]):
         raise ValueError(
             f"lengthscale has {ls.size} entries but points have {Z1.shape[1]} dimensions"
         )
-    return cdist(Z1 / ls, Z2 / ls)
+    return cdist(Z1 / ls, Z2 / ls, out=out)
 
 
 def _matern_gram(kernel: Matern, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
@@ -466,7 +472,9 @@ def _matern_gram(kernel: Matern, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
     return K
 
 
-def matern_gram_grads(kernel: Matern, Z: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def matern_gram_grads(
+    kernel: Matern, Z: np.ndarray, buffer=None
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Gram matrix of a Matern kernel plus its lengthscale derivatives.
 
     Returns the symmetric Gram K over ``Z`` and a list of matrices
@@ -476,25 +484,35 @@ def matern_gram_grads(kernel: Matern, Z: np.ndarray) -> tuple[np.ndarray, list[n
 
     With ``S = s^2 * (-m'(u) / u)`` from the same ``exp`` as K, the
     isotropic derivative is ``S * u^2`` and the ARD one ``S * (dz_i / l_i)^2``.
+
+    Every n x n array is ``buffer(role)``, overwritten whatever it holds:
+    ``"K"`` and ``"grad0"``, ``"grad1"``, ... for the results, ``"slope"``
+    for S and, for nu = 5/2 only, ``"spare"`` for scratch.  A caller that
+    evaluates many kernels over the same points passes arrays it keeps;
+    without ``buffer`` each role gets a fresh array and the same code runs.
     """
     Z = np.asarray(Z, dtype=float)
-    u = _scaled_dist(Z, Z, kernel)
+    n = Z.shape[0]
+    if buffer is None:
+        def buffer(role):
+            return np.empty((n, n))
+    K, S = buffer("K"), buffer("slope")
+    grads = [buffer(f"grad{d}") for d in range(len(kernel.lengthscale) if kernel.ard else 1)]
+    u = grads[0]  # the distances, until the derivatives overwrite them
+    _scaled_dist(Z, Z, kernel, out=u)
+    _matern_shape_and_slope(u, kernel.nu, K, S, buffer("spare") if kernel.nu == 2.5 else None)
     s2 = kernel.amplitude**2
-    K, S = _matern_shape_and_slope(u, kernel.nu)
     K *= s2
     S *= s2
     if not kernel.ard:
         u *= u
         u *= S
-        return K, [u]
-    del u
-    grads = []
-    for d, ls in enumerate(kernel.lengthscale):
+        return K, grads
+    for d, (dK, ls) in enumerate(zip(grads, kernel.lengthscale)):
         z = Z[:, d] / ls
-        dK = np.subtract.outer(z, z)
+        np.subtract.outer(z, z, out=dK)
         dK *= dK
         dK *= S
-        grads.append(dK)
     return K, grads
 
 

@@ -260,6 +260,22 @@ class TestRun:
             ("dataset.synth.seed", -1, "dataset.synth.seed"),
             ("dataset.synth.n", 0, "dataset.synth.n"),
             ("budget_seconds", -1, "budget_seconds"),
+            # a misspelled key would otherwise run with its default: unbudgeted, untuned
+            ("budget_secnds", 1e-9, "budget_secnds"),
+            ("tunning", {"method": "grid", "grid": {"tau2": [0.1]}}, "tunning"),
+            ("model.tua2", 0.1, "model.tua2"),
+            ("model.fitc", {"p": 20, "sead": 0}, "model.fitc.sead"),
+            ("tuning", {"method": "gradient", "n_restart": 2}, "tuning.n_restart"),
+            ("fanzhang", {"ridge": [0.1]}, "fanzhang.ridge"),
+            ("dataset.synth.tau", 0.1, "dataset.synth.tau"),
+            ("split.kfold.kk", 2, "split.kfold.kk"),
+            ("split", {"blocked": {"num_blocks": 4, "window": 2, "size": 1}},
+             "split.blocked.size"),
+            ("split.random", {"k": 2}, "split.random"),
+            # a ridge may be 0 but not negative; it used to fail inside the fit
+            ("fanzhang", {"ridges": [0.0, -1]}, "fanzhang.ridges[1]"),
+            ("model.instance_matern", {"lengthscale": -1}, "model.instance_matern"),
+            ("fanzhang", {"matern": {"nu": 0.7}}, "fanzhang.matern"),
         ],
     )
     def test_malformed_section_names_its_key(
@@ -319,6 +335,11 @@ class TestRun:
             ("policy", {"brackets": {"a": [1]}}, "dataset.policy.brackets.a"),
             ("policy", {"brackets": {"a": "ab"}}, "dataset.policy.brackets.a"),
             ("policy", {"brackets": {"a": [0, "x"]}}, "dataset.policy.brackets.a[1]"),
+            ("policy", {"standardise": False}, "dataset.policy.standardise"),
+            ("schema", {"target": "y", "numerics": ["a"], "task_coords": ["t"]},
+             "dataset.schema.numerics"),
+            # a bracket needs a column the schema loads as a number
+            ("policy", {"brackets": {"b": [0, 1]}}, "dataset.policy.brackets.b"),
         ],
     )
     def test_malformed_csv_section_names_its_key(self, tmp_path, capsys, section, value, key):
@@ -330,6 +351,24 @@ class TestRun:
         assert main(["run", str(path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{key}'" in err, err
+
+    @pytest.mark.parametrize("schema, column", [
+        ({"target": "y", "task_coords": ["t"]}, "a"),  # in the CSV, not in the schema
+        ({"target": "y", "categorical": ["a"], "task_coords": ["t"]}, "a"),
+        ({"target": "y", "numeric": ["a"], "task_time": "d"}, "d"),
+    ])
+    def test_bracket_outside_the_numeric_schema_names_its_key(
+        self, tmp_path, capsys, schema, column
+    ):
+        data_csv = tmp_path / "d.csv"
+        data_csv.write_text("a,t,d,y\n" + "".join(
+            f"{i},{i / 20},2020-01-{i + 1:02d},{i % 3}\n" for i in range(20)))
+        dataset = {"csv": str(data_csv), "schema": schema,
+                   "policy": {"brackets": {column: [0, 100]}}}
+        path, _ = write_config(tmp_path, dataset=dataset, train_sizes=[8])
+        assert main(["run", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'dataset.policy.brackets.{column}'" in err, err
 
     def test_classification_run(self, tmp_path):
         path, cfg = write_config(tmp_path, problem="classification", method="vcgp-lin")
@@ -382,18 +421,20 @@ def fuzzed_config(tmp_path, key, value):
 
 
 @settings(max_examples=50)
-@given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
-def test_config_fuzz_runs_or_names_the_key(key, value):
+@given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES), typo=st.booleans())
+def test_config_fuzz_runs_or_names_the_key(key, value, typo):
+    if typo:  # set a misspelling of the key instead, next to the valid key
+        key += key[-1]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         path = fuzzed_config(pathlib.Path(tmp), key, value)
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["run", str(path)])
     err = err.getvalue()
-    # a message about a missing or bad key names it, or a key below it
-    assert code == EXIT_OK or (
-        code == EXIT_USAGE and err.startswith("error: ") and f"'{key}" in err
-    ), (code, err)
+    # a message about a missing or bad key names it, or a key below it; a
+    # misspelled key must not run with the default of the key it misspells
+    named = code == EXIT_USAGE and err.startswith("error: ") and f"'{key}" in err
+    assert named or (code == EXIT_OK and not (typo and value is not None)), (code, err)
 
 
 class TestVerifyCommand:

@@ -1,5 +1,9 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
+import yaml
 
 from vcgp import gp_classify, gp_core
 from vcgp.data_io import synth_vcm, threshold_labels
@@ -7,6 +11,7 @@ from vcgp.experiments import (
     classify_probabilities,
     derive_seed,
     mae,
+    parse_config,
     run_method,
     run_settings,
     summarize_rows,
@@ -137,3 +142,19 @@ class TestSummarize:
         assert out[0]["mean"] == pytest.approx(2.0)
         assert out[0]["stderr"] == pytest.approx(1.0)
         assert out[0]["folds"] == 2
+
+
+def test_readme_example_config_parses(tmp_path):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = yaml.safe_load(re.search(r"```yaml\n(.*?)```", readme, re.S).group(1))
+    # every schema column of the example, as a CSV header; parse_config reads only that
+    data_csv = tmp_path / "sales.csv"
+    data_csv.write_text("price,floor_space,land_area,kind,lat,lon,sale_date\n")
+    cfg["dataset"]["csv"] = str(data_csv)
+    config = parse_config(cfg)
+    assert config.methods == ("vcgp-mat", "iid-mat") and config.blocked == (25, 5)
+    assert config.settings.fanzhang["ridges"] == [1e-6, 1e-3, 1e-1]
+
+
+def test_zero_ridge_is_accepted():
+    assert run_settings({"fanzhang": {"ridges": [0, 0.1]}}).fanzhang["ridges"] == [0.0, 0.1]

@@ -16,6 +16,7 @@ from vcgp.gp_core import (
     SearchConfig,
     LowRankBasis,
     LowRankDiag,
+    _Workspace,
     _fit_gaussian,
     _param_values,
     _weight_features,
@@ -509,6 +510,71 @@ def test_peak_memory_below_eight_gram_arrays():
     assert peak < 8 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
 
 
+def _workspace_cases():
+    """(data, spec, tau2) cases over the same 8 points, for one held workspace.
+
+    Each Matern smoothness, isotropic and ARD, on each side; linear x tree;
+    the fixed-Gram case that needs jitter (the data of
+    test_matches_textbook_formula_with_jitter); a candidate whose Cholesky
+    fails even with jitter, then a good one.
+    """
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 2))
+    X, y = np.vstack([x, x]), rng.standard_normal(8)  # repeated rows: zero distances off the diagonal
+    continuous = Dataset(X=X, T=rng.uniform(0, 2, (8, 2)), y=y)
+    discrete = Dataset(X=X, T=np.repeat([1, 2], 4), y=y)
+    cases = []
+    for nu in (0.5, 1.5, 2.5):
+        for ard in (False, True):
+            matern = Matern(nu=nu, lengthscale=(0.9, 1.6) if ard else 1.2, amplitude=1.3)
+            other = Matern(nu=2.5 if nu == 0.5 else 0.5, lengthscale=0.7, amplitude=0.8)
+            cases += [(continuous, KernelSpec(matern, other), 0.15),
+                      (continuous, KernelSpec(other, matern), 0.15)]
+    tree = TaskTree(parent={2: 1}, sigma=(1.0, 0.6))
+    cases.append((discrete, KernelSpec(Linear(), Tree(tree)), 0.2))
+    near_singular = FixedGram(np.array([[1.0, 1.0 + 2e-5], [1.0 + 2e-5, 1.0]]))
+    cases.append((discrete, KernelSpec(Matern(nu=2.5, lengthscale=1.1), near_singular), 1e-6))
+    indefinite = FixedGram(np.array([[1.0, 1.5], [1.5, 1.0]]))
+    cases.append((discrete, KernelSpec(Matern(nu=0.5, lengthscale=0.8), indefinite), 1e-6))
+    cases.append((continuous, KernelSpec(Matern(nu=0.5, lengthscale=(0.5, 2.0)), Matern()), 0.1))
+    return cases
+
+
+def test_held_workspace_changes_no_bit():
+    workspace = _Workspace(8)
+    failures = 0
+    for data, spec, tau2 in _workspace_cases():
+        try:
+            fresh = lml_and_gradient(data, spec, tau2)
+        except NumericalError:
+            fresh, failures = None, failures + 1
+        # whatever the arrays hold from the last call, none of it may be read
+        for array in workspace._arrays.values():
+            array.fill(np.nan)
+        if fresh is None:
+            with pytest.raises(NumericalError):
+                lml_and_gradient(data, spec, tau2, _workspace=workspace)
+        else:
+            assert lml_and_gradient(data, spec, tau2, _workspace=workspace) == fresh, spec
+    assert failures == 1  # the indefinite fixed Gram
+
+
+def test_held_workspace_allocates_no_gram_array():
+    n = 400  # test_peak_memory_below_eight_gram_arrays's data and spec
+    rng = np.random.default_rng(3)
+    data = Dataset(X=rng.standard_normal((n, 3)), T=rng.uniform(0, 1, (n, 1)), y=rng.standard_normal(n))
+    spec = KernelSpec(Matern(nu=1.5, lengthscale=1.2), Matern(nu=1.5, lengthscale=0.4))
+    workspace = _Workspace(n)
+    lml_and_gradient(data, spec, 0.1, _workspace=workspace)
+    tracemalloc.start()
+    try:
+        lml_and_gradient(data, spec, 0.1, _workspace=workspace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
+
+
 class TestTuning:
     def test_singleton_grid_returns_candidate(self):
         rng = np.random.default_rng(10)
@@ -577,6 +643,25 @@ class TestTuning:
         assert np.array_equal(model.chol, fresh.chol)
         assert np.array_equal(model.alpha, fresh.alpha)
         assert model.jitter == fresh.jitter
+
+    def test_gradient_search_result_is_unchanged(self):
+        # the spec, tau2 and predictions this search returned before the
+        # evaluations shared their arrays, as float.hex
+        rng = np.random.default_rng(15)
+        data = Dataset(X=rng.standard_normal((40, 2)), T=rng.uniform(0, 1, (40, 1)), y=rng.standard_normal(40))
+        spec = KernelSpec(Matern(nu=2.5, lengthscale=(1.0, 0.8)), Matern(nu=0.5, lengthscale=0.5))
+        model = tune_hyperparameters(data, spec, SearchConfig(seed=4, n_restarts=2, max_iter=15))
+        inst, task = model.spec.instance_kernel, model.spec.task_kernel
+        got = [*inst.lengthscale, inst.amplitude, task.lengthscale, task.amplitude, model.tau2]
+        assert [v.hex() for v in got] == [
+            "0x1.e226b6fd7f941p-5", "0x1.b7c3fbb3766cep+1", "0x1.3070a3a7b8817p+2",
+            "0x1.05d8886993683p-3", "0x1.657bb927bf89bp-3", "0x1.688d48b78bf93p-3",
+        ]
+        mean, var = model.predict_batch(rng.standard_normal((3, 2)), rng.uniform(0, 1, (3, 1)))
+        assert [float(v).hex() for v in mean] == [
+            "-0x1.eac0f319cda14p-5", "0x1.d7985ff519882p-7", "0x1.f83517838a49ap-4"]
+        assert [float(v).hex() for v in var] == [
+            "0x1.35a0d0931e4b9p-1", "0x1.60f2a264591b7p-1", "0x1.0727864e2b138p-1"]
 
     def test_every_grid_candidate_failing_raises(self):
         data = Dataset(X=[[1.0], [2.0]], T=np.array([1, 2]), y=[0.0, 1.0])
