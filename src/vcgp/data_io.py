@@ -189,13 +189,6 @@ class Preprocessor:
         self._time_origin = None
         self._fitted = False
 
-    @property
-    def feature_names(self) -> list[str]:
-        names = list(self.schema.numeric)
-        for col in self.schema.categorical:
-            names += [f"{col}={cat}" for cat in self._categories[col]]
-        return names
-
     def fit(self, records: Iterable[RawRecord]) -> "Preprocessor":
         records = list(records)
         if not records:

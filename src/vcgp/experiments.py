@@ -223,7 +223,7 @@ def run_settings(cfg: Mapping) -> RunSettings:
         fitc=(
             config_value("model.fitc.p", fitc.get("p"), int, 1000, low=1),
             config_value("model.fitc.seed", fitc.get("seed"), int, 0),
-        ) if fitc else None,
+        ) if model.get("fitc") is not None else None,  # fitc: {} takes both defaults
         fanzhang=dict(
             kernel=_kernel("fanzhang.matern", fz.get("matern"), {}, type="matern"),
             n_basis=config_value("fanzhang.n_basis", fz.get("n_basis"), int, 200, low=1),
@@ -242,10 +242,17 @@ def _search_config(tuning: Mapping, tau2: float, problem: str) -> SearchConfig |
     methods = ("none", "grid") + (("gradient",) if problem == "regression" else ())
     method = config_value("tuning.method", tuning.get("method"), str, "none", choices=methods)
     if method == "none":
+        for key in tuning:
+            if key != "method":
+                raise ValueError(f"config key 'tuning.{key}' is set, but 'tuning.method' is none")
         return None
     grid = config_value("tuning.grid", tuning.get("grid"), dict, {})
     if method == "grid" and not grid:
         raise ValueError("config key 'tuning.grid' must map at least one parameter to its values")
+    for key in grid:
+        if not gp_core._PARAM_NAME.fullmatch(str(key)):
+            raise ValueError(f"unknown config key 'tuning.grid.{key}'; a grid key is tau2, or "
+                             "instance./task. then lengthscale, lengthscale[i] or amplitude")
     return SearchConfig(
         method=method,
         grid={k: _numbers(f"tuning.grid.{k}", v, float, low=0) for k, v in grid.items()} or None,
@@ -343,6 +350,10 @@ def _dataset(dataset: Mapping, seed: int) -> dict:
     if ("csv" in dataset) == ("synth" in dataset):
         raise ValueError("config key 'dataset' needs exactly one of 'dataset.csv' or 'dataset.synth'")
     if "synth" in dataset:
+        for key in ("schema", "policy"):
+            if key in dataset:
+                raise ValueError(f"config key 'dataset.{key}' describes a CSV; "
+                                 "it cannot be used with 'dataset.synth'")
         s = _section("dataset.synth", dataset["synth"])
         return dict(synth=dict(
             n=config_value("dataset.synth.n", s.get("n"), int, low=1),

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._linalg import NumericalError, add_diagonal, chol_with_jitter
 from .gp_core import Basis, Dataset, DenseBasis, DenseCovariance, LowRankDiag, SearchConfig
-from .gp_core import _as_task_row, _exact_covariance, _GramCache, _latent_predictive, _tune_grid
+from .gp_core import _as_task_row, _exact_covariance, _latent_predictive, _tune_grid, _Workspace
 from .kernels import KernelSpec
 
 __all__ = [
@@ -181,14 +181,14 @@ class FittedClassifier:
 
 
 def fit_classifier(
-    data: Dataset, spec: KernelSpec, tau2: float, *, grams: _GramCache | None = None
+    data: Dataset, spec: KernelSpec, tau2: float, *, workspace: _Workspace | None = None
 ) -> FittedClassifier:
     """Fit the Laplace-approximate GP classifier on :func:`gp_core._exact_covariance`.
 
     Labels must be 0/1.  Raises :class:`NumericalError` if the Newton
     iteration does not converge within 100 steps.
     """
-    return _fit_laplace(data, spec, tau2, *_exact_covariance(data, spec, tau2, grams))
+    return _fit_laplace(data, spec, tau2, *_exact_covariance(data, spec, tau2, workspace))
 
 
 def _fit_laplace(

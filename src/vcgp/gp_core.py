@@ -14,13 +14,15 @@ and :func:`gp_classify._fit_laplace`.  Every route is one
 ``Phi`` of the predictive mean ``Phi^T weights`` and gives the latent
 variance: :class:`DenseBasis` or :class:`LowRankBasis`.  The log marginal
 likelihood and its analytic gradients with respect to log-hyperparameters
-drive tuning.
+drive tuning; each search's candidates share one :class:`_Workspace`, its
+buffers and whatever a kernel held fixed lets them share.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, replace
 from typing import Mapping, Protocol, Sequence
@@ -276,46 +278,14 @@ class FittedRegressor:
 
 
 def fit_regressor(
-    data: Dataset, spec: KernelSpec, tau2: float, *, grams: _GramCache | None = None
+    data: Dataset, spec: KernelSpec, tau2: float, *, workspace: _Workspace | None = None
 ) -> FittedRegressor:
     """Fit the exact GP regressor on :func:`_exact_covariance`, in weight space where smaller.
 
     Raises :class:`NumericalError` (naming the kernel spec) if the matrix
     to factorize is not positive definite even after the jitter escalation.
     """
-    return _fit_gaussian(data, spec, tau2, *_exact_covariance(data, spec, tau2, grams))
-
-
-class _GramCache:
-    """The last instance Gram and the last task Gram over one training set.
-
-    :func:`_tune_grid` holds one while its grid runs, so candidates that
-    share a kernel share its Gram.  :func:`grid_candidates` varies tau2
-    fastest, then the task kernel, then the instance kernel, so one Gram of
-    each kind is all the reuse there is.  Matern, linear and constant
-    kernels match by value; the discrete task kernels by identity, since
-    their ``==`` compares arrays.
-    """
-
-    def __init__(self, data: Dataset):
-        self.data = data
-        self.instance = self.task = (None, None)  # (kernel, Gram)
-
-    def product(self, spec: KernelSpec) -> np.ndarray:
-        """A new array holding ``spec``'s product Gram over the training points.
-
-        The same numbers as :func:`kernels.product_kernel_matrix`.
-        """
-        X, T = self.data.X, self.data.T
-        inst, task = spec.instance_kernel, spec.task_kernel
-        # a Gram that is replaced goes before the next is built
-        if not _same_kernel(self.instance[0], inst):
-            self.instance = (None, None)
-            self.instance = (inst, kernels.instance_gram(inst, X, X))
-        if not _same_kernel(self.task[0], task):
-            self.task = (None, None)
-            self.task = (task, kernels.task_gram(task, T, T))
-        return self.instance[1] * self.task[1]
+    return _fit_gaussian(data, spec, tau2, *_exact_covariance(data, spec, tau2, workspace))
 
 
 def _same_kernel(a, b) -> bool:
@@ -329,7 +299,7 @@ def _weight_features(spec: KernelSpec, C: np.ndarray, X: np.ndarray, T) -> np.nd
 
 
 def _exact_covariance(
-    data: Dataset, spec: KernelSpec, tau2: float, grams: _GramCache | None = None
+    data: Dataset, spec: KernelSpec, tau2: float, workspace: _Workspace | None = None
 ) -> tuple[DenseCovariance | LowRankDiag, Basis]:
     """``(covariance, basis)`` of ``K + tau2 I`` over the training points.
 
@@ -339,20 +309,26 @@ def _exact_covariance(
     ``r <= n / 2`` the covariance is the weight-space :class:`LowRankDiag`,
     whose fits cost O(n r^2) and predictions O(r^2) per point, against
     O(n^3) and O(n^2) for the n x n :class:`DenseCovariance` of every other
-    spec.  A dense Gram comes from ``grams`` when given (grid search), with
-    the same numbers either way.
+    spec.  A search passes its ``workspace`` (:class:`_Workspace`); the
+    numbers are the same either way.
     """
     if not tau2 > 0:
         raise ValueError("tau2 must be positive")
     C = kernels.task_factor(spec.task_kernel) if isinstance(spec.instance_kernel, Linear) else None
     if C is None or 2 * data.m * C.shape[1] > data.n:
-        if grams is None:
+        if workspace is None:
             K = kernels.product_kernel_matrix(data.X, data.T, data.X, data.T, spec)
-        else:
-            K = grams.product(spec)
+        else:  # a new array: the fit factorizes it in place
+            K = workspace.gram("instance", spec.instance_kernel, data)
+            K = K * workspace.gram("task", spec.task_kernel, data)
         return DenseCovariance(add_diagonal(K, tau2)), DenseBasis()
-    V = _weight_features(spec, C, data.X, data.T).T
-    return LowRankDiag(V, float(tau2)), LowRankBasis(task_factor=C)
+    basis = LowRankBasis(task_factor=C)
+    if workspace is None:
+        return LowRankDiag(_weight_features(spec, C, data.X, data.T).T, float(tau2)), basis
+    points = (data.X, data.T)
+    V = workspace.held("V", spec.task_kernel, points, lambda: _weight_features(spec, C, *points).T)
+    VVt = workspace.held("VVt", spec.task_kernel, points, lambda: V @ V.T)
+    return LowRankDiag(V, float(tau2), VVt), basis
 
 
 def _fit_gaussian(
@@ -424,12 +400,13 @@ class LowRankDiag:
     (:meth:`_woodbury`), O(np^2) to build.  The Gaussian likelihood uses
     ``rho = 1 / lam`` (:meth:`gaussian_fit`), the Laplace Newton step
     ``rho = W / (1 + W lam)`` (:meth:`newton_factor`).  ``C`` is at least
-    ``I`` in exact arithmetic, so its factor needs no jitter.
+    ``I`` in exact arithmetic, so its factor needs no jitter.  ``VVt`` is ``V V^T`` or None.
     """
 
-    def __init__(self, V: np.ndarray, lam):
+    def __init__(self, V: np.ndarray, lam, VVt: np.ndarray | None = None):
         self.V = V
         self.lam = lam
+        self.VVt = VVt
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.V.T @ (self.V @ x) + self.lam * x
@@ -454,7 +431,7 @@ class LowRankDiag:
         if np.ndim(rho):
             C = (V * rho) @ V.T
         else:  # one number for all points: scale the p x p product, not V
-            C = V @ V.T
+            C = V @ V.T if self.VVt is None else self.VVt.copy()
             C *= rho
         L, _ = chol_with_jitter(add_diagonal(C, 1.0), context=context, overwrite=True)
 
@@ -546,27 +523,47 @@ def _evidence_weights(L: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, flo
 
 
 class _Workspace:
-    """The n x n float arrays of :func:`lml_and_gradient`, by role, kept from call to call.
+    """What one search over ``n`` training points reuses from candidate to candidate.
 
-    :func:`_tune_gradient` holds one for its whole search, so each evaluation
-    overwrites the arrays of the last instead of allocating new ones, which
-    the allocator would hand back to the system on release and page-fault in
-    again.  An array is made on first use of its role: ``instance.K``,
-    ``task.K`` and each side's ``grad0``, ``grad1``, ... from
-    :func:`kernels.matern_gram_grads`; ``cov`` for ``KX * KT + tau2 I``, its
-    factor and the evidence weights; ``scratch`` for each Matern slope and
-    then ``W * KT``.  A Matern x Matern spec with one lengthscale per kernel
-    uses six.
+    :func:`_tune_grid` and :func:`_tune_gradient` each hold one and drop it
+    before any final fit.  ``workspace[role]`` is a scratch n x n array that
+    each :func:`lml_and_gradient` call overwrites, so no evaluation
+    page-faults in afresh what the last freed: ``instance.K``, ``task.K`` and
+    each Matern side's ``grad0``, ``grad1``, ... (:func:`kernels.matern_gram_grads`);
+    ``cov`` for ``KX * KT + tau2 I``, its factor and the evidence weights;
+    ``scratch`` for each Matern slope, then ``W * KT``.  :meth:`held` keeps a
+    read-only array per role (each side's Gram, the weight-space ``V`` and
+    ``V V^T``) while the kernel and points it was built from stay; one per
+    role suffices, as :func:`grid_candidates` varies tau2 fastest.  Matern,
+    linear and constant kernels match by value, discrete task kernels (whose
+    ``==`` compares arrays) and points by identity.
     """
 
     def __init__(self, n: int):
         self.n = n
         self._arrays: dict[str, np.ndarray] = {}
+        self._held: dict[str, tuple] = {}
 
     def __getitem__(self, role: str) -> np.ndarray:
         if role not in self._arrays:
             self._arrays[role] = np.empty((self.n, self.n))
         return self._arrays[role]
+
+    def held(self, role: str, kernel, points: tuple, build) -> np.ndarray:
+        """``build()``, made again only when ``kernel`` or ``points`` differ from the last ones."""
+        kept = self._held.pop(role, (None, ()))
+        if not (_same_kernel(kept[0], kernel) and all(map(operator.is_, kept[1], points))):
+            del kept  # a value that is replaced goes before the next is built
+            kept = (kernel, points, build())
+            kept[2].setflags(write=False)
+        self._held[role] = kept
+        return kept[2]
+
+    def gram(self, side: str, kernel, data: Dataset) -> np.ndarray:
+        """``kernel``'s Gram over the instances (``side="instance"``) or tasks of ``data``."""
+        points = data.X if side == "instance" else data.T
+        build = kernels.instance_gram if side == "instance" else kernels.task_gram
+        return self.held(side, kernel, (points,), lambda: build(kernel, points, points))
 
     def matern_buffer(self, side: str):
         """``buffer`` for :func:`kernels.matern_gram_grads` on one side.
@@ -597,22 +594,21 @@ def lml_and_gradient(
     gradient is ``0.5 * (alpha . alpha - tr A^{-1}) * tau2``.  No n x n array
     is made per parameter.  Every n x n array a Matern side or the solve
     needs is an array of ``_workspace`` (a :class:`_Workspace` over the
-    ``data.n`` points; a fresh one when omitted), so a search that keeps
-    one allocates none of them twice.  The numbers do not depend on it.
+    ``data.n`` points; a fresh one when omitted), which also keeps a side
+    with no free parameter's Gram.  The numbers do not depend on it.
     """
     ws = _Workspace(data.n) if _workspace is None else _workspace
-    X, T = data.X, data.T
     inst, task = spec.instance_kernel, spec.task_kernel
 
     if isinstance(inst, Matern):
-        KX, dKX = matern_gram_grads(inst, X, ws.matern_buffer("instance"))
+        KX, dKX = matern_gram_grads(inst, data.X, ws.matern_buffer("instance"))
     else:
-        KX, dKX = kernels.instance_gram(inst, X, X), []
+        KX, dKX = ws.gram("instance", inst, data), []
     if isinstance(task, Matern):
-        T = as_task_array(T, discrete=False)
+        T = as_task_array(data.T, discrete=False)
         KT, dKT = matern_gram_grads(task, T, ws.matern_buffer("task"))
     else:
-        KT, dKT = kernels.task_gram(task, T, T), []
+        KT, dKT = ws.gram("task", task, data), []
 
     cov = DenseCovariance(add_diagonal(np.multiply(KX, KT, out=ws["cov"]), tau2))
     fit = _fit_gaussian(data, spec, tau2, cov, DenseBasis())
@@ -709,26 +705,29 @@ def grid_candidates(spec: KernelSpec, tau2_0: float, grid: Mapping) -> list[tupl
 
 
 def _tune_grid(fit, data: Dataset, spec: KernelSpec, search: SearchConfig):
-    """Fit every grid candidate with ``fit(data, spec, tau2, grams=...)``; return the best model.
+    """Fit each grid candidate with ``fit(data, spec, tau2, workspace=...)``; return the best.
 
-    The candidates share one :class:`_GramCache`, dropped when the grid
+    The candidates share one :class:`_Workspace`, dropped when the grid
     returns.  Candidates that raise :class:`NumericalError` are skipped.  A
     model is dropped as soon as it loses, so at most one is held besides
     the fit in progress.
     """
-    grams = _GramCache(data)
-    best, best_lml = None, -math.inf
-    for cand_spec, cand_tau2 in grid_candidates(spec, search.tau2_init, search.grid):
+    workspace = _Workspace(data.n)
+    candidates = grid_candidates(spec, search.tau2_init, search.grid)
+    best, best_lml, failure = None, -math.inf, None
+    for cand_spec, cand_tau2 in candidates:
         try:
-            model = fit(data, cand_spec, cand_tau2, grams=grams)
-        except NumericalError:
+            model = fit(data, cand_spec, cand_tau2, workspace=workspace)
+        except NumericalError as exc:
+            failure = exc.with_traceback(None)  # its frames would keep the candidate's arrays
             continue
         lml = model.log_marginal_likelihood()
         if best is None or lml > best_lml:
             best, best_lml = model, lml
         del model
     if best is None:
-        raise NumericalError("every grid candidate failed to fit")
+        raise NumericalError(f"every grid candidate failed to fit ({len(candidates)} "
+                             f"candidates); the last: {failure}") from failure
     return best
 
 

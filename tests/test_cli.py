@@ -230,7 +230,12 @@ class TestRun:
             ("methods", "vcgp-mat", "methods"),
             # a mistyped grid key would otherwise be ignored, leaving the run untuned
             ("tuning", {"method": "grid", "grid": {"task.lenghtscale": [0.1, 0.3, 1.0]}},
-             "task.lenghtscale"),
+             "tuning.grid.task.lenghtscale"),
+            # a key that only a tuning method reads, with no tuning, or a CSV's
+            # schema or policy with a synthetic dataset, would be ignored
+            ("tuning", {"method": "none", "n_restarts": 3}, "tuning.n_restarts"),
+            ("dataset.schema", {"target": "y"}, "dataset.schema"),
+            ("dataset.policy", {"standardize": False}, "dataset.policy"),
             # each train size against the 150-record training folds, before any fold runs
             ("train_sizes", [200], "train_sizes[0]"),
             ("train_sizes", [60, 200], "train_sizes[1]"),

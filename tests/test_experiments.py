@@ -156,5 +156,10 @@ def test_readme_example_config_parses(tmp_path):
     assert config.settings.fanzhang["ridges"] == [1e-6, 1e-3, 1e-1]
 
 
+def test_empty_fitc_section_is_fitc_with_the_defaults():
+    assert run_settings({"model": {"fitc": {}}}).fitc == (1000, 0)
+    assert run_settings({"model": {}}).fitc is None
+
+
 def test_zero_ridge_is_accepted():
     assert run_settings({"fanzhang": {"ridges": [0, 0.1]}}).fanzhang["ridges"] == [0.0, 0.1]

@@ -289,8 +289,10 @@ class TestClassifierTuning:
             instance_kernel=Linear(), task_kernel=FixedGram(np.array([[1.0, 5.0], [5.0, 1.0]]))
         )
         search = SearchConfig(method="grid", grid={"tau2": [1e-8, 1e-6]})
-        with pytest.raises(NumericalError, match="every grid candidate failed"):
+        message = r"every grid candidate failed to fit \(2 candidates\); the last: Cholesky"
+        with pytest.raises(NumericalError, match=message) as info:
             tune_classifier_hyperparameters(data, bad, search)
+        assert isinstance(info.value.__cause__, NumericalError)
 
     def test_grid_builds_each_distinct_gram_once(self, gram_builds):
         # 3 task lengthscales x 2 tau2: one instance Gram, one task Gram per lengthscale

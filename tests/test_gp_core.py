@@ -1,11 +1,13 @@
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from vcgp import kernels
 from vcgp._linalg import NumericalError, add_diagonal, solve_lower
 from vcgp.baselines import primal_oracle_predict
 from vcgp.gp_classify import fit_classifier, laplace_mode, logistic_gaussian_integral
@@ -575,6 +577,51 @@ def test_held_workspace_allocates_no_gram_array():
     assert peak < 0.25 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
 
 
+def test_held_value_is_released_before_its_replacement_is_built():
+    # a grid that moves to the next task kernel holds one task Gram at a time
+    workspace = _Workspace(3)
+    old = weakref.ref(workspace.held("task", Linear(), (), lambda: np.zeros((3, 3))))
+
+    def build():
+        assert old() is None
+        return np.ones((3, 3))
+
+    workspace.held("task", Constant(1.0), (), build)
+
+
+@pytest.mark.parametrize("n", [6, 20], ids=["dense", "weight-space"])
+def test_held_workspace_keeps_each_datasets_own_gram(n):
+    # the same n and kernel objects over other points: r = 2 * 4 > 6 / 2, <= 20 / 2
+    rng = np.random.default_rng(17)
+    first, second = (
+        Dataset(X=rng.standard_normal((n, 2)), T=rng.integers(1, 5, n), y=rng.standard_normal(n))
+        for _ in range(2)
+    )
+    spec = KernelSpec(Linear(), Tree(_TREE))
+    workspace = _Workspace(n)
+    for data in (first, second, first):
+        fresh = fit_regressor(data, spec, 0.1)
+        model = fit_regressor(data, spec, 0.1, workspace=workspace)
+        assert np.array_equal(model.alpha, fresh.alpha)
+        assert np.array_equal(model.weights, fresh.weights)
+        assert lml_and_gradient(data, spec, 0.1, _workspace=workspace) == lml_and_gradient(data, spec, 0.1)
+
+
+def _recovery_data():
+    """200 points of a linear x Matern(nu=3/2, lengthscale 1) model with noise 0.1."""
+    rng = np.random.default_rng(42)
+    n, m = 200, 2
+    T = rng.uniform(0, 6, size=(n, 1))
+    KT = task_gram(Matern(nu=1.5, lengthscale=1.0), T, T) + 1e-10 * np.eye(n)
+    W = np.linalg.cholesky(KT) @ rng.standard_normal((n, m))
+    X = rng.standard_normal((n, m))
+    y = np.einsum("ij,ij->i", X, W) + rng.standard_normal(n) * math.sqrt(0.1)
+    return Dataset(X=X, T=T, y=y)
+
+
+LIN_MATERN = KernelSpec(instance_kernel=Linear(), task_kernel=Matern(nu=1.5))
+
+
 class TestTuning:
     def test_singleton_grid_returns_candidate(self):
         rng = np.random.default_rng(10)
@@ -598,21 +645,14 @@ class TestTuning:
     def test_gradient_search_recovery(self):
         # data generated with task lengthscale 1 and noise 0.1; the tuned
         # log-lengthscale must land within 0.5 of the truth
-        rng = np.random.default_rng(42)
-        n, m = 200, 2
-        T = rng.uniform(0, 6, size=(n, 1))
-        KT = task_gram(Matern(nu=1.5, lengthscale=1.0), T, T) + 1e-10 * np.eye(n)
-        W = np.linalg.cholesky(KT) @ rng.standard_normal((n, m))
-        X = rng.standard_normal((n, m))
-        y = np.einsum("ij,ij->i", X, W) + rng.standard_normal(n) * math.sqrt(0.1)
-        data = Dataset(X=X, T=T, y=y)
-        model = tune_hyperparameters(
-            data,
-            KernelSpec(instance_kernel=Linear(), task_kernel=Matern(nu=1.5)),
-            SearchConfig(seed=0),
-        )
+        model = tune_hyperparameters(_recovery_data(), LIN_MATERN, SearchConfig(seed=0))
         assert abs(math.log(model.spec.task_kernel.lengthscale)) < 0.5
         assert 0.03 < model.tau2 < 0.3
+
+    def test_gradient_search_builds_a_fixed_side_once(self, gram_builds):
+        # the linear instance Gram: once for the search, once for the final fit
+        tune_hyperparameters(_recovery_data(), LIN_MATERN, SearchConfig(n_restarts=2, max_iter=3))
+        assert gram_builds == {"instance_gram": 2, "task_gram": 1}
 
     def test_gradient_search_deterministic(self):
         rng = np.random.default_rng(12)
@@ -627,21 +667,29 @@ class TestTuning:
             tune_hyperparameters(scalar_data(), LIN_CONST, SearchConfig())
 
     @pytest.mark.parametrize(
-        "search",
+        "spec, search",
         [
-            SearchConfig(method="grid", grid={"task.lengthscale": [0.3, 1.0], "tau2": [0.05, 0.5]}),
-            SearchConfig(seed=3, n_restarts=2, max_iter=20),
+            (KernelSpec(Matern(), Matern()),
+             SearchConfig(method="grid", grid={"task.lengthscale": [0.3, 1.0], "tau2": [0.05, 0.5]})),
+            (KernelSpec(Matern(), Matern()), SearchConfig(seed=3, n_restarts=2, max_iter=20)),
+            # r = 2 * 4 <= 40 / 2: every candidate takes the weight-space route
+            (KernelSpec(Linear(), Tree(_TREE)), SearchConfig(method="grid", grid={"tau2": [0.05, 0.5]})),
         ],
-        ids=["grid", "gradient"],
+        ids=["grid", "gradient", "weight-space-grid"],
     )
-    def test_returned_model_is_bit_equal_to_a_fresh_fit(self, search):
+    def test_returned_model_is_bit_equal_to_a_fresh_fit(self, spec, search):
         rng = np.random.default_rng(13)
-        data = Dataset(X=rng.standard_normal((40, 2)), T=rng.uniform(0, 1, (40, 1)), y=rng.standard_normal(40))
-        spec = KernelSpec(instance_kernel=Matern(), task_kernel=Matern())
+        X, T = rng.standard_normal((40, 2)), rng.uniform(0, 1, (40, 1))
+        if not isinstance(spec.task_kernel, Matern):
+            T = rng.integers(1, 5, 40)
+        data = Dataset(X=X, T=T, y=rng.standard_normal(40))
         model = tune_hyperparameters(data, spec, search)
         fresh = fit_regressor(data, model.spec, model.tau2)
+        assert isinstance(model.basis, DenseBasis if isinstance(spec.task_kernel, Matern) else LowRankBasis)
         assert np.array_equal(model.chol, fresh.chol)
         assert np.array_equal(model.alpha, fresh.alpha)
+        assert np.array_equal(model.weights, fresh.weights)
+        assert model.half_logdet == fresh.half_logdet
         assert model.jitter == fresh.jitter
 
     def test_gradient_search_result_is_unchanged(self):
@@ -669,8 +717,10 @@ class TestTuning:
             instance_kernel=Linear(), task_kernel=FixedGram(np.array([[1.0, 5.0], [5.0, 1.0]]))
         )
         search = SearchConfig(method="grid", grid={"tau2": [1e-8, 1e-6]})
-        with pytest.raises(NumericalError, match="every grid candidate failed"):
+        message = r"every grid candidate failed to fit \(2 candidates\); the last: Cholesky"
+        with pytest.raises(NumericalError, match=message) as info:
             tune_hyperparameters(data, bad, search)
+        assert isinstance(info.value.__cause__, NumericalError)
 
     def test_grid_builds_each_distinct_gram_once(self, gram_builds):
         # 3 task lengthscales x 2 tau2: one instance Gram, one task Gram per lengthscale
@@ -681,6 +731,17 @@ class TestTuning:
         model = tune_hyperparameters(data, spec, SearchConfig(method="grid", grid=grid))
         assert isinstance(model.basis, DenseBasis)
         assert gram_builds == {"instance_gram": 1, "task_gram": 3}
+
+    def test_tau2_grid_builds_the_weight_space_features_once(self, monkeypatch):
+        calls = []
+        rows = kernels.task_factor_rows
+        monkeypatch.setattr(kernels, "task_factor_rows", lambda *args: calls.append(1) or rows(*args))
+        rng = np.random.default_rng(16)
+        data = Dataset(X=rng.standard_normal((40, 2)), T=rng.integers(1, 5, 40), y=rng.standard_normal(40))
+        search = SearchConfig(method="grid", grid={"tau2": [0.05, 0.2, 0.5]})
+        model = tune_hyperparameters(data, KernelSpec(Linear(), Tree(_TREE)), search)
+        assert isinstance(model.basis, LowRankBasis)
+        assert len(calls) == 1
 
     def test_grid_matches_discrete_task_kernels_by_identity(self, gram_builds):
         rng = np.random.default_rng(15)
