@@ -219,7 +219,8 @@ def run_settings(cfg: Mapping) -> RunSettings:
         task_kernel=_kernel("model.task_kernel", model.get("task_kernel"), {"type": "matern"},
                             task=True),
         tau2=tau2,
-        search=_search_config(_section("tuning", cfg.get("tuning"), {}), tau2, problem),
+        search=_search_config(_section("tuning", cfg.get("tuning"), {}), tau2,
+                              gradient=problem == "regression" and model.get("fitc") is None),
         fitc=(
             config_value("model.fitc.p", fitc.get("p"), int, 1000, low=1),
             config_value("model.fitc.seed", fitc.get("seed"), int, 0),
@@ -236,10 +237,10 @@ def run_settings(cfg: Mapping) -> RunSettings:
     )
 
 
-def _search_config(tuning: Mapping, tau2: float, problem: str) -> SearchConfig | None:
+def _search_config(tuning: Mapping, tau2: float, gradient: bool) -> SearchConfig | None:
     """The tuning section as a :class:`SearchConfig` with seed 0, or None for no tuning."""
-    # the Laplace evidence has no gradient here, so classifiers tune on a grid only
-    methods = ("none", "grid") + (("gradient",) if problem == "regression" else ())
+    # only the exact Gaussian evidence has a gradient here: classification and FITC tune on a grid
+    methods = ("none", "grid") + (("gradient",) if gradient else ())
     method = config_value("tuning.method", tuning.get("method"), str, "none", choices=methods)
     if method == "none":
         for key in tuning:
@@ -434,25 +435,23 @@ def run_method(
     # iid and concat run a plain GP (constant task kernel); concat rebuilds X
     task = settings.task_kernel if method.startswith("vcgp") else Constant(1.0)
     spec = KernelSpec(instance_kernel=inst, task_kernel=task)
-    tau2 = settings.tau2
-    model = None
-    if settings.search is not None:
-        tune = (gp_classify.tune_classifier_hyperparameters if classification
-                else gp_core.tune_hyperparameters)
-        model = tune(train, spec, replace(settings.search, seed=derive_seed(seed, "tune")))
-        spec, tau2 = model.spec, model.tau2
-
     if settings.fitc:
-        model = None  # FITC takes the exact evidence's hyperparameters, not its model
         p, fitc_seed = settings.fitc
         inducing = sparse_fitc.select_inducing(
             train, min(p, train.n), derive_seed(seed, "inducing", fitc_seed)
         )
-        fit = sparse_fitc.fit_fitc_classifier if classification else sparse_fitc.fit_fitc
-        model = fit(train, spec, tau2, inducing)
-    elif model is None:
+        fitc = sparse_fitc.fit_fitc_classifier if classification else sparse_fitc.fit_fitc
+        # a grid candidate's workspace goes unused: FITC holds nothing across candidates
+        fit = lambda data, spec, tau2, workspace=None: fitc(data, spec, tau2, inducing)
+        tune = functools.partial(gp_core._tune_grid, fit)
+    else:
         fit = gp_classify.fit_classifier if classification else gp_core.fit_regressor
-        model = fit(train, spec, tau2)
+        tune = (gp_classify.tune_classifier_hyperparameters if classification
+                else gp_core.tune_hyperparameters)
+    if settings.search is None:
+        model = fit(train, spec, settings.tau2)
+    else:
+        model = tune(train, spec, replace(settings.search, seed=derive_seed(seed, "tune")))
 
     if classification:
         proba = model.predict_proba_batch(test.X, test.T)

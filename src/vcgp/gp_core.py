@@ -148,7 +148,7 @@ def _as_task_row(t_star, like: np.ndarray) -> np.ndarray:
         arr = np.asarray(t_star)
         if arr.size != 1 or not np.issubdtype(arr.dtype, np.number):
             raise ValueError("discrete tasks need a single integer id per test point")
-        arr = as_task_array(arr.reshape(1).astype(int), discrete=True)
+        arr = as_task_array(arr.reshape(1), discrete=True)
     else:
         arr = np.atleast_2d(np.asarray(t_star, dtype=float))
         if arr.shape[0] != 1:
@@ -166,6 +166,9 @@ def _latent_predictive(model, X_star, T_star, L, noise=0.0, W=None):
             f"test instances have {X_star.shape[1]} features, training has {model.data.m}"
         )
     T_star = as_task_array(T_star, discrete=model.data.has_discrete_tasks)
+    if T_star.shape[0] != X_star.shape[0]:
+        raise ValueError(f"instance rows and task rows disagree: {X_star.shape[0]} vs "
+                         f"{T_star.shape[0]}")
     Phi = model.basis.features(model, X_star, T_star)
     var = model.basis.latent_var(model, X_star, T_star, Phi, L, noise, W)
     if (var < -VARIANCE_CLAMP).any():

@@ -118,6 +118,11 @@ def as_task_array(t, *, discrete: bool | None = None) -> np.ndarray:
     if discrete is None:
         discrete = arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer)
     if discrete:
+        if arr.dtype.kind not in "iu":  # integer ids pay for no check
+            ids = np.asarray(arr, dtype=float).reshape(-1)
+            bad = ~np.isfinite(ids) | (ids != np.round(ids))
+            if bad.any():
+                raise ValueError(f"discrete task ids must be integers, got {float(ids[bad][0])}")
         arr = np.asarray(arr, dtype=int).reshape(-1)
         if arr.size and arr.min() < 1:
             raise ValueError("discrete task ids must be >= 1")

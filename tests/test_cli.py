@@ -309,6 +309,8 @@ class TestRun:
         [
             # classifiers tune on a grid only
             (dict(problem="classification", tuning={"method": "gradient"}), "tuning.method"),
+            # FITC tunes on its own evidence, which has no gradient here
+            (dict(model={"fitc": {"p": 20}}, tuning={"method": "gradient"}), "tuning.method"),
             # kernel-local smoothing has no classifier
             (dict(problem="classification", methods=["vcgp-lin", "fanzhang-lin"]), "methods[1]"),
             (dict(tuning={"method": "grid", "grid": {"tau2": [0.1]}}, train_sizes=[1]),
@@ -316,12 +318,15 @@ class TestRun:
         ],
     )
     def test_value_that_clashes_with_another_key_names_its_key(
-        self, tmp_path, capsys, overrides, key
+        self, tmp_path, capsys, monkeypatch, overrides, key
     ):
         path, _ = write_config(tmp_path, **overrides)
+        folds = []
+        monkeypatch.setattr(experiments, "run_method", lambda *args: folds.append(args))
         assert main(["run", str(path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{key}'" in err, err
+        assert not folds  # checked before any fold runs
 
     @pytest.mark.parametrize(
         "section, value, key",

@@ -1,11 +1,13 @@
 import pathlib
 import re
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 import yaml
 
-from vcgp import gp_classify, gp_core
+from vcgp import gp_classify, gp_core, sparse_fitc
 from vcgp.data_io import synth_vcm, threshold_labels
 from vcgp.experiments import (
     classify_probabilities,
@@ -103,33 +105,80 @@ class TestRunMethod:
         value = run_method("vcgp-mat", train, test, settings, seed=3)
         assert np.isfinite(value)
 
+    GRID = {"task.lengthscale": [0.2, 0.5], "tau2": [0.05, 0.5]}
+
     @pytest.mark.parametrize(
-        "problem, method, tuning, fits",
+        "problem, method, fitc, tuning, fits",
         [
-            ("regression", "vcgp-mat",
-             {"method": "grid", "grid": {"task.lengthscale": [0.2, 0.5], "tau2": [0.05, 0.5]}}, 4),
-            ("classification", "vcgp-lin", {"method": "grid", "grid": {"tau2": [0.05, 0.5, 2.0]}}, 3),
-            ("regression", "vcgp-lin", {"method": "gradient", "n_restarts": 2, "max_iter": 5}, 1),
+            ("regression", "vcgp-mat", None, {"method": "grid", "grid": GRID},
+             {"fit_regressor": 4}),
+            ("classification", "vcgp-lin", None,
+             {"method": "grid", "grid": {"tau2": [0.05, 0.5, 2.0]}}, {"fit_classifier": 3}),
+            ("regression", "vcgp-lin", None,
+             {"method": "gradient", "n_restarts": 2, "max_iter": 5}, {"fit_regressor": 1}),
+            # FITC tunes on its own evidence: no exact fit, and no refit
+            ("regression", "vcgp-mat", {"p": 20}, {"method": "grid", "grid": GRID},
+             {"fit_fitc": 4}),
+            ("classification", "vcgp-mat", {"p": 20}, {"method": "grid", "grid": GRID},
+             {"fit_fitc_classifier": 4}),
+            ("regression", "vcgp-mat", {"p": 20}, {"method": "none"}, {"fit_fitc": 1}),
         ],
-        ids=["grid-regression", "grid-classification", "gradient-regression"],
+        ids=["grid-regression", "grid-classification", "gradient-regression",
+             "fitc-grid-regression", "fitc-grid-classification", "fitc-untuned"],
     )
     def test_tuned_fold_fits_each_candidate_once_and_never_refits(
-        self, monkeypatch, problem, method, tuning, fits
+        self, monkeypatch, problem, method, fitc, tuning, fits
     ):
         calls = []
-        for module, name in ((gp_core, "fit_regressor"), (gp_classify, "fit_classifier")):
+        for module, name in ((gp_core, "fit_regressor"), (gp_classify, "fit_classifier"),
+                             (sparse_fitc, "fit_fitc"), (sparse_fitc, "fit_fitc_classifier")):
             def counted(*args, _fit=getattr(module, name), **kwargs):
                 calls.append(_fit.__name__)
                 return _fit(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         train, test = self.make_splits(problem)
-        settings = run_settings(
-            {"problem": problem, "model": {"task_kernel": {"type": "matern"}}, "tuning": tuning}
-        )
+        model = {"task_kernel": {"type": "matern"}} | ({"fitc": fitc} if fitc else {})
+        settings = run_settings({"problem": problem, "model": model, "tuning": tuning})
         run_method(method, train, test, settings, seed=4)
-        assert len(calls) == fits
+        assert Counter(calls) == fits
 
+    @pytest.mark.parametrize("problem", ["regression", "classification"])
+    def test_fitc_with_every_point_inducing_picks_the_exact_grids_choice(
+        self, monkeypatch, problem
+    ):
+        chosen = []
+        for module in (gp_core, gp_classify):  # gp_classify binds _tune_grid by name
+            def spied(*args, _tune=module._tune_grid):
+                model = _tune(*args)
+                chosen.append((model.spec, model.tau2))
+                return model
+
+            monkeypatch.setattr(module, "_tune_grid", spied)
+        train, test = self.make_splits(problem)
+        config = {"problem": problem, "model": {"task_kernel": {"type": "matern"}},
+                  "tuning": {"method": "grid", "grid": self.GRID}}
+        run_method("vcgp-mat", train, test, run_settings(config), seed=4)
+        config["model"]["fitc"] = {"p": train.n}
+        run_method("vcgp-mat", train, test, run_settings(config), seed=4)
+        assert len(chosen) == 2 and chosen[0] == chosen[1]
+
+    def test_fitc_grid_fold_allocates_no_n_by_n_array(self):
+        # test_sparse_fitc.py's test_fit_allocates_no_n_by_n_array, through a tuned fold
+        n, p = 3000, 50
+        rng = np.random.default_rng(19)
+        data = Dataset(X=rng.standard_normal((n + 10, 2)), T=rng.uniform(0, 1, (n + 10, 1)),
+                       y=rng.standard_normal(n + 10))
+        train, test = data.subset(np.arange(n)), data.subset(np.arange(n, n + 10))
+        settings = run_settings({"model": {"fitc": {"p": p}},
+                                 "tuning": {"method": "grid", "grid": self.GRID}})
+        tracemalloc.start()
+        try:
+            run_method("vcgp-mat", train, test, settings, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 class TestSummarize:
     def test_mean_and_stderr(self):

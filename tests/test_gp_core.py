@@ -377,6 +377,21 @@ class TestWeightSpaceRoute:
         with pytest.raises(ValueError, match="task ids must lie in 1..5"):
             model.predict_batch([[1.0]], [6])
 
+    def test_non_integral_task_ids_are_rejected(self):
+        spec = KernelSpec(Linear(), Tree(_WS_TREE))
+        data = self._data(spec.task_kernel, 30, 1, np.random.default_rng(44))
+        model = fit_regressor(data, spec, 0.1)
+        # each of these used to be truncated to an id, or cast from nan to garbage
+        for t in (1.7, np.float64(2.9), np.array([2.5]), np.nan):
+            with pytest.raises(ValueError, match="discrete task ids must be integers"):
+                model.predict([1.0], t)
+        with pytest.raises(ValueError, match="discrete task ids must be integers, got 2.9"):
+            model.predict_batch([[1.0], [2.0]], np.array([2.0, 2.9]))
+        # integral ids of any numeric type still serve
+        want = model.predict([1.0], 2).mean
+        for t in (2.0, np.int32(2), np.array([2.0])):
+            assert model.predict([1.0], t).mean == want
+
 
 class TestGradients:
     def test_matches_central_differences(self):

@@ -328,6 +328,9 @@ class TestOneModelClassPerLikelihood:
         predict = model.predict_batch if likelihood == "regression" else model.predict_proba_batch
         with pytest.raises(ValueError, match="test instances have 3 features, training has 2"):
             predict(np.zeros((4, 3)), model.data.T[:4])
+        # one task row is not broadcast over several instance rows on any route
+        with pytest.raises(ValueError, match="instance rows and task rows disagree: 5 vs 1"):
+            predict(np.zeros((5, 2)), model.data.T[:1])
 
     def test_fitc_classifier_name_is_the_exact_class(self):
         assert sparse_fitc.FittedFITCClassifier is FittedClassifier
@@ -343,4 +346,13 @@ class TestOneModelClassPerLikelihood:
         data = make_data(80, seed=5)
         exact = fit_regressor(data, SPEC, 0.05).log_marginal_likelihood()
         fitc = fit_fitc(data, SPEC, 0.05, InducingSet(X=data.X, T=data.T))
+        assert abs(fitc.log_marginal_likelihood() - exact) < 1e-6
+
+    @pytest.mark.parametrize("seed", [5, 11, 13])
+    def test_fitc_classifier_evidence_is_exact_with_every_point_inducing(self, seed):
+        # criterion 6's tolerance, on the Laplace evidence
+        data = make_data(80, seed=seed)
+        data = Dataset(X=data.X, T=data.T, y=threshold_labels(data.y))
+        exact = fit_classifier(data, SPEC, 0.05).log_marginal_likelihood()
+        fitc = fit_fitc_classifier(data, SPEC, 0.05, InducingSet(X=data.X, T=data.T))
         assert abs(fitc.log_marginal_likelihood() - exact) < 1e-6
