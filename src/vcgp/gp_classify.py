@@ -21,7 +21,7 @@ import numpy as np
 
 from ._linalg import NumericalError, add_diagonal, chol_with_jitter
 from .gp_core import Basis, Dataset, DenseBasis, DenseCovariance, LowRankDiag, SearchConfig
-from .gp_core import _as_task_row, _exact_covariance, _latent_predictive, _tune_grid, _Workspace
+from .gp_core import _batch_of_one, _exact_covariance, _latent_predictive, _tune_grid, _Workspace
 from .kernels import KernelSpec
 
 __all__ = [
@@ -166,7 +166,7 @@ class FittedClassifier:
         return self.state.W
 
     def predict_proba(self, x_star, t_star) -> float:
-        return float(self.predict_proba_batch(x_star, _as_task_row(t_star, self.data.T))[0])
+        return float(self.predict_proba_batch(*_batch_of_one(self, x_star, t_star))[0])
 
     def predict_proba_batch(self, X_star, T_star) -> np.ndarray:
         """Probability of class 1 at each test point."""
@@ -224,6 +224,6 @@ def tune_classifier_hyperparameters(
     gradient through the mode, so classification tuning always uses the grid
     method.  Raises :class:`NumericalError` when every candidate fails.
     """
-    if search.grid is None:
+    if search.method != "grid":
         raise ValueError("classifier tuning requires a grid search configuration")
     return _tune_grid(fit_classifier, data, spec_template, search)

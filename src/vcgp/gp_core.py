@@ -76,23 +76,7 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        T = as_task_array(self.T)
-        if X.shape[0] < 1:
-            raise ValueError("dataset needs at least one row")
-        if not (X.shape[0] == y.shape[0] == T.shape[0]):
-            raise ValueError(
-                f"row counts disagree: X {X.shape[0]}, T {T.shape[0]}, y {y.shape[0]}"
-            )
-        if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
-            raise ValueError("X and y must be finite")
-        # private copies so freezing cannot affect caller-owned arrays
-        for name, arr in (("X", X), ("T", T), ("y", y)):
-            if arr.flags.writeable:
-                arr = arr.copy()
-                arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze_rows(self, y=np.asarray(self.y, dtype=float).reshape(-1))
 
     @property
     def n(self) -> int:
@@ -134,28 +118,38 @@ def _clamp_variance(v: float) -> float:
     return max(float(v), 0.0)
 
 
-def _as_task_row(t_star, like: np.ndarray) -> np.ndarray:
-    """Normalize one task descriptor for a single test point.
+def _freeze_rows(obj, **more: np.ndarray) -> None:
+    """Set ``obj.X`` (n, m), ``obj.T`` and each of ``more`` (n rows) to checked read-only copies.
 
-    Returns a length-1 array matching the training variant: shape (1,) for
-    discrete ids, shape (1, d) for continuous coordinates.
+    ``T`` is normalized by :func:`kernels.as_task_array`; every other array
+    must be finite.  Private copies, so freezing cannot affect caller-owned
+    arrays.  Shared by :class:`Dataset` and :class:`sparse_fitc.InducingSet`.
     """
-    if isinstance(t_star, TaskPoint):
-        arr = as_task_array([t_star])
-        if (arr.ndim == 1) != (like.ndim == 1):
-            raise ValueError("test task variant differs from training tasks")
-    elif like.ndim == 1:
-        arr = np.asarray(t_star)
-        if arr.size != 1 or not np.issubdtype(arr.dtype, np.number):
-            raise ValueError("discrete tasks need a single integer id per test point")
-        arr = as_task_array(arr.reshape(1), discrete=True)
-    else:
-        arr = np.atleast_2d(np.asarray(t_star, dtype=float))
-        if arr.shape[0] != 1:
-            raise ValueError("expected one task descriptor, got several")
-    if arr.ndim == 2 and arr.shape[1] != like.shape[1]:
-        raise ValueError("test task dimension differs from training tasks")
-    return arr
+    what = type(obj).__name__
+    arrays = {"X": np.atleast_2d(np.asarray(obj.X, dtype=float)), "T": as_task_array(obj.T), **more}
+    if arrays["X"].shape[0] < 1:
+        raise ValueError(f"{what} needs at least one row")
+    if len({arr.shape[0] for arr in arrays.values()}) > 1:
+        raise ValueError(f"{what} row counts disagree: "
+                         + ", ".join(f"{name} {arr.shape[0]}" for name, arr in arrays.items()))
+    finite = [name for name in arrays if name != "T"]
+    if not all(np.all(np.isfinite(arrays[name])) for name in finite):
+        raise ValueError(f"{what} {' and '.join(finite)} must be finite")
+    for name, arr in arrays.items():
+        if arr.flags.writeable:
+            arr = arr.copy()
+            arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
+def _batch_of_one(model, x_star, t_star):
+    """One test point as the batch ``(X_star, T_star)`` that :func:`_latent_predictive` checks.
+
+    ``t_star`` is a :class:`TaskPoint`, one task id, or one coordinate row.
+    """
+    if not isinstance(t_star, TaskPoint):
+        t_star = np.asarray(t_star).reshape(-1 if model.data.has_discrete_tasks else (1, -1))
+    return np.asarray(x_star).reshape(1, -1), t_star
 
 
 def _latent_predictive(model, X_star, T_star, L, noise=0.0, W=None):
@@ -166,6 +160,9 @@ def _latent_predictive(model, X_star, T_star, L, noise=0.0, W=None):
             f"test instances have {X_star.shape[1]} features, training has {model.data.m}"
         )
     T_star = as_task_array(T_star, discrete=model.data.has_discrete_tasks)
+    if T_star.shape[1:] != model.data.T.shape[1:]:  # as_task_array matched the variant
+        raise ValueError(f"test tasks have {T_star.shape[1]} coordinates, training tasks have "
+                         f"{model.data.T.shape[1]}")
     if T_star.shape[0] != X_star.shape[0]:
         raise ValueError(f"instance rows and task rows disagree: {X_star.shape[0]} vs "
                          f"{T_star.shape[0]}")
@@ -265,7 +262,7 @@ class FittedRegressor:
 
     def predict(self, x_star, t_star) -> PredictiveDistribution:
         """Predictive distribution at a single test point."""
-        mean, var = self.predict_batch(x_star, _as_task_row(t_star, self.data.T))
+        mean, var = self.predict_batch(*_batch_of_one(self, x_star, t_star))
         return PredictiveDistribution(float(mean[0]), float(var[0]), self.tau2)
 
     def predict_batch(self, X_star, T_star) -> tuple[np.ndarray, np.ndarray]:

@@ -104,14 +104,18 @@ def as_task_array(t, *, discrete: bool | None = None) -> np.ndarray:
 
     Continuous tasks become a float array of shape ``(n, d)``; discrete tasks
     an int array of shape ``(n,)`` with 1-based ids.  Accepts arrays, single
-    :class:`TaskPoint` objects, or sequences of them.
+    :class:`TaskPoint` objects, or sequences of them.  ``discrete`` picks the
+    variant, inferred when None; task points of the other variant, and
+    discrete ids that are not integral numbers, raise ``ValueError``.
     """
     if isinstance(t, TaskPoint):
         t = [t]
     if isinstance(t, (list, tuple)) and t and isinstance(t[0], TaskPoint):
-        if any(p.is_discrete != t[0].is_discrete for p in t):
-            raise ValueError("task points must all be of the same variant")
-        if t[0].is_discrete:
+        if discrete is None:
+            discrete = t[0].is_discrete
+        if any(p.is_discrete != discrete for p in t):
+            raise ValueError(f"task points must all be {'task ids' if discrete else 'coordinates'}")
+        if discrete:
             return np.array([p.task_id for p in t], dtype=int)
         return np.array([p.coords for p in t], dtype=float)
     arr = np.asarray(t)
@@ -119,7 +123,9 @@ def as_task_array(t, *, discrete: bool | None = None) -> np.ndarray:
         discrete = arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer)
     if discrete:
         if arr.dtype.kind not in "iu":  # integer ids pay for no check
-            ids = np.asarray(arr, dtype=float).reshape(-1)
+            if arr.dtype.kind != "f":
+                raise ValueError(f"discrete task ids must be integers, got dtype {arr.dtype}")
+            ids = arr.reshape(-1)
             bad = ~np.isfinite(ids) | (ids != np.round(ids))
             if bad.any():
                 raise ValueError(f"discrete task ids must be integers, got {float(ids[bad][0])}")
@@ -130,7 +136,7 @@ def as_task_array(t, *, discrete: bool | None = None) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError("task coordinates must be finite")
     return arr
 

@@ -23,8 +23,8 @@ import numpy as np
 from . import kernels
 from ._linalg import chol_with_jitter, solve_lower
 from .gp_classify import FittedClassifier, _fit_laplace
-from .gp_core import Dataset, FittedRegressor, LowRankBasis, LowRankDiag, _fit_gaussian
-from .kernels import KernelSpec, as_task_array
+from .gp_core import Dataset, FittedRegressor, LowRankBasis, LowRankDiag, _fit_gaussian, _freeze_rows
+from .kernels import KernelSpec
 
 __all__ = [
     "InducingSet",
@@ -48,17 +48,7 @@ class InducingSet:
     seed: int | None = None
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        T = as_task_array(self.T)
-        if X.shape[0] < 1:
-            raise ValueError("need at least one inducing point")
-        if X.shape[0] != T.shape[0]:
-            raise ValueError("inducing X and T row counts disagree")
-        for name, arr in (("X", X), ("T", T)):
-            if arr.flags.writeable:
-                arr = arr.copy()
-                arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze_rows(self)
         if self.indices is not None:
             idx = np.asarray(self.indices, dtype=int).copy()
             idx.setflags(write=False)

@@ -283,6 +283,14 @@ class TestClassifierTuning:
             model.predict_proba_batch(X_star, T_star), fresh.predict_proba_batch(X_star, T_star)
         )
 
+    def test_a_search_that_is_not_a_grid_is_rejected(self):
+        # a gradient search that also carries a grid is not run as the grid
+        data = Dataset(X=[[1.0], [2.0]], T=np.array([[0.0], [1.0]]), y=[0.0, 1.0])
+        spec = KernelSpec(instance_kernel=Linear(), task_kernel=Matern())
+        for search in (SearchConfig(), SearchConfig(method="gradient", grid={"tau2": [0.1, 0.2]})):
+            with pytest.raises(ValueError, match="classifier tuning requires a grid search"):
+                tune_classifier_hyperparameters(data, spec, search)
+
     def test_every_grid_candidate_failing_raises(self):
         data = Dataset(X=[[1.0], [2.0]], T=np.array([1, 2]), y=[0.0, 1.0])
         bad = KernelSpec(

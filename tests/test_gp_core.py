@@ -144,6 +144,9 @@ class TestPredict:
             model.predict([1.0, 2.0], np.zeros(1))
         with pytest.raises(ValueError):
             model.predict([1.0], np.zeros(2))
+        # a constant task kernel ignores the value of a task, so only the dimension check catches this
+        with pytest.raises(ValueError, match="test tasks have 2 coordinates, training tasks have 1"):
+            model.predict_batch([[1.0]], np.zeros((1, 2)))
 
     def test_non_finite_test_instance_raises(self):
         # a linear instance kernel passes the NaN on to the features, and
@@ -391,6 +394,12 @@ class TestWeightSpaceRoute:
         want = model.predict([1.0], 2).mean
         for t in (2.0, np.int32(2), np.array([2.0])):
             assert model.predict([1.0], t).mean == want
+        # ids that are not numbers are rejected on both paths, not read as 1
+        for t in (True, "1"):
+            with pytest.raises(ValueError, match="discrete task ids must be integers, got dtype"):
+                model.predict([1.0], t)
+            with pytest.raises(ValueError, match="discrete task ids must be integers, got dtype"):
+                model.predict_batch([[1.0]], [t])
 
 
 class TestGradients:

@@ -17,6 +17,7 @@ from vcgp.kernels import (
     TaskPoint,
     TaskTree,
     Tree,
+    as_task_array,
     instance_gram,
     kernel_from_dict,
     laplacian_task_kernel,
@@ -354,6 +355,17 @@ class TestTaskPoint:
         with pytest.raises(ValueError):
             TaskPoint(task_id=0)
         assert TaskPoint(task_id=3).is_discrete
+
+    def test_variant_must_match_the_discrete_flag(self):
+        ids, coords = [TaskPoint(task_id=2)], [TaskPoint(coords=(2.0,))]
+        assert as_task_array(ids, discrete=True).tolist() == [2]
+        assert as_task_array(coords, discrete=False).tolist() == [[2.0]]
+        with pytest.raises(ValueError, match="task points must all be coordinates"):
+            as_task_array(ids, discrete=False)
+        with pytest.raises(ValueError, match="task points must all be task ids"):
+            as_task_array(coords, discrete=True)
+        with pytest.raises(ValueError, match="task points must all be task ids"):
+            as_task_array(ids + coords)
 
     def test_gram_from_task_points(self):
         pts = [TaskPoint(coords=(0.0,)), TaskPoint(coords=(1.0,))]

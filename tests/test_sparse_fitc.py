@@ -28,6 +28,7 @@ from vcgp.kernels import (
     KernelSpec,
     Linear,
     Matern,
+    TaskPoint,
     Tree,
     product_kernel_diag,
     product_kernel_matrix,
@@ -71,6 +72,11 @@ class TestSelectInducing:
             select_inducing(data, 6, seed=0)
         with pytest.raises(ValueError):
             select_inducing(data, 0, seed=0)
+
+    @pytest.mark.parametrize("X, T", [([[np.nan]], [[0.0]]), ([[1.0], [np.inf]], [1, 2])])
+    def test_non_finite_inducing_row_is_rejected(self, X, T):
+        with pytest.raises(ValueError, match="InducingSet X must be finite"):
+            InducingSet(X=X, T=T)
 
     def test_uniform_frequency(self):
         data = make_data(100)
@@ -308,20 +314,24 @@ def fitted(likelihood, route):
     return (fit_regressor if likelihood == "regression" else fit_classifier)(data, spec, 0.1)
 
 
+# every route of both likelihoods, with the model class and basis it fits
+ROUTES = pytest.mark.parametrize(
+    "likelihood, route, cls, basis",
+    [
+        ("regression", "dense", FittedRegressor, DenseBasis),
+        ("regression", "weight-space", FittedRegressor, LowRankBasis),
+        ("regression", "fitc", FittedRegressor, LowRankBasis),
+        ("classification", "dense", FittedClassifier, DenseBasis),
+        ("classification", "weight-space", FittedClassifier, LowRankBasis),
+        ("classification", "fitc", FittedClassifier, LowRankBasis),
+    ],
+)
+
+
 class TestOneModelClassPerLikelihood:
     """FITC fits return the exact model classes with an inducing-point basis."""
 
-    @pytest.mark.parametrize(
-        "likelihood, route, cls, basis",
-        [
-            ("regression", "dense", FittedRegressor, DenseBasis),
-            ("regression", "weight-space", FittedRegressor, LowRankBasis),
-            ("regression", "fitc", FittedRegressor, LowRankBasis),
-            ("classification", "dense", FittedClassifier, DenseBasis),
-            ("classification", "weight-space", FittedClassifier, LowRankBasis),
-            ("classification", "fitc", FittedClassifier, LowRankBasis),
-        ],
-    )
+    @ROUTES
     def test_wrong_feature_count_is_rejected_alike(self, likelihood, route, cls, basis):
         model = fitted(likelihood, route)
         assert type(model) is cls and type(model.basis) is basis
@@ -331,6 +341,40 @@ class TestOneModelClassPerLikelihood:
         # one task row is not broadcast over several instance rows on any route
         with pytest.raises(ValueError, match="instance rows and task rows disagree: 5 vs 1"):
             predict(np.zeros((5, 2)), model.data.T[:1])
+
+    @ROUTES
+    def test_single_point_is_a_batch_of_one(self, likelihood, route, cls, basis):
+        # row 0 as one point (a feature vector, and an id or coordinate row)
+        # and as a batch of one row; a longer batch may round differently
+        model = fitted(likelihood, route)
+        X, T = model.data.X, model.data.T
+        if likelihood == "regression":
+            mean, var = model.predict_batch(X[:1], T[:1])
+            one = model.predict(X[0], T[0])
+            assert (one.mean, one.latent_var) == (mean[0], var[0])
+        else:
+            assert model.predict_proba(X[0], T[0]) == model.predict_proba_batch(X[:1], T[:1])[0]
+
+    @ROUTES
+    def test_bad_test_task_is_rejected_on_both_paths(self, likelihood, route, cls, basis):
+        model = fitted(likelihood, route)
+        single, batch = (
+            (model.predict, model.predict_batch) if likelihood == "regression"
+            else (model.predict_proba, model.predict_proba_batch)
+        )
+        x = model.data.X[0]
+        discrete = model.data.has_discrete_tasks
+        other = TaskPoint(coords=(1.0,)) if discrete else TaskPoint(task_id=1)
+        message = "task points must all be " + ("task ids" if discrete else "coordinates")
+        with pytest.raises(ValueError, match=message):
+            single(x, other)
+        with pytest.raises(ValueError, match=message):
+            batch(x[None], [other])
+        if not discrete:  # one task coordinate too many
+            with pytest.raises(ValueError, match="test tasks have 2 coordinates, training tasks have 1"):
+                single(x, np.zeros(2))
+            with pytest.raises(ValueError, match="test tasks have 2 coordinates, training tasks have 1"):
+                batch(x[None], np.zeros((1, 2)))
 
     def test_fitc_classifier_name_is_the_exact_class(self):
         assert sparse_fitc.FittedFITCClassifier is FittedClassifier
