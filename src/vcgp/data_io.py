@@ -20,7 +20,7 @@ import numpy as np
 
 from ._linalg import chol_with_jitter
 from .gp_core import Dataset
-from .kernels import TaskKernel, discrete_task_gram, task_gram
+from .kernels import FixedGram, Laplacian, TaskKernel, Tree, task_gram
 
 __all__ = [
     "Schema",
@@ -358,8 +358,7 @@ def synth_vcm(
     observation model with noise variance ``tau2``.  Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
-    G = discrete_task_gram(task_kernel)
-    if G is None:
+    if not isinstance(task_kernel, (Tree, Laplacian, FixedGram)):
         if n > 5000:
             raise ValueError("dense sampling is limited to n <= 5000")
         T = rng.uniform(0.0, 1.0, size=(n, d))
@@ -367,6 +366,7 @@ def synth_vcm(
         L, _ = chol_with_jitter(KT + 1e-10 * np.eye(n), context="task Gram for synthesis")
         W = (L @ rng.standard_normal((n, m)))
     else:
+        G = task_kernel.gram
         k = G.shape[0]
         T = rng.integers(1, k + 1, size=n)
         L, _ = chol_with_jitter(G + 1e-10 * np.eye(k), context="task Gram for synthesis")

@@ -150,7 +150,7 @@ _SECTION_KEYS = {
          "dataset", "split", "model", "tuning", "fanzhang"),
     "model": ("task_kernel", "instance_matern", "tau2", "fitc"),
     "model.fitc": ("p", "seed"),
-    "tuning": ("method", "grid", "n_restarts", "max_iter", "grad_tol", "tau2_init"),
+    "tuning": ("method", "grid", "n_restarts", "max_iter", "grad_tol"),
     "fanzhang": ("matern", "n_basis", "bandwidths", "ridges", "cv_folds"),
     "dataset": ("csv", "synth", "schema", "policy"),
     "dataset.synth": ("n", "m", "d", "task_kernel", "tau2", "seed"),
@@ -193,7 +193,7 @@ class RunSettings:
     problem: str                      # regression | classification
     instance_kernel: Matern           # for the -mat methods
     task_kernel: TaskKernel           # for the vcgp methods
-    tau2: float
+    tau2: float                       # the fit's tau2, or where a search starts
     search: SearchConfig | None       # seed 0; None for no tuning
     fitc: tuple[int, int] | None      # (p, seed) of the inducing points; None for exact fits
     fanzhang: Mapping                 # the -mat feature map's kernel and fan_zhang_cv's settings
@@ -238,7 +238,7 @@ def run_settings(cfg: Mapping) -> RunSettings:
 
 
 def _search_config(tuning: Mapping, tau2: float, gradient: bool) -> SearchConfig | None:
-    """The tuning section as a :class:`SearchConfig` with seed 0, or None for no tuning."""
+    """The tuning section as a :class:`SearchConfig` from ``tau2`` with seed 0, or None for no tuning."""
     # only the exact Gaussian evidence has a gradient here: classification and FITC tune on a grid
     methods = ("none", "grid") + (("gradient",) if gradient else ())
     method = config_value("tuning.method", tuning.get("method"), str, "none", choices=methods)
@@ -260,7 +260,7 @@ def _search_config(tuning: Mapping, tau2: float, gradient: bool) -> SearchConfig
         n_restarts=config_value("tuning.n_restarts", tuning.get("n_restarts"), int, 5, low=1),
         max_iter=config_value("tuning.max_iter", tuning.get("max_iter"), int, 200, low=1),
         grad_tol=config_value("tuning.grad_tol", tuning.get("grad_tol"), float, 1e-5, low=0),
-        tau2_init=config_value("tuning.tau2_init", tuning.get("tau2_init"), float, tau2, low=0),
+        tau2_init=tau2,
     )
 
 

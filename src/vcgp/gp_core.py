@@ -159,6 +159,9 @@ def _latent_predictive(model, X_star, T_star, L, noise=0.0, W=None):
         raise ValueError(
             f"test instances have {X_star.shape[1]} features, training has {model.data.m}"
         )
+    if not np.isfinite(X_star).all():
+        row = np.flatnonzero(~np.isfinite(X_star).all(axis=1))[0]
+        raise ValueError(f"test instances must be finite; row {row} is not")
     T_star = as_task_array(T_star, discrete=model.data.has_discrete_tasks)
     if T_star.shape[1:] != model.data.T.shape[1:]:  # as_task_array matched the variant
         raise ValueError(f"test tasks have {T_star.shape[1]} coordinates, training tasks have "

@@ -12,11 +12,12 @@ the instance kernels (linear, Matern), the task kernels (constant, Matern,
 tree-structured, graph-Laplacian, explicit Gram), Gram-matrix assembly, and
 the closed-form task covariances for tree-structured task hierarchies.
 
-The discrete task kernels (tree, graph-Laplacian, explicit Gram) compute
-their k x k Gram once, when they are constructed: O(k^2) for a tree and
-O(k^3) for a Laplacian.  Gram assembly and prediction then only index it.
-Their PSD factor ``G = C C^T`` (:func:`task_factor`, O(k^3) by ``eigh``) is
-computed on first use and held as well.
+The constant, tree, graph-Laplacian and explicit-Gram task kernels hold a
+k x k Gram over tasks (k = 1 for the constant kernel, whose one task every
+descriptor maps to), computed once, when they are constructed: O(k^2) for a
+tree and O(k^3) for a Laplacian.  Gram assembly and prediction then only
+index it.  Its PSD factor ``G = C C^T`` (:func:`task_factor`, O(k^3) by
+``eigh``) is computed on first use and held as well.
 
 All kernel evaluations are pure functions and all types are immutable after
 construction, so they can be shared freely across threads.
@@ -44,7 +45,6 @@ __all__ = [
     "KernelSpec",
     "matern",
     "instance_gram",
-    "discrete_task_gram",
     "task_gram",
     "task_factor",
     "task_factor_rows",
@@ -240,25 +240,26 @@ class Matern:
         return isinstance(self.lengthscale, tuple)
 
 
-@dataclass(frozen=True)
-class Constant:
-    """Constant task kernel ``k(t, t') = value`` (default 1)."""
-
-    value: float = 1.0
-
-    def __post_init__(self):
-        if not (float(self.value) > 0.0):
-            raise ValueError("constant kernel value must be positive")
-        object.__setattr__(self, "value", float(self.value))
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
 class _HeldGram:
-    """The discrete task kernels: a k x k Gram held in ``gram``, and its factor."""
+    """A task kernel given by a k x k Gram over tasks, held in ``gram``, and its factor.
+
+    The constant kernel is the one-task case; the tree, Laplacian and
+    explicit-Gram kernels take task ids 1..k.  :meth:`rows` maps task
+    descriptors to Gram rows, so every use of the kernel only indexes.
+    """
+
+    def rows(self, T) -> np.ndarray:
+        """The 0-based Gram row of each task id in T; ``ValueError`` for an id outside 1..k."""
+        T = as_task_array(T, discrete=True)
+        k = self.gram.shape[0]
+        if T.size and T.max() > k:  # as_task_array rejected ids below 1
+            raise ValueError(f"task ids must lie in 1..{k}")
+        return T - 1
 
     @cached_property
     def factor(self) -> np.ndarray | None:
@@ -344,12 +345,32 @@ class FixedGram(_HeldGram):
         object.__setattr__(self, "gram", _freeze(G.copy()))
 
 
+@dataclass(frozen=True)
+class Constant(_HeldGram):
+    """Constant task kernel ``k(t, t') = value`` (default 1).
+
+    The Gram of one task, ``[[value]]``, shared by every task descriptor of
+    either variant: one coefficient vector for all points.
+    """
+
+    value: float = 1.0
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not (float(self.value) > 0.0):
+            raise ValueError("constant kernel value must be positive")
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "gram", _freeze(np.array([[self.value]])))
+
+    def rows(self, T) -> np.ndarray:
+        return np.zeros(as_task_array(T).shape[0], dtype=int)
+
+
 InstanceKernel = Union[Linear, Matern]
 TaskKernel = Union[Constant, Matern, Tree, Laplacian, FixedGram]
 
 _INSTANCE_KINDS = (Linear, Matern)
 _TASK_KINDS = (Constant, Matern, Tree, Laplacian, FixedGram)
-_DISCRETE_KINDS = (Tree, Laplacian, FixedGram)
 _TASK_KINDS_MESSAGE = "task kernel must be Constant, Matern, Tree, Laplacian or FixedGram"
 
 
@@ -545,57 +566,28 @@ def instance_gram(kernel: InstanceKernel, X1: np.ndarray, X2: np.ndarray) -> np.
     raise TypeError(f"not an instance kernel: {kernel!r}")
 
 
-def _check_task_ids(T: np.ndarray, k: int) -> None:
-    if T.size and (T.min() < 1 or T.max() > k):
-        raise ValueError(f"task ids must lie in 1..{k}")
-
-
-def _discrete_lookup(G: np.ndarray, T1: np.ndarray, T2: np.ndarray) -> np.ndarray:
-    for T in (T1, T2):
-        _check_task_ids(T, G.shape[0])
-    return G[np.ix_(T1 - 1, T2 - 1)]
-
-
-def discrete_task_gram(kernel: TaskKernel) -> np.ndarray | None:
-    """The k x k Gram over task ids 1..k of a discrete-task kernel, else None.
-
-    A read of the Gram the kernel computed at construction; builds nothing.
-    """
-    return kernel.gram if isinstance(kernel, _DISCRETE_KINDS) else None
-
-
 def task_gram(kernel: TaskKernel, T1, T2) -> np.ndarray:
     """Task-kernel Gram matrix between two sets of task descriptors."""
-    if isinstance(kernel, Constant):
-        n1 = as_task_array(T1).shape[0]
-        n2 = as_task_array(T2).shape[0]
-        return np.full((n1, n2), kernel.value)
     if isinstance(kernel, Matern):
         T1 = as_task_array(T1, discrete=False)
         T2 = as_task_array(T2, discrete=False)
         if T1.shape[1] != T2.shape[1]:
             raise ValueError("task coordinate dimensions differ")
         return _matern_gram(kernel, T1, T2)
-    G = discrete_task_gram(kernel)
-    if G is None:
+    if not isinstance(kernel, _HeldGram):
         raise TypeError(f"not a task kernel: {kernel!r}")
-    T1 = as_task_array(T1, discrete=True)
-    T2 = as_task_array(T2, discrete=True)
-    return _discrete_lookup(G, T1, T2)
+    return kernel.gram[kernel.rows(T1)][:, kernel.rows(T2)]
 
 
 def task_factor(kernel: TaskKernel) -> np.ndarray | None:
     """A factor ``C`` of the task Gram with one row per task, or None.
 
-    ``C C^T`` is the Gram over task ids 1..k for the discrete kernels (see
-    ``factor`` on them; None when that Gram is indefinite) and the 1 x 1
-    Gram ``value`` of a constant kernel, whose one row serves every task.
+    ``C C^T`` is the k x k Gram of a held-Gram kernel (see ``factor`` on
+    it; None when that Gram is indefinite), one row for a constant kernel.
     None for a Matern task kernel, whose Gram over n points has no fixed
     factor.
     """
-    if isinstance(kernel, Constant):
-        return np.array([[math.sqrt(kernel.value)]])
-    return kernel.factor if isinstance(kernel, _DISCRETE_KINDS) else None
+    return None if isinstance(kernel, Matern) else kernel.factor
 
 
 def task_factor_rows(kernel: TaskKernel, factor: np.ndarray, T) -> np.ndarray:
@@ -604,11 +596,7 @@ def task_factor_rows(kernel: TaskKernel, factor: np.ndarray, T) -> np.ndarray:
     Row products give the task Gram: ``R @ R.T == task_gram(kernel, T, T)``
     to rounding, with ``R`` the result.
     """
-    if isinstance(kernel, Constant):
-        return np.broadcast_to(factor[0], (as_task_array(T).shape[0], factor.shape[1]))
-    T = as_task_array(T, discrete=True)
-    _check_task_ids(T, factor.shape[0])
-    return factor[T - 1]
+    return factor[kernel.rows(T)]
 
 
 def product_kernel_matrix(X1, T1, X2, T2, spec: KernelSpec) -> np.ndarray:
@@ -635,13 +623,10 @@ def product_kernel_diag(X, T, spec: KernelSpec) -> np.ndarray:
     else:
         dx = np.full(X.shape[0], spec.instance_kernel.amplitude**2)
     tk = spec.task_kernel
-    if isinstance(tk, Constant):
-        dt = np.full(X.shape[0], tk.value)
-    elif isinstance(tk, Matern):
+    if isinstance(tk, Matern):
         dt = np.full(X.shape[0], tk.amplitude**2)
     else:
-        ids = as_task_array(T, discrete=True)
-        dt = np.diag(discrete_task_gram(tk))[ids - 1]
+        dt = np.diagonal(tk.gram)[tk.rows(T)]
     return dx * dt
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from .gp_classify import FittedClassifier, LaplaceState
 from .gp_core import Dataset, DenseBasis, FittedRegressor, LowRankBasis, _low_rank_half_logdet
 from .gp_core import _newton_half_logdet
-from .kernels import Constant, FixedGram, Laplacian, Linear, Tree, spec_from_dict, spec_to_dict
+from .kernels import Linear, Matern, spec_from_dict, spec_to_dict
 
 __all__ = ["save_model", "load_model"]
 
@@ -257,14 +257,11 @@ def _check_shapes(arrays: dict[str, np.ndarray], discrete_tasks: bool) -> None:
 
 def _check_task_factor(C: np.ndarray, spec) -> None:
     """Raise ``ValueError`` unless ``C`` can be the weight-space factor of ``spec``'s task Gram."""
-    task = spec.task_kernel
-    if not isinstance(spec.instance_kernel, Linear) or not isinstance(
-        task, (Constant, Tree, Laplacian, FixedGram)
-    ):
+    if not isinstance(spec.instance_kernel, Linear) or isinstance(spec.task_kernel, Matern):
         raise ValueError(
             f"a weight-space model needs a linear instance kernel and a constant or "
             f"discrete task kernel, not {spec}"
         )
-    k = 1 if isinstance(task, Constant) else task.gram.shape[0]
+    k = spec.task_kernel.gram.shape[0]
     if C.shape[0] != k:
         raise ValueError(f"model file array 'task_factor' has {C.shape[0]} rows, expected {k}")

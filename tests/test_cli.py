@@ -256,7 +256,8 @@ class TestRun:
             ("tuning", {"method": "grid", "grid": {}}, "tuning.grid"),
             ("tuning", {"method": "grid", "grid": {"tau2": []}}, "tuning.grid.tau2"),
             ("tuning", {"method": "grid", "grid": {"tau2": [0.1, -1]}}, "tuning.grid.tau2[1]"),
-            ("tuning", {"method": "gradient", "tau2_init": -1}, "tuning.tau2_init"),
+            # model.tau2 is where a search starts; there is no second key for it
+            ("tuning", {"method": "gradient", "tau2_init": 0.1}, "tuning.tau2_init"),
             ("model.tau2", -1, "model.tau2"),
             ("model.fitc", {"p": 0}, "model.fitc.p"),
             ("model.task_kernel", "matern", "model.task_kernel"),
@@ -394,9 +395,9 @@ FUZZ_KEYS = (
     "seed", "out", "budget_seconds", "problem", "methods", "train_sizes", "split", "split.kfold",
     "split.kfold.k", "dataset", "dataset.synth.n", "dataset.synth.seed", "model", "model.tau2",
     "model.task_kernel", "model.instance_matern", "model.fitc", "model.fitc.p", "tuning",
-    "tuning.method", "tuning.grid", "tuning.grid.tau2", "tuning.n_restarts", "tuning.tau2_init",
-    "fanzhang", "fanzhang.bandwidths", "fanzhang.cv_folds", "dataset.schema",
-    "dataset.schema.target", "dataset.schema.numeric", "dataset.schema.task_id", "dataset.policy",
+    "tuning.method", "tuning.grid", "tuning.grid.tau2", "tuning.n_restarts", "fanzhang",
+    "fanzhang.bandwidths", "fanzhang.cv_folds", "dataset.schema", "dataset.schema.target",
+    "dataset.schema.numeric", "dataset.schema.task_id", "dataset.policy",
     "dataset.policy.brackets", "dataset.policy.drop_missing", "dataset.policy.standardize",
 )
 FUZZ_VALUES = (None, "x", -1, 0, 2.5, True, [], ["x"], [-1], {})
@@ -406,7 +407,7 @@ def fuzzed_config(tmp_path, key, value):
     """write_config's valid config with ``key`` set to ``value`` (None deletes it)."""
     extra = dict(
         tuning={"method": "grid", "grid": {"tau2": [0.05], "task.lengthscale": [0.2]},
-                "n_restarts": 2, "tau2_init": 0.1},
+                "n_restarts": 2},
         fanzhang={"bandwidths": [0.3], "cv_folds": 3},
     )
     if key.startswith(("dataset.schema", "dataset.policy")):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from vcgp import kernels
+from vcgp import gp_core, kernels
 from vcgp._linalg import NumericalError, add_diagonal, solve_lower
 from vcgp.baselines import primal_oracle_predict
 from vcgp.gp_classify import fit_classifier, laplace_mode, logistic_gaussian_integral
@@ -716,24 +716,31 @@ class TestTuning:
         assert model.half_logdet == fresh.half_logdet
         assert model.jitter == fresh.jitter
 
-    def test_gradient_search_result_is_unchanged(self):
-        # the spec, tau2 and predictions this search returned before the
-        # evaluations shared their arrays, as float.hex
+    def test_gradient_search_result_is_unchanged(self, monkeypatch):
+        # the evaluations share one workspace of arrays; the same search with
+        # a fresh workspace per evaluation must return the same bits
         rng = np.random.default_rng(15)
         data = Dataset(X=rng.standard_normal((40, 2)), T=rng.uniform(0, 1, (40, 1)), y=rng.standard_normal(40))
         spec = KernelSpec(Matern(nu=2.5, lengthscale=(1.0, 0.8)), Matern(nu=0.5, lengthscale=0.5))
-        model = tune_hyperparameters(data, spec, SearchConfig(seed=4, n_restarts=2, max_iter=15))
-        inst, task = model.spec.instance_kernel, model.spec.task_kernel
-        got = [*inst.lengthscale, inst.amplitude, task.lengthscale, task.amplitude, model.tau2]
-        assert [v.hex() for v in got] == [
-            "0x1.e226b6fd7f941p-5", "0x1.b7c3fbb3766cep+1", "0x1.3070a3a7b8817p+2",
-            "0x1.05d8886993683p-3", "0x1.657bb927bf89bp-3", "0x1.688d48b78bf93p-3",
-        ]
-        mean, var = model.predict_batch(rng.standard_normal((3, 2)), rng.uniform(0, 1, (3, 1)))
-        assert [float(v).hex() for v in mean] == [
-            "-0x1.eac0f319cda14p-5", "0x1.d7985ff519882p-7", "0x1.f83517838a49ap-4"]
-        assert [float(v).hex() for v in var] == [
-            "0x1.35a0d0931e4b9p-1", "0x1.60f2a264591b7p-1", "0x1.0727864e2b138p-1"]
+        search = SearchConfig(seed=4, n_restarts=2, max_iter=15)
+        X_star, T_star = rng.standard_normal((3, 2)), rng.uniform(0, 1, (3, 1))
+
+        def result():
+            model = tune_hyperparameters(data, spec, search)
+            inst, task = model.spec.instance_kernel, model.spec.task_kernel
+            got = [*inst.lengthscale, inst.amplitude, task.lengthscale, task.amplitude, model.tau2]
+            return [float(v).hex() for v in (*got, *np.concatenate(model.predict_batch(X_star, T_star)))]
+
+        shared = result()
+        workspaces = []
+
+        def unshared(data, spec, tau2, _workspace=None):
+            workspaces.append(_workspace)
+            return lml_and_gradient(data, spec, tau2)
+
+        monkeypatch.setattr(gp_core, "lml_and_gradient", unshared)
+        assert shared == result()
+        assert workspaces and all(isinstance(w, _Workspace) for w in workspaces)
 
     def test_every_grid_candidate_failing_raises(self):
         data = Dataset(X=[[1.0], [2.0]], T=np.array([1, 2]), y=[0.0, 1.0])

@@ -23,6 +23,7 @@ from vcgp.kernels import (
     laplacian_task_kernel,
     matern,
     matern_gram_grads,
+    product_kernel_diag,
     product_kernel_matrix,
     spec_from_dict,
     spec_to_dict,
@@ -240,10 +241,13 @@ class TestDiscreteGramAtConstruction:
 
     def test_gram_read_only_and_outside_repr_and_equality(self):
         tree = TaskTree(parent={2: 1, 3: 1}, sigma=(1.0, 0.5, 2.0))
-        for kernel in (Tree(tree=tree), Laplacian.from_tree(tree)):
+        for kernel in (Tree(tree=tree), Laplacian.from_tree(tree), Constant(2.0)):
             assert not kernel.gram.flags.writeable
             assert "gram" not in repr(kernel)
         assert Tree(tree=tree) == Tree(tree=tree)
+        assert Constant(2.0) == Constant(2.0) != Constant(3.0)
+        assert repr(Constant(2.0)) == "Constant(value=2.0)"
+        assert np.array_equal(Constant(2.0).gram, [[2.0]])
 
     @pytest.mark.parametrize("kind", ["tree", "laplacian"])
     def test_single_point_predict_builds_no_gram(self, kind, monkeypatch):
@@ -309,6 +313,7 @@ class TestTaskFactor:
             (Tree(tree), 30),
             (Laplacian.from_tree(tree), 30),
             (FixedGram(B @ B.T), 3),  # a rank-3 Gram over 6 tasks
+            (Constant(4.0), 1),  # the Gram of one task
         ):
             C = task_factor(kernel)
             G = kernel.gram
@@ -338,6 +343,77 @@ class TestTaskFactor:
         np.testing.assert_allclose(rows @ rows.T, task_gram(tree_kernel, [2, 1, 2], [2, 1, 2]), atol=1e-14)
         with pytest.raises(ValueError, match="task ids must lie in 1..2"):
             task_factor_rows(tree_kernel, C, np.array([3]))
+
+
+_TABLE_TREE = TaskTree(parent={2: 1, 3: 1, 4: 2}, sigma=(1.0, 0.5, 2.0, 0.7))
+_TABLE_B = np.random.default_rng(21).standard_normal((4, 2))
+_TABLE_IDS = np.array([1, 4, 2, 3, 4, 1])
+
+# every task kernel, on the task descriptors it takes: (kernel, T, k of its held Gram or None)
+TASK_KERNELS = pytest.mark.parametrize(
+    "kernel, T, k",
+    [
+        (Constant(2.5), np.random.default_rng(22).uniform(0, 1, (6, 2)), 1),
+        (Constant(2.5), _TABLE_IDS, 1),
+        (Matern(lengthscale=0.4, amplitude=1.3), np.random.default_rng(23).uniform(0, 1, (6, 1)), None),
+        (Tree(_TABLE_TREE), _TABLE_IDS, 4),
+        (Laplacian.from_tree(_TABLE_TREE), _TABLE_IDS, 4),
+        (FixedGram(_TABLE_B @ _TABLE_B.T + np.eye(4)), _TABLE_IDS, 4),
+        (FixedGram(_TABLE_B @ _TABLE_B.T), _TABLE_IDS, 4),  # singular: rank 2
+    ],
+    ids=["constant-coords", "constant-ids", "matern", "tree", "laplacian", "fixed-gram-pd",
+         "fixed-gram-singular"],
+)
+
+
+class TestTaskKernelTable:
+    """One contract for every task kernel: Gram, factor rows and diagonal agree."""
+
+    @TASK_KERNELS
+    @pytest.mark.parametrize("instance", [Linear(), Matern(nu=2.5, amplitude=1.6)])
+    def test_diag_is_the_task_gram_diagonal_times_the_instance_diagonal(self, kernel, T, k, instance):
+        X = np.random.default_rng(24).standard_normal((6, 3))
+        if isinstance(instance, Linear):
+            dx = np.einsum("ij,ij->i", X, X)
+        else:
+            dx = np.diag(instance_gram(instance, X, X))
+        expected = np.diag(task_gram(kernel, T, T)) * dx
+        assert product_kernel_diag(X, T, KernelSpec(instance, kernel)).tobytes() == expected.tobytes()
+
+    @TASK_KERNELS
+    def test_factor_rows_reproduce_the_task_gram(self, kernel, T, k):
+        C = task_factor(kernel)
+        if k is None:
+            assert C is None  # a Matern Gram over n points has no fixed factor
+            return
+        R = task_factor_rows(kernel, C, T)
+        G = task_gram(kernel, T, T)
+        assert R.shape == (len(T), C.shape[1])
+        assert np.max(np.abs(R @ R.T - G)) < 1e-12 * np.max(np.abs(G))
+
+    @TASK_KERNELS
+    def test_out_of_range_id_is_rejected_alike(self, kernel, T, k):
+        if k is None or k == 1:  # coordinates, or one task that every descriptor maps to
+            return
+        X = np.ones((2, 3))
+        bad = np.array([1, k + 1])
+        message = f"task ids must lie in 1..{k}"
+        with pytest.raises(ValueError, match=message):
+            task_gram(kernel, bad, T)
+        with pytest.raises(ValueError, match=message):
+            task_gram(kernel, T, bad)
+        with pytest.raises(ValueError, match=message):
+            task_factor_rows(kernel, task_factor(kernel), bad)
+        with pytest.raises(ValueError, match=message):
+            product_kernel_diag(X, bad, KernelSpec(Linear(), kernel))
+
+    def test_constant_maps_every_descriptor_to_its_one_task(self):
+        G = task_gram(Constant(2.5), np.array([1, 7, 100]), np.zeros((2, 5)))
+        assert G.shape == (3, 2) and np.all(G == 2.5)
+
+    def test_an_instance_kernel_is_not_a_task_kernel(self):
+        with pytest.raises(TypeError, match="not a task kernel"):
+            task_gram(Linear(), np.zeros((2, 1)), np.zeros((2, 1)))
 
 
 class TestTaskPoint:

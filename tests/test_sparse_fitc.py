@@ -376,6 +376,20 @@ class TestOneModelClassPerLikelihood:
             with pytest.raises(ValueError, match="test tasks have 2 coordinates, training tasks have 1"):
                 batch(x[None], np.zeros((1, 2)))
 
+    @ROUTES
+    def test_non_finite_test_instance_is_rejected(self, likelihood, route, cls, basis):
+        model = fitted(likelihood, route)
+        single, batch = (
+            (model.predict, model.predict_batch) if likelihood == "regression"
+            else (model.predict_proba, model.predict_proba_batch)
+        )
+        X, T = model.data.X[:3].copy(), model.data.T[:3]
+        X[2, 1] = np.inf
+        with pytest.raises(ValueError, match="test instances must be finite; row 2 is not"):
+            batch(X, T)
+        with pytest.raises(ValueError, match="test instances must be finite; row 0 is not"):
+            single([np.nan, 0.0], T[0])
+
     def test_fitc_classifier_name_is_the_exact_class(self):
         assert sparse_fitc.FittedFITCClassifier is FittedClassifier
 
