@@ -143,14 +143,17 @@ def _numbers(name: str, value, kind: type, default=_REQUIRED, low=None, size=Non
     return [config_value(f"{name}[{i}]", v, kind, low=low) for i, v in enumerate(values)]
 
 
+# the tuning keys each search method reads, besides tuning.method
+_TUNING_KEYS = {"none": (), "grid": ("grid",), "gradient": ("n_restarts", "max_iter", "grad_tol")}
+
 # the keys of each config section, by dotted name ("" is the top level);
 # tuning.grid and dataset.policy.brackets are checked by what they name
 _SECTION_KEYS = {
-    "": ("seed", "out", "budget_seconds", "problem", "methods", "method", "train_sizes",
-         "dataset", "split", "model", "tuning", "fanzhang"),
+    "": ("seed", "out", "budget_seconds", "problem", "methods", "train_sizes", "dataset",
+         "split", "model", "tuning", "fanzhang"),
     "model": ("task_kernel", "instance_matern", "tau2", "fitc"),
     "model.fitc": ("p", "seed"),
-    "tuning": ("method", "grid", "n_restarts", "max_iter", "grad_tol"),
+    "tuning": ("method", *_TUNING_KEYS["grid"], *_TUNING_KEYS["gradient"]),
     "fanzhang": ("matern", "n_basis", "bandwidths", "ridges", "cv_folds"),
     "dataset": ("csv", "synth", "schema", "policy"),
     "dataset.synth": ("n", "m", "d", "task_kernel", "tau2", "seed"),
@@ -242,10 +245,11 @@ def _search_config(tuning: Mapping, tau2: float, gradient: bool) -> SearchConfig
     # only the exact Gaussian evidence has a gradient here: classification and FITC tune on a grid
     methods = ("none", "grid") + (("gradient",) if gradient else ())
     method = config_value("tuning.method", tuning.get("method"), str, "none", choices=methods)
+    for key in tuning:
+        if key not in ("method", *_TUNING_KEYS[method]):
+            raise ValueError(f"config key 'tuning.{key}' is set, but 'tuning.method' is {method}, "
+                             f"which reads {', '.join(_TUNING_KEYS[method]) or 'no other key'}")
     if method == "none":
-        for key in tuning:
-            if key != "method":
-                raise ValueError(f"config key 'tuning.{key}' is set, but 'tuning.method' is none")
         return None
     grid = config_value("tuning.grid", tuning.get("grid"), dict, {})
     if method == "grid" and not grid:
@@ -317,8 +321,10 @@ def parse_config(cfg: Mapping) -> ExperimentConfig:
     names = METHOD_NAMES
     if settings.problem == "classification":  # kernel-local smoothing has no classifier
         names = tuple(m for m in METHOD_NAMES if not m.startswith("fanzhang"))
-    methods = [config_value(f"methods[{i}]", m, str, choices=names)
-               for i, m in enumerate(config_value("methods", cfg.get("methods"), list, []))]
+    methods = tuple(config_value(f"methods[{i}]", m, str, choices=names)
+                    for i, m in enumerate(config_value("methods", cfg.get("methods"), list)))
+    if not methods:
+        raise ValueError("config key 'methods' must list some methods, got []")
     # tuning needs two training points
     train_sizes = tuple(_numbers("train_sizes", cfg.get("train_sizes"), int,
                                  low=2 if settings.search else 1))
@@ -339,7 +345,7 @@ def parse_config(cfg: Mapping) -> ExperimentConfig:
         out=config_value("out", cfg.get("out"), str, "results.csv"),
         budget_seconds=config_value("budget_seconds", cfg.get("budget_seconds"), float, None,
                                     low=0),
-        methods=tuple(methods or [config_value("method", cfg.get("method"), str, choices=names)]),
+        methods=methods,
         train_sizes=train_sizes,
         settings=settings,
         **fields,

@@ -402,64 +402,47 @@ def _exp_neg(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _matern_shape(u: np.ndarray, nu: float) -> np.ndarray:
-    """The unit-amplitude Matern profile m_nu(u) at scaled distance u.
-
-    Returns a new array.  The polynomial is accumulated in place: the same
-    numbers as the textbook expression with fewer arrays of u's size alive.
-    """
-    if nu == 0.5:
-        return _exp_neg(u)
-    if nu == 1.5:
-        su = _SQRT3 * u
-        e = _exp_neg(su)
-        su += 1.0
-        su *= e
-        return su
-    if nu == 2.5:
-        su = _SQRT5 * u
-        e = _exp_neg(su)
-        sq = su * su
-        sq /= 3.0
-        su += 1.0
-        su += sq
-        su *= e
-        return su
-    raise ValueError(f"nu must be one of {_MATERN_NUS}")
-
-
-def _matern_shape_and_slope(
-    u: np.ndarray, nu: float, K: np.ndarray, S: np.ndarray, spare: np.ndarray | None
+def _matern_shape(
+    u: np.ndarray, nu: float, K: np.ndarray, S: np.ndarray | None = None,
+    spare: np.ndarray | None = None,
 ) -> None:
-    """Write the profile m_nu(u) into ``K`` and its slope ``-m_nu'(u) / u`` into ``S``.
+    """Write the unit-amplitude Matern profile m_nu(u) into ``K``; with ``S``, its slope too.
 
-    Both come from one ``exp``; ``spare`` is scratch of u's shape, read for
-    nu = 5/2 only.  ``K``, ``S`` and ``spare`` are distinct from each other
-    and from ``u``, which is left as it is.  The slope is finite at u = 0 for
-    nu = 3/2 and 5/2 (``3 e`` and ``(5/3)(1 + sqrt5 u) e``); for nu = 1/2 it
-    is ``e / u``, unbounded as u -> 0, and set to 0 at u = 0: it only enters
-    multiplied by u^2 or by a squared coordinate difference, both 0 there.
+    The one routine of every Matern Gram, :func:`matern` and
+    :func:`matern_gram_grads`: one ``exp`` gives the profile and the slope
+    ``-m_nu'(u) / u``.  Without ``S``, ``K`` may be ``u`` itself, so a Gram
+    is written over its own distances.  With ``S``, ``K``, ``S`` and
+    ``spare`` (nu = 5/2 scratch; None takes a new array) are distinct from
+    each other and from ``u``, which is left as it is.  The slope is finite
+    at u = 0 for nu = 3/2 and 5/2 (``3 e`` and ``(5/3)(1 + sqrt5 u) e``);
+    for nu = 1/2 it is ``e / u``, unbounded as u -> 0, and set to 0 at
+    u = 0: it only enters multiplied by u^2 or by a squared coordinate
+    difference, both 0 there.
     """
     if nu == 0.5:
         _exp_neg(u, out=K)
-        S.fill(0.0)  # the division below skips u = 0
-        np.divide(K, u, out=S, where=u > 0)
+        if S is not None:
+            S.fill(0.0)  # the division below skips u = 0
+            np.divide(K, u, out=S, where=u > 0)
     elif nu == 1.5:
         np.multiply(_SQRT3, u, out=K)
-        _exp_neg(K, out=S)
+        e = _exp_neg(K, out=S)
         K += 1.0
-        K *= S
-        S *= 3.0
+        K *= e
+        if S is not None:
+            S *= 3.0
     elif nu == 2.5:
-        np.multiply(_SQRT5, u, out=S)
-        _exp_neg(S, out=spare)
-        np.multiply(S, S, out=K)
-        K /= 3.0
-        S += 1.0
-        K += S
-        K *= spare
-        S *= spare
-        S *= 5.0 / 3.0
+        su = K if S is None else S  # sqrt5 u, then 1 + sqrt5 u
+        np.multiply(_SQRT5, u, out=su)
+        e = _exp_neg(su, out=spare)
+        sq = np.multiply(su, su, out=None if S is None else K)
+        sq /= 3.0
+        su += 1.0
+        np.add(su, sq, out=K)
+        K *= e
+        if S is not None:
+            S *= e
+            S *= 5.0 / 3.0
     else:
         raise ValueError(f"nu must be one of {_MATERN_NUS}")
 
@@ -483,7 +466,9 @@ def matern(r, nu: float = 1.5, lengthscale: float = 1.0, amplitude: float = 1.0)
         raise ValueError("distances must be non-negative")
     if not lengthscale > 0 or not amplitude > 0:
         raise ValueError("lengthscale and amplitude must be positive")
-    out = amplitude**2 * _matern_shape(r / lengthscale, float(nu))
+    out = np.asarray(r / lengthscale)  # a new array, 0-d for a scalar r
+    _matern_shape(out, float(nu), out)
+    out *= amplitude**2
     return out if out.ndim else float(out)
 
 
@@ -499,7 +484,8 @@ def _scaled_dist(
 
 
 def _matern_gram(kernel: Matern, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
-    K = _matern_shape(_scaled_dist(Z1, Z2, kernel), kernel.nu)
+    K = _scaled_dist(Z1, Z2, kernel)  # cdist's new array: the profile overwrites it
+    _matern_shape(K, kernel.nu, K)
     K *= kernel.amplitude**2
     return K
 
@@ -514,8 +500,10 @@ def matern_gram_grads(
     case.  The derivative w.r.t. ``log(amplitude)`` is ``2 K`` and is not
     returned.
 
-    With ``S = s^2 * (-m'(u) / u)`` from the same ``exp`` as K, the
-    isotropic derivative is ``S * u^2`` and the ARD one ``S * (dz_i / l_i)^2``.
+    K and the slope ``S = s^2 * (-m'(u) / u)`` come from one call of
+    :func:`_matern_shape`, the routine of every other Matern Gram, so K
+    equals :func:`instance_gram`'s bit for bit.  The isotropic derivative
+    is ``S * u^2`` and the ARD one ``S * (dz_i / l_i)^2``.
 
     Every n x n array is ``buffer(role)``, overwritten whatever it holds:
     ``"K"`` and ``"grad0"``, ``"grad1"``, ... for the results, ``"slope"``
@@ -532,7 +520,7 @@ def matern_gram_grads(
     grads = [buffer(f"grad{d}") for d in range(len(kernel.lengthscale) if kernel.ard else 1)]
     u = grads[0]  # the distances, until the derivatives overwrite them
     _scaled_dist(Z, Z, kernel, out=u)
-    _matern_shape_and_slope(u, kernel.nu, K, S, buffer("spare") if kernel.nu == 2.5 else None)
+    _matern_shape(u, kernel.nu, K, S, buffer("spare") if kernel.nu == 2.5 else None)
     s2 = kernel.amplitude**2
     K *= s2
     S *= s2
@@ -624,9 +612,11 @@ def product_kernel_diag(X, T, spec: KernelSpec) -> np.ndarray:
         dx = np.full(X.shape[0], spec.instance_kernel.amplitude**2)
     tk = spec.task_kernel
     if isinstance(tk, Matern):
-        dt = np.full(X.shape[0], tk.amplitude**2)
+        dt = np.full(as_task_array(T, discrete=False).shape[0], tk.amplitude**2)
     else:
         dt = np.diagonal(tk.gram)[tk.rows(T)]
+    if dx.shape != dt.shape:
+        raise ValueError(f"instance rows and task rows disagree: {dx.shape} vs {dt.shape}")
     return dx * dt
 
 

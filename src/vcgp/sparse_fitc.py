@@ -45,7 +45,6 @@ class InducingSet:
     X: np.ndarray
     T: np.ndarray
     indices: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         _freeze_rows(self)
@@ -53,10 +52,6 @@ class InducingSet:
             idx = np.asarray(self.indices, dtype=int).copy()
             idx.setflags(write=False)
             object.__setattr__(self, "indices", idx)
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[0]
 
 
 def select_inducing(data: Dataset, p: int, seed: int) -> InducingSet:
@@ -68,7 +63,7 @@ def select_inducing(data: Dataset, p: int, seed: int) -> InducingSet:
         raise ValueError(f"p must lie in 1..{data.n}, got {p}")
     rng = np.random.default_rng(seed)
     idx = rng.choice(data.n, size=p, replace=False)
-    return InducingSet(X=data.X[idx], T=data.T[idx], indices=idx, seed=seed)
+    return InducingSet(X=data.X[idx], T=data.T[idx], indices=idx)
 
 
 def _fitc_covariance(data: Dataset, spec: KernelSpec, tau2: float, inducing: InducingSet):

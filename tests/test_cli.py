@@ -20,7 +20,7 @@ def write_config(tmp_path, **overrides):
         "seed": 3,
         "out": str(tmp_path / "results.csv"),
         "problem": "regression",
-        "method": "vcgp-mat",
+        "methods": ["vcgp-mat"],
         "dataset": {
             "synth": {
                 "n": 300,
@@ -80,7 +80,7 @@ class TestRun:
         data_csv.write_text("\n".join(lines) + "\n")
         path, cfg = write_config(
             tmp_path,
-            method="vcgp-lin",
+            methods=["vcgp-lin"],
             dataset={
                 "csv": str(data_csv),
                 "schema": {"target": "y", "numeric": ["a"], "task_id": "task"},
@@ -103,13 +103,13 @@ class TestRun:
 
     def test_task_kernel_without_its_gram_names_the_key(self, tmp_path, capsys):
         path, _ = write_config(
-            tmp_path, method="vcgp-lin", model={"task_kernel": {"type": "fixed_gram"}}
+            tmp_path, methods=["vcgp-lin"], model={"task_kernel": {"type": "fixed_gram"}}
         )
         assert main(["run", str(path)]) == EXIT_USAGE
         assert "error: fixed_gram kernel needs the key 'gram'" in capsys.readouterr().err
 
     def test_unknown_method_rejected(self, tmp_path):
-        path, _ = write_config(tmp_path, method="nope")
+        path, _ = write_config(tmp_path, methods=["nope"])
         assert main(["run", str(path)]) == EXIT_USAGE
 
     def test_missing_dataset_file(self, tmp_path):
@@ -132,7 +132,7 @@ class TestRun:
         data_csv.write_text("\n".join(lines) + "\n")
         path, cfg = write_config(
             tmp_path,
-            method="vcgp-lin",
+            methods=["vcgp-lin"],
             dataset={
                 "csv": str(data_csv),
                 "schema": {
@@ -183,7 +183,7 @@ class TestRun:
         tree = {"type": "tree", "parent": {2: 1, 3: 1}, "sigma": [1.0, 0.7, 0.4]}
         path, cfg = write_config(
             tmp_path,
-            method="vcgp-lin",
+            methods=["vcgp-lin"],
             dataset={"synth": {"n": 120, "m": 2, "tau2": 0.05,
                                "task_kernel": {**tree, "sigma": [1.0, 0.5, 0.5]}}},
             train_sizes=[40],
@@ -282,6 +282,10 @@ class TestRun:
             ("fanzhang", {"ridges": [0.0, -1]}, "fanzhang.ridges[1]"),
             ("model.instance_matern", {"lengthscale": -1}, "model.instance_matern"),
             ("fanzhang", {"matern": {"nu": 0.7}}, "fanzhang.matern"),
+            ("methods", [], "methods"),
+            ("methods", None, "methods"),
+            # one key per setting: there is no singular method key beside methods
+            ("method", "bogus", "method"),
         ],
     )
     def test_malformed_section_names_its_key(
@@ -316,6 +320,14 @@ class TestRun:
             (dict(problem="classification", methods=["vcgp-lin", "fanzhang-lin"]), "methods[1]"),
             (dict(tuning={"method": "grid", "grid": {"tau2": [0.1]}}, train_sizes=[1]),
              "train_sizes[0]"),
+            # a search reads only its own keys: another method's key would be ignored
+            (dict(tuning={"method": "gradient", "grid": {"tau2": [0.1]}}), "tuning.grid"),
+            (dict(tuning={"method": "grid", "grid": {"tau2": [0.1]}, "n_restarts": 2}),
+             "tuning.n_restarts"),
+            (dict(tuning={"method": "grid", "grid": {"tau2": [0.1]}, "max_iter": 5}),
+             "tuning.max_iter"),
+            (dict(tuning={"method": "grid", "grid": {"tau2": [0.1]}, "grad_tol": 1e-6}),
+             "tuning.grad_tol"),
         ],
     )
     def test_value_that_clashes_with_another_key_names_its_key(
@@ -382,7 +394,7 @@ class TestRun:
         assert err.startswith("error: ") and f"'dataset.policy.brackets.{column}'" in err, err
 
     def test_classification_run(self, tmp_path):
-        path, cfg = write_config(tmp_path, problem="classification", method="vcgp-lin")
+        path, cfg = write_config(tmp_path, problem="classification", methods=["vcgp-lin"])
         assert main(["run", str(path)]) == EXIT_OK
         rows = read_rows(cfg["out"])
         assert {r["metric"] for r in rows} == {"zero_one"}
@@ -390,7 +402,9 @@ class TestRun:
 
 
 # Keys that the two malformed-config tables above set, each with a home in one
-# valid toy config, and values that are wrong-typed, out of range or missing (None)
+# valid toy config, and values that are wrong-typed, out of range or missing (None).
+# tuning.n_restarts is the exception: the toy config's grid search does not read
+# it, so any value of it must be named.
 FUZZ_KEYS = (
     "seed", "out", "budget_seconds", "problem", "methods", "train_sizes", "split", "split.kfold",
     "split.kfold.k", "dataset", "dataset.synth.n", "dataset.synth.seed", "model", "model.tau2",
@@ -406,8 +420,7 @@ FUZZ_VALUES = (None, "x", -1, 0, 2.5, True, [], ["x"], [-1], {})
 def fuzzed_config(tmp_path, key, value):
     """write_config's valid config with ``key`` set to ``value`` (None deletes it)."""
     extra = dict(
-        tuning={"method": "grid", "grid": {"tau2": [0.05], "task.lengthscale": [0.2]},
-                "n_restarts": 2},
+        tuning={"method": "grid", "grid": {"tau2": [0.05], "task.lengthscale": [0.2]}},
         fanzhang={"bandwidths": [0.3], "cv_folds": 3},
     )
     if key.startswith(("dataset.schema", "dataset.policy")):

@@ -7,7 +7,7 @@ import scipy.integrate
 import scipy.linalg
 import scipy.optimize
 
-from vcgp._linalg import NumericalError
+from vcgp._linalg import NumericalError, add_diagonal
 from vcgp.gp_classify import (
     fit_classifier,
     laplace_mode,
@@ -75,6 +75,23 @@ class TestMode:
     def test_hessian_diagonal_range(self):
         model = unit_scalar_classifier()
         assert np.all(model.W > 0) and np.all(model.W <= 0.25)
+
+    def test_fit_that_needs_jitter_runs_newton_on_the_jittered_covariance(self):
+        # K = G[t, t'] with one eigenvalue of -3e-7, below the noise: only the
+        # jitter makes K + tau2 I positive definite
+        data = Dataset(X=np.ones((6, 1)), T=np.array([1, 2, 1, 2, 1, 2]),
+                       y=[1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+        G = np.array([[1.0, 1.0 + 1e-7], [1.0 + 1e-7, 1.0]])
+        spec = KernelSpec(instance_kernel=Linear(), task_kernel=FixedGram(G))
+        tau2 = 1e-9
+        model = fit_classifier(data, spec, tau2)
+        assert model.jitter > 0
+        # K + (tau2 + jitter) I, the two diagonal additions in the fit's order
+        A = add_diagonal(product_kernel_matrix(data.X, data.T, data.X, data.T, spec), tau2)
+        state = laplace_mode(add_diagonal(A, model.jitter), data.y)
+        assert np.array_equal(model.mode, state.mode)
+        assert np.array_equal(model.state.dual, state.dual)
+        assert model.state.iterations == state.iterations
 
     def test_labels_must_be_binary(self):
         data = Dataset(X=[[1.0]], T=np.array([1]), y=[0.5])

@@ -753,6 +753,17 @@ class TestTuning:
             tune_hyperparameters(data, bad, search)
         assert isinstance(info.value.__cause__, NumericalError)
 
+    def test_every_gradient_restart_failing_raises(self):
+        # equal instances make K = s^2 G[t, t'] at any lengthscale, and the
+        # indefinite G keeps it indefinite at every start the restarts draw
+        n = 20
+        data = Dataset(X=np.zeros((n, 1)), T=np.arange(n) % 2 + 1,
+                       y=np.random.default_rng(16).standard_normal(n))
+        bad = KernelSpec(Matern(), FixedGram(np.array([[1.0, 5.0], [5.0, 1.0]])))
+        search = SearchConfig(n_restarts=3, tau2_init=1e-3)
+        with pytest.raises(NumericalError, match="hyperparameter search failed for every restart"):
+            tune_hyperparameters(data, bad, search)
+
     def test_grid_builds_each_distinct_gram_once(self, gram_builds):
         # 3 task lengthscales x 2 tau2: one instance Gram, one task Gram per lengthscale
         rng = np.random.default_rng(14)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,20 @@ class TestMatern:
             matern(1.0, lengthscale=0.0)
         with pytest.raises(ValueError):
             matern(1.0, amplitude=-1.0)
+
+    @pytest.mark.parametrize("nu, bound", [(0.5, 1.1), (1.5, 2.1), (2.5, 3.1)])
+    def test_gram_peak_memory_in_gram_arrays(self, nu, bound):
+        # the profile is written over the distances: nu = 1/2 needs no array
+        # besides the Gram, 3/2 one for the exp, 5/2 two (the exp and the square)
+        Z = np.random.default_rng(6).standard_normal((300, 2))
+        kernel = Matern(nu=nu, lengthscale=0.7, amplitude=1.3)
+        tracemalloc.start()
+        try:
+            K = instance_gram(kernel, Z, Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * K.nbytes, peak / K.nbytes
 
 
 class TestProductKernel:
@@ -407,6 +422,16 @@ class TestTaskKernelTable:
         with pytest.raises(ValueError, match=message):
             product_kernel_diag(X, bad, KernelSpec(Linear(), kernel))
 
+    @TASK_KERNELS
+    @pytest.mark.parametrize("instance", [Linear(), Matern(nu=2.5, amplitude=1.6)])
+    def test_rows_that_disagree_are_rejected_alike(self, kernel, T, k, instance):
+        X = np.ones((3, 2))  # T has 6 rows
+        spec = KernelSpec(instance, kernel)
+        with pytest.raises(ValueError, match="instance rows and task rows disagree"):
+            product_kernel_matrix(X, T, X, T, spec)
+        with pytest.raises(ValueError, match="instance rows and task rows disagree"):
+            product_kernel_diag(X, T, spec)
+
     def test_constant_maps_every_descriptor_to_its_one_task(self):
         G = task_gram(Constant(2.5), np.array([1, 7, 100]), np.zeros((2, 5)))
         assert G.shape == (3, 2) and np.all(G == 2.5)
@@ -480,6 +505,14 @@ class TestSpecSerialization:
         np.testing.assert_allclose(K1, K2, atol=1e-14)
         assert type(back.instance_kernel) is type(spec.instance_kernel)
 
+    def test_laplacian_dict_takes_a_tree(self):
+        parent, sigma = {2: 1, 3: 1, 4: 2}, [1.0, 0.5, 2.0, 0.7]
+        d = {"type": "laplacian", "parent": {str(c): p for c, p in parent.items()}, "sigma": sigma}
+        kernel = kernel_from_dict(d, task=True)
+        expected = Laplacian.from_tree(TaskTree(parent=parent, sigma=tuple(sigma)))
+        assert isinstance(kernel, Laplacian)
+        assert kernel.gram.tobytes() == expected.gram.tobytes()
+
     def test_kernel_from_dict_task_role(self):
         assert kernel_from_dict({"type": "constant", "value": 2.0}, task=True) == Constant(2.0)
         assert kernel_from_dict({"type": "linear"}) == Linear()
@@ -548,7 +581,8 @@ class TestMaternGradients:
             for ls in (0.8, (0.8, 1.7)):
                 kernel = Matern(nu=nu, lengthscale=ls, amplitude=1.2)
                 K, grads = matern_gram_grads(kernel, Z)
-                np.testing.assert_array_equal(K, kernels.instance_gram(kernel, Z, Z))
+                # one routine writes every Matern profile: the same bits as a plain Gram
+                assert K.tobytes() == kernels.instance_gram(kernel, Z, Z).tobytes()
                 assert len(grads) == (2 if kernel.ard else 1)
                 for i, dK in enumerate(grads):
                     d = i if kernel.ard else None
