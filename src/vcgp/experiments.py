@@ -104,12 +104,14 @@ _KINDS = {float: ((int, float, str), "a number"), int: ((int, str), "an integer"
 
 
 def config_value(name: str, value, kind: type, default=_REQUIRED, low=None, high=math.inf,
-                 choices=None):
+                 choices=None, finite=True):
     """``kind(value)`` for a kind in ``_KINDS``, or ``default`` if value is None.
 
-    A number must exceed ``low`` (the bounded numbers are variances, times and
-    tolerances), an integer lie in ``low..high``, a string be in ``choices``.
-    Anything else raises ``ValueError`` naming the dotted config key ``name``.
+    A number must be finite unless ``finite`` is false (a time budget may be
+    infinite) and exceed ``low`` (the bounded numbers are variances, times
+    and tolerances), an integer lie in ``low..high``, a string be in
+    ``choices``.  Anything else raises ``ValueError`` naming the dotted
+    config key ``name``.
     """
     if value is None:
         if default is _REQUIRED:
@@ -118,8 +120,9 @@ def config_value(name: str, value, kind: type, default=_REQUIRED, low=None, high
     types, want = _KINDS[kind]
     if choices is not None:
         want = f"one of {', '.join(choices)}"
-    elif low is not None and kind is float:
-        want = f"a number above {low}"
+    elif kind is float:
+        want = "a finite number" if finite else "a number"
+        want += f" above {low}" if low is not None else ""
     elif low is not None:
         want = f"an integer in {low}..{high}" if high < math.inf else f"an integer of at least {low}"
     # a YAML yes/true is a bool, which Python would also take as the number 1
@@ -130,6 +133,8 @@ def config_value(name: str, value, kind: type, default=_REQUIRED, low=None, high
             pass
         else:
             in_range = low is None or (parsed > low if kind is float else low <= parsed <= high)
+            if kind is float and finite:
+                in_range = in_range and math.isfinite(parsed)
             if in_range and (choices is None or parsed in choices):
                 return parsed
     raise ValueError(f"config key {name!r} must be {want}, got {value!r}")
@@ -344,7 +349,7 @@ def parse_config(cfg: Mapping) -> ExperimentConfig:
         seed=seed,
         out=config_value("out", cfg.get("out"), str, "results.csv"),
         budget_seconds=config_value("budget_seconds", cfg.get("budget_seconds"), float, None,
-                                    low=0),
+                                    low=0, finite=False),
         methods=methods,
         train_sizes=train_sizes,
         settings=settings,

@@ -11,11 +11,13 @@ covariances offer products, a Gaussian fit and the Laplace Newton step, so
 one finisher per likelihood serves every route: :func:`_fit_gaussian` here
 and :func:`gp_classify._fit_laplace`.  Every route is one
 :class:`FittedRegressor` whose *basis* maps test points to the features
-``Phi`` of the predictive mean ``Phi^T weights`` and gives the latent
-variance: :class:`DenseBasis` or :class:`LowRankBasis`.  The log marginal
-likelihood and its analytic gradients with respect to log-hyperparameters
-drive tuning; each search's candidates share one :class:`_Workspace`, its
-buffers and whatever a kernel held fixed lets them share.
+``Phi`` of the predictive mean ``Phi^T weights``, gives the latent
+variance and names the arrays a model file holds for it:
+:class:`DenseBasis`, :class:`WeightSpaceBasis` or FITC's
+:class:`sparse_fitc.FITCBasis`.  The log marginal likelihood and its
+analytic gradients with respect to log-hyperparameters drive tuning;
+each search's candidates share one :class:`_Workspace`, its buffers and
+whatever a kernel held fixed lets them share.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "LowRankBasis",
     "LowRankDiag",
     "SearchConfig",
+    "WeightSpaceBasis",
     "fit_regressor",
     "lml_and_gradient",
     "tune_hyperparameters",
@@ -177,13 +180,46 @@ def _latent_predictive(model, X_star, T_star, L, noise=0.0, W=None):
 
 
 class Basis(Protocol):
-    """How a fitted model carries its posterior to test points (:func:`_latent_predictive`)."""
+    """How a fitted model carries its posterior to test points (:func:`_latent_predictive`).
+
+    In a model file (:mod:`model_io`) the kind starts with ``tag`` and the
+    basis's own arrays are its attributes named in ``file_names``.
+    """
+
+    tag: str
+    file_names: tuple[str, ...]
 
     def features(self, model, X_star, T_star) -> np.ndarray:
         """Test features ``Phi``, one column per test point."""
 
     def latent_var(self, model, X_star, T_star, Phi, L, noise=0.0, W=None) -> np.ndarray:
         """Latent variances, before clamping, from ``Phi`` and the model's factor ``L``."""
+
+    def half_logdet(self, L, n: int, lam: float, W=None) -> float:
+        """The fit's ``0.5 log|A|`` from its factor ``L``, ``lam = tau2 + jitter``.
+
+        ``A`` is the covariance or, with Newton weights ``W``, its Laplace system.
+        """
+
+    def factor_size(self, data: Dataset) -> int:
+        """The size of the model's factor and weights."""
+
+    @classmethod
+    def from_file(cls, arrays: Mapping[str, np.ndarray], spec: KernelSpec, data: Dataset) -> Basis:
+        """The basis of a model file's arrays; ``ValueError`` unless they fit ``spec`` and ``data``."""
+
+
+def _check_file_shapes(arrays: Mapping[str, np.ndarray], wants: Mapping[str, tuple]) -> None:
+    """Raise ``ValueError`` naming the first model file array whose shape is not wanted.
+
+    ``wants`` maps an array's name to its shape, with None for any size.
+    """
+    for name, want in wants.items():
+        shape = arrays[name].shape
+        if len(shape) != len(want) or any(w not in (None, s) for s, w in zip(shape, want)):
+            text = ", ".join("*" if w is None else str(w) for w in want)
+            raise ValueError(f"model file array {name!r} has shape {shape}, expected "
+                             f"({text}{',' if len(want) == 1 else ''})")
 
 
 @dataclass(frozen=True)
@@ -193,8 +229,11 @@ class DenseBasis:
     ``L`` factorizes ``K + tau2 I`` (regressor, ``s = 1``, no noise) or the
     Laplace system ``I + sqrt(W) (K + tau2 I) sqrt(W)`` (classifier,
     ``s = sqrt(W)``, noise tau2); the latent variance is
-    ``k** + noise - |L^{-1} s Phi|^2``.
+    ``k** + noise - |L^{-1} s Phi|^2``.  A model file holds no array for it.
     """
+
+    tag = ""
+    file_names = ()
 
     def features(self, model, X_star, T_star) -> np.ndarray:
         return kernels.product_kernel_matrix(model.data.X, model.data.T, X_star, T_star, model.spec)
@@ -205,40 +244,67 @@ class DenseBasis:
         prior += noise
         return prior - np.einsum("ij,ij->j", U, U)
 
+    def half_logdet(self, L, n, lam, W=None) -> float:
+        return float(np.sum(np.log(np.diag(L))))
 
-@dataclass(frozen=True)
+    def factor_size(self, data: Dataset) -> int:
+        return data.n
+
+    @classmethod
+    def from_file(cls, arrays, spec, data) -> DenseBasis:
+        return cls()
+
+
 class LowRankBasis:
     """Features ``Phi`` of a finite feature map, for the covariance ``V^T V + diag(lam)``.
 
-    The columns of ``V`` are the training points' features.  With a task
-    factor ``G = C C^T`` the map is ``x kron C[t]`` (weight space, where
-    ``V^T V`` is the product Gram itself); with an inducing set it is
-    ``Luu^{-1} k_u(x, t)`` (FITC).  ``L`` is the p x p Woodbury factor of
-    :class:`LowRankDiag` and the latent variance is
+    The columns of ``V`` are the training points' features: ``x kron C[t]``
+    for a task factor (:class:`WeightSpaceBasis`), ``Luu^{-1} k_u(x, t)``
+    over inducing points (:class:`sparse_fitc.FITCBasis`).  ``L`` is the
+    p x p Woodbury factor of :class:`LowRankDiag` and the latent variance is
     ``residual + noise + |L^{-1} Phi|^2``: O(p^2) per test point.  The
-    residual, ``k** - |Phi|^2``, is the prior variance the features miss; it
-    is exactly 0 in weight space and not computed there.
+    residual, ``k** - |Phi|^2``, is the prior variance the features miss.
     """
-
-    task_factor: np.ndarray | None = None
-    inducing: object | None = None  # sparse_fitc.InducingSet
-    Luu: np.ndarray | None = None  # chol(K_uu + jitter)
-
-    def features(self, model, X_star, T_star) -> np.ndarray:
-        if self.inducing is None:
-            return _weight_features(model.spec, self.task_factor, X_star, T_star).T
-        Ku = kernels.product_kernel_matrix(
-            self.inducing.X, self.inducing.T, X_star, T_star, model.spec
-        )
-        return solve_lower(self.Luu, Ku)
 
     def latent_var(self, model, X_star, T_star, Phi, L, noise=0.0, W=None) -> np.ndarray:
         U = solve_lower(L, Phi)
-        residual = 0.0
-        if self.inducing is not None:
-            residual = kernels.product_kernel_diag(X_star, T_star, model.spec)
-            residual -= np.einsum("ij,ij->j", Phi, Phi)
-        return residual + noise + np.einsum("ij,ij->j", U, U)
+        return self.residual(model, X_star, T_star, Phi) + noise + np.einsum("ij,ij->j", U, U)
+
+    def half_logdet(self, L, n, lam, W=None) -> float:
+        return _low_rank_half_logdet(lam, L, n) if W is None else _newton_half_logdet(W, lam, L)
+
+
+@dataclass(frozen=True)
+class WeightSpaceBasis(LowRankBasis):
+    """The features ``x kron C[t]`` of a task factor ``G = C C^T`` (weight space).
+
+    ``V^T V`` is the product Gram itself, so the residual is exactly 0 and
+    not computed.  A model file holds the factor as ``task_factor``.
+    """
+
+    task_factor: np.ndarray
+    tag = "weight-space-woodbury-"
+    file_names = ("task_factor",)
+
+    def features(self, model, X_star, T_star) -> np.ndarray:
+        return _weight_features(model.spec, self.task_factor, X_star, T_star).T
+
+    def residual(self, model, X_star, T_star, Phi):
+        return 0.0
+
+    def factor_size(self, data: Dataset) -> int:
+        return data.m * self.task_factor.shape[1]
+
+    @classmethod
+    def from_file(cls, arrays, spec, data) -> WeightSpaceBasis:
+        """Needs a linear instance kernel and a held task Gram with a row of ``task_factor`` per task."""
+        if not isinstance(spec.instance_kernel, Linear) or isinstance(spec.task_kernel, Matern):
+            raise ValueError(
+                f"a weight-space model needs a linear instance kernel and a constant or "
+                f"discrete task kernel, not {spec}"
+            )
+        _check_file_shapes(arrays, {"task_factor": (spec.task_kernel.gram.shape[0], None)})
+        return cls(arrays["task_factor"])
 
 
 @dataclass(frozen=True)
@@ -297,7 +363,7 @@ def _same_kernel(a, b) -> bool:
 
 def _weight_features(spec: KernelSpec, C: np.ndarray, X: np.ndarray, T) -> np.ndarray:
     """The rows ``x_i kron C[t_i]``: ``V V^T`` is the linear-instance product Gram."""
-    rows = kernels.task_factor_rows(spec.task_kernel, C, T)
+    rows = C[spec.task_kernel.rows(T)]
     return (X[:, :, None] * rows[:, None, :]).reshape(X.shape[0], -1)
 
 
@@ -306,8 +372,8 @@ def _exact_covariance(
 ) -> tuple[DenseCovariance | LowRankDiag, Basis]:
     """``(covariance, basis)`` of ``K + tau2 I`` over the training points.
 
-    A linear instance kernel times a task Gram with a PSD factor
-    ``G = C C^T`` (:func:`kernels.task_factor`) has ``K = V^T V``, column i
+    A linear instance kernel times a held task Gram with a PSD factor
+    ``G = C C^T`` (its ``factor``) has ``K = V^T V``, column i
     of ``V`` being ``x_i kron C[t_i]``, of height ``r = m * rank(G)``.  When
     ``r <= n / 2`` the covariance is the weight-space :class:`LowRankDiag`,
     whose fits cost O(n r^2) and predictions O(r^2) per point, against
@@ -315,9 +381,10 @@ def _exact_covariance(
     spec.  A search passes its ``workspace`` (:class:`_Workspace`); the
     numbers are the same either way.
     """
-    if not tau2 > 0:
-        raise ValueError("tau2 must be positive")
-    C = kernels.task_factor(spec.task_kernel) if isinstance(spec.instance_kernel, Linear) else None
+    if not 0 < tau2 < math.inf:
+        raise ValueError("tau2 must be positive and finite")
+    task = spec.task_kernel
+    C = task.factor if isinstance(spec.instance_kernel, Linear) and not isinstance(task, Matern) else None
     if C is None or 2 * data.m * C.shape[1] > data.n:
         if workspace is None:
             K = kernels.product_kernel_matrix(data.X, data.T, data.X, data.T, spec)
@@ -325,7 +392,7 @@ def _exact_covariance(
             K = workspace.gram("instance", spec.instance_kernel, data)
             K = K * workspace.gram("task", spec.task_kernel, data)
         return DenseCovariance(add_diagonal(K, tau2)), DenseBasis()
-    basis = LowRankBasis(task_factor=C)
+    basis = WeightSpaceBasis(C)
     if workspace is None:
         return LowRankDiag(_weight_features(spec, C, data.X, data.T).T, float(tau2)), basis
     points = (data.X, data.T)

@@ -16,8 +16,8 @@ The constant, tree, graph-Laplacian and explicit-Gram task kernels hold a
 k x k Gram over tasks (k = 1 for the constant kernel, whose one task every
 descriptor maps to), computed once, when they are constructed: O(k^2) for a
 tree and O(k^3) for a Laplacian.  Gram assembly and prediction then only
-index it.  Its PSD factor ``G = C C^T`` (:func:`task_factor`, O(k^3) by
-``eigh``) is computed on first use and held as well.
+index it.  Its PSD factor ``G = C C^T`` (``factor`` on the kernel, O(k^3)
+by ``eigh``) is computed on first use and held as well.
 
 All kernel evaluations are pure functions and all types are immutable after
 construction, so they can be shared freely across threads.
@@ -46,8 +46,6 @@ __all__ = [
     "matern",
     "instance_gram",
     "task_gram",
-    "task_factor",
-    "task_factor_rows",
     "product_kernel_matrix",
     "product_kernel_diag",
     "tree_task_kernel",
@@ -231,8 +229,8 @@ class Matern:
             object.__setattr__(self, "lengthscale", float(ls[0]))
         else:
             object.__setattr__(self, "lengthscale", tuple(float(v) for v in ls))
-        if not (float(self.amplitude) > 0.0):
-            raise ValueError("amplitude must be positive")
+        if not 0.0 < float(self.amplitude) < math.inf:
+            raise ValueError("amplitude must be positive and finite")
         object.__setattr__(self, "amplitude", float(self.amplitude))
 
     @property
@@ -317,6 +315,8 @@ class Laplacian(_HeldGram):
         R = np.asarray(self.R, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("M must be square")
+        if not (np.isfinite(M).all() and np.isfinite(R).all()):
+            raise ValueError("M and R must be finite")
         if not np.allclose(M, M.T):
             raise ValueError("M must be symmetric")
         if R.shape != M.shape or not np.allclose(R, np.diag(np.diag(R))):
@@ -340,6 +340,8 @@ class FixedGram(_HeldGram):
         G = np.asarray(self.gram, dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ValueError("gram must be square")
+        if not np.isfinite(G).all():
+            raise ValueError("gram must be finite")
         if not np.allclose(G, G.T):
             raise ValueError("gram must be symmetric")
         object.__setattr__(self, "gram", _freeze(G.copy()))
@@ -357,8 +359,8 @@ class Constant(_HeldGram):
     gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (float(self.value) > 0.0):
-            raise ValueError("constant kernel value must be positive")
+        if not 0.0 < float(self.value) < math.inf:
+            raise ValueError("constant kernel value must be positive and finite")
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "gram", _freeze(np.array([[self.value]])))
 
@@ -565,26 +567,6 @@ def task_gram(kernel: TaskKernel, T1, T2) -> np.ndarray:
     if not isinstance(kernel, _HeldGram):
         raise TypeError(f"not a task kernel: {kernel!r}")
     return kernel.gram[kernel.rows(T1)][:, kernel.rows(T2)]
-
-
-def task_factor(kernel: TaskKernel) -> np.ndarray | None:
-    """A factor ``C`` of the task Gram with one row per task, or None.
-
-    ``C C^T`` is the k x k Gram of a held-Gram kernel (see ``factor`` on
-    it; None when that Gram is indefinite), one row for a constant kernel.
-    None for a Matern task kernel, whose Gram over n points has no fixed
-    factor.
-    """
-    return None if isinstance(kernel, Matern) else kernel.factor
-
-
-def task_factor_rows(kernel: TaskKernel, factor: np.ndarray, T) -> np.ndarray:
-    """The row of ``factor`` (from :func:`task_factor`) for each task descriptor in T.
-
-    Row products give the task Gram: ``R @ R.T == task_gram(kernel, T, T)``
-    to rounding, with ``R`` the result.
-    """
-    return factor[kernel.rows(T)]
 
 
 def product_kernel_matrix(X1, T1, X2, T2, spec: KernelSpec) -> np.ndarray:

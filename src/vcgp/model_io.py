@@ -2,31 +2,44 @@
 
 Layout of a model file:
 
-  line 1   ASCII magic: ``VCGP-MODEL 1 <kind>`` with kind in
-           {regressor, weight-space-woodbury-regressor, classifier,
-           weight-space-woodbury-classifier}
+  line 1   ASCII magic: ``VCGP-MODEL 1 <kind>``, the kind being the
+           basis's tag followed by the likelihood: ``regressor``,
+           ``weight-space-woodbury-regressor``, ``fitc-regressor``,
+           ``classifier``, ``weight-space-woodbury-classifier`` or
+           ``fitc-classifier``
   line 2   JSON header: kernel spec, tau2, jitter, array shapes and task
            variant (and a classifier's log-likelihood and Newton
            iterations), in a fixed key order
   rest     the arrays named in the header, concatenated as row-major
-           little-endian float64 (int64 for discrete task ids)
+           little-endian float64 (int64 for the task ids of discrete tasks,
+           in the arrays named ``T`` or ending in ``_T``)
+
+A model's arrays come from its three parts, in its likelihood's order:
+
+  regressor    X, T, y, <basis>, chol, weights, alpha
+  classifier   X, T, y, mode, dual, pi, W, B_chol, <basis>, weights
+
+``<basis>`` is the basis's own arrays (``file_names`` on it): none for a
+dense model, ``task_factor`` in weight space, ``inducing_X``,
+``inducing_T``, ``Luu`` and FITC's diagonal ``lam`` for FITC.  A dense
+model writes no ``weights``: they are its ``alpha`` or dual.
 
 The header's ``arrays`` list fixes both the order and the shapes, so the
 payload is self-describing and byte-deterministic.  A file whose arrays do
-not fit together (n training rows, n x n factors, length-n vectors; for a
-weight-space model an r x r factor and r weights, r = m times the task
-factor's width), that holds a NaN or inf in any float array, whose header
-lacks a field or holds an invalid value, or that has bytes after the last
-array is rejected.  The file kind follows from the model's class and
-basis; FITC models have none and are not saved.
+not fit together (n training rows; an n x n factor and length-n vectors,
+or, with a basis that has arrays, the factor and weights of the size the
+basis gives and the basis's arrays of the shapes it checks), that holds a
+NaN or inf in any float array, whose header lacks a field or holds an
+invalid value, whose header shapes need more bytes than the file holds, or
+that has bytes after the last array is rejected.
 
-A weight-space model's covariance is ``V^T V + lam I``, ``lam = tau2 +
-jitter`` (:class:`gp_core.LowRankDiag`): a regressor's ``chol`` factorizes
-``I + V V^T / lam``, a classifier's ``B_chol`` is its r x r Newton factor.
-Files of the older kind ``weight-space-regressor`` hold the factor of
-``V V^T + lam I``; they load through the exact rescaling
-``chol / sqrt(lam)`` and are never written.  ``classifier`` files of
-weight-space specs, written before classifiers had that route, load as
+A low-rank model's covariance is ``V^T V + lam I``, ``lam = tau2 +
+jitter`` in weight space (:class:`gp_core.LowRankDiag`): a regressor's
+``chol`` factorizes ``I + V V^T / lam``, a classifier's ``B_chol`` is its
+p x p Newton factor.  Files of the older kind ``weight-space-regressor``
+hold the factor of ``V V^T + lam I``; they load through the exact
+rescaling ``chol / sqrt(lam)`` and are never written.  ``classifier`` files
+of weight-space specs, written before classifiers had that route, load as
 dense models.
 """
 
@@ -34,67 +47,46 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
 from .gp_classify import FittedClassifier, LaplaceState
-from .gp_core import Dataset, DenseBasis, FittedRegressor, LowRankBasis, _low_rank_half_logdet
-from .gp_core import _newton_half_logdet
-from .kernels import Linear, Matern, spec_from_dict, spec_to_dict
+from .gp_core import Dataset, DenseBasis, FittedRegressor, WeightSpaceBasis, _check_file_shapes
+from .kernels import spec_from_dict, spec_to_dict
+from .sparse_fitc import FITCBasis
 
 __all__ = ["save_model", "load_model"]
 
 _MAGIC = "VCGP-MODEL 1"
 _CHOL_ARRAYS = ("chol", "B_chol")
-_WEIGHT_SPACE = "weight-space-woodbury-regressor"
+_LIKELIHOODS = {FittedRegressor: "regressor", FittedClassifier: "classifier"}
+_BASES = {basis.tag: basis for basis in (DenseBasis, WeightSpaceBasis, FITCBasis)}
 _OLD_WEIGHT_SPACE = "weight-space-regressor"  # read only: chol factorizes V V^T + lam I
-_WEIGHT_SPACE_ARRAYS = ("X", "T", "y", "task_factor", "chol", "weights", "alpha")
-_CLASSIFIER_ARRAYS = ("X", "T", "y", "mode", "dual", "pi", "W", "B_chol")
-_ARRAY_NAMES = {
-    "regressor": ("X", "T", "y", "chol", "alpha"),
-    _WEIGHT_SPACE: _WEIGHT_SPACE_ARRAYS,
-    _OLD_WEIGHT_SPACE: _WEIGHT_SPACE_ARRAYS,
-    "classifier": _CLASSIFIER_ARRAYS,
-    "weight-space-woodbury-classifier": _CLASSIFIER_ARRAYS + ("task_factor", "weights"),
-}
 
 
-def _kind(model) -> str | None:
-    """The file kind a model is written as; None for FITC models and non-models."""
-    kind = {FittedRegressor: "regressor", FittedClassifier: "classifier"}.get(type(model))
-    if kind is None or type(model.basis) is DenseBasis:
-        return kind
-    return None if model.basis.inducing is not None else f"weight-space-woodbury-{kind}"
-
-
-def _model_array(model, name: str) -> np.ndarray:
-    if name in ("X", "T", "y"):
-        return getattr(model.data, name)
-    if name == "task_factor":
-        return model.basis.task_factor
-    if name == "weights":
-        return model.weights
-    return getattr(model.state if isinstance(model, FittedClassifier) else model, name)
+def _array_names(likelihood: str, basis: tuple[str, ...]) -> tuple[str, ...]:
+    """A file's arrays, in order, for a likelihood and the basis's ``file_names``."""
+    weights = ("weights",) if basis else ()
+    if likelihood == "regressor":
+        return ("X", "T", "y", *basis, "chol", *weights, "alpha")
+    return ("X", "T", "y", "mode", "dual", "pi", "W", "B_chol", *basis, *weights)
 
 
 def save_model(model, path) -> None:
-    """Write a fitted regressor or classifier to ``path``.
-
-    Raises ``TypeError`` for anything else, FITC models included.
-    """
-    kind = _kind(model)
-    if kind is None:
-        what = type(model).__name__
-        basis = getattr(model, "basis", None)
-        if basis is not None:
-            what += f" with {type(basis).__name__}"
-        if getattr(basis, "inducing", None) is not None:
-            what += " over inducing points"
-        raise TypeError(f"cannot serialize model of type {what}")
+    """Write a fitted regressor or classifier to ``path``; ``TypeError`` for anything else."""
+    likelihood = _LIKELIHOODS.get(type(model))
+    if likelihood is None:
+        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    basis = model.basis
+    parts = {"X": model.data.X, "T": model.data.T, "y": model.data.y, "weights": model.weights}
+    parts |= {name: getattr(basis, name) for name in basis.file_names}
+    own = model.state if likelihood == "classifier" else model  # the likelihood's arrays
+    arrays = {name: parts[name] if name in parts else getattr(own, name)
+              for name in _array_names(likelihood, basis.file_names)}
     extra = {}
-    if kind.endswith("classifier"):
+    if likelihood == "classifier":
         extra = {"log_lik": model.state.log_lik, "iterations": model.state.iterations}
-    arrays = {name: _model_array(model, name) for name in _ARRAY_NAMES[kind]}
     header = {
         "spec": spec_to_dict(model.spec),
         "tau2": model.tau2,
@@ -104,11 +96,22 @@ def save_model(model, path) -> None:
         **extra,
     }
     with open(path, "wb") as fh:
-        fh.write(f"{_MAGIC} {kind}\n".encode())
+        fh.write(f"{_MAGIC} {basis.tag}{likelihood}\n".encode())
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        for name, arr in arrays.items():
-            dtype = "<i8" if name == "T" and arr.dtype.kind == "i" else "<f8"
+        for arr in arrays.values():
+            dtype = "<i8" if arr.dtype.kind == "i" else "<f8"  # only task ids are integers
             fh.write(np.ascontiguousarray(arr).astype(dtype).tobytes())
+
+
+def _kind_parts(kind: str):
+    """``(basis class, likelihood)`` of a file kind; ``ValueError`` for an unknown kind."""
+    if kind == _OLD_WEIGHT_SPACE:
+        return WeightSpaceBasis, "regressor"
+    for likelihood in _LIKELIHOODS.values():
+        tag = kind.removesuffix(likelihood)
+        if tag != kind and tag in _BASES:
+            return _BASES[tag], likelihood
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def load_model(path):
@@ -118,23 +121,23 @@ def load_model(path):
         if not magic.startswith(_MAGIC):
             raise ValueError(f"not a model file (bad magic line {magic!r})")
         kind = magic[len(_MAGIC) :].strip()
-        if kind not in _ARRAY_NAMES:
-            raise ValueError(f"unknown model kind {kind!r}")
+        basis_type, likelihood = _kind_parts(kind)
         header = json.loads(fh.readline().decode())
-        _check_header(header, kind)
+        _check_header(header, likelihood)
         names = [name for name, _ in header["arrays"]]
-        if sorted(names) != sorted(_ARRAY_NAMES[kind]):
-            raise ValueError(f"a {kind} file holds arrays {_ARRAY_NAMES[kind]}, this one {names}")
+        expected = _array_names(likelihood, basis_type.file_names)
+        if sorted(names) != sorted(expected):
+            raise ValueError(f"a {kind} file holds arrays {expected}, this one {names}")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         arrays = {}
         for name, shape in header["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
-            if name == "T" and header["discrete_tasks"]:
-                dtype = np.dtype("<i8")
-            else:
-                dtype = np.dtype("<f8")
-            buf = fh.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
+            discrete = header["discrete_tasks"] and (name == "T" or name.endswith("_T"))
+            dtype = np.dtype("<i8" if discrete else "<f8")
+            size = math.prod(shape) * dtype.itemsize  # a Python int: a huge shape cannot wrap
+            if size > left:
                 raise ValueError(f"model file truncated while reading array {name!r}")
+            left -= size
+            buf = fh.read(size)
             # Cholesky factors come back in the Fortran layout LAPACK gives the
             # fitted model: triangular solves round differently per layout
             order = "F" if name in _CHOL_ARRAYS else "C"
@@ -144,35 +147,35 @@ def load_model(path):
                 raise ValueError(f"model file array {name!r} has a non-finite entry")
         if fh.read(1):
             raise ValueError("model file has trailing bytes after its last array")
-    _check_shapes(arrays, header["discrete_tasks"])
 
+    _check_file_shapes(arrays, {"X": (None, None)})
+    n = arrays["X"].shape[0]
+    _check_file_shapes(arrays, {"X": (n, None), "T": (n,) if header["discrete_tasks"] else (n, None),
+                                "y": (n,)})
     spec = spec_from_dict(header["spec"])
     data = Dataset(X=arrays["X"], T=arrays["T"], y=arrays["y"])
-    common = dict(spec=spec, tau2=header["tau2"], data=data, jitter=header["jitter"])
-    common["basis"] = DenseBasis()
-    if "task_factor" in arrays:
-        _check_task_factor(arrays["task_factor"], spec)
-        common["basis"] = LowRankBasis(task_factor=arrays["task_factor"])
+    basis = basis_type.from_file(arrays, spec, data)
+    size = basis.factor_size(data)
+    _check_file_shapes(arrays, {
+        name: (size, size) if name in _CHOL_ARRAYS else (size,) if name == "weights" else (n,)
+        for name in expected if name not in ("X", "T", "y", *basis.file_names)
+    })
+    common = dict(spec=spec, tau2=header["tau2"], data=data, jitter=header["jitter"], basis=basis)
     lam = header["tau2"] + header["jitter"]  # a weight-space covariance is V^T V + lam I
-    if kind.endswith("classifier"):
+    if likelihood == "classifier":
         W, B = arrays["W"], arrays["B_chol"]
         state = LaplaceState(
             mode=arrays["mode"], dual=arrays["dual"], pi=arrays["pi"], W=W, B_chol=B,
-            half_logdet_B=(float(np.sum(np.log(np.diag(B)))) if kind == "classifier"
-                           else _newton_half_logdet(W, lam, B)),
+            half_logdet_B=basis.half_logdet(B, n, lam, W),
             log_lik=header["log_lik"], iterations=header["iterations"],
         )
         return FittedClassifier(state=state, weights=arrays.get("weights", state.dual), **common)
     L = arrays["chol"]
     if kind == _OLD_WEIGHT_SPACE:
         L /= math.sqrt(lam)  # V V^T + lam I = lam (I + V V^T / lam)
-    if kind == "regressor":
-        half_logdet = float(np.sum(np.log(np.diag(L))))
-    else:
-        half_logdet = _low_rank_half_logdet(lam, L, data.n)
     return FittedRegressor(
         chol=L, alpha=arrays["alpha"], weights=arrays.get("weights", arrays["alpha"]),
-        half_logdet=half_logdet, **common,
+        half_logdet=basis.half_logdet(L, n, lam), **common,
     )
 
 
@@ -207,11 +210,11 @@ _CLASSIFIER_HEADER_CHECKS = {
 }
 
 
-def _check_header(header, kind: str) -> None:
+def _check_header(header, likelihood: str) -> None:
     """Raise ``ValueError`` naming the first header field that is missing or invalid."""
     if not isinstance(header, dict):
         raise ValueError(f"model file header must be a JSON object, not {type(header).__name__}")
-    checks = _HEADER_CHECKS | (_CLASSIFIER_HEADER_CHECKS if kind.endswith("classifier") else {})
+    checks = _HEADER_CHECKS | (_CLASSIFIER_HEADER_CHECKS if likelihood == "classifier" else {})
     for field, (ok, want) in checks.items():
         if field not in header:
             raise ValueError(f"model file header lacks the field {field!r}")
@@ -219,49 +222,3 @@ def _check_header(header, kind: str) -> None:
             raise ValueError(
                 f"model file header field {field!r} must be {want}, got {header[field]!r}"
             )
-
-
-def _check_shapes(arrays: dict[str, np.ndarray], discrete_tasks: bool) -> None:
-    """Raise ``ValueError`` unless the arrays describe one model over X's n rows."""
-    X = arrays["X"]
-    if X.ndim != 2:
-        raise ValueError(f"model file array 'X' has shape {X.shape}, expected (n, m)")
-    n = X.shape[0]
-    # the factor and weights are n-sized, or r-sized in weight space
-    size = n
-    if "task_factor" in arrays:
-        if arrays["task_factor"].ndim != 2:
-            raise ValueError(
-                f"model file array 'task_factor' has shape {arrays['task_factor'].shape}, "
-                "expected (k, q)"
-            )
-        size = X.shape[1] * arrays["task_factor"].shape[1]
-    for name, arr in arrays.items():
-        if name == "task_factor":
-            continue
-        if name == "X" or (name == "T" and not discrete_tasks):
-            ok = arr.ndim == 2 and arr.shape[0] == n
-            want = f"({n}, *)"
-        elif name in _CHOL_ARRAYS:
-            ok = arr.shape == (size, size)
-            want = f"({size}, {size})"
-        elif name == "weights":
-            ok = arr.shape == (size,)
-            want = f"({size},)"
-        else:
-            ok = arr.shape == (n,)
-            want = f"({n},)"
-        if not ok:
-            raise ValueError(f"model file array {name!r} has shape {arr.shape}, expected {want}")
-
-
-def _check_task_factor(C: np.ndarray, spec) -> None:
-    """Raise ``ValueError`` unless ``C`` can be the weight-space factor of ``spec``'s task Gram."""
-    if not isinstance(spec.instance_kernel, Linear) or isinstance(spec.task_kernel, Matern):
-        raise ValueError(
-            f"a weight-space model needs a linear instance kernel and a constant or "
-            f"discrete task kernel, not {spec}"
-        )
-    k = spec.task_kernel.gram.shape[0]
-    if C.shape[0] != k:
-        raise ValueError(f"model file array 'task_factor' has {C.shape[0]} rows, expected {k}")

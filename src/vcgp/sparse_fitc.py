@@ -10,12 +10,13 @@ finishers complete it: :func:`gp_core._fit_gaussian` for the regressor,
 factorizes an n x n matrix: the Gaussian fit costs O(n p^2), and each
 Laplace Newton step O(n p^2).  The fits return the exact model classes,
 :class:`gp_core.FittedRegressor` and :class:`gp_classify.FittedClassifier`,
-with a :class:`gp_core.LowRankBasis` over the inducing points, which
-predicts in O(p^2) per test point.
+with a :class:`FITCBasis` over the inducing points, which predicts in
+O(p^2) per test point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +24,19 @@ import numpy as np
 from . import kernels
 from ._linalg import chol_with_jitter, solve_lower
 from .gp_classify import FittedClassifier, _fit_laplace
-from .gp_core import Dataset, FittedRegressor, LowRankBasis, LowRankDiag, _fit_gaussian, _freeze_rows
+from .gp_core import Dataset, FittedRegressor, LowRankBasis, LowRankDiag, _check_file_shapes
+from .gp_core import _fit_gaussian, _freeze_rows
 from .kernels import KernelSpec
 
 __all__ = [
+    "FITCBasis",
     "InducingSet",
     "select_inducing",
     "fit_fitc",
     "fit_fitc_classifier",
 ]
 
-# the FITC classifier is the exact class with a LowRankBasis; the name
+# the FITC classifier is the exact class with a FITCBasis; the name
 # stays because the benchmark's tracer (benchmark/layertrace.py) looks it up
 FittedFITCClassifier = FittedClassifier
 
@@ -52,6 +55,52 @@ class InducingSet:
             idx = np.asarray(self.indices, dtype=int).copy()
             idx.setflags(write=False)
             object.__setattr__(self, "indices", idx)
+
+
+@dataclass(frozen=True)
+class FITCBasis(LowRankBasis):
+    """The features ``Luu^{-1} k_u(x, t)`` over the inducing points ``inducing_X``, ``inducing_T``.
+
+    ``lam`` is the FITC diagonal of the fit's covariance, which the
+    evidence of a loaded model needs.  A model file holds all four arrays.
+    """
+
+    inducing_X: np.ndarray
+    inducing_T: np.ndarray
+    Luu: np.ndarray  # chol(K_uu + jitter)
+    lam: np.ndarray  # diag(K - Q) + tau2, floored
+    tag = "fitc-"
+    file_names = ("inducing_X", "inducing_T", "Luu", "lam")
+
+    def features(self, model, X_star, T_star) -> np.ndarray:
+        Ku = kernels.product_kernel_matrix(
+            self.inducing_X, self.inducing_T, X_star, T_star, model.spec
+        )
+        return solve_lower(self.Luu, Ku)
+
+    def residual(self, model, X_star, T_star, Phi) -> np.ndarray:
+        residual = kernels.product_kernel_diag(X_star, T_star, model.spec)
+        residual -= np.einsum("ij,ij->j", Phi, Phi)
+        return residual
+
+    def half_logdet(self, L, n, lam, W=None) -> float:
+        return super().half_logdet(L, n, self.lam, W)  # its own diagonal, not tau2 + jitter
+
+    def factor_size(self, data: Dataset) -> int:
+        return self.Luu.shape[0]
+
+    @classmethod
+    def from_file(cls, arrays, spec, data) -> FITCBasis:
+        """Needs p inducing points of the training variant, a p x p ``Luu`` and a positive ``lam``."""
+        _check_file_shapes(arrays, {"inducing_X": (None, data.m)})
+        p = arrays["inducing_X"].shape[0]
+        _check_file_shapes(arrays, {"inducing_T": (p, *data.T.shape[1:]), "Luu": (p, p),
+                                    "lam": (data.n,)})
+        if not np.all(arrays["lam"] > 0):
+            raise ValueError("model file array 'lam' must be positive")
+        inducing = InducingSet(arrays["inducing_X"], arrays["inducing_T"])
+        # the fit's factor is Fortran-ordered, and triangular solves round per layout
+        return cls(inducing.X, inducing.T, np.asfortranarray(arrays["Luu"]), arrays["lam"])
 
 
 def select_inducing(data: Dataset, p: int, seed: int) -> InducingSet:
@@ -73,8 +122,8 @@ def _fitc_covariance(data: Dataset, spec: KernelSpec, tau2: float, inducing: Ind
     ``V = Luu^{-1} K_un`` carries the low-rank part and ``lam`` is the FITC
     diagonal ``diag(K - Q) + tau2``, floored away from zero for safety.
     """
-    if not tau2 > 0:
-        raise ValueError("tau2 must be positive")
+    if not 0 < tau2 < math.inf:
+        raise ValueError("tau2 must be positive and finite")
     Kuu = kernels.product_kernel_matrix(
         inducing.X, inducing.T, inducing.X, inducing.T, spec
     )
@@ -84,7 +133,7 @@ def _fitc_covariance(data: Dataset, spec: KernelSpec, tau2: float, inducing: Ind
     kdiag = kernels.product_kernel_diag(data.X, data.T, spec)
     lam = kdiag - np.einsum("ij,ij->j", V, V) + tau2
     lam = np.maximum(lam, 1e-12 * max(float(np.mean(kdiag)), 1.0))
-    return LowRankDiag(V, lam), LowRankBasis(inducing=inducing, Luu=Luu), jitter
+    return LowRankDiag(V, lam), FITCBasis(inducing.X, inducing.T, Luu, lam), jitter
 
 
 def fit_fitc(

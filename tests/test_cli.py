@@ -259,6 +259,13 @@ class TestRun:
             # model.tau2 is where a search starts; there is no second key for it
             ("tuning", {"method": "gradient", "tau2_init": 0.1}, "tuning.tau2_init"),
             ("model.tau2", -1, "model.tau2"),
+            # tau2 = inf fitted a predictor of constant 0 and wrote its MAE rows
+            ("model.tau2", float("inf"), "model.tau2"),
+            ("model.tau2", float("nan"), "model.tau2"),
+            ("dataset.synth.tau2", float("inf"), "dataset.synth.tau2"),
+            ("tuning", {"method": "grid", "grid": {"tau2": [0.1, float("inf")]}},
+             "tuning.grid.tau2[1]"),
+            ("model.task_kernel", {"type": "constant", "value": float("inf")}, "model.task_kernel"),
             ("model.fitc", {"p": 0}, "model.fitc.p"),
             ("model.task_kernel", "matern", "model.task_kernel"),
             ("fanzhang", {"cv_folds": 0}, "fanzhang.cv_folds"),

@@ -1,3 +1,4 @@
+import math
 import pathlib
 import re
 import tracemalloc
@@ -212,3 +213,10 @@ def test_empty_fitc_section_is_fitc_with_the_defaults():
 
 def test_zero_ridge_is_accepted():
     assert run_settings({"fanzhang": {"ridges": [0, 0.1]}}).fanzhang["ridges"] == [0.0, 0.1]
+
+
+def test_infinite_budget_is_accepted():
+    # an infinite budget never runs out; every other number must be finite
+    cfg = {"methods": ["iid-lin"], "dataset": {"synth": {"n": 20}}, "split": {"kfold": {"k": 2}},
+           "train_sizes": [5], "budget_seconds": math.inf}
+    assert parse_config(cfg).budget_seconds == math.inf

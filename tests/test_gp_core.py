@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from vcgp import gp_core, kernels
+from vcgp import gp_core
 from vcgp._linalg import NumericalError, add_diagonal, solve_lower
 from vcgp.baselines import primal_oracle_predict
 from vcgp.gp_classify import fit_classifier, laplace_mode, logistic_gaussian_integral
@@ -18,6 +18,7 @@ from vcgp.gp_core import (
     SearchConfig,
     LowRankBasis,
     LowRankDiag,
+    WeightSpaceBasis,
     _Workspace,
     _fit_gaussian,
     _param_values,
@@ -41,7 +42,6 @@ from vcgp.kernels import (
     instance_gram,
     product_kernel_diag,
     product_kernel_matrix,
-    task_factor,
     task_gram,
 )
 
@@ -58,7 +58,7 @@ def dense_fit(data, spec, tau2):
 def weight_space_fit(data, spec, tau2, C):
     """The Gaussian finisher on ``V^T V + tau2 I`` for the task factor ``C``."""
     V = _weight_features(spec, C, data.X, data.T).T
-    return _fit_gaussian(data, spec, tau2, LowRankDiag(V, tau2), LowRankBasis(task_factor=C))
+    return _fit_gaussian(data, spec, tau2, LowRankDiag(V, tau2), WeightSpaceBasis(C))
 
 
 def scalar_data():
@@ -89,9 +89,13 @@ class TestFit:
         A = product_kernel_matrix(data.X, data.T, data.X, data.T, spec) + 0.3 * np.eye(5)
         np.testing.assert_allclose(model.chol @ model.chol.T, A, atol=1e-8 * np.max(np.abs(A)))
 
-    def test_invalid_tau2(self):
-        with pytest.raises(ValueError):
-            fit_regressor(scalar_data(), LIN_CONST, tau2=0.0)
+    @pytest.mark.parametrize("tau2", [0.0, np.inf, np.nan])
+    def test_invalid_tau2(self, tau2):
+        # n = 4 >= 2 r takes weight space, where tau2 = inf fitted means of exactly 0
+        data = Dataset(X=np.ones((4, 1)), T=np.zeros((4, 1)), y=np.ones(4))
+        for d in (scalar_data(), data):
+            with pytest.raises(ValueError, match="tau2 must be positive and finite"):
+                fit_regressor(d, LIN_CONST, tau2=tau2)
 
     def test_non_psd_fails_loudly_naming_spec(self):
         data = Dataset(X=[[1.0], [2.0]], T=np.array([1, 2]), y=[0.0, 0.0])
@@ -268,7 +272,7 @@ class TestWeightSpaceRoute:
     def test_matches_dense_fit_and_oracle(self, label, above, tau2):
         kernel = _WS_TASK_KERNELS[label]
         spec = KernelSpec(Linear(), kernel)
-        C = task_factor(kernel)
+        C = kernel.factor
         r = self.M * C.shape[1]
         n = 2 * r - 1 if above else 2 * r + 1
         rng = np.random.default_rng(40)
@@ -301,7 +305,7 @@ class TestWeightSpaceRoute:
         # the tolerances of test_sparse_fitc.py's dense-oracle tests
         kernel = _WS_TASK_KERNELS[label]
         spec = KernelSpec(Linear(), kernel)
-        n = 2 * self.M * task_factor(kernel).shape[1] + 1
+        n = 2 * self.M * kernel.factor.shape[1] + 1
         rng = np.random.default_rng(45)
         data = self._data(kernel, n, self.M, rng, labels=True)
         X_star, T_star = rng.standard_normal((6, self.M)), self._tasks(kernel, 6, rng)
@@ -343,7 +347,7 @@ class TestWeightSpaceRoute:
 
     def test_indefinite_gram_takes_the_dense_route_and_fails_naming_the_spec(self):
         gram = np.array([[1.0, 5.0], [5.0, 1.0]])
-        assert task_factor(FixedGram(gram)) is None
+        assert FixedGram(gram).factor is None
         rng = np.random.default_rng(43)
         # r would be 2 <= n/2 for a PSD Gram of this size
         data = Dataset(X=rng.standard_normal((20, 1)), T=rng.integers(1, 3, size=20), y=rng.standard_normal(20))
@@ -776,8 +780,8 @@ class TestTuning:
 
     def test_tau2_grid_builds_the_weight_space_features_once(self, monkeypatch):
         calls = []
-        rows = kernels.task_factor_rows
-        monkeypatch.setattr(kernels, "task_factor_rows", lambda *args: calls.append(1) or rows(*args))
+        rows = Tree.rows
+        monkeypatch.setattr(Tree, "rows", lambda *args: calls.append(1) or rows(*args))
         rng = np.random.default_rng(16)
         data = Dataset(X=rng.standard_normal((40, 2)), T=rng.integers(1, 5, 40), y=rng.standard_normal(40))
         search = SearchConfig(method="grid", grid={"tau2": [0.05, 0.2, 0.5]})

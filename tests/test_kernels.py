@@ -28,8 +28,6 @@ from vcgp.kernels import (
     product_kernel_matrix,
     spec_from_dict,
     spec_to_dict,
-    task_factor,
-    task_factor_rows,
     task_gram,
     tree_laplacian,
     tree_task_kernel,
@@ -330,34 +328,34 @@ class TestTaskFactor:
             (FixedGram(B @ B.T), 3),  # a rank-3 Gram over 6 tasks
             (Constant(4.0), 1),  # the Gram of one task
         ):
-            C = task_factor(kernel)
+            C = kernel.factor
             G = kernel.gram
             assert C.shape == (G.shape[0], rank)
             assert np.max(np.abs(C @ C.T - G)) < 1e-12 * np.max(np.abs(G))
-            assert task_factor(kernel) is C  # computed once per kernel
+            assert kernel.factor is C  # computed once per kernel
 
     def test_singular_laplacian_factor_has_its_own_rank(self):
         lap = Laplacian.from_tree(TaskTree(parent={2: 1, 3: 1, 4: 2}, sigma=(1.0, 0.5, 2.0, 0.7)))
         singular = Laplacian(lap.M, np.zeros((4, 4)))  # R = 0: D - M has a null vector
-        C = task_factor(singular)
+        C = singular.factor
         assert C.shape == (4, 3)
         np.testing.assert_allclose(C @ C.T, singular.gram, atol=1e-12)
 
     def test_indefinite_and_continuous_kernels_have_none(self):
-        assert task_factor(FixedGram(np.array([[1.0, 5.0], [5.0, 1.0]]))) is None
-        assert task_factor(Matern()) is None
+        assert FixedGram(np.array([[1.0, 5.0], [5.0, 1.0]])).factor is None
+        assert not hasattr(Matern(), "factor")
 
     def test_rows(self):
-        C = task_factor(Constant(4.0))
+        C = Constant(4.0).factor
         assert np.array_equal(C, [[2.0]])
-        rows = task_factor_rows(Constant(4.0), C, np.zeros((3, 2)))
+        rows = C[Constant(4.0).rows(np.zeros((3, 2)))]
         assert np.array_equal(rows, [[2.0], [2.0], [2.0]])
         tree_kernel = Tree(TaskTree(parent={2: 1}, sigma=(1.0, 1.0)))
-        C = task_factor(tree_kernel)
-        rows = task_factor_rows(tree_kernel, C, np.array([2, 1, 2]))
+        C = tree_kernel.factor
+        rows = C[tree_kernel.rows(np.array([2, 1, 2]))]
         np.testing.assert_allclose(rows @ rows.T, task_gram(tree_kernel, [2, 1, 2], [2, 1, 2]), atol=1e-14)
         with pytest.raises(ValueError, match="task ids must lie in 1..2"):
-            task_factor_rows(tree_kernel, C, np.array([3]))
+            tree_kernel.rows(np.array([3]))
 
 
 _TABLE_TREE = TaskTree(parent={2: 1, 3: 1, 4: 2}, sigma=(1.0, 0.5, 2.0, 0.7))
@@ -397,11 +395,11 @@ class TestTaskKernelTable:
 
     @TASK_KERNELS
     def test_factor_rows_reproduce_the_task_gram(self, kernel, T, k):
-        C = task_factor(kernel)
         if k is None:
-            assert C is None  # a Matern Gram over n points has no fixed factor
+            assert not hasattr(kernel, "factor")  # a Matern Gram over n points has no fixed one
             return
-        R = task_factor_rows(kernel, C, T)
+        C = kernel.factor
+        R = C[kernel.rows(T)]
         G = task_gram(kernel, T, T)
         assert R.shape == (len(T), C.shape[1])
         assert np.max(np.abs(R @ R.T - G)) < 1e-12 * np.max(np.abs(G))
@@ -418,7 +416,7 @@ class TestTaskKernelTable:
         with pytest.raises(ValueError, match=message):
             task_gram(kernel, T, bad)
         with pytest.raises(ValueError, match=message):
-            task_factor_rows(kernel, task_factor(kernel), bad)
+            kernel.rows(bad)
         with pytest.raises(ValueError, match=message):
             product_kernel_diag(X, bad, KernelSpec(Linear(), kernel))
 
@@ -550,6 +548,24 @@ class TestSpecSerialization:
     def test_spec_from_dict_errors_name_the_key(self, d, message):
         with pytest.raises(ValueError, match=message):
             spec_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Constant(np.inf), "constant kernel value must be positive and finite"),
+            (lambda: Constant(0.0), "constant kernel value must be positive and finite"),
+            (lambda: Matern(amplitude=np.inf), "amplitude must be positive and finite"),
+            (lambda: Matern(amplitude=np.nan), "amplitude must be positive and finite"),
+            # np.allclose(inf, inf) holds, so the symmetry checks let these through
+            (lambda: FixedGram(np.array([[1.0, np.inf], [np.inf, 1.0]])), "gram must be finite"),
+            (lambda: Laplacian(np.array([[0.0, np.inf], [np.inf, 0.0]]), np.eye(2)),
+             "M and R must be finite"),
+            (lambda: Laplacian(np.zeros((2, 2)), np.diag([1.0, np.inf])), "M and R must be finite"),
+        ],
+    )
+    def test_invalid_kernel_parameters(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_invalid_kernel_kinds(self):
         with pytest.raises(ValueError):

@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vcgp.gp_classify import fit_classifier
-from vcgp.gp_core import Dataset, DenseBasis, LowRankBasis, fit_regressor
+from vcgp.gp_classify import FittedClassifier, fit_classifier
+from vcgp.gp_core import Dataset, DenseBasis, LowRankBasis, _latent_predictive, fit_regressor
 from vcgp.kernels import KernelSpec, Linear, Matern, TaskTree, Tree
 from vcgp.model_io import load_model, save_model
 from vcgp.multitask_hb import random_tree
+from vcgp.sparse_fitc import fit_fitc, fit_fitc_classifier, select_inducing
 
 
 def continuous_data(seed=0, n=10):
@@ -21,6 +22,7 @@ def continuous_data(seed=0, n=10):
 
 
 LIN_MATERN = KernelSpec(instance_kernel=Linear(), task_kernel=Matern())
+MATERN_MATERN = KernelSpec(Matern(nu=2.5, lengthscale=1.5), Matern(nu=1.5, lengthscale=0.4))
 
 # a dense regressor file as the format-1 writer wrote it before weight-space
 # models existed: Linear x Tree over 3 tasks, n=6, m=2, tau2=0.1
@@ -37,7 +39,6 @@ WEIGHT_SPACE_FORMAT1_VAR = [0.0806440124734945, 0.07412744018578639, 0.055444133
 WEIGHT_SPACE_FORMAT1_LML = -46.665479293683745
 TOL_ORACLE = 1e-8  # TOL_ORACLE of test_acceptance.py
 WEIGHT_SPACE_MAGIC = b"VCGP-MODEL 1 weight-space-woodbury-regressor"
-WEIGHT_SPACE_CLASSIFIER_MAGIC = b"VCGP-MODEL 1 weight-space-woodbury-classifier"
 
 # a dense classifier file as the format-1 writer wrote it before classifiers
 # had a weight-space route: Linear x Tree over 3 tasks, n=14, m=2, tau2=0.1
@@ -69,6 +70,30 @@ def weight_space_tree_classifier():
     return model
 
 
+def fitted_model(route, likelihood):
+    """A model of each route: dense, weight space, and FITC on continuous or discrete tasks."""
+    if route in ("weight-space", "fitc-discrete"):
+        model = weight_space_tree_model()
+        data, spec = model.data, model.spec
+    else:
+        data, spec = continuous_data(seed=12, n=30), MATERN_MATERN
+    if likelihood == "classifier":
+        data = Dataset(X=data.X, T=data.T, y=(data.y > 0).astype(float))
+    if route.startswith("fitc"):
+        fit = fit_fitc if likelihood == "regressor" else fit_fitc_classifier
+        return fit(data, spec, 0.1, select_inducing(data, 8, seed=3))
+    return (fit_regressor if likelihood == "regressor" else fit_classifier)(data, spec, 0.1)
+
+
+def query_points(model, count, seed):
+    """``count`` test points of the model's instance width and task variant."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((count, model.data.m))
+    if model.data.has_discrete_tasks:
+        return X, rng.integers(1, int(model.data.T.max()) + 1, size=count)
+    return X, rng.uniform(0, 1, (count, model.data.T.shape[1]))
+
+
 def read_model_file(path):
     """Split a model file into its magic line, header and named arrays."""
     with open(path, "rb") as fh:
@@ -76,7 +101,8 @@ def read_model_file(path):
         header = json.loads(fh.readline())
         arrays = {}
         for name, shape in header["arrays"]:
-            dtype = np.dtype("<i8" if name == "T" and header["discrete_tasks"] else "<f8")
+            task_ids = header["discrete_tasks"] and (name == "T" or name.endswith("_T"))
+            dtype = np.dtype("<i8" if task_ids else "<f8")
             count = int(np.prod(shape))
             arrays[name] = np.frombuffer(fh.read(count * 8), dtype=dtype).reshape(shape)
     return magic, header, arrays
@@ -98,6 +124,8 @@ MISSING = object()
 def regressor_or_classifier(kind):
     if kind == "weight-space-classifier":
         return weight_space_tree_classifier()
+    if kind.startswith("fitc-"):
+        return fitted_model("fitc-continuous", kind.removeprefix("fitc-"))
     data = continuous_data(seed=6)
     if kind == "regressor":
         return fit_regressor(data, LIN_MATERN, 0.2)
@@ -207,22 +235,37 @@ class TestRoundTrip:
             a, b = model.predict(x, t), loaded.predict(x, t)
             assert (a.mean, a.latent_var) == (b.mean, b.latent_var)
 
-    def test_weight_space_regressor(self, tmp_path):
-        model = weight_space_tree_model()
-        path = tmp_path / "primal.bin"
+    @pytest.mark.parametrize("likelihood", ["regressor", "classifier"])
+    @pytest.mark.parametrize(
+        "route, tag",
+        [
+            ("dense", ""),
+            ("weight-space", "weight-space-woodbury-"),
+            ("fitc-continuous", "fitc-"),
+            ("fitc-discrete", "fitc-"),
+        ],
+    )
+    def test_every_kind_round_trips_bit_for_bit(self, tmp_path, route, tag, likelihood):
+        model = fitted_model(route, likelihood)
+        path = tmp_path / "model.bin"
         save_model(model, path)
-        assert path.read_bytes().split(b"\n", 1)[0] == WEIGHT_SPACE_MAGIC
+        assert path.read_bytes().split(b"\n", 1)[0] == f"VCGP-MODEL 1 {tag}{likelihood}".encode()
         loaded = load_model(path)
-        assert np.array_equal(loaded.basis.task_factor, model.basis.task_factor)
-        for name in ("chol", "weights", "alpha"):
-            assert np.array_equal(getattr(loaded, name), getattr(model, name)), name
-        rng = np.random.default_rng(10)
-        Xs, Ts = rng.standard_normal((16, 2)), rng.integers(1, 8, size=16)
-        for got, want in zip(loaded.predict_batch(Xs, Ts), model.predict_batch(Xs, Ts)):
+        assert type(loaded) is type(model) and type(loaded.basis) is type(model.basis)
+        Xs, Ts = query_points(model, 16, seed=10)
+        if isinstance(model, FittedClassifier):
+            latent = [_latent_predictive(m, Xs, Ts, m.state.B_chol, m.tau2, m.state.W)
+                      for m in (model, loaded)]
+            assert np.array_equal(model.predict_proba_batch(Xs, Ts), loaded.predict_proba_batch(Xs, Ts))
+            for x, t in zip(Xs, Ts):
+                assert model.predict_proba(x, t) == loaded.predict_proba(x, t)
+        else:
+            latent = [m.predict_batch(Xs, Ts) for m in (model, loaded)]
+            for x, t in zip(Xs, Ts):
+                a, b = model.predict(x, t), loaded.predict(x, t)
+                assert (a.mean, a.latent_var) == (b.mean, b.latent_var)
+        for got, want in zip(*latent):  # latent means, then variances
             assert np.array_equal(got, want)
-        for x, t in zip(Xs, Ts):
-            a, b = model.predict(x, t), loaded.predict(x, t)
-            assert (a.mean, a.latent_var) == (b.mean, b.latent_var)
         assert loaded.log_marginal_likelihood() == model.log_marginal_likelihood()
         again = tmp_path / "again.bin"
         save_model(loaded, again)
@@ -254,26 +297,6 @@ class TestRoundTrip:
         again = load_model(path)
         for got, want in zip(again.predict_batch(*WEIGHT_SPACE_TEST_POINTS), (mean, var)):
             assert np.array_equal(got, want)
-
-    def test_weight_space_classifier(self, tmp_path):
-        model = weight_space_tree_classifier()
-        path = tmp_path / "primal.bin"
-        save_model(model, path)
-        assert path.read_bytes().split(b"\n", 1)[0] == WEIGHT_SPACE_CLASSIFIER_MAGIC
-        loaded = load_model(path)
-        assert isinstance(loaded.basis, LowRankBasis)
-        assert np.array_equal(loaded.basis.task_factor, model.basis.task_factor)
-        assert np.array_equal(loaded.weights, model.weights)
-        for name in ("mode", "dual", "pi", "W", "B_chol"):
-            assert np.array_equal(getattr(loaded.state, name), getattr(model.state, name)), name
-        rng = np.random.default_rng(11)
-        Xs, Ts = rng.standard_normal((16, 2)), rng.integers(1, 8, size=16)
-        for x, t in zip(Xs, Ts):
-            assert model.predict_proba(x, t) == loaded.predict_proba(x, t)
-        assert loaded.log_marginal_likelihood() == model.log_marginal_likelihood()
-        again = tmp_path / "again.bin"
-        save_model(loaded, again)
-        assert again.read_bytes() == path.read_bytes()
 
     def test_dense_classifier_file_of_a_weight_space_spec_loads_as_dense(self, tmp_path):
         model = load_model(CLASSIFIER_FORMAT1_FILE)
@@ -323,6 +346,29 @@ class TestErrors:
         with pytest.raises(ValueError, match="truncated"):
             load_model(path)
 
+    # 2**40 x 2 doubles would be 16 TiB; 2**62 x 4 x 8 bytes wraps an int64 product to 0
+    @pytest.mark.parametrize("shape", [[2**40, 2], [2**62, 4]])
+    def test_header_shape_larger_than_the_file(self, tmp_path, shape):
+        path = tmp_path / "model.bin"
+        save_model(regressor_or_classifier("regressor"), path)
+
+        def edit(header):
+            header["arrays"][0][1] = shape  # X, the first array
+            return header
+
+        rewrite_header(path, edit)
+        with pytest.raises(ValueError, match="truncated while reading array 'X'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["weight-space-classifier", "fitc-", "regressor-fitc", ""])
+    def test_unknown_kind(self, tmp_path, kind):
+        path = tmp_path / "model.bin"
+        save_model(regressor_or_classifier("regressor"), path)
+        magic, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(f"VCGP-MODEL 1 {kind}\n".encode() + rest)
+        with pytest.raises(ValueError, match="unknown model kind"):
+            load_model(path)
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "model.bin"
         save_model(fit_regressor(continuous_data(seed=6), LIN_MATERN, 0.2), path)
@@ -345,6 +391,16 @@ class TestErrors:
             ("weight-space-classifier", "B_chol"),
             ("weight-space-classifier", "weights"),
             ("weight-space-classifier", "dual"),
+            ("fitc-regressor", "chol"),
+            ("fitc-regressor", "weights"),
+            ("fitc-regressor", "alpha"),
+            ("fitc-regressor", "inducing_T"),
+            ("fitc-regressor", "Luu"),
+            ("fitc-regressor", "lam"),
+            ("fitc-classifier", "B_chol"),
+            ("fitc-classifier", "weights"),
+            ("fitc-classifier", "W"),
+            ("fitc-classifier", "Luu"),
         ],
     )
     def test_header_shapes_that_disagree(self, tmp_path, kind, name):
@@ -370,6 +426,13 @@ class TestErrors:
             ("weight-space-classifier", "B_chol"),
             ("weight-space-classifier", "weights"),
             ("weight-space-classifier", "W"),
+            ("fitc-regressor", "chol"),
+            ("fitc-regressor", "inducing_X"),
+            ("fitc-regressor", "Luu"),
+            ("fitc-regressor", "lam"),
+            ("fitc-classifier", "B_chol"),
+            ("fitc-classifier", "inducing_T"),
+            ("fitc-classifier", "weights"),
         ],
     )
     def test_non_finite_array_is_rejected_by_name(self, tmp_path, kind, name, value):
@@ -418,6 +481,10 @@ class TestErrors:
             ("weight-space-classifier", "iterations", MISSING),
             ("weight-space-classifier", "tau2", 0.0),
             ("weight-space-classifier", "iterations", -1),
+            ("fitc-regressor", "tau2", MISSING),
+            ("fitc-regressor", "jitter", -1e-9),
+            ("fitc-classifier", "log_lik", MISSING),
+            ("fitc-classifier", "tau2", float("inf")),
         ],
     )
     def test_header_fields_that_are_missing_or_invalid(self, tmp_path, kind, field, value):
@@ -468,7 +535,19 @@ class TestErrors:
         magic, header, arrays = read_model_file(path)
         arrays["task_factor"] = arrays["task_factor"][:-1]
         write_model_file(path, magic, header, arrays)
-        with pytest.raises(ValueError, match="'task_factor' has 6 rows, expected 7"):
+        with pytest.raises(ValueError, match=r"'task_factor' has shape \(6, 7\), expected \(7, \*\)"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_fitc_diagonal_must_be_positive(self, tmp_path, value):
+        # the evidence takes log(lam); a fit floors it above 0
+        path = tmp_path / "fitc.bin"
+        save_model(regressor_or_classifier("fitc-regressor"), path)
+        magic, header, arrays = read_model_file(path)
+        arrays["lam"] = arrays["lam"].copy()
+        arrays["lam"][3] = value
+        write_model_file(path, magic, header, arrays)
+        with pytest.raises(ValueError, match="array 'lam' must be positive"):
             load_model(path)
 
     def test_weight_space_file_needs_a_linear_instance_kernel(self, tmp_path):

@@ -19,8 +19,8 @@ from vcgp.gp_core import (
     Dataset,
     DenseBasis,
     FittedRegressor,
-    LowRankBasis,
     LowRankDiag,
+    WeightSpaceBasis,
     _weight_features,
     fit_regressor,
 )
@@ -32,11 +32,10 @@ from vcgp.kernels import (
     Tree,
     product_kernel_diag,
     product_kernel_matrix,
-    task_factor,
 )
-from vcgp.model_io import save_model
 from vcgp.multitask_hb import random_tree
 from vcgp.sparse_fitc import (
+    FITCBasis,
     InducingSet,
     _fitc_covariance,
     fit_fitc,
@@ -149,10 +148,11 @@ class TestFITCRegression:
                 best[n] = min(best[n], time.process_time() - t0)
         assert best[3000] < 3.0 * best[1500]
 
-    def test_invalid_tau2(self):
+    @pytest.mark.parametrize("tau2", [0.0, np.inf, np.nan])
+    def test_invalid_tau2(self, tau2):
         data = make_data(10)
-        with pytest.raises(ValueError):
-            fit_fitc(data, SPEC, 0.0, select_inducing(data, 5, seed=0))
+        with pytest.raises(ValueError, match="tau2 must be positive and finite"):
+            fit_fitc(data, SPEC, tau2, select_inducing(data, 5, seed=0))
 
 
 class TestFITCClassification:
@@ -242,7 +242,7 @@ class TestFITCClassifierAgainstDenseSurrogate:
         rng = np.random.default_rng(0)
         kernel = Tree(random_tree(200, rng))
         X, T = rng.standard_normal((3000, 2)), rng.integers(1, 201, size=3000)
-        V = _weight_features(KernelSpec(Linear(), kernel), task_factor(kernel), X, T).T
+        V = _weight_features(KernelSpec(Linear(), kernel), kernel.factor, X, T).T
         latent = 0.05 * (V.T @ rng.standard_normal(V.shape[0]))
         y = (rng.uniform(size=3000) < 1.0 / (1.0 + np.exp(-latent))).astype(float)
         self.assert_matches_dense_laplace(V, 0.1, y)
@@ -319,11 +319,11 @@ ROUTES = pytest.mark.parametrize(
     "likelihood, route, cls, basis",
     [
         ("regression", "dense", FittedRegressor, DenseBasis),
-        ("regression", "weight-space", FittedRegressor, LowRankBasis),
-        ("regression", "fitc", FittedRegressor, LowRankBasis),
+        ("regression", "weight-space", FittedRegressor, WeightSpaceBasis),
+        ("regression", "fitc", FittedRegressor, FITCBasis),
         ("classification", "dense", FittedClassifier, DenseBasis),
-        ("classification", "weight-space", FittedClassifier, LowRankBasis),
-        ("classification", "fitc", FittedClassifier, LowRankBasis),
+        ("classification", "weight-space", FittedClassifier, WeightSpaceBasis),
+        ("classification", "fitc", FittedClassifier, FITCBasis),
     ],
 )
 
@@ -392,12 +392,6 @@ class TestOneModelClassPerLikelihood:
 
     def test_fitc_classifier_name_is_the_exact_class(self):
         assert sparse_fitc.FittedFITCClassifier is FittedClassifier
-
-    @pytest.mark.parametrize("likelihood", ["regression", "classification"])
-    def test_fitc_models_are_not_saved(self, tmp_path, likelihood):
-        with pytest.raises(TypeError, match="LowRankBasis over inducing points"):
-            save_model(fitted(likelihood, "fitc"), tmp_path / "fitc.bin")
-        assert not (tmp_path / "fitc.bin").exists()
 
     def test_fitc_regression_evidence_is_exact_with_every_point_inducing(self):
         # criterion 6's setting and tolerance (TOL_FITC_EXACT in test_acceptance.py)
