@@ -355,8 +355,11 @@ def synth_vcm(
     unused; each coefficient dimension is an independent zero-mean Gaussian
     draw with the task kernel as covariance (over the k tasks for discrete
     kernels); instances are standard normal; labels are the linear
-    observation model with noise variance ``tau2``.  Deterministic per seed.
+    observation model with noise variance ``tau2`` (0 for none; a negative
+    or non-finite one raises ``ValueError``).  Deterministic per seed.
     """
+    if not 0 <= tau2 < np.inf:
+        raise ValueError(f"tau2 must be a finite number of at least 0, got {tau2!r}")
     rng = np.random.default_rng(seed)
     if not isinstance(task_kernel, (Tree, Laplacian, FixedGram)):
         if n > 5000:

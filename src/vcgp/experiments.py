@@ -140,6 +140,13 @@ def config_value(name: str, value, kind: type, default=_REQUIRED, low=None, high
     raise ValueError(f"config key {name!r} must be {want}, got {value!r}")
 
 
+def _at_least_zero(name: str, value: float) -> float:
+    """``value``, or ``ValueError`` naming ``name`` below 0: config_value's low is exclusive."""
+    if not value >= 0:
+        raise ValueError(f"config key {name!r} must be a number of at least 0, got {value!r}")
+    return value
+
+
 def _numbers(name: str, value, kind: type, default=_REQUIRED, low=None, size=None) -> list:
     """A non-empty list of ``kind`` (of ``size`` items, if given); a bad item names ``name[i]``."""
     values = config_value(name, value, list, default)
@@ -216,10 +223,7 @@ def run_settings(cfg: Mapping) -> RunSettings:
     fitc = _section("model.fitc", model.get("fitc"), {})
     fz = _section("fanzhang", cfg.get("fanzhang"), {})
     ridges = _numbers("fanzhang.ridges", fz.get("ridges"), float, (1e-6, 1e-3, 1e-1))
-    for i, ridge in enumerate(ridges):
-        if not ridge >= 0:  # config_value's low is exclusive, and a ridge may be 0
-            raise ValueError(f"config key 'fanzhang.ridges[{i}]' must be a number of at least 0, "
-                             f"got {ridge!r}")
+    ridges = [_at_least_zero(f"fanzhang.ridges[{i}]", ridge) for i, ridge in enumerate(ridges)]
     return RunSettings(
         problem=problem,
         instance_kernel=_kernel("model.instance_matern", model.get("instance_matern"), {},
@@ -373,7 +377,9 @@ def _dataset(dataset: Mapping, seed: int) -> dict:
             d=config_value("dataset.synth.d", s.get("d"), int, 1, low=1),
             task_kernel=_kernel("dataset.synth.task_kernel", s.get("task_kernel"),
                                 {"type": "matern", "lengthscale": 0.2}, task=True),
-            tau2=config_value("dataset.synth.tau2", s.get("tau2"), float, 0.05),
+            # 0 draws noise-free data
+            tau2=_at_least_zero("dataset.synth.tau2",
+                                config_value("dataset.synth.tau2", s.get("tau2"), float, 0.05)),
             seed=config_value("dataset.synth.seed", s.get("seed"), int, derive_seed(seed, "synth"),
                               low=0),
         ))

@@ -5,11 +5,13 @@ latent values z have prior ``N(0, K + tau2*I)`` and labels follow
 ``y_i ~ Bernoulli(sigmoid(z_i))``.  The posterior mode is found by damped
 Newton iteration; predictions integrate the logistic likelihood against the
 Gaussian Laplace approximation with Gauss-Hermite quadrature.  The latent
-covariance comes from the regressor's builder (dense, or the weight-space or
-FITC :class:`gp_core.LowRankDiag`), each covariance forms its own Newton
-target, and :func:`_fit_laplace` finishes every classifier into one class,
-:class:`FittedClassifier`, whose basis (:class:`gp_core.DenseBasis` or
-:class:`gp_core.LowRankBasis`) carries the posterior to test points.
+covariance comes from the regressor's builder (dense, a task forest's
+:class:`gp_core.TreePrecision`, or the weight-space or FITC
+:class:`gp_core.LowRankDiag`), each covariance forms its own Newton target,
+and :func:`_fit_laplace` finishes every classifier into one class,
+:class:`FittedClassifier`, whose basis (:class:`gp_core.DenseBasis`,
+:class:`gp_core.TreeBasis` or :class:`gp_core.LowRankBasis`) carries the
+posterior to test points.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from ._linalg import NumericalError, add_diagonal, chol_with_jitter
 from .gp_core import Basis, Dataset, DenseBasis, DenseCovariance, LowRankDiag, SearchConfig
+from .gp_core import TreePrecision
 from .gp_core import _batch_of_one, _exact_covariance, _latent_predictive, _tune_grid, _Workspace
 from .kernels import KernelSpec
 
@@ -82,13 +85,15 @@ class LaplaceState:
 
 
 def laplace_mode(
-    A: np.ndarray | DenseCovariance | LowRankDiag, y: np.ndarray, context: str = "covariance"
+    A: np.ndarray | DenseCovariance | LowRankDiag | TreePrecision, y: np.ndarray,
+    context: str = "covariance",
 ) -> LaplaceState:
     """Find the mode of ``log p(y|z) - 0.5 z^T A^{-1} z`` by damped Newton.
 
     ``A`` is a dense matrix or a covariance of :mod:`gp_core`; the iteration
     only multiplies by it and asks it for the Newton target
-    ``(I + W A)^{-1} b``, which each covariance forms from its own factor.
+    ``(I + W A)^{-1} b``, which each covariance forms from its own factor,
+    and for the converged step's model factor and log-determinant.
     Works in the dual parameterization ``z = A a`` so the quadratic term is
     available without solves.  Each step is halved (up to 20 times) until
     the objective does not decrease; the objective is therefore
@@ -108,9 +113,9 @@ def laplace_mode(
         L = target = None  # the previous step's factor goes before the next is made
         L, target = cov.newton_factor(W, context=f"Laplace system for {context}")
         if np.max(np.abs(grad)) < NEWTON_GRAD_TOL:
+            B_chol, half_logdet_B = cov.newton_finish(W, L)
             return LaplaceState(
-                mode=z, dual=a, pi=pi, W=W, B_chol=L,
-                half_logdet_B=cov.newton_half_logdet(W, L),
+                mode=z, dual=a, pi=pi, W=W, B_chol=B_chol, half_logdet_B=half_logdet_B,
                 log_lik=_log_likelihood(y, z), iterations=iteration - 1,
             )
         b = W * z + (y - pi)
@@ -146,7 +151,9 @@ class FittedClassifier:
     The latent mean is ``Phi^T weights`` for the test features ``Phi`` of
     ``basis``, which also gives the latent variance from ``state.B_chol``
     (dense: the n x n Laplace factor, weights ``state.dual``; weight space and
-    FITC: the p x p :class:`LowRankDiag` Newton factor, weights ``V dual``).
+    FITC: the p x p :class:`LowRankDiag` Newton factor, weights ``V dual``;
+    tree precision: each node's pivot factor and posterior covariance, weights
+    the nodes' latent mean coefficients).
     """
 
     spec: KernelSpec

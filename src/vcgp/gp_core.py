@@ -3,18 +3,21 @@
 Every fit is a covariance builder followed by a likelihood finisher.  The
 exact builder, :func:`_exact_covariance`, gives ``K + tau2 I`` over the
 training data as a :class:`DenseCovariance`; but a linear instance kernel
-times a task Gram ``G = C C^T`` is Bayesian inference on stacked per-task
-coefficients (the paper's Theorem 1), ``K = V^T V``, and when the features
-``V`` are fewer than half the points it gives the weight-space
-:class:`LowRankDiag` instead, the shape of FITC's surrogate too.  Both
-covariances offer products, a Gaussian fit and the Laplace Newton step, so
-one finisher per likelihood serves every route: :func:`_fit_gaussian` here
-and :func:`gp_classify._fit_laplace`.  Every route is one
-:class:`FittedRegressor` whose *basis* maps test points to the features
-``Phi`` of the predictive mean ``Phi^T weights``, gives the latent
-variance and names the arrays a model file holds for it:
-:class:`DenseBasis`, :class:`WeightSpaceBasis` or FITC's
-:class:`sparse_fitc.FITCBasis`.  The log marginal likelihood and its
+times a task Gram ``G`` is Bayesian inference on stacked per-task
+coefficients (the paper's Theorem 1).  With a tree or forest precision
+``Q = G^{-1}`` (the paper's Prop. 2) it gives :class:`TreePrecision`, which
+eliminates the coefficients' block-tree posterior precision leaves first;
+with a factor ``G = C C^T``, ``K = V^T V``, and when the features ``V``
+are fewer than half the points it gives the weight-space
+:class:`LowRankDiag`, the shape of FITC's surrogate too.  Every covariance
+offers products, a Gaussian fit and the Laplace Newton step, so one
+finisher per likelihood serves every route: :func:`_fit_gaussian` here and
+:func:`gp_classify._fit_laplace`.  Every route is one
+:class:`FittedRegressor` whose *basis* carries the posterior to test
+points (the predictive mean and latent variance) and names the arrays a
+model file holds for it: :class:`DenseBasis`, :class:`TreeBasis`,
+:class:`WeightSpaceBasis` or FITC's :class:`sparse_fitc.FITCBasis`.  The
+log marginal likelihood and its
 analytic gradients with respect to log-hyperparameters drive tuning;
 each search's candidates share one :class:`_Workspace`, its buffers and
 whatever a kernel held fixed lets them share.
@@ -27,15 +30,17 @@ import math
 import operator
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 
 from . import kernels
 from ._linalg import NumericalError, add_diagonal, chol_with_jitter, solve_chol, solve_lower
 from ._linalg import solve_upper
-from .kernels import Constant, KernelSpec, Linear, Matern, TaskPoint, as_task_array
+from .kernels import Constant, KernelSpec, Linear, Matern, TaskForest, TaskPoint, as_task_array
 from .kernels import matern_gram_grads
 
 __all__ = [
@@ -48,6 +53,8 @@ __all__ = [
     "LowRankBasis",
     "LowRankDiag",
     "SearchConfig",
+    "TreeBasis",
+    "TreePrecision",
     "WeightSpaceBasis",
     "fit_regressor",
     "lml_and_gradient",
@@ -156,7 +163,12 @@ def _batch_of_one(model, x_star, t_star):
 
 
 def _latent_predictive(model, X_star, T_star, L, noise=0.0, W=None):
-    """Latent means ``Phi^T weights`` and clamped variances through ``model.basis``."""
+    """Latent means and clamped variances through ``model.basis``.
+
+    The one check of the test inputs: the basis and the kernel functions it
+    calls take them as they are, and the training data as :class:`Dataset`
+    checked it.
+    """
     X_star = np.atleast_2d(np.asarray(X_star, dtype=float))
     if X_star.shape[1] != model.data.m:
         raise ValueError(
@@ -165,18 +177,17 @@ def _latent_predictive(model, X_star, T_star, L, noise=0.0, W=None):
     if not np.isfinite(X_star).all():
         row = np.flatnonzero(~np.isfinite(X_star).all(axis=1))[0]
         raise ValueError(f"test instances must be finite; row {row} is not")
-    T_star = as_task_array(T_star, discrete=model.data.has_discrete_tasks)
-    if T_star.shape[1:] != model.data.T.shape[1:]:  # as_task_array matched the variant
+    T_star = kernels.check_tasks(model.spec.task_kernel, T_star, model.data.has_discrete_tasks)
+    if T_star.shape[1:] != model.data.T.shape[1:]:  # check_tasks matched the variant
         raise ValueError(f"test tasks have {T_star.shape[1]} coordinates, training tasks have "
                          f"{model.data.T.shape[1]}")
     if T_star.shape[0] != X_star.shape[0]:
         raise ValueError(f"instance rows and task rows disagree: {X_star.shape[0]} vs "
                          f"{T_star.shape[0]}")
-    Phi = model.basis.features(model, X_star, T_star)
-    var = model.basis.latent_var(model, X_star, T_star, Phi, L, noise, W)
+    mean, var = model.basis.latent(model, X_star, T_star, L, noise, W)
     if (var < -VARIANCE_CLAMP).any():
         raise NumericalError("negative latent predictive variance beyond clamp tolerance")
-    return Phi.T @ model.weights, np.maximum(var, 0.0, out=var)
+    return mean, np.maximum(var, 0.0, out=var)
 
 
 class Basis(Protocol):
@@ -189,11 +200,11 @@ class Basis(Protocol):
     tag: str
     file_names: tuple[str, ...]
 
-    def features(self, model, X_star, T_star) -> np.ndarray:
-        """Test features ``Phi``, one column per test point."""
+    def latent(self, model, X_star, T_star, L, noise=0.0, W=None) -> tuple[np.ndarray, np.ndarray]:
+        """Latent means and variances, before clamping, from ``model.weights`` and its factor ``L``.
 
-    def latent_var(self, model, X_star, T_star, Phi, L, noise=0.0, W=None) -> np.ndarray:
-        """Latent variances, before clamping, from ``Phi`` and the model's factor ``L``."""
+        ``T_star`` has passed :func:`kernels.check_tasks`.
+        """
 
     def half_logdet(self, L, n: int, lam: float, W=None) -> float:
         """The fit's ``0.5 log|A|`` from its factor ``L``, ``lam = tau2 + jitter``.
@@ -201,8 +212,8 @@ class Basis(Protocol):
         ``A`` is the covariance or, with Newton weights ``W``, its Laplace system.
         """
 
-    def factor_size(self, data: Dataset) -> int:
-        """The size of the model's factor and weights."""
+    def factor_shapes(self, data: Dataset) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The shapes of the model's factor and of its weights."""
 
     @classmethod
     def from_file(cls, arrays: Mapping[str, np.ndarray], spec: KernelSpec, data: Dataset) -> Basis:
@@ -235,20 +246,19 @@ class DenseBasis:
     tag = ""
     file_names = ()
 
-    def features(self, model, X_star, T_star) -> np.ndarray:
-        return kernels.product_kernel_matrix(model.data.X, model.data.T, X_star, T_star, model.spec)
-
-    def latent_var(self, model, X_star, T_star, Phi, L, noise=0.0, W=None) -> np.ndarray:
+    def latent(self, model, X_star, T_star, L, noise=0.0, W=None):
+        Phi = kernels._product_gram(model.data.X, model.data.T, X_star, T_star, model.spec)
         U = solve_lower(L, Phi if W is None else np.sqrt(W)[:, None] * Phi)
-        prior = kernels.product_kernel_diag(X_star, T_star, model.spec)
-        prior += noise
-        return prior - np.einsum("ij,ij->j", U, U)
+        var = kernels._product_diag(X_star, T_star, model.spec)
+        var += noise
+        var -= np.einsum("ij,ij->j", U, U)
+        return Phi.T @ model.weights, var
 
     def half_logdet(self, L, n, lam, W=None) -> float:
         return float(np.sum(np.log(np.diag(L))))
 
-    def factor_size(self, data: Dataset) -> int:
-        return data.n
+    def factor_shapes(self, data: Dataset):
+        return (data.n, data.n), (data.n,)
 
     @classmethod
     def from_file(cls, arrays, spec, data) -> DenseBasis:
@@ -266,9 +276,11 @@ class LowRankBasis:
     residual, ``k** - |Phi|^2``, is the prior variance the features miss.
     """
 
-    def latent_var(self, model, X_star, T_star, Phi, L, noise=0.0, W=None) -> np.ndarray:
+    def latent(self, model, X_star, T_star, L, noise=0.0, W=None):
+        Phi = self.features(model, X_star, T_star)
         U = solve_lower(L, Phi)
-        return self.residual(model, X_star, T_star, Phi) + noise + np.einsum("ij,ij->j", U, U)
+        var = self.residual(model, X_star, T_star, Phi) + noise + np.einsum("ij,ij->j", U, U)
+        return Phi.T @ model.weights, var
 
     def half_logdet(self, L, n, lam, W=None) -> float:
         return _low_rank_half_logdet(lam, L, n) if W is None else _newton_half_logdet(W, lam, L)
@@ -292,8 +304,9 @@ class WeightSpaceBasis(LowRankBasis):
     def residual(self, model, X_star, T_star, Phi):
         return 0.0
 
-    def factor_size(self, data: Dataset) -> int:
-        return data.m * self.task_factor.shape[1]
+    def factor_shapes(self, data: Dataset):
+        r = data.m * self.task_factor.shape[1]
+        return (r, r), (r,)
 
     @classmethod
     def from_file(cls, arrays, spec, data) -> WeightSpaceBasis:
@@ -303,19 +316,62 @@ class WeightSpaceBasis(LowRankBasis):
                 f"a weight-space model needs a linear instance kernel and a constant or "
                 f"discrete task kernel, not {spec}"
             )
-        _check_file_shapes(arrays, {"task_factor": (spec.task_kernel.gram.shape[0], None)})
+        _check_file_shapes(arrays, {"task_factor": (spec.task_kernel.k, None)})
         return cls(arrays["task_factor"])
+
+
+@dataclass(frozen=True)
+class TreeBasis:
+    """Each test point's coefficients are its task's node of a :class:`TreePrecision` fit.
+
+    The weights are the posterior means ``mu_t`` of the k nodes' m
+    coefficients, and ``L[t, 1]`` is node t's posterior covariance
+    ``Sigma_t`` (:func:`_tree_factor`), so a test point costs O(m^2): mean
+    ``x^T mu_t`` and latent variance ``x^T Sigma_t x + noise``.  The task
+    forest comes from the kernel spec, so a model file holds no array for it.
+    """
+
+    forest: TaskForest
+    tag = "tree-precision-"
+    file_names = ()
+
+    def latent(self, model, X_star, T_star, L, noise=0.0, W=None):
+        rows = model.spec.task_kernel._index(T_star)
+        mean = np.einsum("ij,ij->i", X_star, model.weights.reshape(-1, X_star.shape[1])[rows])
+        var = np.einsum("ij,ijk,ik->i", X_star, L[rows, 1], X_star)
+        var += noise
+        return mean, var
+
+    def half_logdet(self, L, n, lam, W=None) -> float:
+        return _tree_half_logdet(self.forest, L[:, 0], n, lam, W)
+
+    def factor_shapes(self, data: Dataset):
+        k, m = self.forest.k, data.m
+        return (k, 2, m, m), (k * m,)
+
+    @classmethod
+    def from_file(cls, arrays, spec, data) -> TreeBasis:
+        """Needs a linear instance kernel and a task kernel with a forest precision."""
+        task = _linear_task(spec)
+        if task is None or task.precision is None:
+            raise ValueError(
+                f"a tree-precision model needs a linear instance kernel and a tree or forest "
+                f"Laplacian task kernel, not {spec}"
+            )
+        return cls(task.precision)
 
 
 @dataclass(frozen=True)
 class FittedRegressor:
     """Immutable posterior state of a product-kernel GP regressor.
 
-    The predictive mean is ``Phi^T weights`` for the test features ``Phi``
-    of ``basis``, which also gives the latent variance from ``chol``: the
-    factor of ``A = K + (tau2 + jitter) I`` (:class:`DenseBasis`, weights
-    ``alpha``) or the p x p Woodbury factor of ``A = V^T V + diag(lam)``
-    (:class:`LowRankBasis`, weights ``V alpha``; see :class:`LowRankDiag`).
+    ``basis`` gives the predictive mean from ``weights`` and the latent
+    variance from ``chol``: the factor of ``A = K + (tau2 + jitter) I``
+    (:class:`DenseBasis`, weights ``alpha``), the p x p Woodbury factor of
+    ``A = V^T V + diag(lam)`` (:class:`LowRankBasis`, weights ``V alpha``;
+    see :class:`LowRankDiag`) or each node's pivot factor and posterior
+    covariance (:class:`TreeBasis`, weights the nodes' posterior means; see
+    :class:`TreePrecision`).
     ``alpha = A^{-1} y`` and ``half_logdet = 0.5 log|A|`` give the evidence.
     """
 
@@ -362,29 +418,66 @@ def _same_kernel(a, b) -> bool:
 
 
 def _weight_features(spec: KernelSpec, C: np.ndarray, X: np.ndarray, T) -> np.ndarray:
-    """The rows ``x_i kron C[t_i]``: ``V V^T`` is the linear-instance product Gram."""
-    rows = C[spec.task_kernel.rows(T)]
+    """The rows ``x_i kron C[t_i]``: ``V V^T`` is the linear-instance product Gram.
+
+    ``T`` has passed :func:`kernels.check_tasks`.
+    """
+    rows = C[spec.task_kernel._index(T)]
     return (X[:, :, None] * rows[:, None, :]).reshape(X.shape[0], -1)
+
+
+def _linear_task(spec: KernelSpec):
+    """The task kernel of a linear instance kernel's spec if it holds a Gram (is not Matern), else None.
+
+    Only such specs have the Bayesian-linear routes: its ``precision``
+    (tree precision) or its ``factor`` (weight space).
+    """
+    task = spec.task_kernel
+    return task if isinstance(spec.instance_kernel, Linear) and not isinstance(task, Matern) else None
 
 
 def _exact_covariance(
     data: Dataset, spec: KernelSpec, tau2: float, workspace: _Workspace | None = None
-) -> tuple[DenseCovariance | LowRankDiag, Basis]:
+) -> tuple[DenseCovariance | LowRankDiag | TreePrecision, Basis]:
     """``(covariance, basis)`` of ``K + tau2 I`` over the training points.
 
-    A linear instance kernel times a held task Gram with a PSD factor
-    ``G = C C^T`` (its ``factor``) has ``K = V^T V``, column i
-    of ``V`` being ``x_i kron C[t_i]``, of height ``r = m * rank(G)``.  When
-    ``r <= n / 2`` the covariance is the weight-space :class:`LowRankDiag`,
-    whose fits cost O(n r^2) and predictions O(r^2) per point, against
-    O(n^3) and O(n^2) for the n x n :class:`DenseCovariance` of every other
-    spec.  A search passes its ``workspace`` (:class:`_Workspace`); the
-    numbers are the same either way.
+    The route follows from the spec and the data's size alone:
+
+    - a linear instance kernel times a ``Tree``, or a ``Laplacian`` whose M
+      is a forest and whose ``D + R - M`` has positive pivots (the task
+      kernel's ``precision``; a pivot that cancels to below 1e-8 of its
+      diagonal entry keeps the kernel on its Gram, see
+      :func:`kernels._task_forest`): :class:`TreePrecision` and :class:`TreeBasis`.
+      Fits cost O(n m^2 + k m^3), in one Python step per tree level, and
+      predictions O(m^2) per point; no k x k array is built.
+    - a linear instance kernel times any other held task Gram with a PSD
+      factor ``G = C C^T`` (its ``factor``; a singular Laplacian,
+      ``FixedGram``, ``Constant``): ``K = V^T V``, column i of ``V`` being
+      ``x_i kron C[t_i]``, of height ``r = m * rank(G)``.  When
+      ``r <= n / 2`` the covariance is the weight-space :class:`LowRankDiag`,
+      whose fits cost O(n r^2) and predictions O(r^2) per point.
+    - every other spec, a Matern instance kernel among them: the n x n
+      :class:`DenseCovariance`, O(n^3) to fit and O(n^2) per prediction.
+
+    A search passes its ``workspace`` (:class:`_Workspace`); the numbers are
+    the same either way.
     """
     if not 0 < tau2 < math.inf:
         raise ValueError("tau2 must be positive and finite")
-    task = spec.task_kernel
-    C = task.factor if isinstance(spec.instance_kernel, Linear) and not isinstance(task, Matern) else None
+    task = _linear_task(spec)
+    points = (data.X, data.T)
+    if task is not None and task.precision is not None:
+        basis = TreeBasis(task.precision)
+        if workspace is None:
+            return TreePrecision(task.precision, data.X, task.rows(data.T), float(tau2)), basis
+        # the candidates check the training tasks once and share the per-node statistics
+        rows = workspace.held("rows", task, points, lambda: task.rows(data.T))
+
+        def held(role, labels, build):
+            return workspace.held(role, task, (*points, *labels), build)
+
+        return TreePrecision(task.precision, data.X, rows, float(tau2), held), basis
+    C = None if task is None else task.factor
     if C is None or 2 * data.m * C.shape[1] > data.n:
         if workspace is None:
             K = kernels.product_kernel_matrix(data.X, data.T, data.X, data.T, spec)
@@ -393,11 +486,15 @@ def _exact_covariance(
             K = K * workspace.gram("task", spec.task_kernel, data)
         return DenseCovariance(add_diagonal(K, tau2)), DenseBasis()
     basis = WeightSpaceBasis(C)
+
+    def features():
+        kernels.check_tasks(task, data.T, data.has_discrete_tasks)  # the features only index
+        return _weight_features(spec, C, *points).T
+
     if workspace is None:
-        return LowRankDiag(_weight_features(spec, C, data.X, data.T).T, float(tau2)), basis
-    points = (data.X, data.T)
-    V = workspace.held("V", spec.task_kernel, points, lambda: _weight_features(spec, C, *points).T)
-    VVt = workspace.held("VVt", spec.task_kernel, points, lambda: V @ V.T)
+        return LowRankDiag(features(), float(tau2)), basis
+    V = workspace.held("V", task, points, features)
+    VVt = workspace.held("VVt", task, points, lambda: V @ V.T)
     return LowRankDiag(V, float(tau2), VVt), basis
 
 
@@ -446,9 +543,9 @@ class DenseCovariance:
 
         return L, target
 
-    def newton_half_logdet(self, W: np.ndarray, L: np.ndarray) -> float:
-        """``0.5 log|B| = sum log diag chol(B)``."""
-        return float(np.sum(np.log(np.diag(L))))
+    def newton_finish(self, W: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, float]:
+        """The converged step's ``(chol(B), 0.5 log|B|)``; ``|B| = |I + W A|``."""
+        return L, float(np.sum(np.log(np.diag(L))))
 
 
 def _low_rank_half_logdet(lam, L: np.ndarray, n: int) -> float:
@@ -522,8 +619,181 @@ class LowRankDiag:
         L, solve = self._woodbury(W / d, context)
         return L, lambda b: solve(b / d)[0]
 
-    def newton_half_logdet(self, W: np.ndarray, L: np.ndarray) -> float:
-        return _newton_half_logdet(W, self.lam, L)
+    def newton_finish(self, W: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, float]:
+        return L, _newton_half_logdet(W, self.lam, L)
+
+
+class TreePrecision:
+    """Covariance ``A = Phi (Q^{-1} kron I_m) Phi^T + lam I`` of a task forest's precision ``Q``.
+
+    Row i of ``Phi`` holds ``x_i`` in the m columns of its task's node
+    ``rows[i]``, so ``A`` is the linear-instance product Gram plus noise:
+    the operator of :class:`LowRankDiag`, with the weight prior held by its
+    sparse precision ``Q kron I_m`` (a :class:`kernels.TaskForest`) instead
+    of a factor.  ``A`` is never formed.  Solves go through the Woodbury
+    identity with ``P = Q kron I_m + Phi^T diag(rho) Phi``, whose blocks
+    are ``Q_tt I + X_t^T diag(rho_t) X_t`` on the diagonal and
+    ``Q_{t,parent} I`` off it: :func:`_tree_factor` factors it leaves first
+    with no fill, one step per tree level, and :func:`_tree_model_factor`
+    adds each node's posterior covariance for the model's factor ``L``.
+    ``rho = 1 / lam`` for the Gaussian fit, ``W / (1 + W lam)`` for the
+    Laplace Newton step.  The Gaussian fit's per-node statistics, each
+    node's ``X_t^T X_t`` and ``X_t^T y``, come from ``held(role, labels,
+    build)`` when a search holds them (:func:`_exact_covariance`).
+    """
+
+    def __init__(self, forest: TaskForest, X: np.ndarray, rows: np.ndarray, lam: float, held=None):
+        self.forest, self.X, self.rows, self.lam = forest, X, rows, lam
+        self._held = held
+
+    @cached_property
+    def _E(self):
+        """``E @ v`` sums v over each node's points; row k is the forest's dummy row."""
+        n = self.X.shape[0]
+        return scipy.sparse.csc_array((np.ones(n), self.rows, np.arange(n + 1)),
+                                      shape=(self.forest.k + 1, n))
+
+    @cached_property
+    def _outer(self) -> np.ndarray:
+        """Each ``x_i x_i^T``, flattened."""
+        return (self.X[:, :, None] * self.X[:, None, :]).reshape(self.X.shape[0], -1)
+
+    def _statistic(self, role: str, build, *labels) -> np.ndarray:
+        return build() if self._held is None else self._held(role, labels, build)
+
+    def node_outer(self, rho=None) -> np.ndarray:
+        """Each node's ``X_t^T diag(rho_t) X_t`` (k + 1 blocks); ``rho`` None for ones."""
+        Z = self._outer if rho is None else self._outer * rho[:, None]
+        return (self._E @ Z).reshape(-1, *self.X.shape[1:] * 2)
+
+    def phi_t(self, v: np.ndarray) -> np.ndarray:
+        """``Phi^T v`` as k + 1 node rows of m."""
+        return self._E @ (self.X * v[:, None])
+
+    def _phi(self, mu: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.X, mu[self.rows])
+
+    def _prior_solve(self, b: np.ndarray) -> np.ndarray:
+        """``(Q kron I_m)^{-1} b``: the prior covariance of the node coefficients times b."""
+        Binv = np.eye(self.X.shape[1]) / np.append(self.forest.pivot, 1.0)[:, None, None]
+        return _forest_solve(self.forest, Binv, b)
+
+    def _blocks(self, S: np.ndarray) -> np.ndarray:
+        """``P``'s diagonal blocks ``Q_tt I + S_t``, in ``S``."""
+        idx = np.arange(S.shape[-1])
+        S[:-1, idx, idx] += self.forest.diag[:, None]
+        return S
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self._phi(self._prior_solve(self.phi_t(x))) + self.lam * x
+
+    def gaussian_fit(self, y: np.ndarray, context: str):
+        """``(L, alpha, mu, 0.5 log|A|, 0.0)``: ``mu = P^{-1} Phi^T y / lam``, ``alpha = (y - Phi mu) / lam``.
+
+        ``mu`` is the nodes' posterior mean, flattened, and ``alpha = A^{-1} y``.
+        """
+        XtX = self._statistic("XtX", self.node_outer)
+        Xty = self._statistic("Xty", lambda: self.phi_t(y), y)
+        U, Binv = _tree_factor(self.forest, self._blocks(XtX / self.lam),
+                               f"tree-precision system for {context}")
+        mu = _forest_solve(self.forest, Binv, Xty / self.lam)
+        alpha = (y - self._phi(mu)) / self.lam
+        half_logdet = _tree_half_logdet(self.forest, U[:-1], y.shape[0], self.lam)
+        return _tree_model_factor(self.forest, U, Binv), alpha, mu[:-1].ravel(), half_logdet, 0.0
+
+    def weights(self, dual: np.ndarray) -> np.ndarray:
+        """The nodes' latent mean coefficients ``(Q^{-1} kron I_m) Phi^T dual``, flattened."""
+        return self._prior_solve(self.phi_t(dual))[:-1].ravel()
+
+    def newton_factor(self, W: np.ndarray, context: str):
+        """``((U, Binv), b -> (I + W A)^{-1} b)`` with ``rho = W / (1 + W lam)``.
+
+        As for :meth:`LowRankDiag.newton_factor`, the Newton target is
+        ``u - rho Phi P^{-1} Phi^T u`` with ``u = b / (1 + W lam)``.  The
+        factor is :func:`_tree_factor`'s; :meth:`newton_finish` adds the node
+        covariances to the converged step's alone.
+        """
+        d = 1.0 + W * self.lam
+        rho = W / d
+        U, Binv = _tree_factor(self.forest, self._blocks(self.node_outer(rho)),
+                               f"tree-precision system for {context}")
+
+        def target(b):
+            u = b / d
+            return u - rho * self._phi(_forest_solve(self.forest, Binv, self.phi_t(u)))
+
+        return (U, Binv), target
+
+    def newton_finish(self, W: np.ndarray, factor) -> tuple[np.ndarray, float]:
+        U, Binv = factor
+        half_logdet = _tree_half_logdet(self.forest, U[:-1], W.shape[0], self.lam, W)
+        return _tree_model_factor(self.forest, U, Binv), half_logdet
+
+
+def _forest_solve(forest: TaskForest, Binv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``P^{-1} b`` for node rows ``b`` (k + 1, the dummy zero), from the pivots' inverses ``Binv``.
+
+    Leaves first, each level's right-hand sides update their parents'; then
+    root first, ``x_t = Binv_t (b_t - Q_{t,parent} x_parent)``.
+    """
+    b = b.copy()
+    for nodes, parents in forest.levels:
+        np.add.at(b, parents, -forest.edge[nodes, None] * np.einsum("ijk,ik->ij", Binv[nodes], b[nodes]))
+    x = np.zeros_like(b)
+    for nodes, parents in reversed(forest.levels):
+        r = b[nodes] - forest.edge[nodes, None] * x[parents]
+        x[nodes] = np.einsum("ijk,ik->ij", Binv[nodes], r)
+    return x
+
+
+def _tree_factor(forest: TaskForest, B: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(U, Binv)``: each node's pivot factor ``U_t`` and the pivot's inverse (k + 1, the dummy zero).
+
+    ``B`` holds ``P``'s diagonal blocks (k + 1, the last the dummy) and is
+    overwritten.  Leaves first, level by level: a level's blocks are final
+    pivots ``U_t U_t^T`` once the deeper levels have each added
+    ``-Q_{t,parent}^2 Binv_t`` to their parents' blocks, and no other block
+    changes.
+    """
+    U, Binv = np.zeros_like(B), np.zeros_like(B)
+    for nodes, parents in forest.levels:
+        try:
+            U[nodes] = np.linalg.cholesky(B[nodes])
+        except np.linalg.LinAlgError:
+            raise NumericalError(f"Cholesky factorization failed for {context}") from None
+        inv = np.linalg.inv(U[nodes])
+        Binv[nodes] = np.swapaxes(inv, 1, 2) @ inv
+        np.add.at(B, parents, -(forest.edge[nodes] ** 2)[:, None, None] * Binv[nodes])
+    return U, Binv
+
+
+def _tree_model_factor(forest: TaskForest, U: np.ndarray, Binv: np.ndarray) -> np.ndarray:
+    """``L``: ``L[t]`` stacks node t's pivot factor ``U_t`` and its posterior covariance ``Sigma_t``.
+
+    ``Sigma_t``, the diagonal blocks of ``P^{-1}``, come root first
+    (selected inversion, Takahashi, Fagan & Chin 1973):
+    ``Sigma_t = Binv_t + Q_{t,parent}^2 Binv_t Sigma_parent Binv_t``, as
+    w_t given its parent is Gaussian with covariance ``Binv_t`` and mean
+    shift ``-Q_{t,parent} Binv_t w_parent``.  ``L`` is Fortran-ordered, the
+    layout in which a model file restores it (:mod:`model_io`), so a loaded
+    model predicts the same bits.
+    """
+    S = np.zeros_like(Binv)
+    for nodes, parents in reversed(forest.levels):
+        G = Binv[nodes]
+        S[nodes] = G + (forest.edge[nodes] ** 2)[:, None, None] * (G @ S[parents] @ G)
+    return np.asfortranarray(np.stack([U[:-1], S[:-1]], axis=1))
+
+
+def _tree_half_logdet(forest: TaskForest, U: np.ndarray, n: int, lam, W=None) -> float:
+    """``0.5 log|A| = 0.5 (sum log lam + log|P| - m log|Q|)`` from the k nodes' pivot factors ``U``.
+
+    With Newton weights ``W``, ``0.5 log|I + W A|``: ``sum log(1 + W lam)``
+    in place of ``sum log lam``.
+    """
+    noise = np.log(np.broadcast_to(lam, n)) if W is None else np.log1p(W * lam)
+    pivots = np.log(np.diagonal(U, axis1=1, axis2=2))
+    return float(0.5 * np.sum(noise) + np.sum(pivots) - 0.5 * U.shape[-1] * forest.logdet)
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +873,11 @@ class _Workspace:
     ``cov`` for ``KX * KT + tau2 I``, its factor and the evidence weights;
     ``scratch`` for each Matern slope, then ``W * KT``.  :meth:`held` keeps a
     read-only array per role (each side's Gram, the weight-space ``V`` and
-    ``V V^T``) while the kernel and points it was built from stay; one per
-    role suffices, as :func:`grid_candidates` varies tau2 fastest.  Matern,
-    linear and constant kernels match by value, discrete task kernels (whose
-    ``==`` compares arrays) and points by identity.
+    ``V V^T``, a task forest's training rows and per-node ``XtX`` and
+    ``Xty``) while the kernel and points (and labels) it was built from
+    stay; one per role suffices, as :func:`grid_candidates` varies tau2
+    fastest.  Matern, linear and constant kernels match by value, discrete
+    task kernels (whose ``==`` compares arrays) and points by identity.
     """
 
     def __init__(self, n: int):

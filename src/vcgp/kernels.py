@@ -14,10 +14,12 @@ the closed-form task covariances for tree-structured task hierarchies.
 
 The constant, tree, graph-Laplacian and explicit-Gram task kernels hold a
 k x k Gram over tasks (k = 1 for the constant kernel, whose one task every
-descriptor maps to), computed once, when they are constructed: O(k^2) for a
-tree and O(k^3) for a Laplacian.  Gram assembly and prediction then only
-index it.  Its PSD factor ``G = C C^T`` (``factor`` on the kernel, O(k^3)
-by ``eigh``) is computed on first use and held as well.
+descriptor maps to): O(k^2) for a tree, on first use, and O(k^3) for a
+Laplacian, at construction.  Gram assembly and prediction then only index
+it.  Its PSD factor ``G = C C^T`` (``factor`` on the kernel, O(k^3) by
+``eigh``) is computed on first use and held as well.  A tree, and a
+Laplacian over a forest, also hold their sparse precision as a
+:class:`TaskForest` (``precision``), in O(k).
 
 All kernel evaluations are pure functions and all types are immutable after
 construction, so they can be shared freely across threads.
@@ -34,6 +36,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 __all__ = [
+    "TaskForest",
     "TaskPoint",
     "TaskTree",
     "Linear",
@@ -46,6 +49,7 @@ __all__ = [
     "matern",
     "instance_gram",
     "task_gram",
+    "check_tasks",
     "product_kernel_matrix",
     "product_kernel_diag",
     "tree_task_kernel",
@@ -251,12 +255,19 @@ class _HeldGram:
     descriptors to Gram rows, so every use of the kernel only indexes.
     """
 
+    # the task precision as a TaskForest, where the kernel has one
+    precision = None
+
+    @property
+    def k(self) -> int:
+        return self.gram.shape[0]
+
     def rows(self, T) -> np.ndarray:
         """The 0-based Gram row of each task id in T; ``ValueError`` for an id outside 1..k."""
-        T = as_task_array(T, discrete=True)
-        k = self.gram.shape[0]
-        if T.size and T.max() > k:  # as_task_array rejected ids below 1
-            raise ValueError(f"task ids must lie in 1..{k}")
+        return self._index(check_tasks(self, T))
+
+    def _index(self, T: np.ndarray) -> np.ndarray:
+        """:meth:`rows` of task ids that :func:`check_tasks` has passed."""
         return T - 1
 
     @cached_property
@@ -277,6 +288,79 @@ class _HeldGram:
         return _freeze(evecs[:, keep] * np.sqrt(evals[keep]))
 
 
+@dataclass(frozen=True, eq=False)
+class TaskForest:
+    """The precision ``Q`` of a tree or forest task kernel, ordered for leaves-first elimination.
+
+    ``Q`` is k x k with nonzeros only on its diagonal ``diag`` and between a
+    node t and its parent, ``Q[t, parent] = edge[t]``.  ``levels`` holds
+    each depth's nodes and their parents, deepest first, where a root's
+    parent is ``k``: a dummy row that arrays of k + 1 rows carry, reached
+    through an edge of 0.  Eliminating a matrix of this pattern in that
+    order creates no fill-in (Rue & Held 2005).  ``pivot`` holds the scalar
+    pivots of that elimination, each of which :func:`_task_forest` requires
+    to keep ``_PIVOT_SHARE`` of its diagonal entry, and ``logdet`` is
+    ``log|Q|``.
+    """
+
+    diag: np.ndarray
+    edge: np.ndarray
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+    pivot: np.ndarray
+    logdet: float
+
+    @property
+    def k(self) -> int:
+        return self.diag.shape[0]
+
+
+# a pivot below this share of its diagonal entry has lost half its digits
+# to cancellation (a singular Laplacian's last pivot is rounding noise; a
+# tree with sigma 1e-8 below sigma 1 loses them all): such a task kernel
+# keeps to its Gram
+_PIVOT_SHARE = 1e-8
+
+
+def _task_forest(neighbours: list, diag: np.ndarray, edge_entry) -> TaskForest | None:
+    """The :class:`TaskForest` of a graph over nodes 0..k-1; None for a cycle or a pivot that is too small.
+
+    Each component is rooted at its lowest node.  ``diag`` is Q's diagonal
+    and ``edge_entry(children, parents)`` gives ``Q[child, parent]`` for
+    arrays of nodes and their parents.  Every pivot must exceed
+    ``_PIVOT_SHARE`` of its diagonal entry.
+    """
+    k = len(neighbours)
+    parent, depth, seen = [k] * k, [0] * k, [False] * k
+    for root in range(k):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for node in queue:
+            for nb in neighbours[node]:
+                if nb == parent[node]:
+                    continue
+                if seen[nb]:
+                    return None  # a second path to nb: a cycle
+                seen[nb], parent[nb], depth[nb] = True, node, depth[node] + 1
+                queue.append(nb)
+    nodes = np.arange(k)
+    parent, depth = np.array(parent), np.array(depth)
+    child = parent < k
+    edge = np.zeros(k)
+    edge[child] = edge_entry(nodes[child], parent[child])
+    by_depth = np.argsort(-depth, kind="stable")
+    starts = np.flatnonzero(np.diff(depth[by_depth]))
+    levels = tuple((lv, parent[lv]) for lv in np.split(by_depth, starts + 1))
+    pivot = np.append(diag, 0.0)
+    for lv, par in levels:  # a level's pivots are final once the deeper levels are eliminated
+        if not np.all(pivot[lv] > _PIVOT_SHARE * diag[lv]):
+            return None
+        np.add.at(pivot, par, -edge[lv] ** 2 / pivot[lv])
+    pivot = pivot[:k]
+    return TaskForest(diag, edge, levels, pivot, float(np.sum(np.log(pivot))))
+
+
 @dataclass(frozen=True)
 class Tree(_HeldGram):
     """Task kernel over discrete tasks given by a tree-structured hierarchy.
@@ -284,15 +368,39 @@ class Tree(_HeldGram):
     The Gram matrix is the covariance of the hierarchical generative process
     in which each node's coefficient vector is Gaussian around its parent's:
     entry (t, t') accumulates the variances along the shared ancestry of t
-    and t' (see :func:`tree_task_kernel`).  It is computed once, at
-    construction, and held read-only in ``gram``.
+    and t' (see :func:`tree_task_kernel`).  It is computed on first use and
+    held read-only in ``gram``.  Its inverse, the tree Laplacian
+    (:func:`tree_laplacian`), has k - 1 edges and is held as ``precision``:
+    a linear instance kernel's exact fits work on it alone
+    (:class:`gp_core.TreePrecision`) and never build the Gram.
     """
 
     tree: TaskTree
-    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "gram", _freeze(tree_task_kernel(self.tree)))
+    @property
+    def k(self) -> int:
+        return self.tree.k
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return _freeze(tree_task_kernel(self.tree))
+
+    @cached_property
+    def precision(self) -> TaskForest | None:
+        """``tree_laplacian(tree)``: -1/sigma_l^2 between node l and its parent, root at node 1.
+
+        None when a sigma so far below its children's that the elimination
+        would cancel away its pivot (see :func:`_task_forest`).
+        """
+        tree = self.tree
+        neighbours = [[] for _ in range(tree.k)]
+        for child, pa in tree.parent.items():
+            neighbours[child - 1].append(pa - 1)
+            neighbours[pa - 1].append(child - 1)
+        inv_var = 1.0 / np.asarray(tree.sigma) ** 2
+        diag = inv_var.copy()
+        np.add.at(diag, [tree.parent[c] - 1 for c in range(2, tree.k + 1)], inv_var[1:])
+        return _task_forest(neighbours, diag, lambda child, parent: -inv_var[child])
 
 
 @dataclass(frozen=True)
@@ -303,7 +411,9 @@ class Laplacian(_HeldGram):
     diagonal regularizer; the Gram matrix is ``pinv(D + R - M)`` with ``D``
     the weighted degree matrix, computed once at construction and held
     read-only in ``gram``.  :meth:`from_tree` builds the (M, R) pair whose
-    kernel equals the tree-structured task covariance.
+    kernel equals the tree-structured task covariance.  When M's edges form
+    a forest and ``D + R - M`` has positive pivots, that matrix is the
+    Gram's inverse and is held as ``precision`` too.
     """
 
     M: np.ndarray
@@ -328,6 +438,17 @@ class Laplacian(_HeldGram):
     @classmethod
     def from_tree(cls, tree: TaskTree) -> "Laplacian":
         return cls(*_tree_laplacian_parts(tree))
+
+    @cached_property
+    def precision(self) -> TaskForest | None:
+        """``D + R - M`` if M is a forest and the elimination keeps every pivot (:func:`_task_forest`).
+
+        A singular Laplacian, or a nearly singular one, has only its Gram.
+        """
+        off = self.M - np.diag(np.diag(self.M))  # self-loops cancel in D - M
+        Q = np.diag(off.sum(axis=1) + np.diag(self.R)) - off
+        neighbours = [list(np.flatnonzero(row)) for row in off]
+        return _task_forest(neighbours, np.diag(Q).copy(), lambda c, p: Q[c, p])
 
 
 @dataclass(frozen=True)
@@ -364,8 +485,8 @@ class Constant(_HeldGram):
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "gram", _freeze(np.array([[self.value]])))
 
-    def rows(self, T) -> np.ndarray:
-        return np.zeros(as_task_array(T).shape[0], dtype=int)
+    def _index(self, T: np.ndarray) -> np.ndarray:
+        return np.zeros(T.shape[0], dtype=int)
 
 
 InstanceKernel = Union[Linear, Matern]
@@ -556,17 +677,37 @@ def instance_gram(kernel: InstanceKernel, X1: np.ndarray, X2: np.ndarray) -> np.
     raise TypeError(f"not an instance kernel: {kernel!r}")
 
 
+def check_tasks(kernel: TaskKernel, T, discrete: bool | None = None) -> np.ndarray:
+    """T normalized by :func:`as_task_array`, with ids checked against the kernel's 1..k.
+
+    ``discrete`` is the variant; when None, a Matern kernel takes
+    coordinates, the constant kernel either and the others task ids.  Once
+    T has passed, the Gram functions whose names start with ``_`` take it
+    as it is: prediction checks its test tasks here once.
+    """
+    if discrete is None and not isinstance(kernel, Constant):
+        discrete = not isinstance(kernel, Matern)
+    T = as_task_array(T, discrete=discrete)
+    if T.ndim == 1 and T.size and not isinstance(kernel, (Matern, Constant)) and T.max() > kernel.k:
+        raise ValueError(f"task ids must lie in 1..{kernel.k}")  # as_task_array rejected ids below 1
+    return T
+
+
 def task_gram(kernel: TaskKernel, T1, T2) -> np.ndarray:
     """Task-kernel Gram matrix between two sets of task descriptors."""
-    if isinstance(kernel, Matern):
-        T1 = as_task_array(T1, discrete=False)
-        T2 = as_task_array(T2, discrete=False)
-        if T1.shape[1] != T2.shape[1]:
-            raise ValueError("task coordinate dimensions differ")
-        return _matern_gram(kernel, T1, T2)
-    if not isinstance(kernel, _HeldGram):
+    if not isinstance(kernel, (Matern, _HeldGram)):
         raise TypeError(f"not a task kernel: {kernel!r}")
-    return kernel.gram[kernel.rows(T1)][:, kernel.rows(T2)]
+    return _task_gram(kernel, check_tasks(kernel, T1), check_tasks(kernel, T2))
+
+
+def _task_gram(kernel: TaskKernel, T1: np.ndarray, T2: np.ndarray) -> np.ndarray:
+    """:func:`task_gram` of tasks that :func:`check_tasks` has passed."""
+    if not isinstance(kernel, Matern):
+        return kernel.gram[kernel._index(T1)][:, kernel._index(T2)]
+    T1, T2 = (T.reshape(T.shape[0], -1) for T in (T1, T2))  # a task id is one coordinate
+    if T1.shape[1] != T2.shape[1]:
+        raise ValueError("task coordinate dimensions differ")
+    return _matern_gram(kernel, T1, T2)
 
 
 def product_kernel_matrix(X1, T1, X2, T2, spec: KernelSpec) -> np.ndarray:
@@ -575,18 +716,31 @@ def product_kernel_matrix(X1, T1, X2, T2, spec: KernelSpec) -> np.ndarray:
     Entry (i, j) is ``k_X(x1_i, x2_j) * k_T(t1_i, t2_j)``.  When the two
     point sets coincide the result is symmetric PSD.
     """
-    KX = instance_gram(spec.instance_kernel, X1, X2)
-    KT = task_gram(spec.task_kernel, T1, T2)
+    return _times(instance_gram(spec.instance_kernel, X1, X2), task_gram(spec.task_kernel, T1, T2))
+
+
+def _product_gram(X1, T1: np.ndarray, X2, T2: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """:func:`product_kernel_matrix` of tasks that :func:`check_tasks` has passed."""
+    return _times(instance_gram(spec.instance_kernel, X1, X2), _task_gram(spec.task_kernel, T1, T2))
+
+
+def _times(KX: np.ndarray, KT: np.ndarray) -> np.ndarray:
+    """``KX * KT`` in ``KX``, a fresh instance Gram, so no n x n temporary."""
     if KX.shape != KT.shape:
         raise ValueError(
             f"instance rows and task rows disagree: {KX.shape} vs {KT.shape}"
         )
-    KX *= KT  # instance_gram returns a fresh array, so no n x n temporary
+    KX *= KT
     return KX
 
 
 def product_kernel_diag(X, T, spec: KernelSpec) -> np.ndarray:
     """Diagonal of the product-kernel Gram of a point set with itself."""
+    return _product_diag(X, check_tasks(spec.task_kernel, T), spec)
+
+
+def _product_diag(X, T: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """:func:`product_kernel_diag` of tasks that :func:`check_tasks` has passed."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if isinstance(spec.instance_kernel, Linear):
         dx = np.einsum("ij,ij->i", X, X)
@@ -594,9 +748,9 @@ def product_kernel_diag(X, T, spec: KernelSpec) -> np.ndarray:
         dx = np.full(X.shape[0], spec.instance_kernel.amplitude**2)
     tk = spec.task_kernel
     if isinstance(tk, Matern):
-        dt = np.full(as_task_array(T, discrete=False).shape[0], tk.amplitude**2)
+        dt = np.full(T.shape[0], tk.amplitude**2)
     else:
-        dt = np.diagonal(tk.gram)[tk.rows(T)]
+        dt = np.diagonal(tk.gram)[tk._index(T)]
     if dx.shape != dt.shape:
         raise ValueError(f"instance rows and task rows disagree: {dx.shape} vs {dt.shape}")
     return dx * dt

@@ -4,9 +4,9 @@ Layout of a model file:
 
   line 1   ASCII magic: ``VCGP-MODEL 1 <kind>``, the kind being the
            basis's tag followed by the likelihood: ``regressor``,
-           ``weight-space-woodbury-regressor``, ``fitc-regressor``,
-           ``classifier``, ``weight-space-woodbury-classifier`` or
-           ``fitc-classifier``
+           ``tree-precision-regressor``, ``weight-space-woodbury-regressor``,
+           ``fitc-regressor``, ``classifier``, ``tree-precision-classifier``,
+           ``weight-space-woodbury-classifier`` or ``fitc-classifier``
   line 2   JSON header: kernel spec, tau2, jitter, array shapes and task
            variant (and a classifier's log-likelihood and Newton
            iterations), in a fixed key order
@@ -20,18 +20,20 @@ A model's arrays come from its three parts, in its likelihood's order:
   classifier   X, T, y, mode, dual, pi, W, B_chol, <basis>, weights
 
 ``<basis>`` is the basis's own arrays (``file_names`` on it): none for a
-dense model, ``task_factor`` in weight space, ``inducing_X``,
-``inducing_T``, ``Luu`` and FITC's diagonal ``lam`` for FITC.  A dense
-model writes no ``weights``: they are its ``alpha`` or dual.
+dense or tree-precision model, ``task_factor`` in weight space,
+``inducing_X``, ``inducing_T``, ``Luu`` and FITC's diagonal ``lam`` for
+FITC.  A dense model writes no ``weights``: they are its ``alpha`` or dual.
+A tree-precision model's factor is a k x 2 x m x m stack of each node's
+pivot factor and posterior covariance (:class:`gp_core.TreeBasis`).
 
 The header's ``arrays`` list fixes both the order and the shapes, so the
 payload is self-describing and byte-deterministic.  A file whose arrays do
-not fit together (n training rows; an n x n factor and length-n vectors,
-or, with a basis that has arrays, the factor and weights of the size the
-basis gives and the basis's arrays of the shapes it checks), that holds a
-NaN or inf in any float array, whose header lacks a field or holds an
-invalid value, whose header shapes need more bytes than the file holds, or
-that has bytes after the last array is rejected.
+not fit together (n training rows; n-vectors, and the factor and weights
+of the shapes the basis gives; the basis's arrays of the shapes it
+checks), whose discrete task ids lie outside the task kernel's 1..k, that
+holds a NaN or inf in any float array, whose header lacks a field or holds
+an invalid value, whose header shapes need more bytes than the file holds,
+or that has bytes after the last array is rejected.
 
 A low-rank model's covariance is ``V^T V + lam I``, ``lam = tau2 +
 jitter`` in weight space (:class:`gp_core.LowRankDiag`): a regressor's
@@ -52,8 +54,9 @@ import os
 import numpy as np
 
 from .gp_classify import FittedClassifier, LaplaceState
-from .gp_core import Dataset, DenseBasis, FittedRegressor, WeightSpaceBasis, _check_file_shapes
-from .kernels import spec_from_dict, spec_to_dict
+from .gp_core import Dataset, DenseBasis, FittedRegressor, TreeBasis, WeightSpaceBasis
+from .gp_core import _check_file_shapes
+from .kernels import check_tasks, spec_from_dict, spec_to_dict
 from .sparse_fitc import FITCBasis
 
 __all__ = ["save_model", "load_model"]
@@ -61,16 +64,17 @@ __all__ = ["save_model", "load_model"]
 _MAGIC = "VCGP-MODEL 1"
 _CHOL_ARRAYS = ("chol", "B_chol")
 _LIKELIHOODS = {FittedRegressor: "regressor", FittedClassifier: "classifier"}
-_BASES = {basis.tag: basis for basis in (DenseBasis, WeightSpaceBasis, FITCBasis)}
+_BASES = {basis.tag: basis for basis in (DenseBasis, TreeBasis, WeightSpaceBasis, FITCBasis)}
 _OLD_WEIGHT_SPACE = "weight-space-regressor"  # read only: chol factorizes V V^T + lam I
 
 
-def _array_names(likelihood: str, basis: tuple[str, ...]) -> tuple[str, ...]:
-    """A file's arrays, in order, for a likelihood and the basis's ``file_names``."""
-    weights = ("weights",) if basis else ()
+def _array_names(likelihood: str, basis) -> tuple[str, ...]:
+    """A file's arrays, in order, for a likelihood and a basis class; weights unless dense."""
+    weights = ("weights",) if basis.tag else ()
+    own = basis.file_names
     if likelihood == "regressor":
-        return ("X", "T", "y", *basis, "chol", *weights, "alpha")
-    return ("X", "T", "y", "mode", "dual", "pi", "W", "B_chol", *basis, *weights)
+        return ("X", "T", "y", *own, "chol", *weights, "alpha")
+    return ("X", "T", "y", "mode", "dual", "pi", "W", "B_chol", *own, *weights)
 
 
 def save_model(model, path) -> None:
@@ -83,7 +87,7 @@ def save_model(model, path) -> None:
     parts |= {name: getattr(basis, name) for name in basis.file_names}
     own = model.state if likelihood == "classifier" else model  # the likelihood's arrays
     arrays = {name: parts[name] if name in parts else getattr(own, name)
-              for name in _array_names(likelihood, basis.file_names)}
+              for name in _array_names(likelihood, basis)}
     extra = {}
     if likelihood == "classifier":
         extra = {"log_lik": model.state.log_lik, "iterations": model.state.iterations}
@@ -125,7 +129,7 @@ def load_model(path):
         header = json.loads(fh.readline().decode())
         _check_header(header, likelihood)
         names = [name for name, _ in header["arrays"]]
-        expected = _array_names(likelihood, basis_type.file_names)
+        expected = _array_names(likelihood, basis_type)
         if sorted(names) != sorted(expected):
             raise ValueError(f"a {kind} file holds arrays {expected}, this one {names}")
         left = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -153,11 +157,17 @@ def load_model(path):
     _check_file_shapes(arrays, {"X": (n, None), "T": (n,) if header["discrete_tasks"] else (n, None),
                                 "y": (n,)})
     spec = spec_from_dict(header["spec"])
+    if header["discrete_tasks"]:  # predictions only index with the training ids
+        for name in ("T", *(name for name in expected if name.endswith("_T"))):
+            try:
+                check_tasks(spec.task_kernel, arrays[name], discrete=True)
+            except ValueError as exc:
+                raise ValueError(f"model file array {name!r}: {exc}") from None
     data = Dataset(X=arrays["X"], T=arrays["T"], y=arrays["y"])
     basis = basis_type.from_file(arrays, spec, data)
-    size = basis.factor_size(data)
+    factor, weights = basis.factor_shapes(data)
     _check_file_shapes(arrays, {
-        name: (size, size) if name in _CHOL_ARRAYS else (size,) if name == "weights" else (n,)
+        name: factor if name in _CHOL_ARRAYS else weights if name == "weights" else (n,)
         for name in expected if name not in ("X", "T", "y", *basis.file_names)
     })
     common = dict(spec=spec, tau2=header["tau2"], data=data, jitter=header["jitter"], basis=basis)

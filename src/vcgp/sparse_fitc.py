@@ -73,21 +73,20 @@ class FITCBasis(LowRankBasis):
     file_names = ("inducing_X", "inducing_T", "Luu", "lam")
 
     def features(self, model, X_star, T_star) -> np.ndarray:
-        Ku = kernels.product_kernel_matrix(
-            self.inducing_X, self.inducing_T, X_star, T_star, model.spec
-        )
+        Ku = kernels._product_gram(self.inducing_X, self.inducing_T, X_star, T_star, model.spec)
         return solve_lower(self.Luu, Ku)
 
     def residual(self, model, X_star, T_star, Phi) -> np.ndarray:
-        residual = kernels.product_kernel_diag(X_star, T_star, model.spec)
+        residual = kernels._product_diag(X_star, T_star, model.spec)
         residual -= np.einsum("ij,ij->j", Phi, Phi)
         return residual
 
     def half_logdet(self, L, n, lam, W=None) -> float:
         return super().half_logdet(L, n, self.lam, W)  # its own diagonal, not tau2 + jitter
 
-    def factor_size(self, data: Dataset) -> int:
-        return self.Luu.shape[0]
+    def factor_shapes(self, data: Dataset):
+        p = self.Luu.shape[0]
+        return (p, p), (p,)
 
     @classmethod
     def from_file(cls, arrays, spec, data) -> FITCBasis:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import json
 import pathlib
 import tempfile
 
@@ -10,7 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcgp import experiments, kernels
+from vcgp import cli, experiments, kernels
 from vcgp.cli import EXIT_BUDGET, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from vcgp.data_io import Preprocessor
 
@@ -179,7 +180,7 @@ class TestRun:
         assert len(read_rows(cfg["out"])) == 4  # 2 methods x 2 folds
         assert len(fits) == 2  # one per fold
 
-    def test_tree_task_gram_is_built_once_per_run(self, tmp_path, monkeypatch):
+    def test_tree_task_gram_is_never_built_by_a_linear_run(self, tmp_path, monkeypatch):
         tree = {"type": "tree", "parent": {2: 1, 3: 1}, "sigma": [1.0, 0.7, 0.4]}
         path, cfg = write_config(
             tmp_path,
@@ -199,7 +200,8 @@ class TestRun:
         monkeypatch.setattr(kernels, "tree_task_kernel", counted)
         assert main(["run", str(path)]) == EXIT_OK
         assert len(read_rows(cfg["out"])) == 2  # kfold(2)
-        assert grams.count((1.0, 0.7, 0.4)) == 1  # the model's tree, not once per fold
+        # the synthetic draw builds its tree's Gram; the model's tree fits on its precision
+        assert grams == [(1.0, 0.5, 0.5)]
 
     @pytest.mark.parametrize(
         "path, value, key",
@@ -293,6 +295,9 @@ class TestRun:
             ("methods", None, "methods"),
             # one key per setting: there is no singular method key beside methods
             ("method", "bogus", "method"),
+            # a negative noise variance used to draw noise-free data
+            ("dataset.synth.tau2", -1, "dataset.synth.tau2"),
+            ("dataset.synth.tau2", -1e-300, "dataset.synth.tau2"),
         ],
     )
     def test_malformed_section_names_its_key(
@@ -526,6 +531,14 @@ class TestSynthCommand:
         assert "task_id" in rows[0]
         assert {int(r["task_id"]) for r in rows} <= {1, 2, 3}
 
+    @pytest.mark.parametrize("tau2", ["-1", "nan", "inf"])
+    def test_bad_noise_is_usage_error(self, tmp_path, capsys, tau2):
+        # a negative tau2 used to write noise-free data and exit 0
+        argv = ["synth", "--n", "10", "--tau2", tau2, "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert "error: tau2 must be a finite number of at least 0" in capsys.readouterr().err
+        assert main([*argv[:4], "0", *argv[5:]]) == EXIT_OK  # noise-free
+
     @pytest.mark.parametrize("kernel", ["{type: linear}", "matern", "{lengthscale: 0.2}"])
     def test_bad_task_kernel_is_usage_error(self, tmp_path, capsys, kernel):
         argv = ["synth", "--n", "10", "--task-kernel", kernel, "--out", str(tmp_path / "x.csv")]
@@ -566,3 +579,28 @@ class TestSummarizeCommand:
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["definitely-not-a-command"]) == EXIT_USAGE
+
+
+class TestYaml:
+    def test_configs_parse_as_safe_load_parses_them(self):
+        # a 200-node tree config, written as YAML and as JSON (which the benchmark writes)
+        rng = np.random.default_rng(0)
+        tree = {"type": "tree", "parent": {str(c): c // 2 for c in range(2, 201)},
+                "sigma": [float(v) for v in rng.uniform(0.2, 0.6, 200)]}
+        cfg = {"seed": 7, "methods": ["vcgp-lin"], "model": {"task_kernel": tree, "tau2": 0.1},
+               "dataset": {"policy": {"drop_missing": True, "standardize": False}, "x": None},
+               "tuning": {"method": "grid", "grid": {"tau2": [0.03, 0.1, 1e-300, 1.0]}}}
+        texts = [yaml.safe_dump(cfg), json.dumps(cfg, indent=1), "a: yes\nb: 2001-12-14\nc: .inf\n"]
+        if yaml.__with_libyaml__:
+            assert cli._YAML_LOADER is yaml.CSafeLoader
+        for text in texts:
+            assert cli.load_yaml(text) == yaml.safe_load(text)
+
+    def test_malformed_yaml_exits_1_with_a_message(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("seed: [1, 2\nmethods: {")
+        assert main(["run", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        argv = ["synth", "--n", "10", "--task-kernel", "{type: tree", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")

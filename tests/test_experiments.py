@@ -220,3 +220,14 @@ def test_infinite_budget_is_accepted():
     cfg = {"methods": ["iid-lin"], "dataset": {"synth": {"n": 20}}, "split": {"kfold": {"k": 2}},
            "train_sizes": [5], "budget_seconds": math.inf}
     assert parse_config(cfg).budget_seconds == math.inf
+
+
+def test_zero_synthetic_noise_draws_noise_free_data():
+    # tau2 = 0 stays valid; a negative one exits naming the key (test_cli.py)
+    cfg = {"methods": ["iid-lin"], "dataset": {"synth": {"n": 20, "tau2": 0}},
+           "split": {"kfold": {"k": 2}}, "train_sizes": [5]}
+    synth = parse_config(cfg).synth
+    assert synth["tau2"] == 0.0
+    res = synth_vcm(**synth)
+    f = np.einsum("ij,ij->i", res.dataset.X, res.W)
+    np.testing.assert_allclose(res.dataset.y, f, rtol=0, atol=1e-12)

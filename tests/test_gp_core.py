@@ -5,12 +5,16 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vcgp import gp_core
+from vcgp import gp_core, kernels
 from vcgp._linalg import NumericalError, add_diagonal, solve_lower
 from vcgp.baselines import primal_oracle_predict
 from vcgp.gp_classify import fit_classifier, laplace_mode, logistic_gaussian_integral
+from vcgp.multitask_hb import hb_weight_covariance, random_tree
 from vcgp.gp_core import (
     Dataset,
     DenseBasis,
@@ -18,6 +22,7 @@ from vcgp.gp_core import (
     SearchConfig,
     LowRankBasis,
     LowRankDiag,
+    TreeBasis,
     WeightSpaceBasis,
     _Workspace,
     _fit_gaussian,
@@ -279,7 +284,9 @@ class TestWeightSpaceRoute:
         data = self._data(kernel, n, self.M, rng)
         X_star, T_star = rng.standard_normal((6, self.M)), self._tasks(kernel, 6, rng)
 
-        assert isinstance(fit_regressor(data, spec, tau2).basis, DenseBasis) == above
+        # a task kernel with a forest precision takes the tree-precision route at any n
+        want = TreeBasis if kernel.precision is not None else DenseBasis if above else WeightSpaceBasis
+        assert type(fit_regressor(data, spec, tau2).basis) is want
         ws, dense = weight_space_fit(data, spec, tau2, C), dense_fit(data, spec, tau2)
         assert ws.chol.shape == (r, r) and dense.chol.shape == (n, n)
         (ws_mean, ws_var), (d_mean, d_var) = ws.predict_batch(X_star, T_star), dense.predict_batch(X_star, T_star)
@@ -311,7 +318,10 @@ class TestWeightSpaceRoute:
         X_star, T_star = rng.standard_normal((6, self.M)), self._tasks(kernel, 6, rng)
 
         ws = fit_classifier(data, spec, tau2)
-        assert isinstance(ws.basis, LowRankBasis) and ws.state.B_chol.shape[0] < n
+        if kernel.precision is None:
+            assert isinstance(ws.basis, LowRankBasis) and ws.state.B_chol.shape[0] < n
+        else:  # the tree-precision route, checked against the same dense Laplace fit
+            assert isinstance(ws.basis, TreeBasis)
         K = product_kernel_matrix(data.X, data.T, data.X, data.T, spec)
         dense = laplace_mode(K + tau2 * np.eye(n), data.y)
         np.testing.assert_allclose(ws.mode, dense.mode, rtol=0, atol=1e-6)
@@ -327,7 +337,7 @@ class TestWeightSpaceRoute:
 
     @pytest.mark.parametrize("fit", [fit_regressor, fit_classifier])
     def test_route_boundary_is_r_at_most_half_n(self, fit):
-        spec = KernelSpec(Linear(), Tree(_WS_TREE))
+        spec = KernelSpec(Linear(), FixedGram(Tree(_WS_TREE).gram))
         rng = np.random.default_rng(41)
         for n, weight_space in ((20, True), (19, False)):  # r = 2 * 5 = 10
             data = self._data(spec.task_kernel, n, self.M, rng, labels=True)
@@ -376,13 +386,17 @@ class TestWeightSpaceRoute:
         p = ws.predict_proba_batch([[1.0], [2.0]], [1, 2])
         np.testing.assert_allclose(p, [0.5, 0.5], rtol=0, atol=1e-14)
 
-    def test_task_ids_out_of_range_are_rejected(self):
-        spec = KernelSpec(Linear(), Tree(_WS_TREE))
+    @pytest.mark.parametrize("task", [FixedGram(Tree(_WS_TREE).gram), Tree(_WS_TREE)],
+                             ids=["weight-space", "tree-precision"])
+    def test_task_ids_out_of_range_are_rejected(self, task):
+        spec = KernelSpec(Linear(), task)
         data = self._data(spec.task_kernel, 30, 1, np.random.default_rng(44))
         model = fit_regressor(data, spec, 0.1)
-        assert isinstance(model.basis, LowRankBasis)
+        assert type(model.basis) is (TreeBasis if isinstance(task, Tree) else WeightSpaceBasis)
         with pytest.raises(ValueError, match="task ids must lie in 1..5"):
             model.predict_batch([[1.0]], [6])
+        with pytest.raises(ValueError, match="task ids must lie in 1..5"):
+            model.predict([1.0], 6)
 
     def test_non_integral_task_ids_are_rejected(self):
         spec = KernelSpec(Linear(), Tree(_WS_TREE))
@@ -404,6 +418,153 @@ class TestWeightSpaceRoute:
                 model.predict([1.0], t)
             with pytest.raises(ValueError, match="discrete task ids must be integers, got dtype"):
                 model.predict_batch([[1.0]], [t])
+
+
+def _design(X, T, k):
+    """Rows ``x_i`` placed in the m columns of task t_i: the stacked-coefficient design."""
+    n, m = X.shape
+    Phi = np.zeros((n, k * m))
+    for i, t in enumerate(T):
+        Phi[i, (t - 1) * m : t * m] = X[i]
+    return Phi
+
+
+class TestTreePrecisionRoute:
+    """Linear x tree (or forest Laplacian) fits on the task precision, against dense and the oracles."""
+
+    @staticmethod
+    def _case(task, n, m, seed):
+        rng = np.random.default_rng(seed)
+        k = task.k
+        data = Dataset(X=rng.standard_normal((n, m)), T=rng.integers(1, k + 1, size=n),
+                       y=rng.standard_normal(n))
+        # every task id, trained or not, and a few random points
+        X_star = rng.standard_normal((k + 3, m))
+        T_star = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=3)])
+        return data, X_star, T_star
+
+    def assert_matches_dense(self, task, n, m, tau2, seed):
+        """Both likelihoods against the dense fits, at criterion 6's tolerance (TOL_FITC_EXACT)."""
+        spec = KernelSpec(Linear(), task)
+        data, X_star, T_star = self._case(task, n, m, seed)
+        tree, dense = fit_regressor(data, spec, tau2), dense_fit(data, spec, tau2)
+        assert isinstance(tree.basis, TreeBasis)
+        assert abs(tree.log_marginal_likelihood() - dense.log_marginal_likelihood()) < 1e-6
+        for got, want in zip(tree.predict_batch(X_star, T_star), dense.predict_batch(X_star, T_star)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+        labels = Dataset(X=data.X, T=data.T, y=(data.y > 0).astype(float))
+        clf = fit_classifier(labels, spec, tau2)
+        assert isinstance(clf.basis, TreeBasis)
+        K = product_kernel_matrix(data.X, data.T, data.X, data.T, spec)
+        want = laplace_mode(add_diagonal(K, tau2), labels.y)
+        np.testing.assert_allclose(clf.mode, want.mode, rtol=0, atol=1e-6)
+        assert abs(clf.log_marginal_likelihood() - want.log_marginal_likelihood()) < 1e-6
+        Ks = product_kernel_matrix(data.X, data.T, X_star, T_star, spec)
+        U = solve_lower(want.B_chol, np.sqrt(want.W)[:, None] * Ks)
+        var = product_kernel_diag(X_star, T_star, spec) + tau2 - np.einsum("ij,ij->j", U, U)
+        proba = logistic_gaussian_integral(Ks.T @ want.dual, var)
+        np.testing.assert_allclose(clf.predict_proba_batch(X_star, T_star), proba, rtol=0, atol=1e-6)
+        return tree, data, X_star, T_star
+
+    def assert_matches_oracles(self, tree_spec: TaskTree, n, m, tau2, seed):
+        """Posterior means and node covariances of hb_weight_covariance, predictions of the primal oracle."""
+        model, data, X_star, T_star = self.assert_matches_dense(Tree(tree_spec), n, m, tau2, seed)
+        Phi = _design(data.X, data.T, tree_spec.k)
+        cov = np.linalg.inv(np.linalg.inv(hb_weight_covariance(tree_spec, m)) + Phi.T @ Phi / tau2)
+        np.testing.assert_allclose(model.weights, cov @ Phi.T @ data.y / tau2, rtol=0, atol=TOL_ORACLE)
+        blocks = [cov[t * m : (t + 1) * m, t * m : (t + 1) * m] for t in range(tree_spec.k)]
+        np.testing.assert_allclose(model.chol[:, 1], blocks, rtol=0, atol=TOL_ORACLE)
+        mean, var = model.predict_batch(X_star, T_star)
+        for x, t, mu, v in zip(X_star, T_star, mean, var):
+            want = primal_oracle_predict(data, model.spec, tau2, x, t)
+            assert mu == pytest.approx(want.mean, abs=TOL_ORACLE)
+            assert v == pytest.approx(want.latent_var, abs=TOL_ORACLE)
+
+    @settings(max_examples=20)
+    @given(k=st.integers(1, 12), n=st.integers(1, 25), m=st.integers(1, 3),
+           tau2=st.sampled_from([0.01, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_random_trees_match_dense_and_the_oracles(self, k, n, m, tau2, seed):
+        # n < k leaves nodes with no training points
+        tree = random_tree(k, np.random.default_rng(seed), sigma_low=0.3, sigma_high=2.0)
+        self.assert_matches_oracles(tree, n, m, tau2, seed)
+
+    @settings(max_examples=20)
+    @given(k=st.integers(1, 12), n=st.integers(1, 25), m=st.integers(1, 3),
+           tau2=st.sampled_from([0.01, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_laplacians_from_random_trees_match_dense(self, k, n, m, tau2, seed):
+        tree = random_tree(k, np.random.default_rng(seed), sigma_low=0.3, sigma_high=2.0)
+        self.assert_matches_dense(Laplacian.from_tree(tree), n, m, tau2, seed)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            TaskTree(parent={}, sigma=(0.8,)),
+            TaskTree(parent={l: l - 1 for l in range(2, 9)}, sigma=(1.0,) + (0.5,) * 7),
+            TaskTree(parent={l: 1 for l in range(2, 9)}, sigma=(1.0,) + (0.7,) * 7),
+            # parents numbered above their children
+            TaskTree(parent={2: 3, 3: 1, 4: 2}, sigma=(1.0, 0.4, 0.6, 0.9)),
+        ],
+        ids=["one-node", "chain", "star", "parents-above-children"],
+    )
+    @pytest.mark.parametrize("n", [3, 30])
+    def test_tree_shapes_match_the_oracles(self, tree, n):
+        self.assert_matches_oracles(tree, n, 2, 0.1, seed=50)
+
+    def test_a_forest_laplacian_matches_dense(self):
+        # two trees, each with its own regularized root
+        (M1, R1), (M2, R2) = (kernels._tree_laplacian_parts(t) for t in (_WS_TREE, _TREE))
+        M, R = scipy.linalg.block_diag(M1, M2), scipy.linalg.block_diag(R1, R2)
+        forest = Laplacian(M, R)
+        assert len(forest.precision.levels[-1][0]) == 2  # two roots
+        self.assert_matches_dense(forest, 25, 2, 0.1, seed=51)
+
+    @pytest.mark.parametrize(
+        "task",
+        [
+            Laplacian(_WS_LAPLACIAN.M, np.zeros((5, 5))),  # singular: R = 0
+            Laplacian(np.ones((3, 3)) - np.eye(3), np.eye(3)),  # a cycle
+            Tree(TaskTree(parent={2: 1, 3: 1}, sigma=(1.0, 1e-8, 1e-8))),  # pivots cancel
+            FixedGram(Tree(_WS_TREE).gram),
+            Constant(1.0),
+        ],
+        ids=["singular-laplacian", "cyclic-laplacian", "hard-sharing-tree", "fixed-gram", "constant"],
+    )
+    def test_other_held_grams_take_weight_space(self, task):
+        assert task.precision is None
+        rng = np.random.default_rng(52)
+        n = 40
+        T = rng.uniform(0, 1, (n, 1)) if isinstance(task, Constant) else rng.integers(1, task.k + 1, n)
+        data = Dataset(X=rng.standard_normal((n, 2)), T=T, y=rng.standard_normal(n))
+        assert isinstance(fit_regressor(data, KernelSpec(Linear(), task), 0.1).basis, WeightSpaceBasis)
+
+    def test_matern_instance_kernel_stays_dense(self):
+        rng = np.random.default_rng(53)
+        data = Dataset(X=rng.standard_normal((20, 2)), T=rng.integers(1, 5, 20), y=rng.standard_normal(20))
+        assert isinstance(fit_regressor(data, KernelSpec(Matern(), Tree(_TREE)), 0.1).basis, DenseBasis)
+
+    def test_fit_builds_no_task_gram(self, monkeypatch):
+        def fail(tree):
+            raise AssertionError("the tree Gram was built")
+
+        monkeypatch.setattr(kernels, "tree_task_kernel", fail)
+        rng = np.random.default_rng(54)
+        tree = Tree(random_tree(200, rng))
+        data = Dataset(X=rng.standard_normal((100, 3)), T=rng.integers(1, 201, 100), y=rng.standard_normal(100))
+        model = fit_regressor(data, KernelSpec(Linear(), tree), 0.1)
+        model.predict_batch(rng.standard_normal((5, 3)), rng.integers(1, 201, 5))
+        labels = Dataset(X=data.X, T=data.T, y=(data.y > 0).astype(float))
+        fit_classifier(labels, KernelSpec(Linear(), tree), 0.1).predict_proba(data.X[0], 7)
+        assert "gram" not in vars(tree)
+
+    def test_classifier_adds_the_node_covariances_to_the_converged_step_alone(self, monkeypatch):
+        calls = []
+        original = gp_core._tree_model_factor
+        monkeypatch.setattr(gp_core, "_tree_model_factor", lambda *args: calls.append(1) or original(*args))
+        rng = np.random.default_rng(55)
+        data = Dataset(X=rng.standard_normal((40, 2)), T=rng.integers(1, 5, 40),
+                       y=rng.integers(0, 2, 40).astype(float))
+        model = fit_classifier(data, KernelSpec(Linear(), Tree(_TREE)), 0.1)
+        assert isinstance(model.basis, TreeBasis) and model.state.iterations > 1 and calls == [1]
 
 
 class TestGradients:
@@ -695,17 +856,21 @@ class TestTuning:
             tune_hyperparameters(scalar_data(), LIN_CONST, SearchConfig())
 
     @pytest.mark.parametrize(
-        "spec, search",
+        "spec, search, basis",
         [
             (KernelSpec(Matern(), Matern()),
-             SearchConfig(method="grid", grid={"task.lengthscale": [0.3, 1.0], "tau2": [0.05, 0.5]})),
-            (KernelSpec(Matern(), Matern()), SearchConfig(seed=3, n_restarts=2, max_iter=20)),
+             SearchConfig(method="grid", grid={"task.lengthscale": [0.3, 1.0], "tau2": [0.05, 0.5]}),
+             DenseBasis),
+            (KernelSpec(Matern(), Matern()), SearchConfig(seed=3, n_restarts=2, max_iter=20), DenseBasis),
             # r = 2 * 4 <= 40 / 2: every candidate takes the weight-space route
-            (KernelSpec(Linear(), Tree(_TREE)), SearchConfig(method="grid", grid={"tau2": [0.05, 0.5]})),
+            (KernelSpec(Linear(), FixedGram(Tree(_TREE).gram)),
+             SearchConfig(method="grid", grid={"tau2": [0.05, 0.5]}), WeightSpaceBasis),
+            (KernelSpec(Linear(), Tree(_TREE)),
+             SearchConfig(method="grid", grid={"tau2": [0.05, 0.5]}), TreeBasis),
         ],
-        ids=["grid", "gradient", "weight-space-grid"],
+        ids=["grid", "gradient", "weight-space-grid", "tree-precision-grid"],
     )
-    def test_returned_model_is_bit_equal_to_a_fresh_fit(self, spec, search):
+    def test_returned_model_is_bit_equal_to_a_fresh_fit(self, spec, search, basis):
         rng = np.random.default_rng(13)
         X, T = rng.standard_normal((40, 2)), rng.uniform(0, 1, (40, 1))
         if not isinstance(spec.task_kernel, Matern):
@@ -713,7 +878,7 @@ class TestTuning:
         data = Dataset(X=X, T=T, y=rng.standard_normal(40))
         model = tune_hyperparameters(data, spec, search)
         fresh = fit_regressor(data, model.spec, model.tau2)
-        assert isinstance(model.basis, DenseBasis if isinstance(spec.task_kernel, Matern) else LowRankBasis)
+        assert type(model.basis) is basis
         assert np.array_equal(model.chol, fresh.chol)
         assert np.array_equal(model.alpha, fresh.alpha)
         assert np.array_equal(model.weights, fresh.weights)
@@ -778,16 +943,28 @@ class TestTuning:
         assert isinstance(model.basis, DenseBasis)
         assert gram_builds == {"instance_gram": 1, "task_gram": 3}
 
-    def test_tau2_grid_builds_the_weight_space_features_once(self, monkeypatch):
+    def test_tau2_grid_builds_the_weight_features_and_node_statistics_once(self, monkeypatch):
         calls = []
-        rows = Tree.rows
-        monkeypatch.setattr(Tree, "rows", lambda *args: calls.append(1) or rows(*args))
+
+        def count(owner, name):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or original(*args))
+
+        for owner, name in ((gp_core, "_weight_features"), (gp_core.TreePrecision, "node_outer"),
+                            (gp_core.TreePrecision, "phi_t"), (kernels, "check_tasks")):
+            count(owner, name)
         rng = np.random.default_rng(16)
         data = Dataset(X=rng.standard_normal((40, 2)), T=rng.integers(1, 5, 40), y=rng.standard_normal(40))
         search = SearchConfig(method="grid", grid={"tau2": [0.05, 0.2, 0.5]})
+        model = tune_hyperparameters(data, KernelSpec(Linear(), FixedGram(Tree(_TREE).gram)), search)
+        # the training tasks are checked once for the grid too
+        assert isinstance(model.basis, WeightSpaceBasis)
+        assert sorted(calls) == ["_weight_features", "check_tasks"]
+        calls.clear()
+        # each node's X_t^T X_t and X_t^T y, once for the grid
         model = tune_hyperparameters(data, KernelSpec(Linear(), Tree(_TREE)), search)
-        assert isinstance(model.basis, LowRankBasis)
-        assert len(calls) == 1
+        assert isinstance(model.basis, TreeBasis)
+        assert sorted(calls) == ["check_tasks", "node_outer", "phi_t"]
 
     def test_grid_matches_discrete_task_kernels_by_identity(self, gram_builds):
         rng = np.random.default_rng(15)

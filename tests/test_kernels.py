@@ -284,6 +284,39 @@ class TestDiscreteGramAtConstruction:
         assert builds == []
 
 
+def dense_precision(forest):
+    """The k x k ``Q`` a TaskForest holds: its diagonal and each node's edge to its parent."""
+    k = forest.k
+    Q = np.diag(forest.diag)
+    for nodes, parents in forest.levels:
+        child = parents < k
+        Q[nodes[child], parents[child]] = Q[parents[child], nodes[child]] = forest.edge[nodes[child]]
+    return Q
+
+
+class TestTaskForest:
+    @given(labelled_trees())
+    def test_tree_and_its_laplacian_hold_the_tree_laplacian(self, tree):
+        L = tree_laplacian(tree)
+        task = Tree(tree=tree)
+        for kernel in (task, Laplacian.from_tree(tree)):
+            forest = kernel.precision
+            np.testing.assert_allclose(dense_precision(forest), L, rtol=1e-14, atol=0)
+            assert forest.logdet == pytest.approx(np.linalg.slogdet(L)[1], rel=1e-12, abs=1e-12)
+            assert len(forest.levels[-1][0]) == 1  # one root, eliminated last
+        assert "gram" not in vars(task)  # the tree's precision needs no Gram
+
+    def test_kernels_without_a_usable_forest(self):
+        tree = TaskTree(parent={2: 1, 3: 2}, sigma=(1.0, 2.0, 0.5))
+        lap = Laplacian.from_tree(tree)
+        assert Laplacian(lap.M, np.zeros((3, 3))).precision is None  # singular
+        cycle = np.ones((3, 3)) - np.eye(3)
+        assert Laplacian(cycle, np.eye(3)).precision is None
+        assert FixedGram(np.eye(2)).precision is None and Constant().precision is None
+        # the pivot of node 1 cancels to rounding noise below its children's 1e16
+        assert Tree(TaskTree(parent={2: 1, 3: 1}, sigma=(1.0, 1e-8, 1e-8))).precision is None
+
+
 class TestLaplacianKernel:
     def test_chain_closed_form(self):
         tree = TaskTree(parent={2: 1}, sigma=(1.0, 1.0))

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from vcgp.gp_classify import FittedClassifier, fit_classifier
-from vcgp.gp_core import Dataset, DenseBasis, LowRankBasis, _latent_predictive, fit_regressor
-from vcgp.kernels import KernelSpec, Linear, Matern, TaskTree, Tree
+from vcgp.gp_core import Dataset, DenseBasis, LowRankBasis, TreeBasis, _latent_predictive
+from vcgp.gp_core import fit_regressor
+from vcgp.kernels import FixedGram, KernelSpec, Linear, Matern, TaskTree, Tree
+from vcgp.kernels import product_kernel_matrix
 from vcgp.model_io import load_model, save_model
 from vcgp.multitask_hb import random_tree
 from vcgp.sparse_fitc import fit_fitc, fit_fitc_classifier, select_inducing
@@ -49,14 +51,20 @@ CLASSIFIER_FORMAT1_PROBA = [0.7575154905873741, 0.8013122301171102, 0.0882289402
 CLASSIFIER_FORMAT1_LML = -8.111430597247356
 
 
-def weight_space_tree_model():
-    """A Linear x Tree fit at n=40, k=7, m=2: r = 14 <= n/2, so in weight space."""
+def tree_task_data():
+    """n=40 points, m=2, over the k=7 tasks of a random tree, and the tree."""
     rng = np.random.default_rng(9)
     tree = random_tree(7, rng)
     data = Dataset(
         X=rng.standard_normal((40, 2)), T=rng.integers(1, 8, size=40), y=rng.standard_normal(40)
     )
-    model = fit_regressor(data, KernelSpec(instance_kernel=Linear(), task_kernel=Tree(tree)), 0.1)
+    return data, tree
+
+
+def weight_space_tree_model():
+    """A Linear x FixedGram fit on the tree's Gram: r = 14 <= n/2, so in weight space."""
+    data, tree = tree_task_data()
+    model = fit_regressor(data, KernelSpec(Linear(), FixedGram(Tree(tree).gram)), 0.1)
     assert isinstance(model.basis, LowRankBasis) and model.chol.shape == (14, 14)
     return model
 
@@ -71,10 +79,14 @@ def weight_space_tree_classifier():
 
 
 def fitted_model(route, likelihood):
-    """A model of each route: dense, weight space, and FITC on continuous or discrete tasks."""
+    """A model of each route: dense (over continuous or tree tasks), weight space, tree
+    precision, and FITC on continuous or discrete tasks."""
     if route in ("weight-space", "fitc-discrete"):
         model = weight_space_tree_model()
         data, spec = model.data, model.spec
+    elif route in ("tree-precision", "dense-tree"):
+        data, tree = tree_task_data()
+        spec = KernelSpec(Linear() if route == "tree-precision" else Matern(), Tree(tree))
     else:
         data, spec = continuous_data(seed=12, n=30), MATERN_MATERN
     if likelihood == "classifier":
@@ -124,6 +136,8 @@ MISSING = object()
 def regressor_or_classifier(kind):
     if kind == "weight-space-classifier":
         return weight_space_tree_classifier()
+    if kind.startswith("tree-precision-"):
+        return fitted_model("tree-precision", kind.removeprefix("tree-precision-"))
     if kind.startswith("fitc-"):
         return fitted_model("fitc-continuous", kind.removeprefix("fitc-"))
     data = continuous_data(seed=6)
@@ -240,6 +254,7 @@ class TestRoundTrip:
         "route, tag",
         [
             ("dense", ""),
+            ("tree-precision", "tree-precision-"),
             ("weight-space", "weight-space-woodbury-"),
             ("fitc-continuous", "fitc-"),
             ("fitc-discrete", "fitc-"),
@@ -274,14 +289,23 @@ class TestRoundTrip:
     def test_dense_file_from_the_format1_writer_loads(self, tmp_path):
         model = load_model(DENSE_FORMAT1_FILE)
         assert isinstance(model.basis, DenseBasis) and model.chol.shape == (6, 6)
-        # the same bytes come back out, and the stored model is the one a fit gives
+        # the same bytes come back out, and the stored model is the one a fit
+        # gives, now on the tree's precision
         path = tmp_path / "again.bin"
         save_model(model, path)
         assert path.read_bytes() == DENSE_FORMAT1_FILE.read_bytes()
-        fresh = fit_regressor(model.data, model.spec, model.tau2)
-        assert isinstance(fresh.basis, DenseBasis)
-        np.testing.assert_allclose(fresh.chol, model.chol, rtol=1e-12, atol=1e-12)
+        data = model.data
+        K = product_kernel_matrix(data.X, data.T, data.X, data.T, model.spec)
+        dense = np.linalg.cholesky(K + (model.tau2 + model.jitter) * np.eye(data.n))
+        np.testing.assert_allclose(model.chol, dense, rtol=1e-12, atol=1e-12)
+        fresh = fit_regressor(data, model.spec, model.tau2)
+        assert isinstance(fresh.basis, TreeBasis)
         np.testing.assert_allclose(fresh.alpha, model.alpha, rtol=1e-12)
+        assert fresh.log_marginal_likelihood() == pytest.approx(model.log_marginal_likelihood(),
+                                                                rel=1e-12)
+        for got, want in zip(model.predict_batch(*WEIGHT_SPACE_TEST_POINTS),
+                             fresh.predict_batch(*WEIGHT_SPACE_TEST_POINTS)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_weight_space_file_from_the_format1_writer_loads(self, tmp_path):
         model = load_model(WEIGHT_SPACE_FORMAT1_FILE)
@@ -307,10 +331,10 @@ class TestRoundTrip:
         path = tmp_path / "again.bin"
         save_model(model, path)
         assert path.read_bytes() == CLASSIFIER_FORMAT1_FILE.read_bytes()
-        # a fresh fit takes weight space and gives the same model to the
-        # dense-oracle tolerance of test_sparse_fitc.py
+        # a fresh fit takes the tree's precision and gives the same model to
+        # the dense-oracle tolerance of test_sparse_fitc.py
         fresh = fit_classifier(model.data, model.spec, model.tau2)
-        assert isinstance(fresh.basis, LowRankBasis) and fresh.state.B_chol.shape == (6, 6)
+        assert isinstance(fresh.basis, TreeBasis) and fresh.state.B_chol.shape == (3, 2, 2, 2)
         np.testing.assert_allclose(
             fresh.predict_proba_batch(*WEIGHT_SPACE_TEST_POINTS), got, rtol=0, atol=1e-6
         )
@@ -401,6 +425,10 @@ class TestErrors:
             ("fitc-classifier", "weights"),
             ("fitc-classifier", "W"),
             ("fitc-classifier", "Luu"),
+            ("tree-precision-regressor", "chol"),
+            ("tree-precision-regressor", "weights"),
+            ("tree-precision-classifier", "B_chol"),
+            ("tree-precision-classifier", "weights"),
         ],
     )
     def test_header_shapes_that_disagree(self, tmp_path, kind, name):
@@ -433,6 +461,8 @@ class TestErrors:
             ("fitc-classifier", "B_chol"),
             ("fitc-classifier", "inducing_T"),
             ("fitc-classifier", "weights"),
+            ("tree-precision-regressor", "chol"),
+            ("tree-precision-classifier", "weights"),
         ],
     )
     def test_non_finite_array_is_rejected_by_name(self, tmp_path, kind, name, value):
@@ -536,6 +566,30 @@ class TestErrors:
         arrays["task_factor"] = arrays["task_factor"][:-1]
         write_model_file(path, magic, header, arrays)
         with pytest.raises(ValueError, match=r"'task_factor' has shape \(6, 7\), expected \(7, \*\)"):
+            load_model(path)
+
+    @pytest.mark.parametrize("route", ["dense-tree", "weight-space", "tree-precision", "fitc-discrete"])
+    @pytest.mark.parametrize("likelihood", ["regressor", "classifier"])
+    def test_task_ids_outside_the_kernel_are_rejected_by_name(self, tmp_path, route, likelihood):
+        # such a file used to load, and then every prediction raised
+        path = tmp_path / "model.bin"
+        save_model(fitted_model(route, likelihood), path)
+        magic, header, arrays = read_model_file(path)
+        for name in ("T", "inducing_T") if route.startswith("fitc") else ("T",):
+            for bad, message in ((9, r"task ids must lie in 1\.\.7"), (0, "discrete task ids must be >= 1")):
+                edited = dict(arrays, **{name: arrays[name].copy()})
+                edited[name][0] = bad
+                write_model_file(path, magic, header, edited)
+                with pytest.raises(ValueError, match=rf"array {name!r}: {message}"):
+                    load_model(path)
+
+    def test_tree_precision_file_needs_a_forest_task_kernel(self, tmp_path):
+        path = tmp_path / "tree.bin"
+        save_model(fitted_model("tree-precision", "regressor"), path)
+        magic, header, arrays = read_model_file(path)
+        header["spec"]["task_kernel"] = {"type": "fixed_gram", "gram": np.eye(7).tolist()}
+        write_model_file(path, magic, header, arrays)
+        with pytest.raises(ValueError, match="tree-precision model needs a linear instance kernel"):
             load_model(path)
 
     @pytest.mark.parametrize("value", [0.0, -1.0])

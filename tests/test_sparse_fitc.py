@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcgp import sparse_fitc
+from vcgp import kernels, sparse_fitc
 from vcgp._linalg import solve_lower
 from vcgp.data_io import synth_vcm, threshold_labels
 from vcgp.gp_classify import (
@@ -20,11 +20,13 @@ from vcgp.gp_core import (
     DenseBasis,
     FittedRegressor,
     LowRankDiag,
+    TreeBasis,
     WeightSpaceBasis,
     _weight_features,
     fit_regressor,
 )
 from vcgp.kernels import (
+    FixedGram,
     KernelSpec,
     Linear,
     Matern,
@@ -298,12 +300,13 @@ class TestFITCClassifierAgainstDenseSurrogate:
 def fitted(likelihood, route):
     """A fitted model of ``likelihood`` on ``route``, over m = 2 features."""
     spec = SPEC
-    if route == "weight-space":
+    if route in ("weight-space", "tree-precision"):
         rng = np.random.default_rng(21)
         data = Dataset(
             X=rng.standard_normal((40, 2)), T=rng.integers(1, 6, size=40), y=rng.standard_normal(40)
         )
-        spec = KernelSpec(Linear(), Tree(random_tree(5, rng)))
+        task = Tree(random_tree(5, rng))
+        spec = KernelSpec(Linear(), task if route == "tree-precision" else FixedGram(task.gram))
     else:
         data = make_data(30, seed=22)
     if likelihood == "classification":
@@ -320,9 +323,11 @@ ROUTES = pytest.mark.parametrize(
     [
         ("regression", "dense", FittedRegressor, DenseBasis),
         ("regression", "weight-space", FittedRegressor, WeightSpaceBasis),
+        ("regression", "tree-precision", FittedRegressor, TreeBasis),
         ("regression", "fitc", FittedRegressor, FITCBasis),
         ("classification", "dense", FittedClassifier, DenseBasis),
         ("classification", "weight-space", FittedClassifier, WeightSpaceBasis),
+        ("classification", "tree-precision", FittedClassifier, TreeBasis),
         ("classification", "fitc", FittedClassifier, FITCBasis),
     ],
 )
@@ -389,6 +394,22 @@ class TestOneModelClassPerLikelihood:
             batch(X, T)
         with pytest.raises(ValueError, match="test instances must be finite; row 0 is not"):
             single([np.nan, 0.0], T[0])
+
+    @ROUTES
+    def test_test_tasks_are_checked_once_per_prediction(self, likelihood, route, cls, basis, monkeypatch):
+        # the training tasks were checked when the Dataset was built
+        model = fitted(likelihood, route)
+        calls = []
+        original = kernels.as_task_array
+        monkeypatch.setattr(kernels, "as_task_array", lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        X, T = model.data.X, model.data.T
+        if likelihood == "regression":
+            model.predict(X[0], T[0])
+            model.predict_batch(X[:5], T[:5])
+        else:
+            model.predict_proba(X[0], T[0])
+            model.predict_proba_batch(X[:5], T[:5])
+        assert len(calls) == 2
 
     def test_fitc_classifier_name_is_the_exact_class(self):
         assert sparse_fitc.FittedFITCClassifier is FittedClassifier
