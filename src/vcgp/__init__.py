@@ -20,9 +20,9 @@ from .baselines import (
 from .data_io import (
     PreprocessPolicy,
     Preprocessor,
-    RawRecord,
     Schema,
     SynthResult,
+    Table,
     blocked_splits,
     kfold_splits,
     load_csv,

@@ -141,24 +141,19 @@ def cmd_run(args) -> int:
 
     else:
         schema, policy = config.schema, config.policy
-        records = data_io.filter_records(data_io.load_csv(config.csv, schema), schema, policy)
-        if not records:
+        table = data_io.filter_records(data_io.load_csv(config.csv, schema), schema, policy)
+        if not table:
             raise UsageError("preprocessing filtered out every record")
         if schema.task_time is not None:
-            times = np.array(
-                [r.values[schema.task_time].toordinal() for r in records], dtype=float
-            )
-        elif schema.task_coords:
-            times = np.array([r.values[schema.task_coords[0]] for r in records], dtype=float)
+            times = np.array([d.toordinal() for d in table.columns[schema.task_time]], dtype=float)
         else:
-            times = None
-        pool_size = len(records)
+            times = table.columns[schema.task_coords[0]] if schema.task_coords else None
+        pool_size = len(table)
 
         def train_test(train_idx, test_idx):
-            train_recs = [records[i] for i in train_idx]
-            test_recs = [records[i] for i in test_idx]
-            pre = Preprocessor(schema, policy).fit(train_recs)
-            return pre.transform(train_recs), pre.transform(test_recs)
+            train, test = table[train_idx], table[test_idx]
+            pre = Preprocessor(schema, policy).fit(train)
+            return pre.transform(train), pre.transform(test)
 
     splits = config.splits(pool_size, times)
 

@@ -3,10 +3,12 @@
 The ingest path is CSV with a header; a :class:`Schema` names the numeric
 and categorical feature columns, the target, and the task fields (either
 continuous coordinates plus an optional date column, or a discrete id
-column).  Preprocessing filters records by value brackets and missing
-values, one-hot encodes categoricals with the category set frozen from the
-training records, optionally z-scores numeric columns with training
-statistics, and assembles the task variable.
+column).  :func:`load_csv` reads the file whole into a :class:`Table`: one
+conversion pass per schema column, no object per row (``RawRecord`` is gone).
+Preprocessing filters rows by value brackets and missing values, one-hot
+encodes categoricals with the category set frozen from the training rows,
+optionally z-scores numeric columns with training statistics, and
+assembles the task variable.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from itertools import compress, repeat
+from operator import itemgetter
+from typing import Mapping
 
 import numpy as np
 
@@ -24,7 +28,7 @@ from .kernels import FixedGram, Laplacian, TaskKernel, Tree, task_gram
 
 __all__ = [
     "Schema",
-    "RawRecord",
+    "Table",
     "PreprocessPolicy",
     "Preprocessor",
     "load_csv",
@@ -73,71 +77,96 @@ class Schema:
         return tuple(cols)
 
 
-@dataclass(frozen=True)
-class RawRecord:
-    """One typed CSV row; ``row`` is the 1-based line number for messages."""
+@dataclass(frozen=True, eq=False)
+class Table:
+    """The schema columns of a CSV file, one array entry per data row.
 
-    row: int
-    values: Mapping[str, object]
-
-    def missing(self, schema: Schema) -> bool:
-        return any(self.values.get(c) is None for c in schema.columns)
-
-
-def _parse_cell(raw: str, column: str, kind: str, row: int):
-    raw = raw.strip()
-    if raw == "":
-        return None
-    if kind == "numeric":
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValueError(
-                f"line {row}: column {column!r} expected a number, got {raw!r}"
-            ) from None
-    if kind == "date":
-        try:
-            return _dt.datetime.fromisoformat(raw)
-        except ValueError:
-            raise ValueError(
-                f"line {row}: column {column!r} expected an ISO date, got {raw!r}"
-            ) from None
-    if kind == "int":
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(
-                f"line {row}: column {column!r} expected an integer, got {raw!r}"
-            ) from None
-    return raw
-
-
-def load_csv(path, schema: Schema) -> Iterator[RawRecord]:
-    """Stream typed records from a CSV file.
-
-    Unknown columns required by the schema raise immediately; malformed
-    cells raise with their line number.  Missing values come through as
-    ``None`` so the preprocessing policy can act on them.
+    ``columns[c]`` is a float array for numeric columns (NaN where the cell
+    is empty), an int array for the task id (0 where empty), and an object
+    array of ``datetime`` or ``str`` for dates and categories (None where
+    empty); ``present[c]`` is False where the cell was empty and ``lines``
+    holds each row's line in the file.  A slice, mask or index array takes rows.
     """
-    kinds = {c: "numeric" for c in schema.numeric}
-    kinds.update({c: "categorical" for c in schema.categorical})
-    kinds[schema.target] = "numeric"
-    for c in schema.task_coords:
-        kinds[c] = "numeric"
-    if schema.task_time:
-        kinds[schema.task_time] = "date"
-    if schema.task_id:
-        kinds[schema.task_id] = "int"
+
+    lines: np.ndarray
+    columns: Mapping[str, np.ndarray]
+    present: Mapping[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, rows) -> "Table":
+        return Table(
+            self.lines[rows],
+            {c: v[rows] for c, v in self.columns.items()},
+            {c: v[rows] for c, v in self.present.items()},
+        )
+
+
+# kind: (conversion of a stripped cell, dtype, entry of an empty cell, what a cell must be)
+_KINDS = {
+    "numeric": (float, float, np.nan, "a number"),
+    "int": (int, np.int64, 0, "an integer"),
+    "date": (_dt.datetime.fromisoformat, object, None, "an ISO date"),
+    "categorical": (str, object, None, None),
+}
+
+
+def _column(cells, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(values, present) of one column's raw cells; a bad cell raises what was expected."""
+    convert, dtype, empty, expected = _KINDS[kind]
+    cells = list(map(str.strip, cells))
+    present = np.fromiter(map(bool, cells), bool, len(cells))
+    values = np.full(len(cells), empty, dtype=dtype)
+    try:
+        values[present] = np.fromiter(map(convert, compress(cells, cells)), dtype, present.sum())
+    except ValueError:
+        raise ValueError(expected) from None
+    if kind == "numeric" and not np.isfinite(values[present]).all():
+        raise ValueError("a finite number")
+    return values, present
+
+
+def load_csv(path, schema: Schema) -> Table:
+    """Read the schema columns of a CSV file into a :class:`Table`.
+
+    Blank lines are skipped; empty cells are kept for the policy to act on.
+    A schema column absent from the header raises, and so does a malformed
+    cell, or a numeric one that is not finite, naming the first by line.
+    """
+    kinds = dict.fromkeys(schema.columns, "numeric")  # a later role wins, in this order
+    kinds.update(dict.fromkeys(schema.categorical, "categorical"))
+    kinds.update(dict.fromkeys((schema.target, *schema.task_coords), "numeric"))
+    kinds.update({c: k for c, k in ((schema.task_time, "date"), (schema.task_id, "int")) if c})
 
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing_cols = [c for c in kinds if c not in header]
         if missing_cols:
             raise ValueError(f"CSV is missing schema columns: {missing_cols}")
-        for i, row in enumerate(reader, start=2):
-            values = {c: _parse_cell(row[c] or "", c, kind, i) for c, kind in kinds.items()}
-            yield RawRecord(row=i, values=values)
+        rows, lines, width = [], [], len(header)
+        for row in reader:
+            if row:  # not a blank line; a short row's last cells read as empty
+                rows.append(row if len(row) >= width else row + [""] * (width - len(row)))
+                lines.append(reader.line_num)
+    index = {name: j for j, name in enumerate(header)}  # a repeated name reads its last column
+    columns, present = {}, {}
+    try:
+        for c, kind in kinds.items():
+            columns[c], present[c] = _column(map(itemgetter(index[c]), rows), kind)
+    except ValueError:  # name the first bad cell in row-major order
+        for line, row in zip(lines, rows):
+            for c, kind in kinds.items():
+                raw = row[index[c]].strip()
+                try:
+                    _column([raw], kind)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"line {line}: column {c!r} expected {exc}, got {raw!r}"
+                    ) from None
+        raise
+    return Table(np.array(lines, dtype=int), columns, present)
 
 
 @dataclass(frozen=True)
@@ -155,29 +184,33 @@ class PreprocessPolicy:
     standardize: bool = True
 
 
-def filter_records(records: Iterable[RawRecord], schema: Schema, policy: PreprocessPolicy):
-    """Apply the stateless part of the policy: brackets and missing values."""
-    kept = []
-    for rec in records:
-        if policy.drop_missing and rec.missing(schema):
-            continue
-        ok = True
-        for col, (lo, hi) in policy.brackets.items():
-            v = rec.values.get(col)
-            if v is None or not (lo <= v <= hi):
-                ok = False
-                break
-        if ok:
-            kept.append(rec)
+def filter_records(table: Table, schema: Schema, policy: PreprocessPolicy) -> Table:
+    """Apply the stateless part of the policy: brackets and missing values.
+
+    Without ``drop_missing``, a kept row's empty non-categorical cell raises.
+    """
+    keep = np.ones(len(table), dtype=bool)
+    for col in schema.columns if policy.drop_missing else ():
+        keep &= table.present[col]
+    for col, (lo, hi) in policy.brackets.items():
+        v = table.columns[col]
+        keep &= table.present[col] & (lo <= v) & (v <= hi)
+    kept = table[keep]
+    if not policy.drop_missing:
+        needed = [c for c in schema.columns if c not in schema.categorical]
+        empty = np.argwhere(~np.column_stack([kept.present[c] for c in needed]))
+        if empty.size:
+            raise ValueError(f"line {kept.lines[empty[0, 0]]}: column {needed[empty[0, 1]]!r} is "
+                             "empty, and only categorical cells may be without drop_missing")
     return kept
 
 
 class Preprocessor:
-    """Training-fitted encoder from records to a numeric :class:`Dataset`.
+    """Training-fitted encoder from table rows to a numeric :class:`Dataset`.
 
     Fitting freezes the categorical category sets, the z-scoring statistics,
     and the time origin (earliest training date).  Unseen test categories
-    map to all-zero one-hot blocks.
+    and missing categorical cells map to all-zero one-hot blocks.
     """
 
     def __init__(self, schema: Schema, policy: PreprocessPolicy):
@@ -189,94 +222,66 @@ class Preprocessor:
         self._time_origin = None
         self._fitted = False
 
-    def fit(self, records: Iterable[RawRecord]) -> "Preprocessor":
-        records = list(records)
-        if not records:
+    def fit(self, table: Table) -> "Preprocessor":
+        if not len(table):
             raise ValueError("no records to fit the preprocessor on")
         for col in self.schema.categorical:
-            self._categories[col] = sorted(
-                {str(r.values[col]) for r in records if r.values[col] is not None}
-            )
+            self._categories[col] = sorted(set(filter(None, table.columns[col])))
         if self.schema.numeric:
-            M = np.array(
-                [[_num(r, c) for c in self.schema.numeric] for r in records], dtype=float
-            )
+            M = np.column_stack([table.columns[c] for c in self.schema.numeric])
             self._mean = np.nanmean(M, axis=0)
             std = np.nanstd(M, axis=0)
             self._std = np.where(std > 0, std, 1.0)
         if self.schema.task_time:
-            dates = [r.values[self.schema.task_time] for r in records]
-            self._time_origin = min(d for d in dates if d is not None)
+            self._time_origin = min(filter(None, table.columns[self.schema.task_time]))
         self._fitted = True
         return self
 
-    def transform(self, records: Iterable[RawRecord]) -> Dataset:
+    def transform(self, table: Table) -> Dataset:
         if not self._fitted:
             raise RuntimeError("fit the preprocessor before transforming")
-        records = list(records)
-        if not records:
+        n = len(table)
+        if not n:
             raise ValueError("all records were filtered out; nothing to transform")
         cols = []
         if self.schema.numeric:
-            M = np.array(
-                [[_num(r, c) for c in self.schema.numeric] for r in records], dtype=float
-            )
+            M = np.column_stack([table.columns[c] for c in self.schema.numeric])
             if self.policy.standardize:
                 M = (M - self._mean) / self._std
             cols.append(M)
         for col in self.schema.categorical:
             cats = self._categories[col]
-            block = np.zeros((len(records), len(cats)))
             index = {c: j for j, c in enumerate(cats)}
-            for i, r in enumerate(records):
-                j = index.get(str(r.values[col]))
-                if j is not None:
-                    block[i, j] = 1.0
-            cols.append(block)
-        X = np.hstack(cols) if cols else np.ones((len(records), 1))
-        y = np.array([r.values[self.schema.target] for r in records], dtype=float)
+            codes = np.fromiter(map(index.get, table.columns[col], repeat(-1)), int, n)
+            cols.append((codes[:, None] == np.arange(len(cats))).astype(float))
+        X = np.hstack(cols) if cols else np.ones((n, 1))
+        y = table.columns[self.schema.target]
 
         if self.schema.task_id:
-            T = np.array([r.values[self.schema.task_id] for r in records], dtype=int)
+            T = table.columns[self.schema.task_id]
         else:
             parts = []
             if self.schema.task_coords:
-                parts.append(
-                    np.array(
-                        [[_num(r, c) for c in self.schema.task_coords] for r in records],
-                        dtype=float,
-                    )
-                )
+                parts.append(np.column_stack([table.columns[c] for c in self.schema.task_coords]))
             if self.schema.task_time:
-                days = np.array(
-                    [
-                        (r.values[self.schema.task_time] - self._time_origin).total_seconds()
-                        / 86400.0
-                        for r in records
-                    ]
-                )
+                since = table.columns[self.schema.task_time] - self._time_origin
+                days = np.fromiter(map(_dt.timedelta.total_seconds, since), float, n) / 86400.0
                 parts.append(days.reshape(-1, 1))
             T = np.hstack(parts)
         return Dataset(X=X, T=T, y=y)
 
 
-def _num(rec: RawRecord, col: str) -> float:
-    v = rec.values[col]
-    return float("nan") if v is None else float(v)
-
-
-def preprocess(records: Iterable[RawRecord], schema: Schema, policy: PreprocessPolicy) -> Dataset:
+def preprocess(table: Table, schema: Schema, policy: PreprocessPolicy) -> Dataset:
     """Filter, fit, and encode in one step (the single-table convenience).
 
     For train/test pipelines, call :func:`filter_records`, fit a
-    :class:`Preprocessor` on the training records only, and transform both
+    :class:`Preprocessor` on the training rows only, and transform both
     sides with it.
     """
-    kept = filter_records(records, schema, policy)
-    if not kept:
+    kept = filter_records(table, schema, policy)
+    if not len(kept):
         raise ValueError("preprocessing filtered out every record")
     return Preprocessor(schema, policy).fit(kept).transform(kept)
-
 
 # ---------------------------------------------------------------------------
 # evaluation splits

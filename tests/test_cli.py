@@ -151,6 +151,51 @@ class TestRun:
         rows = read_rows(cfg["out"])
         assert len(rows) == 4  # 6 blocks - window 2
 
+    @staticmethod
+    def write_csv_config(tmp_path, schema, edit=None, **policy):
+        """A 40-row CSV (``edit`` sets cells of its row on line 19) and a config over it."""
+        rows = [{"a": repr(0.1 * i), "y": str(i % 5), "t": str(1 + i % 3), "kind": "xyz"[i % 3],
+                 "d": f"2003-01-{1 + i % 28:02d}"} for i in range(40)]
+        rows[17].update(edit or {})
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text("\n".join([",".join(rows[0])] + [",".join(r.values()) for r in rows]))
+        return write_config(
+            tmp_path,
+            methods=["iid-lin"],
+            dataset={"csv": str(data_csv), "schema": schema, "policy": policy},
+            train_sizes=[10],
+        )
+
+    @pytest.mark.parametrize(
+        "tasks, column",
+        [({"task_id": "t"}, "t"), ({"task_id": "t"}, "a"), ({"task_id": "t"}, "y"),
+         ({"task_time": "d"}, "d")],
+    )
+    def test_csv_empty_cell_without_drop_missing_names_it(self, tmp_path, capsys, tasks, column):
+        schema = {"target": "y", "numeric": ["a"], "categorical": ["kind"], **tasks}
+        path, _ = self.write_csv_config(tmp_path, schema, {column: ""}, drop_missing=False)
+        assert main(["run", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: line 19: column {column!r} is empty, and only categorical cells may be "
+            "without drop_missing\n"
+        )
+
+    def test_csv_empty_category_without_drop_missing_runs(self, tmp_path):
+        schema = {"target": "y", "numeric": ["a"], "categorical": ["kind"], "task_time": "d"}
+        path, cfg = self.write_csv_config(tmp_path, schema, {"kind": ""}, drop_missing=False)
+        assert main(["run", str(path)]) == EXIT_OK
+        assert len(read_rows(cfg["out"])) == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf"])
+    def test_csv_non_finite_cell_under_a_bracket_names_it(self, tmp_path, capsys, cell):
+        # a bracket used to drop such a row silently
+        schema = {"target": "y", "numeric": ["a"], "task_time": "d"}
+        path, _ = self.write_csv_config(tmp_path, schema, {"a": cell}, brackets={"a": [-10, 10]})
+        assert main(["run", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: line 19: column 'a' expected a finite number, got {cell!r}\n"
+        )
+
     def test_csv_fold_preprocessor_fitted_once_for_all_methods(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(2)
         data_csv = tmp_path / "tasks.csv"
