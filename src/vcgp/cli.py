@@ -192,7 +192,11 @@ def _read_column(path: str, *names: str) -> dict[str, np.ndarray]:
         cols = {name: [] for name in names if name in (reader.fieldnames or [])}
         for row in reader:
             for name in cols:
-                cols[name].append(float(row[name]))
+                try:
+                    cols[name].append(float(row[name]))
+                except (TypeError, ValueError):  # TypeError: a short row's None
+                    raise UsageError(f"{path} line {reader.line_num}: column {name!r} expected "
+                                     f"a number, got {row[name] or ''!r}") from None
     return {name: np.asarray(vals) for name, vals in cols.items()}
 
 

@@ -122,6 +122,8 @@ def _column(cells, kind: str) -> tuple[np.ndarray, np.ndarray]:
         values[present] = np.fromiter(map(convert, compress(cells, cells)), dtype, present.sum())
     except ValueError:
         raise ValueError(expected) from None
+    except OverflowError:  # an integer beyond int64
+        raise ValueError(f"{expected} in the int64 range") from None
     if kind == "numeric" and not np.isfinite(values[present]).all():
         raise ValueError("a finite number")
     return values, present
@@ -132,7 +134,8 @@ def load_csv(path, schema: Schema) -> Table:
 
     Blank lines are skipped; empty cells are kept for the policy to act on.
     A schema column absent from the header raises, and so does a malformed
-    cell, or a numeric one that is not finite, naming the first by line.
+    cell, or a numeric one that is not finite, naming the first by line; so
+    does a date column that mixes dates with and without a UTC offset.
     """
     kinds = dict.fromkeys(schema.columns, "numeric")  # a later role wins, in this order
     kinds.update(dict.fromkeys(schema.categorical, "categorical"))
@@ -166,6 +169,13 @@ def load_csv(path, schema: Schema) -> Table:
                         f"line {line}: column {c!r} expected {exc}, got {raw!r}"
                     ) from None
         raise
+    for c in (c for c, kind in kinds.items() if kind == "date"):  # the two kinds do not compare
+        at = np.flatnonzero(present[c])
+        aware = [d.tzinfo is not None for d in columns[c][at]]
+        if len(set(aware)) > 1:
+            first, bad = lines[at[0]], lines[at[aware.index(not aware[0])]]
+            raise ValueError(f"line {bad}: column {c!r} mixes dates with and without a UTC offset "
+                             f"(line {first} has {'one' if aware[0] else 'none'})")
     return Table(np.array(lines, dtype=int), columns, present)
 
 

@@ -444,14 +444,13 @@ def _exact_covariance(
     The route follows from the spec and the data's size alone:
 
     - a linear instance kernel times a ``Tree``, or a ``Laplacian`` whose M
-      is a forest and whose ``D + R - M`` has positive pivots (the task
-      kernel's ``precision``; a pivot that cancels to below 1e-8 of its
-      diagonal entry keeps the kernel on its Gram, see
+      is a forest with positive edge weights, whose R is non-negative and
+      reaches each component (the task kernel's ``precision``, see
       :func:`kernels._task_forest`): :class:`TreePrecision` and :class:`TreeBasis`.
       Fits cost O(n m^2 + k m^3), in one Python step per tree level, and
       predictions O(m^2) per point; no k x k array is built.
     - a linear instance kernel times any other held task Gram with a PSD
-      factor ``G = C C^T`` (its ``factor``; a singular Laplacian,
+      factor ``G = C C^T`` (its ``factor``; any other Laplacian,
       ``FixedGram``, ``Constant``): ``K = V^T V``, column i of ``V`` being
       ``x_i kron C[t_i]``, of height ``r = m * rank(G)``.  When
       ``r <= n / 2`` the covariance is the weight-space :class:`LowRankDiag`,
@@ -634,12 +633,13 @@ class TreePrecision:
     identity with ``P = Q kron I_m + Phi^T diag(rho) Phi``, whose blocks
     are ``Q_tt I + X_t^T diag(rho_t) X_t`` on the diagonal and
     ``Q_{t,parent} I`` off it: :func:`_tree_factor` factors it leaves first
-    with no fill, one step per tree level, and :func:`_tree_model_factor`
-    adds each node's posterior covariance for the model's factor ``L``.
-    ``rho = 1 / lam`` for the Gaussian fit, ``W / (1 + W lam)`` for the
-    Laplace Newton step.  The Gaussian fit's per-node statistics, each
-    node's ``X_t^T X_t`` and ``X_t^T y``, come from ``held(role, labels,
-    build)`` when a search holds them (:func:`_exact_covariance`).
+    with no fill or cancellation, one step per tree level, and
+    :func:`_tree_model_factor` adds each node's posterior covariance for the
+    model's factor ``L``.  ``rho = 1 / lam`` for the Gaussian fit,
+    ``W / (1 + W lam)`` for the Laplace Newton step.  The Gaussian fit's
+    per-node statistics, each node's ``X_t^T X_t`` and ``X_t^T y``, come
+    from ``held(role, labels, build)`` when a search holds them
+    (:func:`_exact_covariance`).
     """
 
     def __init__(self, forest: TaskForest, X: np.ndarray, rows: np.ndarray, lam: float, held=None):
@@ -678,12 +678,6 @@ class TreePrecision:
         Binv = np.eye(self.X.shape[1]) / np.append(self.forest.pivot, 1.0)[:, None, None]
         return _forest_solve(self.forest, Binv, b)
 
-    def _blocks(self, S: np.ndarray) -> np.ndarray:
-        """``P``'s diagonal blocks ``Q_tt I + S_t``, in ``S``."""
-        idx = np.arange(S.shape[-1])
-        S[:-1, idx, idx] += self.forest.diag[:, None]
-        return S
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self._phi(self._prior_solve(self.phi_t(x))) + self.lam * x
 
@@ -694,8 +688,7 @@ class TreePrecision:
         """
         XtX = self._statistic("XtX", self.node_outer)
         Xty = self._statistic("Xty", lambda: self.phi_t(y), y)
-        U, Binv = _tree_factor(self.forest, self._blocks(XtX / self.lam),
-                               f"tree-precision system for {context}")
+        U, Binv = _tree_factor(self.forest, XtX / self.lam, f"tree-precision system for {context}")
         mu = _forest_solve(self.forest, Binv, Xty / self.lam)
         alpha = (y - self._phi(mu)) / self.lam
         half_logdet = _tree_half_logdet(self.forest, U[:-1], y.shape[0], self.lam)
@@ -715,8 +708,7 @@ class TreePrecision:
         """
         d = 1.0 + W * self.lam
         rho = W / d
-        U, Binv = _tree_factor(self.forest, self._blocks(self.node_outer(rho)),
-                               f"tree-precision system for {context}")
+        U, Binv = _tree_factor(self.forest, self.node_outer(rho), f"tree-precision system for {context}")
 
         def target(b):
             u = b / d
@@ -738,32 +730,36 @@ def _forest_solve(forest: TaskForest, Binv: np.ndarray, b: np.ndarray) -> np.nda
     """
     b = b.copy()
     for nodes, parents in forest.levels:
-        np.add.at(b, parents, -forest.edge[nodes, None] * np.einsum("ijk,ik->ij", Binv[nodes], b[nodes]))
+        np.add.at(b, parents, forest.weight[nodes, None] * np.einsum("ijk,ik->ij", Binv[nodes], b[nodes]))
     x = np.zeros_like(b)
     for nodes, parents in reversed(forest.levels):
-        r = b[nodes] - forest.edge[nodes, None] * x[parents]
+        r = b[nodes] + forest.weight[nodes, None] * x[parents]
         x[nodes] = np.einsum("ijk,ik->ij", Binv[nodes], r)
     return x
 
 
-def _tree_factor(forest: TaskForest, B: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
+def _tree_factor(forest: TaskForest, S: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
     """``(U, Binv)``: each node's pivot factor ``U_t`` and the pivot's inverse (k + 1, the dummy zero).
 
-    ``B`` holds ``P``'s diagonal blocks (k + 1, the last the dummy) and is
-    overwritten.  Leaves first, level by level: a level's blocks are final
-    pivots ``U_t U_t^T`` once the deeper levels have each added
-    ``-Q_{t,parent}^2 Binv_t`` to their parents' blocks, and no other block
-    changes.
+    ``S`` holds each node's ``X_t^T diag(rho_t) X_t`` (k + 1, the last the
+    dummy) and is overwritten.  The block form of
+    :func:`kernels._task_forest`'s elimination, leaves first, level by
+    level: node t's excess ``E_t = reg_t I + S_t + sum_c w_c Binv_c E_c``
+    over its children c, and its pivot ``D_t = U_t U_t^T = E_t + w_t I``,
+    with ``w_t = -Q_{t,parent}``, its edge's weight.  No term cancels: each
+    ``w_c Binv_c E_c = w_c I - w_c^2 Binv_c`` is positive semidefinite.
     """
-    U, Binv = np.zeros_like(B), np.zeros_like(B)
-    for nodes, parents in forest.levels:
+    U, Binv, eye = np.zeros_like(S), np.zeros_like(S), np.eye(S.shape[-1])
+    S[:-1] += forest.reg[:, None, None] * eye
+    for nodes, parents in forest.levels:  # final excesses once the deeper levels are eliminated
+        w, excess = forest.weight[nodes, None, None], S[nodes]
         try:
-            U[nodes] = np.linalg.cholesky(B[nodes])
+            U[nodes] = L = np.linalg.cholesky(excess + w * eye)
         except np.linalg.LinAlgError:
             raise NumericalError(f"Cholesky factorization failed for {context}") from None
-        inv = np.linalg.inv(U[nodes])
-        Binv[nodes] = np.swapaxes(inv, 1, 2) @ inv
-        np.add.at(B, parents, -(forest.edge[nodes] ** 2)[:, None, None] * Binv[nodes])
+        inv = np.linalg.inv(L)
+        Binv[nodes] = G = np.swapaxes(inv, 1, 2) @ inv
+        np.add.at(S, parents, w * (G @ excess))
     return U, Binv
 
 
@@ -781,7 +777,7 @@ def _tree_model_factor(forest: TaskForest, U: np.ndarray, Binv: np.ndarray) -> n
     S = np.zeros_like(Binv)
     for nodes, parents in reversed(forest.levels):
         G = Binv[nodes]
-        S[nodes] = G + (forest.edge[nodes] ** 2)[:, None, None] * (G @ S[parents] @ G)
+        S[nodes] = G + (forest.weight[nodes] ** 2)[:, None, None] * (G @ S[parents] @ G)
     return np.asfortranarray(np.stack([U[:-1], S[:-1]], axis=1))
 
 

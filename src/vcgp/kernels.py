@@ -14,12 +14,12 @@ the closed-form task covariances for tree-structured task hierarchies.
 
 The constant, tree, graph-Laplacian and explicit-Gram task kernels hold a
 k x k Gram over tasks (k = 1 for the constant kernel, whose one task every
-descriptor maps to): O(k^2) for a tree, on first use, and O(k^3) for a
-Laplacian, at construction.  Gram assembly and prediction then only index
-it.  Its PSD factor ``G = C C^T`` (``factor`` on the kernel, O(k^3) by
-``eigh``) is computed on first use and held as well.  A tree, and a
-Laplacian over a forest, also hold their sparse precision as a
-:class:`TaskForest` (``precision``), in O(k).
+descriptor maps to), built on first use: O(k^2) for a tree, O(k^3) for a
+Laplacian.  Gram assembly and prediction then only index it.  Its PSD
+factor ``G = C C^T`` (``factor`` on the kernel, O(k^3) by ``eigh``) is
+computed on first use and held as well.  A tree, and a Laplacian over a
+suitable forest, also hold their sparse precision as a :class:`TaskForest`
+(``precision``), in O(k).
 
 All kernel evaluations are pure functions and all types are immutable after
 construction, so they can be shared freely across threads.
@@ -292,42 +292,37 @@ class _HeldGram:
 class TaskForest:
     """The precision ``Q`` of a tree or forest task kernel, ordered for leaves-first elimination.
 
-    ``Q`` is k x k with nonzeros only on its diagonal ``diag`` and between a
-    node t and its parent, ``Q[t, parent] = edge[t]``.  ``levels`` holds
-    each depth's nodes and their parents, deepest first, where a root's
-    parent is ``k``: a dummy row that arrays of k + 1 rows carry, reached
-    through an edge of 0.  Eliminating a matrix of this pattern in that
-    order creates no fill-in (Rue & Held 2005).  ``pivot`` holds the scalar
-    pivots of that elimination, each of which :func:`_task_forest` requires
-    to keep ``_PIVOT_SHARE`` of its diagonal entry, and ``logdet`` is
-    ``log|Q|``.
+    ``Q = diag(reg) + sum_t w_t (e_t - e_parent)(e_t - e_parent)^T``: node t
+    has a regularizer ``reg[t] >= 0`` and an edge to its parent of weight
+    ``w_t = weight[t] = -Q[t, parent] > 0``.  ``levels`` holds each depth's
+    nodes and their parents, deepest first, where a root's parent is ``k``:
+    a dummy row that arrays of k + 1 rows carry, reached through a weight of
+    0.  Eliminating a matrix of this pattern in that order creates no
+    fill-in (Rue & Held 2005).  ``pivot`` holds the scalar pivots of that
+    elimination (:func:`_task_forest`) and ``logdet`` is ``log|Q|``.
     """
 
-    diag: np.ndarray
-    edge: np.ndarray
+    reg: np.ndarray
+    weight: np.ndarray
     levels: tuple[tuple[np.ndarray, np.ndarray], ...]
     pivot: np.ndarray
     logdet: float
 
     @property
     def k(self) -> int:
-        return self.diag.shape[0]
+        return self.reg.shape[0]
 
 
-# a pivot below this share of its diagonal entry has lost half its digits
-# to cancellation (a singular Laplacian's last pivot is rounding noise; a
-# tree with sigma 1e-8 below sigma 1 loses them all): such a task kernel
-# keeps to its Gram
-_PIVOT_SHARE = 1e-8
+def _task_forest(neighbours: list, reg: np.ndarray, weight) -> TaskForest | None:
+    """The :class:`TaskForest` of a graph over nodes 0..k-1; None unless its structure makes Q definite.
 
-
-def _task_forest(neighbours: list, diag: np.ndarray, edge_entry) -> TaskForest | None:
-    """The :class:`TaskForest` of a graph over nodes 0..k-1; None for a cycle or a pivot that is too small.
-
-    Each component is rooted at its lowest node.  ``diag`` is Q's diagonal
-    and ``edge_entry(children, parents)`` gives ``Q[child, parent]`` for
-    arrays of nodes and their parents.  Every pivot must exceed
-    ``_PIVOT_SHARE`` of its diagonal entry.
+    Each component is rooted at its lowest node.  ``reg`` holds the nodes'
+    regularizers and ``weight(children, parents)`` their edges' weights.
+    The structure: a forest, every weight positive, every regularizer
+    non-negative and a positive one in each component.  Leaves first, node
+    t's excess is ``E_t = reg_t + sum_c w_c E_c / D_c`` over its children c
+    and its pivot ``D_t = E_t + w_t``: the usual ``D_t`` (as
+    ``w_c - w_c^2 / D_c = w_c E_c / D_c``), but summing no negative term.
     """
     k = len(neighbours)
     parent, depth, seen = [k] * k, [0] * k, [False] * k
@@ -344,21 +339,23 @@ def _task_forest(neighbours: list, diag: np.ndarray, edge_entry) -> TaskForest |
                     return None  # a second path to nb: a cycle
                 seen[nb], parent[nb], depth[nb] = True, node, depth[node] + 1
                 queue.append(nb)
+        if not np.any(reg[queue] > 0):
+            return None  # a component that no regularizer reaches: Q is singular
     nodes = np.arange(k)
     parent, depth = np.array(parent), np.array(depth)
     child = parent < k
-    edge = np.zeros(k)
-    edge[child] = edge_entry(nodes[child], parent[child])
+    w = np.zeros(k)
+    w[child] = weight(nodes[child], parent[child])
+    if not (np.all(w[child] > 0) and np.all(reg >= 0)):
+        return None
     by_depth = np.argsort(-depth, kind="stable")
     starts = np.flatnonzero(np.diff(depth[by_depth]))
     levels = tuple((lv, parent[lv]) for lv in np.split(by_depth, starts + 1))
-    pivot = np.append(diag, 0.0)
-    for lv, par in levels:  # a level's pivots are final once the deeper levels are eliminated
-        if not np.all(pivot[lv] > _PIVOT_SHARE * diag[lv]):
-            return None
-        np.add.at(pivot, par, -edge[lv] ** 2 / pivot[lv])
-    pivot = pivot[:k]
-    return TaskForest(diag, edge, levels, pivot, float(np.sum(np.log(pivot))))
+    excess, pivot = np.append(reg, 0.0), np.empty(k)
+    for lv, par in levels:  # a level's excesses are final once the deeper levels are eliminated
+        pivot[lv] = excess[lv] + w[lv]
+        np.add.at(excess, par, w[lv] * excess[lv] / pivot[lv])
+    return TaskForest(reg, w, levels, pivot, float(np.sum(np.log(pivot))))
 
 
 @dataclass(frozen=True)
@@ -386,21 +383,17 @@ class Tree(_HeldGram):
         return _freeze(tree_task_kernel(self.tree))
 
     @cached_property
-    def precision(self) -> TaskForest | None:
-        """``tree_laplacian(tree)``: -1/sigma_l^2 between node l and its parent, root at node 1.
-
-        None when a sigma so far below its children's that the elimination
-        would cancel away its pivot (see :func:`_task_forest`).
-        """
+    def precision(self) -> TaskForest:
+        """``tree_laplacian(tree)``: root 1 regularized by 1/sigma_1^2, edge weights 1/sigma_l^2."""
         tree = self.tree
         neighbours = [[] for _ in range(tree.k)]
         for child, pa in tree.parent.items():
             neighbours[child - 1].append(pa - 1)
             neighbours[pa - 1].append(child - 1)
         inv_var = 1.0 / np.asarray(tree.sigma) ** 2
-        diag = inv_var.copy()
-        np.add.at(diag, [tree.parent[c] - 1 for c in range(2, tree.k + 1)], inv_var[1:])
-        return _task_forest(neighbours, diag, lambda child, parent: -inv_var[child])
+        reg = np.zeros(tree.k)
+        reg[0] = inv_var[0]
+        return _task_forest(neighbours, reg, lambda child, parent: inv_var[child])
 
 
 @dataclass(frozen=True)
@@ -409,16 +402,15 @@ class Laplacian(_HeldGram):
 
     ``M`` is a symmetric weighted adjacency matrix over tasks and ``R`` a
     diagonal regularizer; the Gram matrix is ``pinv(D + R - M)`` with ``D``
-    the weighted degree matrix, computed once at construction and held
-    read-only in ``gram``.  :meth:`from_tree` builds the (M, R) pair whose
-    kernel equals the tree-structured task covariance.  When M's edges form
-    a forest and ``D + R - M`` has positive pivots, that matrix is the
-    Gram's inverse and is held as ``precision`` too.
+    the weighted degree matrix, computed on first use and held read-only in
+    ``gram``.  :meth:`from_tree` builds the (M, R) pair whose kernel equals
+    the tree-structured task covariance.  When M's edges form a forest with
+    positive weights, R >= 0 and each component has a node with R > 0,
+    ``D + R - M`` is the Gram's inverse and is held as ``precision`` too.
     """
 
     M: np.ndarray
     R: np.ndarray
-    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = np.asarray(self.M, dtype=float)
@@ -433,22 +425,25 @@ class Laplacian(_HeldGram):
             raise ValueError("R must be diagonal and match M's shape")
         object.__setattr__(self, "M", _freeze(M.copy()))
         object.__setattr__(self, "R", _freeze(R.copy()))
-        object.__setattr__(self, "gram", _freeze(laplacian_task_kernel_from_parts(M, R)))
 
     @classmethod
     def from_tree(cls, tree: TaskTree) -> "Laplacian":
         return cls(*_tree_laplacian_parts(tree))
 
+    @property
+    def k(self) -> int:
+        return self.M.shape[0]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return _freeze(laplacian_task_kernel_from_parts(self.M, self.R))
+
     @cached_property
     def precision(self) -> TaskForest | None:
-        """``D + R - M`` if M is a forest and the elimination keeps every pivot (:func:`_task_forest`).
-
-        A singular Laplacian, or a nearly singular one, has only its Gram.
-        """
+        """``D + R - M`` when its structure makes it definite (:func:`_task_forest`); else None."""
         off = self.M - np.diag(np.diag(self.M))  # self-loops cancel in D - M
-        Q = np.diag(off.sum(axis=1) + np.diag(self.R)) - off
         neighbours = [list(np.flatnonzero(row)) for row in off]
-        return _task_forest(neighbours, np.diag(Q).copy(), lambda c, p: Q[c, p])
+        return _task_forest(neighbours, np.diag(self.R).copy(), lambda c, p: off[c, p])
 
 
 @dataclass(frozen=True)
@@ -806,8 +801,7 @@ def _tree_laplacian_parts(tree: TaskTree) -> tuple[np.ndarray, np.ndarray]:
     A = np.zeros((k, k))
     for child, pa in tree.parent.items():
         A[child - 1, pa - 1] = 1.0
-    B = np.diag([0.0] + [1.0 / s**2 for s in tree.sigma[1:]])
-    BA = B @ A
+    BA = np.array([0.0] + [1.0 / s**2 for s in tree.sigma[1:]])[:, None] * A
     M = BA + BA.T
     R = np.zeros((k, k))
     R[0, 0] = 1.0 / tree.sigma[0] ** 2
@@ -821,11 +815,7 @@ def laplacian_task_kernel_from_parts(M: np.ndarray, R: np.ndarray) -> np.ndarray
     tree-derived (M, R) the Laplacian is invertible, so the pseudoinverse is
     the plain inverse.
     """
-    M = np.asarray(M, dtype=float)
-    R = np.asarray(R, dtype=float)
-    D = np.diag(M.sum(axis=1))
-    L = D + R - M
-    evals, evecs = np.linalg.eigh(L)
+    evals, evecs = np.linalg.eigh(np.diag(M.sum(axis=1)) + R - M)
     cutoff = _eig_cutoff(evals)
     inv = np.where(evals > cutoff, 1.0 / np.where(evals > cutoff, evals, 1.0), 0.0)
     return (evecs * inv) @ evecs.T

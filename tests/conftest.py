@@ -1,5 +1,13 @@
 """Test-suite settings shared by every test module."""
 
+import os
+
+# single-threaded BLAS unless the environment says otherwise: the suite's
+# many small factorizations run faster without threads.  Set before anything
+# imports numpy, which reads them once.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import pytest
 from hypothesis import settings
 

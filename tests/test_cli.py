@@ -196,6 +196,26 @@ class TestRun:
             f"error: line 19: column 'a' expected a finite number, got {cell!r}\n"
         )
 
+    def test_csv_task_id_beyond_int64_names_it(self, tmp_path, capsys):
+        # used to end in an OverflowError traceback
+        schema = {"target": "y", "numeric": ["a"], "task_id": "t"}
+        path, _ = self.write_csv_config(tmp_path, schema, {"t": "1180591620717411303424"})
+        assert main(["run", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: line 19: column 't' expected an integer in the int64 range, "
+            "got '1180591620717411303424'\n"
+        )
+
+    def test_csv_dates_with_and_without_an_offset_name_the_first_that_differs(self, tmp_path, capsys):
+        # used to end in a TypeError traceback from comparing the two kinds
+        schema = {"target": "y", "numeric": ["a"], "task_time": "d"}
+        path, _ = self.write_csv_config(tmp_path, schema, {"d": "2003-01-05T00:00:00+01:00"})
+        assert main(["run", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: line 19: column 'd' mixes dates with and without a UTC offset "
+            "(line 2 has none)\n"
+        )
+
     def test_csv_fold_preprocessor_fitted_once_for_all_methods(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(2)
         data_csv = tmp_path / "tasks.csv"
@@ -553,6 +573,21 @@ class TestMetricsCommand:
         pred = tmp_path / "pred.csv"
         pred.write_text("y_true\n1.0\n")
         assert main(["metrics", str(pred)]) == EXIT_USAGE
+
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("y_pred,y_true\n1,2\n3\n", "line 3: column 'y_true' expected a number, got ''"),
+            ("y_pred,y_true\n1,2\n\nx,3\n", "line 4: column 'y_pred' expected a number, got 'x'"),
+        ],
+        ids=["short-row", "not-a-number"],
+    )
+    def test_malformed_row_names_line_and_column(self, tmp_path, capsys, body, message):
+        pred = tmp_path / "pred.csv"
+        pred.write_text(body)
+        assert main(["metrics", str(pred)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {pred} {message}\n"
 
 
 class TestSynthCommand:

@@ -159,6 +159,29 @@ class TestLoadCsv:
             load_csv(path, schema)
         assert str(info.value) == "line 4: column 'x2' expected a number, got 'abc'"
 
+    def test_task_id_beyond_int64_names_line(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        path.write_text("x,t,y\n1,2,3\n1,-9223372036854775809,3\n")
+        schema = Schema(target="y", numeric=("x",), task_id="t")
+        with pytest.raises(ValueError) as info:
+            load_csv(path, schema)
+        assert str(info.value) == (
+            "line 3: column 't' expected an integer in the int64 range, got '-9223372036854775809'"
+        )
+
+    def test_dates_with_and_without_an_offset_name_the_first_that_differs(self, tmp_path):
+        body = (
+            "1000,2000,house,500000,40.7,-74.0,2003-05-01T00:00:00+01:00\n"
+            "800,1500,condo,300000,40.8,-73.9,\n"  # an empty cell has no date to compare
+            "800,1500,condo,300000,40.8,-73.9,2004-06-02T00:00:00Z\n"
+            "800,1500,condo,300000,40.8,-73.9,2004-06-03\n"
+        )
+        with pytest.raises(ValueError) as info:
+            load_csv(write(tmp_path, body), SALES_SCHEMA)
+        assert str(info.value) == (
+            "line 5: column 'sale_date' mixes dates with and without a UTC offset (line 2 has one)"
+        )
+
     @pytest.mark.parametrize("column", ["land_area", "price", "lon"])
     @pytest.mark.parametrize("cell", ["nan", " -NaN", "inf", "-Infinity", "1e999"])
     def test_non_finite_numeric_cell_names_line_and_column(self, tmp_path, column, cell):

@@ -443,25 +443,30 @@ class TestTreePrecisionRoute:
         T_star = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=3)])
         return data, X_star, T_star
 
-    def assert_matches_dense(self, task, n, m, tau2, seed):
-        """Both likelihoods against the dense fits, at criterion 6's tolerance (TOL_FITC_EXACT)."""
-        spec = KernelSpec(Linear(), task)
+    def assert_matches_dense(self, task, n, m, tau2, seed, dense_task=None):
+        """Both likelihoods against the dense fits, at criterion 6's tolerance (TOL_FITC_EXACT).
+
+        The fits take the tree route exactly when ``task`` has a precision.
+        The dense fits use ``dense_task``'s Gram when given (the same kernel).
+        """
+        spec, dense_spec = KernelSpec(Linear(), task), KernelSpec(Linear(), dense_task or task)
         data, X_star, T_star = self._case(task, n, m, seed)
-        tree, dense = fit_regressor(data, spec, tau2), dense_fit(data, spec, tau2)
-        assert isinstance(tree.basis, TreeBasis)
+        tree_route = task.precision is not None
+        tree, dense = fit_regressor(data, spec, tau2), dense_fit(data, dense_spec, tau2)
+        assert isinstance(tree.basis, TreeBasis) == tree_route
         assert abs(tree.log_marginal_likelihood() - dense.log_marginal_likelihood()) < 1e-6
         for got, want in zip(tree.predict_batch(X_star, T_star), dense.predict_batch(X_star, T_star)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
         labels = Dataset(X=data.X, T=data.T, y=(data.y > 0).astype(float))
         clf = fit_classifier(labels, spec, tau2)
-        assert isinstance(clf.basis, TreeBasis)
-        K = product_kernel_matrix(data.X, data.T, data.X, data.T, spec)
+        assert isinstance(clf.basis, TreeBasis) == tree_route
+        K = product_kernel_matrix(data.X, data.T, data.X, data.T, dense_spec)
         want = laplace_mode(add_diagonal(K, tau2), labels.y)
         np.testing.assert_allclose(clf.mode, want.mode, rtol=0, atol=1e-6)
         assert abs(clf.log_marginal_likelihood() - want.log_marginal_likelihood()) < 1e-6
-        Ks = product_kernel_matrix(data.X, data.T, X_star, T_star, spec)
+        Ks = product_kernel_matrix(data.X, data.T, X_star, T_star, dense_spec)
         U = solve_lower(want.B_chol, np.sqrt(want.W)[:, None] * Ks)
-        var = product_kernel_diag(X_star, T_star, spec) + tau2 - np.einsum("ij,ij->j", U, U)
+        var = product_kernel_diag(X_star, T_star, dense_spec) + tau2 - np.einsum("ij,ij->j", U, U)
         proba = logistic_gaussian_integral(Ks.T @ want.dual, var)
         np.testing.assert_allclose(clf.predict_proba_batch(X_star, T_star), proba, rtol=0, atol=1e-6)
         return tree, data, X_star, T_star
@@ -495,6 +500,23 @@ class TestTreePrecisionRoute:
         tree = random_tree(k, np.random.default_rng(seed), sigma_low=0.3, sigma_high=2.0)
         self.assert_matches_dense(Laplacian.from_tree(tree), n, m, tau2, seed)
 
+    @settings(max_examples=15)
+    @given(k=st.integers(1, 12), n=st.integers(1, 25), m=st.integers(1, 3),
+           tau2=st.sampled_from([0.01, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_sharp_trees_and_their_laplacians_match_dense(self, k, n, m, tau2, seed):
+        # sigma log-uniform on [1e-8, 1]: a node of sigma 1e-8 under one of 1
+        # nearly pools them; nodes labelled out of tree order
+        rng = np.random.default_rng(seed)
+        order = [1, *(int(v) for v in rng.permutation(np.arange(2, k + 1)))]
+        parent = {order[i]: order[int(rng.integers(0, i))] for i in range(1, k)}
+        tree = TaskTree(parent=parent, sigma=tuple(10.0 ** rng.uniform(-8.0, 0.0, size=k)))
+        lap = Laplacian.from_tree(tree)
+        assert Tree(tree).precision is not None and lap.precision is not None  # the tree route
+        self.assert_matches_dense(Tree(tree), n, m, tau2, seed)
+        # the Laplacian's own Gram, a pseudoinverse, drops eigenvalues below 1e-12
+        # of the largest; the dense fits take the tree's closed-form Gram instead
+        self.assert_matches_dense(lap, n, m, tau2, seed, dense_task=Tree(tree))
+
     @pytest.mark.parametrize(
         "tree",
         [
@@ -523,11 +545,15 @@ class TestTreePrecisionRoute:
         [
             Laplacian(_WS_LAPLACIAN.M, np.zeros((5, 5))),  # singular: R = 0
             Laplacian(np.ones((3, 3)) - np.eye(3), np.eye(3)),  # a cycle
-            Tree(TaskTree(parent={2: 1, 3: 1}, sigma=(1.0, 1e-8, 1e-8))),  # pivots cancel
+            # forests whose D + R - M breaks the structural rule, the first two definite
+            Laplacian(np.array([[0.0, -1.0], [-1.0, 0.0]]), np.diag([3.0, 3.0])),
+            Laplacian(np.array([[0.0, 4.0], [4.0, 0.0]]), np.diag([1.0, -0.5])),
+            Laplacian(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), np.diag([1.0, 0.0, 0.0])),
             FixedGram(Tree(_WS_TREE).gram),
             Constant(1.0),
         ],
-        ids=["singular-laplacian", "cyclic-laplacian", "hard-sharing-tree", "fixed-gram", "constant"],
+        ids=["singular-laplacian", "cyclic-laplacian", "negative-edge", "negative-regularizer",
+             "unregularized-component", "fixed-gram", "constant"],
     )
     def test_other_held_grams_take_weight_space(self, task):
         assert task.precision is None
@@ -536,6 +562,13 @@ class TestTreePrecisionRoute:
         T = rng.uniform(0, 1, (n, 1)) if isinstance(task, Constant) else rng.integers(1, task.k + 1, n)
         data = Dataset(X=rng.standard_normal((n, 2)), T=T, y=rng.standard_normal(n))
         assert isinstance(fit_regressor(data, KernelSpec(Linear(), task), 0.1).basis, WeightSpaceBasis)
+        self.assert_matches_dense(task, 25, 2, 0.1, seed=55)
+
+    def test_hard_sharing_tree_takes_the_tree_route(self):
+        # children of sigma 1e-8 under a root of 1: their pivots no longer cancel the root's
+        task = Tree(TaskTree(parent={2: 1, 3: 1}, sigma=(1.0, 1e-8, 1e-8)))
+        assert task.precision is not None
+        self.assert_matches_dense(task, 40, 2, 0.1, seed=52)
 
     def test_matern_instance_kernel_stays_dense(self):
         rng = np.random.default_rng(53)

@@ -285,12 +285,14 @@ class TestDiscreteGramAtConstruction:
 
 
 def dense_precision(forest):
-    """The k x k ``Q`` a TaskForest holds: its diagonal and each node's edge to its parent."""
-    k = forest.k
-    Q = np.diag(forest.diag)
+    """The k x k ``Q`` a TaskForest holds: its regularizer and a Laplacian term for each edge."""
+    Q = np.diag(forest.reg)
     for nodes, parents in forest.levels:
-        child = parents < k
-        Q[nodes[child], parents[child]] = Q[parents[child], nodes[child]] = forest.edge[nodes[child]]
+        child = parents < forest.k
+        t, p, w = nodes[child], parents[child], forest.weight[nodes[child]]
+        np.add.at(Q, (t, t), w)
+        np.add.at(Q, (p, p), w)
+        Q[t, p] = Q[p, t] = -w
     return Q
 
 
@@ -298,13 +300,20 @@ class TestTaskForest:
     @given(labelled_trees())
     def test_tree_and_its_laplacian_hold_the_tree_laplacian(self, tree):
         L = tree_laplacian(tree)
-        task = Tree(tree=tree)
-        for kernel in (task, Laplacian.from_tree(tree)):
+        task, lap = Tree(tree=tree), Laplacian.from_tree(tree)
+        for kernel in (task, lap):
             forest = kernel.precision
             np.testing.assert_allclose(dense_precision(forest), L, rtol=1e-14, atol=0)
-            assert forest.logdet == pytest.approx(np.linalg.slogdet(L)[1], rel=1e-12, abs=1e-12)
+            # |L| is the product of the nodes' 1/sigma^2 (slogdet of L itself is off by 1e-12)
+            assert forest.logdet == pytest.approx(-2 * math.fsum(map(math.log, tree.sigma)),
+                                                  rel=1e-12, abs=1e-12)
             assert len(forest.levels[-1][0]) == 1  # one root, eliminated last
-        assert "gram" not in vars(task)  # the tree's precision needs no Gram
+        rng = np.random.default_rng(tree.k)
+        data = Dataset(X=rng.standard_normal((10, 2)), T=rng.integers(1, tree.k + 1, size=10),
+                       y=rng.standard_normal(10))
+        fit_regressor(data, KernelSpec(Linear(), lap), 0.1)
+        # neither precision needs its Gram, nor does a fit on it
+        assert "gram" not in vars(task) and "gram" not in vars(lap)
 
     def test_kernels_without_a_usable_forest(self):
         tree = TaskTree(parent={2: 1, 3: 2}, sigma=(1.0, 2.0, 0.5))
@@ -313,8 +322,11 @@ class TestTaskForest:
         cycle = np.ones((3, 3)) - np.eye(3)
         assert Laplacian(cycle, np.eye(3)).precision is None
         assert FixedGram(np.eye(2)).precision is None and Constant().precision is None
-        # the pivot of node 1 cancels to rounding noise below its children's 1e16
-        assert Tree(TaskTree(parent={2: 1, 3: 1}, sigma=(1.0, 1e-8, 1e-8))).precision is None
+        # a tree always has one: under children of precision 1e16 the root's
+        # pivot is its regularizer, as the leaves' excess is 0
+        forest = Tree(TaskTree(parent={2: 1, 3: 1}, sigma=(1.0, 1e-8, 1e-8))).precision
+        assert forest.pivot[0] == 1.0  # 1/sigma^2 of the children rounds to 1e16 - 2
+        assert forest.logdet == pytest.approx(math.log(1e32), rel=1e-15, abs=0)
 
 
 class TestLaplacianKernel:

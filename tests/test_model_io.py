@@ -8,7 +8,7 @@ from vcgp.gp_classify import FittedClassifier, fit_classifier
 from vcgp.gp_core import Dataset, DenseBasis, LowRankBasis, TreeBasis, _latent_predictive
 from vcgp.gp_core import fit_regressor
 from vcgp.kernels import FixedGram, KernelSpec, Linear, Matern, TaskTree, Tree
-from vcgp.kernels import product_kernel_matrix
+from vcgp.kernels import _tree_laplacian_parts, product_kernel_matrix
 from vcgp.model_io import load_model, save_model
 from vcgp.multitask_hb import random_tree
 from vcgp.sparse_fitc import fit_fitc, fit_fitc_classifier, select_inducing
@@ -589,6 +589,26 @@ class TestErrors:
         magic, header, arrays = read_model_file(path)
         header["spec"]["task_kernel"] = {"type": "fixed_gram", "gram": np.eye(7).tolist()}
         write_model_file(path, magic, header, arrays)
+        with pytest.raises(ValueError, match="tree-precision model needs a linear instance kernel"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [None, "negative-edge", "negative-regularizer"])
+    def test_tree_precision_file_needs_a_laplacian_of_definite_structure(self, tmp_path, edit):
+        path = tmp_path / "tree.bin"
+        model = fitted_model("tree-precision", "regressor")
+        save_model(model, path)
+        magic, header, arrays = read_model_file(path)
+        M, R = _tree_laplacian_parts(model.spec.task_kernel.tree)
+        if edit == "negative-edge":
+            M[1, M[1] > 0] *= -1.0  # node 2's edges, both ways
+            M[:, 1] = M[1]
+        elif edit == "negative-regularizer":
+            R[1, 1] = -1e-3
+        header["spec"]["task_kernel"] = {"type": "laplacian", "M": M.tolist(), "R": R.tolist()}
+        write_model_file(path, magic, header, arrays)
+        if edit is None:  # the same kernel as the tree's
+            assert isinstance(load_model(path).basis, TreeBasis)
+            return
         with pytest.raises(ValueError, match="tree-precision model needs a linear instance kernel"):
             load_model(path)
 
