@@ -51,7 +51,6 @@ from .kernels import (
     Laplacian,
     Linear,
     Matern,
-    TaskPoint,
     TaskTree,
     Tree,
     kernel_from_dict,
@@ -67,7 +66,6 @@ from .kernels import (
 from .model_io import load_model, save_model
 from .multitask_hb import (
     CheckReport,
-    HBSample,
     end_to_end_equivalence,
     random_tree,
     sample_hb,

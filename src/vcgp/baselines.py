@@ -172,10 +172,8 @@ def primal_oracle_predict(
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
     if x_star.shape[0] != m:
         raise ValueError(f"x_star must have {m} features")
-    if data.has_discrete_tasks:
-        T_all = np.concatenate([data.T, as_task_array(t_star, discrete=True)])
-    else:
-        T_all = np.vstack([data.T, as_task_array(t_star, discrete=False)])
+    t_star = np.asarray(t_star).reshape(-1 if data.has_discrete_tasks else (1, -1))
+    T_all = np.concatenate([data.T, as_task_array(t_star, discrete=data.has_discrete_tasks)])
 
     KT = kernels.task_gram(spec.task_kernel, T_all, T_all)
     Sigma_w = np.kron(KT, np.eye(m))

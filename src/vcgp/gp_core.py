@@ -40,7 +40,7 @@ import scipy.sparse
 from . import kernels
 from ._linalg import NumericalError, add_diagonal, chol_with_jitter, solve_chol, solve_lower
 from ._linalg import solve_upper
-from .kernels import Constant, KernelSpec, Linear, Matern, TaskForest, TaskPoint, as_task_array
+from .kernels import Constant, KernelSpec, Linear, Matern, TaskForest, as_task_array
 from .kernels import matern_gram_grads
 
 __all__ = [
@@ -155,10 +155,10 @@ def _freeze_rows(obj, **more: np.ndarray) -> None:
 def _batch_of_one(model, x_star, t_star):
     """One test point as the batch ``(X_star, T_star)`` that :func:`_latent_predictive` checks.
 
-    ``t_star`` is a :class:`TaskPoint`, one task id, or one coordinate row.
+    ``t_star`` is one task id or one coordinate row; the training tasks'
+    variant decides which.
     """
-    if not isinstance(t_star, TaskPoint):
-        t_star = np.asarray(t_star).reshape(-1 if model.data.has_discrete_tasks else (1, -1))
+    t_star = np.asarray(t_star).reshape(-1 if model.data.has_discrete_tasks else (1, -1))
     return np.asarray(x_star).reshape(1, -1), t_star
 
 

@@ -37,7 +37,6 @@ from scipy.spatial.distance import cdist
 
 __all__ = [
     "TaskForest",
-    "TaskPoint",
     "TaskTree",
     "Linear",
     "Matern",
@@ -66,60 +65,16 @@ _SQRT5 = math.sqrt(5.0)
 _MATERN_NUS = (0.5, 1.5, 2.5)
 
 
-# ---------------------------------------------------------------------------
-# task descriptors
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TaskPoint:
-    """A single task descriptor: continuous coordinates or a discrete id.
-
-    Exactly one of ``coords`` and ``task_id`` must be given.  Discrete ids
-    are 1-based, matching the node numbering of :class:`TaskTree`.
-    """
-
-    coords: tuple[float, ...] | None = None
-    task_id: int | None = None
-
-    def __post_init__(self):
-        if (self.coords is None) == (self.task_id is None):
-            raise ValueError("TaskPoint takes exactly one of coords or task_id")
-        if self.coords is not None:
-            c = tuple(float(v) for v in np.atleast_1d(self.coords))
-            if not all(math.isfinite(v) for v in c):
-                raise ValueError("TaskPoint coords must be finite")
-            object.__setattr__(self, "coords", c)
-        else:
-            t = int(self.task_id)
-            if t < 1:
-                raise ValueError("task_id must be >= 1")
-            object.__setattr__(self, "task_id", t)
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.task_id is not None
-
-
 def as_task_array(t, *, discrete: bool | None = None) -> np.ndarray:
     """Normalize task descriptors to the internal array form.
 
-    Continuous tasks become a float array of shape ``(n, d)``; discrete tasks
-    an int array of shape ``(n,)`` with 1-based ids.  Accepts arrays, single
-    :class:`TaskPoint` objects, or sequences of them.  ``discrete`` picks the
-    variant, inferred when None; task points of the other variant, and
-    discrete ids that are not integral numbers, raise ``ValueError``.
+    Continuous tasks become a float array of shape ``(n, d)`` from one of
+    shape ``(n, d)`` or ``(n,)``; discrete tasks an int array of shape
+    ``(n,)`` with 1-based ids.  ``discrete`` picks the variant, inferred
+    when None (a 1-d integer array is ids).  Discrete ids that are not
+    integral numbers or are below 1, and coordinates that are not finite,
+    raise ``ValueError``.
     """
-    if isinstance(t, TaskPoint):
-        t = [t]
-    if isinstance(t, (list, tuple)) and t and isinstance(t[0], TaskPoint):
-        if discrete is None:
-            discrete = t[0].is_discrete
-        if any(p.is_discrete != discrete for p in t):
-            raise ValueError(f"task points must all be {'task ids' if discrete else 'coordinates'}")
-        if discrete:
-            return np.array([p.task_id for p in t], dtype=int)
-        return np.array([p.coords for p in t], dtype=float)
     arr = np.asarray(t)
     if discrete is None:
         discrete = arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer)
@@ -149,8 +104,13 @@ class TaskTree:
 
     ``parent`` maps each non-root node l in {2..k} to its parent; node 1 is
     always the root.  ``sigma[l-1]`` is the standard deviation of node l's
-    conditional (the root's marginal for l=1).
+    conditional (the root's marginal for l=1).  Every sigma lies in
+    ``SIGMA_RANGE`` = [1e-75, 1e50], where the tree's Gram, its precision
+    and the tree route's products of them (up to 1/sigma^4 and sigma^6) stay
+    finite and positive.
     """
+
+    SIGMA_RANGE = (1e-75, 1e50)
 
     parent: Mapping[int, int]
     sigma: tuple[float, ...]
@@ -161,8 +121,10 @@ class TaskTree:
         k = len(sigma)
         if k < 1:
             raise ValueError("tree needs at least one node")
-        if any(not (s > 0.0) or not math.isfinite(s) for s in sigma):
-            raise ValueError("all sigma values must be positive and finite")
+        low, high = self.SIGMA_RANGE
+        for node, s in enumerate(sigma, start=1):
+            if not low <= s <= high:
+                raise ValueError(f"sigma of node {node} is {s:g}; it must lie in [{low:g}, {high:g}]")
         parent = {int(c): int(p) for c, p in dict(self.parent).items()}
         object.__setattr__(self, "parent", parent)
         if set(parent) != set(range(2, k + 1)):
@@ -245,6 +207,11 @@ class Matern:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _lower_mirrored(A: np.ndarray) -> np.ndarray:
+    """A read-only copy of A's lower triangle, mirrored: one matrix whichever triangle a route reads."""
+    return _freeze(np.where(np.tri(A.shape[0], dtype=bool), A, A.T))
 
 
 class _HeldGram:
@@ -401,7 +368,8 @@ class Laplacian(_HeldGram):
     """Task kernel given by the pseudoinverse of a regularized graph Laplacian.
 
     ``M`` is a symmetric weighted adjacency matrix over tasks and ``R`` a
-    diagonal regularizer; the Gram matrix is ``pinv(D + R - M)`` with ``D``
+    diagonal regularizer, held as M's lower triangle mirrored and R's
+    diagonal; the Gram matrix is ``pinv(D + R - M)`` with ``D``
     the weighted degree matrix, computed on first use and held read-only in
     ``gram``.  :meth:`from_tree` builds the (M, R) pair whose kernel equals
     the tree-structured task covariance.  When M's edges form a forest with
@@ -423,8 +391,8 @@ class Laplacian(_HeldGram):
             raise ValueError("M must be symmetric")
         if R.shape != M.shape or not np.allclose(R, np.diag(np.diag(R))):
             raise ValueError("R must be diagonal and match M's shape")
-        object.__setattr__(self, "M", _freeze(M.copy()))
-        object.__setattr__(self, "R", _freeze(R.copy()))
+        object.__setattr__(self, "M", _lower_mirrored(M))
+        object.__setattr__(self, "R", _freeze(np.diag(np.diag(R))))
 
     @classmethod
     def from_tree(cls, tree: TaskTree) -> "Laplacian":
@@ -448,7 +416,11 @@ class Laplacian(_HeldGram):
 
 @dataclass(frozen=True)
 class FixedGram(_HeldGram):
-    """Task kernel over discrete tasks given by an explicit PSD Gram matrix."""
+    """Task kernel over discrete tasks given by an explicit PSD Gram matrix.
+
+    The Gram is held as its lower triangle mirrored, so every route reads
+    one symmetric matrix.
+    """
 
     gram: np.ndarray
 
@@ -460,7 +432,7 @@ class FixedGram(_HeldGram):
             raise ValueError("gram must be finite")
         if not np.allclose(G, G.T):
             raise ValueError("gram must be symmetric")
-        object.__setattr__(self, "gram", _freeze(G.copy()))
+        object.__setattr__(self, "gram", _lower_mirrored(G))
 
 
 @dataclass(frozen=True)

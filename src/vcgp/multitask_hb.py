@@ -2,7 +2,9 @@
 
 The generative process draws one coefficient vector per tree node: the root
 from ``N(0, sigma_1^2 I)`` and each child from a Gaussian centered at its
-parent.  The closed-form task covariance of that process is
+parent.  A draw is a plain k x m array, row l - 1 holding node l's
+coefficients (:func:`sample_hb`; a stack of n draws from
+:func:`sample_hb_batch`).  The closed-form task covariance of that process is
 :func:`vcgp.kernels.tree_task_kernel`; the operations here verify, by Monte
 Carlo and by explicit weight-space inference, that the closed form, the
 graph-Laplacian construction, and product-kernel GP prediction all agree.
@@ -19,7 +21,6 @@ from .gp_core import Dataset, fit_regressor
 from .kernels import KernelSpec, Linear, TaskTree, Tree, tree_laplacian, tree_task_kernel
 
 __all__ = [
-    "HBSample",
     "CheckReport",
     "sample_hb",
     "sample_hb_batch",
@@ -28,21 +29,6 @@ __all__ = [
     "end_to_end_equivalence",
     "random_tree",
 ]
-
-
-@dataclass(frozen=True)
-class HBSample:
-    """One draw of the per-task coefficient matrix (k tasks by m features)."""
-
-    Wbar: np.ndarray
-
-    def __post_init__(self):
-        W = np.asarray(self.Wbar, dtype=float)
-        if W.ndim != 2 or not np.all(np.isfinite(W)):
-            raise ValueError("Wbar must be a finite k x m matrix")
-        W = W.copy()
-        W.setflags(write=False)
-        object.__setattr__(self, "Wbar", W)
 
 
 @dataclass(frozen=True)
@@ -82,11 +68,11 @@ def sample_hb_batch(tree: TaskTree, m: int, n_samples: int, seed) -> np.ndarray:
     return W
 
 
-def sample_hb(tree: TaskTree, m: int, seed) -> HBSample:
-    """One draw of the per-task coefficients; deterministic per seed."""
+def sample_hb(tree: TaskTree, m: int, seed) -> np.ndarray:
+    """One draw of the per-task coefficient matrix, k tasks by m features; deterministic per seed."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return HBSample(Wbar=sample_hb_batch(tree, m, 1, seed)[0])
+    return sample_hb_batch(tree, m, 1, seed)[0]
 
 
 def verify_prop1(

@@ -208,6 +208,17 @@ class TestPrimalOracle:
         with pytest.raises(ValueError):
             primal_oracle_predict(data, spec, 0.1, [1.0], 1)
 
+    def test_one_coordinate_row_is_one_test_task(self):
+        # a row of d = 2 task coordinates, as the model's predict takes it
+        rng = np.random.default_rng(13)
+        data = Dataset(X=rng.standard_normal((8, 2)), T=rng.uniform(0, 1, (8, 2)), y=rng.standard_normal(8))
+        spec = KernelSpec(instance_kernel=Linear(), task_kernel=Matern(nu=1.5, lengthscale=0.5))
+        x, t = rng.standard_normal(2), np.array([0.3, 0.6])
+        got = primal_oracle_predict(data, spec, 0.2, x, t)
+        want = fit_regressor(data, spec, 0.2).predict(x, t)
+        assert got.mean == pytest.approx(want.mean, abs=1e-8)
+        assert got.latent_var == pytest.approx(want.latent_var, abs=1e-8)
+
     def test_batch_equivalence_with_gp(self):
         rng = np.random.default_rng(12)
         for _ in range(10):

@@ -206,6 +206,16 @@ def test_readme_example_config_parses(tmp_path):
     assert config.settings.fanzhang["ridges"] == [1e-6, 1e-3, 1e-1]
 
 
+def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
+    # a stale name in the library quick start fails here
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    monkeypatch.chdir(tmp_path)  # the example writes model.bin
+    exec(re.search(r"```python\n(.*?)```", readme, re.S).group(1), {})
+    # a zero instance vector under a linear kernel: mean 0, variance the noise alone
+    assert capsys.readouterr().out == "0.0 0.1\n"
+    assert (tmp_path / "model.bin").stat().st_size > 0
+
+
 def test_empty_fitc_section_is_fitc_with_the_defaults():
     assert run_settings({"model": {"fitc": {}}}).fitc == (1000, 0)
     assert run_settings({"model": {}}).fitc is None

@@ -111,6 +111,21 @@ class TestFit:
             fit_regressor(data, bad, tau2=1e-8)
 
 
+def test_fixed_gram_symmetric_to_allclose_fits_alike_in_any_row_order():
+    # G[0, 1] off by 0.9 x allclose's rtol: a dense K built from both
+    # triangles is not symmetric, so its factor depends on the row order
+    rng = np.random.default_rng(57)
+    A = rng.standard_normal((4, 4))
+    G = A @ A.T + np.eye(4)
+    G[0, 1] = G[1, 0] * (1 + 0.9e-5)
+    spec = KernelSpec(Matern(nu=1.5, lengthscale=1.0), FixedGram(G))
+    data = Dataset(X=rng.standard_normal((30, 2)), T=rng.integers(1, 5, 30), y=rng.standard_normal(30))
+    order = rng.permutation(30)
+    permuted = Dataset(X=data.X[order], T=data.T[order], y=data.y[order])
+    lml = fit_regressor(data, spec, 0.1).log_marginal_likelihood()
+    assert fit_regressor(permuted, spec, 0.1).log_marginal_likelihood() == pytest.approx(lml, rel=1e-12, abs=0)
+
+
 class TestPredict:
     def test_scalar_example(self):
         model = fit_regressor(scalar_data(), LIN_CONST, tau2=1.0)
@@ -569,6 +584,19 @@ class TestTreePrecisionRoute:
         task = Tree(TaskTree(parent={2: 1, 3: 1}, sigma=(1.0, 1e-8, 1e-8)))
         assert task.precision is not None
         self.assert_matches_dense(task, 40, 2, 0.1, seed=52)
+
+    def test_laplacian_symmetric_to_allclose_reads_one_matrix_on_both_routes(self):
+        # M[0, 1] off by 5e-6 passes the symmetry check; the tree route reads
+        # one triangle and the dense pinv Gram both, unless M is held mirrored
+        lap = Laplacian.from_tree(TaskTree(parent={2: 1, 3: 1, 4: 2, 5: 2}, sigma=(1.0, 0.5, 0.7, 0.3, 0.9)))
+        M = np.array(lap.M)
+        M[0, 1] += 5e-6
+        spec = KernelSpec(Linear(), Laplacian(M, lap.R))
+        rng = np.random.default_rng(56)
+        data = Dataset(X=rng.standard_normal((60, 2)), T=rng.integers(1, 6, 60), y=rng.standard_normal(60))
+        tree, dense = fit_regressor(data, spec, 0.1), dense_fit(data, spec, 0.1)
+        assert isinstance(tree.basis, TreeBasis)
+        assert tree.log_marginal_likelihood() == pytest.approx(dense.log_marginal_likelihood(), rel=1e-10, abs=0)
 
     def test_matern_instance_kernel_stays_dense(self):
         rng = np.random.default_rng(53)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vcgp import kernels
+from vcgp._linalg import NumericalError
 from vcgp.gp_core import Dataset, fit_regressor
 from vcgp.kernels import (
     Constant,
@@ -15,7 +16,6 @@ from vcgp.kernels import (
     Laplacian,
     Linear,
     Matern,
-    TaskPoint,
     TaskTree,
     Tree,
     as_task_array,
@@ -234,12 +234,12 @@ def shared_ancestry_gram(tree: TaskTree) -> np.ndarray:
 
 
 @st.composite
-def labelled_trees(draw, max_k=40):
+def labelled_trees(draw, max_k=40, sigmas=st.floats(0.1, 10.0)):
     """Random trees whose node labels need not follow the tree's order."""
     k = draw(st.integers(1, max_k))
     order = [1] + draw(st.permutations(range(2, k + 1)))
     parent = {order[i]: order[draw(st.integers(0, i - 1))] for i in range(1, k)}
-    sigma = draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k))
+    sigma = draw(st.lists(sigmas, min_size=k, max_size=k))
     return TaskTree(parent=parent, sigma=tuple(sigma))
 
 
@@ -251,6 +251,21 @@ class TestDiscreteGramAtConstruction:
         assert G.tobytes() == tree_task_kernel(tree).tobytes()
         Linv = laplacian_task_kernel(tree)
         assert np.max(np.abs(Linv - G)) / np.max(np.abs(G)) < 1e-8
+
+    def test_matrices_are_held_as_their_lower_triangle_mirrored(self):
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((5, 5))
+        G = A @ A.T
+        G = (G + G.T) / 2  # exactly symmetric: held bit for bit
+        assert FixedGram(G).gram.tobytes() == G.tobytes()
+        lap = Laplacian.from_tree(random_tree(5, rng))
+        assert Laplacian(lap.M, lap.R).M.tobytes() == lap.M.tobytes()
+        off = G.copy()
+        off[1, 3] *= 1 + 1e-9  # symmetric to allclose
+        R = np.diag(np.diag(lap.R)) + 1e-12 * np.ones((5, 5))  # diagonal to allclose
+        for held in (FixedGram(off).gram, Laplacian(off, R).M):
+            assert (held == held.T).all() and (np.tril(held) == np.tril(off)).all()
+        assert (Laplacian(off, R).R == np.diag(np.diag(R))).all()
 
     def test_gram_read_only_and_outside_repr_and_equality(self):
         tree = TaskTree(parent={2: 1, 3: 1}, sigma=(1.0, 0.5, 2.0))
@@ -327,6 +342,55 @@ class TestTaskForest:
         forest = Tree(TaskTree(parent={2: 1, 3: 1}, sigma=(1.0, 1e-8, 1e-8))).precision
         assert forest.pivot[0] == 1.0  # 1/sigma^2 of the children rounds to 1e16 - 2
         assert forest.logdet == pytest.approx(math.log(1e32), rel=1e-15, abs=0)
+
+
+def log_uniform(low, high):
+    """Floats in [low, high], uniform in their logarithm."""
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: min(max(10.0**e, low), high))
+
+
+def assert_linear_tree_fit_is_finite(tree, seed):
+    """The tree has a precision, and a Linear x Tree regression on a few random points finite numbers."""
+    assert Tree(tree).precision is not None
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 60)), int(rng.integers(1, 4))
+    data = Dataset(X=rng.standard_normal((n, m)), T=rng.integers(1, tree.k + 1, size=n),
+                   y=rng.standard_normal(n))
+    model = fit_regressor(data, KernelSpec(Linear(), Tree(tree)), 0.1)
+    mean, var = model.predict_batch(data.X, data.T)
+    assert np.isfinite(model.log_marginal_likelihood())
+    assert np.isfinite(mean).all() and np.isfinite(var).all()
+
+
+class TestTreeSigmaRange:
+    LOW, HIGH = TaskTree.SIGMA_RANGE
+
+    @pytest.mark.parametrize("sigma, node", [((1e160, 1.0), 1), ((1e-160, 1.0), 1), ((1.0, 1e-160), 2)])
+    def test_sigma_outside_the_range_is_rejected_naming_its_node(self, sigma, node):
+        # 1e160 squared overflows and 1e-160's reciprocal square does: the
+        # tree's Gram or its precision would not hold the tree
+        with pytest.raises(ValueError, match=rf"sigma of node {node} is .*; it must lie in \[1e-75, 1e\+50\]"):
+            TaskTree(parent={2: 1}, sigma=sigma)
+
+    def test_the_range_ends_are_accepted(self):
+        for sigma in ((self.LOW, self.HIGH), (self.HIGH, self.LOW)):
+            assert Tree(TaskTree(parent={2: 1}, sigma=sigma)).precision is not None
+
+    @given(labelled_trees(sigmas=log_uniform(TaskTree.SIGMA_RANGE[0], 1e6)), st.integers(0, 2**32 - 1))
+    def test_linear_tree_fits_are_finite(self, tree, seed):
+        # from the lower end up to 1e6: above it, a task with fewer points than
+        # features leaves a posterior precision block of condition about
+        # sigma^2 |x|^2 / tau2 that no longer factors in double precision
+        assert_linear_tree_fit_is_finite(tree, seed)
+
+    @given(labelled_trees(sigmas=log_uniform(*TaskTree.SIGMA_RANGE)), st.integers(0, 2**32 - 1))
+    def test_linear_tree_fits_are_finite_or_fail_loudly(self, tree, seed):
+        # over the whole range a fit either holds finite numbers or raises;
+        # an overflow (a RuntimeWarning, an error under this suite) fails the test
+        try:
+            assert_linear_tree_fit_is_finite(tree, seed)
+        except NumericalError:
+            pass
 
 
 class TestLaplacianKernel:
@@ -482,39 +546,6 @@ class TestTaskKernelTable:
     def test_an_instance_kernel_is_not_a_task_kernel(self):
         with pytest.raises(TypeError, match="not a task kernel"):
             task_gram(Linear(), np.zeros((2, 1)), np.zeros((2, 1)))
-
-
-class TestTaskPoint:
-    def test_exactly_one_variant(self):
-        with pytest.raises(ValueError):
-            TaskPoint()
-        with pytest.raises(ValueError):
-            TaskPoint(coords=(1.0,), task_id=1)
-
-    def test_coords_finite(self):
-        with pytest.raises(ValueError):
-            TaskPoint(coords=(np.inf,))
-
-    def test_id_positive(self):
-        with pytest.raises(ValueError):
-            TaskPoint(task_id=0)
-        assert TaskPoint(task_id=3).is_discrete
-
-    def test_variant_must_match_the_discrete_flag(self):
-        ids, coords = [TaskPoint(task_id=2)], [TaskPoint(coords=(2.0,))]
-        assert as_task_array(ids, discrete=True).tolist() == [2]
-        assert as_task_array(coords, discrete=False).tolist() == [[2.0]]
-        with pytest.raises(ValueError, match="task points must all be coordinates"):
-            as_task_array(ids, discrete=False)
-        with pytest.raises(ValueError, match="task points must all be task ids"):
-            as_task_array(coords, discrete=True)
-        with pytest.raises(ValueError, match="task points must all be task ids"):
-            as_task_array(ids + coords)
-
-    def test_gram_from_task_points(self):
-        pts = [TaskPoint(coords=(0.0,)), TaskPoint(coords=(1.0,))]
-        K = task_gram(Matern(nu=0.5, lengthscale=1.0), pts, pts)
-        assert K[0, 1] == pytest.approx(math.exp(-1.0))
 
 
 class TestSpecSerialization:

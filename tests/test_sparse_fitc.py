@@ -30,7 +30,6 @@ from vcgp.kernels import (
     KernelSpec,
     Linear,
     Matern,
-    TaskPoint,
     Tree,
     product_kernel_diag,
     product_kernel_matrix,
@@ -369,12 +368,13 @@ class TestOneModelClassPerLikelihood:
         )
         x = model.data.X[0]
         discrete = model.data.has_discrete_tasks
-        other = TaskPoint(coords=(1.0,)) if discrete else TaskPoint(task_id=1)
-        message = "task points must all be " + ("task ids" if discrete else "coordinates")
+        # a non-integral id for discrete training tasks, a non-finite coordinate for continuous ones
+        bad, message = (1.5, "discrete task ids must be integers, got 1.5") if discrete else (
+            np.inf, "task coordinates must be finite")
         with pytest.raises(ValueError, match=message):
-            single(x, other)
+            single(x, bad)
         with pytest.raises(ValueError, match=message):
-            batch(x[None], [other])
+            batch(x[None], np.array([bad]) if discrete else np.array([[bad]]))
         if not discrete:  # one task coordinate too many
             with pytest.raises(ValueError, match="test tasks have 2 coordinates, training tasks have 1"):
                 single(x, np.zeros(2))
