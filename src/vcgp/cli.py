@@ -186,17 +186,25 @@ def cmd_verify(args) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_NUMERICAL
 
 
+def _cell(path: str, line: int, row: dict, name: str, kind=float):
+    """``kind(row[name])``; else ``UsageError`` naming the file, the line and the column."""
+    try:
+        if row[name] is None:  # a short row
+            raise ValueError
+        return kind(row[name])
+    except ValueError:
+        what = {str: "a value", int: "an integer"}.get(kind, "a number")
+        raise UsageError(f"{path} line {line}: column {name!r} expected {what}, "
+                         f"got {row[name] or ''!r}") from None
+
+
 def _read_column(path: str, *names: str) -> dict[str, np.ndarray]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         cols = {name: [] for name in names if name in (reader.fieldnames or [])}
         for row in reader:
             for name in cols:
-                try:
-                    cols[name].append(float(row[name]))
-                except (TypeError, ValueError):  # TypeError: a short row's None
-                    raise UsageError(f"{path} line {reader.line_num}: column {name!r} expected "
-                                     f"a number, got {row[name] or ''!r}") from None
+                cols[name].append(_cell(path, reader.line_num, row, name))
     return {name: np.asarray(vals) for name, vals in cols.items()}
 
 
@@ -235,9 +243,19 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+# the results-CSV columns that summarize reads, and their types
+_SUMMARIZED = {"method": str, "n": int, "metric": str, "value": float}
+
+
 def cmd_summarize(args) -> int:
-    with open(args.results, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    path = args.results
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for name in _SUMMARIZED:
+            if name not in (reader.fieldnames or []):
+                raise UsageError(f"{path} has no {name!r} column")
+        rows = [{name: _cell(path, reader.line_num, row, name, kind) for name, kind in _SUMMARIZED.items()}
+                for row in reader]
     summary = summarize_rows(rows)
     writer_target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:

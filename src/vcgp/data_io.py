@@ -371,8 +371,12 @@ def synth_vcm(
     draw with the task kernel as covariance (over the k tasks for discrete
     kernels); instances are standard normal; labels are the linear
     observation model with noise variance ``tau2`` (0 for none; a negative
-    or non-finite one raises ``ValueError``).  Deterministic per seed.
+    or non-finite one raises ``ValueError``, as does an ``n``, ``m`` or
+    ``d`` below 1).  Deterministic per seed.
     """
+    for name, size in (("n", n), ("m", m), ("d", d)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size!r}")
     if not 0 <= tau2 < np.inf:
         raise ValueError(f"tau2 must be a finite number of at least 0, got {tau2!r}")
     rng = np.random.default_rng(seed)

@@ -92,7 +92,8 @@ def laplace_mode(
 
     ``A`` is a dense matrix or a covariance of :mod:`gp_core`; the iteration
     only multiplies by it and asks it for the Newton target
-    ``(I + W A)^{-1} b``, which each covariance forms from its own factor,
+    ``(I + W A)^{-1} b``, which each covariance forms from its own factor
+    (the weight-space, FITC and tree routes in one shared Woodbury step),
     and for the converged step's model factor and log-determinant.
     Works in the dual parameterization ``z = A a`` so the quadratic term is
     available without solves.  Each step is halved (up to 20 times) until

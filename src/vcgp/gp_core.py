@@ -3,15 +3,16 @@
 Every fit is a covariance builder followed by a likelihood finisher.  The
 exact builder, :func:`_exact_covariance`, gives ``K + tau2 I`` over the
 training data as a :class:`DenseCovariance`; but a linear instance kernel
-times a task Gram ``G`` is Bayesian inference on stacked per-task
-coefficients (the paper's Theorem 1).  With a tree or forest precision
-``Q = G^{-1}`` (the paper's Prop. 2) it gives :class:`TreePrecision`, which
-eliminates the coefficients' block-tree posterior precision leaves first;
-with a factor ``G = C C^T``, ``K = V^T V``, and when the features ``V``
-are fewer than half the points it gives the weight-space
-:class:`LowRankDiag`, the shape of FITC's surrogate too.  Every covariance
-offers products, a Gaussian fit and the Laplace Newton step, so one
-finisher per likelihood serves every route: :func:`_fit_gaussian` here and
+times a task Gram ``G`` is Bayesian linear regression on stacked per-task
+coefficients (the paper's Theorem 1), a :class:`_Woodbury` solve.  With a
+tree or forest precision ``Q = G^{-1}`` (the paper's Prop. 2) their prior
+is the sparse ``Q kron I`` of :class:`TreePrecision`, which eliminates the
+block-tree posterior precision leaves first; with a factor ``G = C C^T``,
+``K = V^T V``, and when the features ``V`` are fewer than half the points
+the weight-space :class:`LowRankDiag` puts an identity prior on them, the
+shape of FITC's surrogate too.  Every covariance offers products, a
+Gaussian fit and the Laplace Newton step, so one finisher per likelihood
+serves every route: :func:`_fit_gaussian` here and
 :func:`gp_classify._fit_laplace`.  Every route is one
 :class:`FittedRegressor` whose *basis* carries the posterior to test
 points (the predictive mean and latent variance) and names the arrays a
@@ -283,7 +284,7 @@ class LowRankBasis:
         return Phi.T @ model.weights, var
 
     def half_logdet(self, L, n, lam, W=None) -> float:
-        return _low_rank_half_logdet(lam, L, n) if W is None else _newton_half_logdet(W, lam, L)
+        return _woodbury_half_logdet(lam, np.diag(L), n, W)
 
 
 @dataclass(frozen=True)
@@ -458,24 +459,16 @@ def _exact_covariance(
     - every other spec, a Matern instance kernel among them: the n x n
       :class:`DenseCovariance`, O(n^3) to fit and O(n^2) per prediction.
 
-    A search passes its ``workspace`` (:class:`_Workspace`); the numbers are
-    the same either way.
+    A search passes its ``workspace`` (:class:`_Workspace`), so that its
+    candidates share the tree route's rows and per-node statistics; a tree
+    fit without one makes its own.  The numbers are the same either way.
     """
     if not 0 < tau2 < math.inf:
         raise ValueError("tau2 must be positive and finite")
     task = _linear_task(spec)
-    points = (data.X, data.T)
     if task is not None and task.precision is not None:
-        basis = TreeBasis(task.precision)
-        if workspace is None:
-            return TreePrecision(task.precision, data.X, task.rows(data.T), float(tau2)), basis
-        # the candidates check the training tasks once and share the per-node statistics
-        rows = workspace.held("rows", task, points, lambda: task.rows(data.T))
-
-        def held(role, labels, build):
-            return workspace.held(role, task, (*points, *labels), build)
-
-        return TreePrecision(task.precision, data.X, rows, float(tau2), held), basis
+        workspace = _Workspace(data.n) if workspace is None else workspace
+        return TreePrecision(task, data, float(tau2), workspace), TreeBasis(task.precision)
     C = None if task is None else task.factor
     if C is None or 2 * data.m * C.shape[1] > data.n:
         if workspace is None:
@@ -484,17 +477,8 @@ def _exact_covariance(
             K = workspace.gram("instance", spec.instance_kernel, data)
             K = K * workspace.gram("task", spec.task_kernel, data)
         return DenseCovariance(add_diagonal(K, tau2)), DenseBasis()
-    basis = WeightSpaceBasis(C)
-
-    def features():
-        kernels.check_tasks(task, data.T, data.has_discrete_tasks)  # the features only index
-        return _weight_features(spec, C, *points).T
-
-    if workspace is None:
-        return LowRankDiag(features(), float(tau2)), basis
-    V = workspace.held("V", task, points, features)
-    VVt = workspace.held("VVt", task, points, lambda: V @ V.T)
-    return LowRankDiag(V, float(tau2), VVt), basis
+    kernels.check_tasks(task, data.T, data.has_discrete_tasks)  # the features only index
+    return LowRankDiag(_weight_features(spec, C, data.X, data.T).T, float(tau2)), WeightSpaceBasis(C)
 
 
 def _fit_gaussian(
@@ -547,57 +531,68 @@ class DenseCovariance:
         return L, float(np.sum(np.log(np.diag(L))))
 
 
-def _low_rank_half_logdet(lam, L: np.ndarray, n: int) -> float:
-    """``0.5 log|V^T V + diag(lam)| = 0.5 (sum log lam + log|C|)``, lam counted n times."""
-    return float(0.5 * np.sum(np.log(np.broadcast_to(lam, n))) + np.sum(np.log(np.diag(L))))
+class _Woodbury:
+    """``A = Phi S Phi^T + lam I``: Bayesian linear regression on weights of prior covariance ``S``.
 
-
-def _newton_half_logdet(W: np.ndarray, lam, L: np.ndarray) -> float:
-    """``0.5 log|I + sqrt(W) (V^T V + diag(lam)) sqrt(W)| = 0.5 (sum log(1 + W lam) + log|C|)``."""
-    return float(0.5 * np.sum(np.log1p(W * lam)) + np.sum(np.log(np.diag(L))))
-
-
-class LowRankDiag:
-    """Covariance ``A = V^T V + diag(lam)`` with ``V`` of shape p x n.
-
-    ``lam`` is a length-n vector, or one number for every point.  ``A`` is
-    never formed: products cost O(np), and solves go through the Woodbury
-    identity with the p x p factor of ``C = I_p + V diag(rho) V^T``
-    (:meth:`_woodbury`), O(np^2) to build.  The Gaussian likelihood uses
-    ``rho = 1 / lam`` (:meth:`gaussian_fit`), the Laplace Newton step
-    ``rho = W / (1 + W lam)`` (:meth:`newton_factor`).  ``C`` is at least
-    ``I`` in exact arithmetic, so its factor needs no jitter.  ``VVt`` is ``V V^T`` or None.
+    A subclass supplies ``lam`` (one number, or a length-n vector), the
+    latent mean weights ``weights(dual) = S Phi^T dual``, ``_phi(w) = Phi w``
+    and ``_woodbury(rho, context) -> (factor, solve)``: the factor of
+    ``P = S^{-1} + Phi^T diag(rho) Phi`` and ``solve(u) = (u - rho Phi t, t)``,
+    ``t = P^{-1} Phi^T u``, which by Woodbury is ``M^{-1} (u / rho)`` and
+    its weights for ``M = diag(1 / rho) + Phi S Phi^T``.  ``A`` is never formed.
     """
 
-    def __init__(self, V: np.ndarray, lam, VVt: np.ndarray | None = None):
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self._phi(self.weights(x)) + self.lam * x
+
+    def newton_factor(self, W: np.ndarray, context: str):
+        """``(factor, b -> (I + W A)^{-1} b)`` with ``rho = W / (1 + W lam)``.
+
+        ``I + W A = D + W Phi S Phi^T`` with ``D = 1 + W lam``, so the Newton
+        target is ``u - rho Phi P^{-1} Phi^T u`` with ``u = b / D``; no
+        product with ``A`` is formed, which would cancel catastrophically at
+        large latent scale.
+        """
+        d = 1.0 + W * self.lam
+        factor, solve = self._woodbury(W / d, context)
+        return factor, lambda b: solve(b / d)[0]
+
+
+class LowRankDiag(_Woodbury):
+    """Covariance ``A = V^T V + diag(lam)`` with ``V`` of shape p x n: features of identity prior.
+
+    ``Phi = V^T``: the weight-space route's features ``x kron C[t]`` or
+    FITC's ``Luu^{-1} k_u(x, t)``.  ``lam`` is a length-n vector, or one
+    number for every point.  Products cost O(np), and solves go through
+    the p x p factor of ``C = I_p + V diag(rho) V^T``, O(np^2) to build.
+    The Gaussian likelihood uses ``rho = 1 / lam`` (:meth:`gaussian_fit`),
+    the Laplace Newton step ``rho = W / (1 + W lam)``.  ``C`` is at least
+    ``I`` in exact arithmetic, so its factor needs no jitter.
+    """
+
+    def __init__(self, V: np.ndarray, lam):
         self.V = V
         self.lam = lam
-        self.VVt = VVt
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.V.T @ (self.V @ x) + self.lam * x
-
-    def gaussian_fit(self, y: np.ndarray, context: str):
-        """``(chol(C), alpha, V alpha, 0.5 log|A|, 0.0)``, ``alpha = A^{-1} y``, rho = 1/lam."""
-        L, solve = self._woodbury(1.0 / self.lam, context=f"low-rank system for {context}")
-        alpha, weights = solve(y / self.lam)
-        return L, alpha, weights, _low_rank_half_logdet(self.lam, L, y.shape[0]), 0.0
+    def _phi(self, w: np.ndarray) -> np.ndarray:
+        return self.V.T @ w
 
     def weights(self, dual: np.ndarray) -> np.ndarray:
         """Weights of the features (the columns of ``V``): ``V dual``."""
         return self.V @ dual
 
-    def _woodbury(self, rho, context: str):
-        """``(chol(C), solve)`` with ``solve(u) = (u - rho V^T t, t)``, ``t = C^{-1} V u``.
+    def gaussian_fit(self, y: np.ndarray, context: str):
+        """``(chol(C), alpha, V alpha, 0.5 log|A|, 0.0)``, ``alpha = A^{-1} y``, rho = 1/lam."""
+        L, solve = self._woodbury(1.0 / self.lam, context=f"low-rank system for {context}")
+        alpha, weights = solve(y / self.lam)
+        return L, alpha, weights, _woodbury_half_logdet(self.lam, np.diag(L), y.shape[0]), 0.0
 
-        By Woodbury, ``M^{-1} (u / rho) = u - rho V^T t`` and
-        ``V M^{-1} (u / rho) = t`` for ``M = diag(1 / rho) + V^T V``.
-        """
+    def _woodbury(self, rho, context: str):
         V = self.V
         if np.ndim(rho):
             C = (V * rho) @ V.T
         else:  # one number for all points: scale the p x p product, not V
-            C = V @ V.T if self.VVt is None else self.VVt.copy()
+            C = V @ V.T
             C *= rho
         L, _ = chol_with_jitter(add_diagonal(C, 1.0), context=context, overwrite=True)
 
@@ -607,44 +602,37 @@ class LowRankDiag:
 
         return L, solve
 
-    def newton_factor(self, W: np.ndarray, context: str):
-        """``(chol(C), b -> (I + W A)^{-1} b)`` with ``rho = W / (1 + W lam)``.
-
-        ``I + W A = D + W V^T V`` with ``D = 1 + W lam``, so the Newton target
-        is ``u - rho V^T C^{-1} V u`` with ``u = b / D``; no product with ``A``
-        is formed, which would cancel catastrophically at large latent scale.
-        """
-        d = 1.0 + W * self.lam
-        L, solve = self._woodbury(W / d, context)
-        return L, lambda b: solve(b / d)[0]
-
     def newton_finish(self, W: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, float]:
-        return L, _newton_half_logdet(W, self.lam, L)
+        return L, _woodbury_half_logdet(self.lam, np.diag(L), W.shape[0], W)
 
 
-class TreePrecision:
+class TreePrecision(_Woodbury):
     """Covariance ``A = Phi (Q^{-1} kron I_m) Phi^T + lam I`` of a task forest's precision ``Q``.
 
     Row i of ``Phi`` holds ``x_i`` in the m columns of its task's node
     ``rows[i]``, so ``A`` is the linear-instance product Gram plus noise:
-    the operator of :class:`LowRankDiag`, with the weight prior held by its
-    sparse precision ``Q kron I_m`` (a :class:`kernels.TaskForest`) instead
-    of a factor.  ``A`` is never formed.  Solves go through the Woodbury
-    identity with ``P = Q kron I_m + Phi^T diag(rho) Phi``, whose blocks
-    are ``Q_tt I + X_t^T diag(rho_t) X_t`` on the diagonal and
+    the weights are the nodes' coefficients, whose prior is held by its
+    sparse precision ``Q kron I_m`` (a :class:`kernels.TaskForest`).
+    ``P = Q kron I_m + Phi^T diag(rho) Phi`` has blocks
+    ``Q_tt I + X_t^T diag(rho_t) X_t`` on the diagonal and
     ``Q_{t,parent} I`` off it: :func:`_tree_factor` factors it leaves first
     with no fill or cancellation, one step per tree level, and
     :func:`_tree_model_factor` adds each node's posterior covariance for the
     model's factor ``L``.  ``rho = 1 / lam`` for the Gaussian fit,
     ``W / (1 + W lam)`` for the Laplace Newton step.  The Gaussian fit's
-    per-node statistics, each node's ``X_t^T X_t`` and ``X_t^T y``, come
-    from ``held(role, labels, build)`` when a search holds them
-    (:func:`_exact_covariance`).
+    per-node statistics, each node's ``X_t^T X_t`` and ``X_t^T y``, and
+    ``rows``, the task kernel's Gram rows of the training tasks, are held by
+    ``workspace`` for the task kernel and the data (:func:`_exact_covariance`).
     """
 
-    def __init__(self, forest: TaskForest, X: np.ndarray, rows: np.ndarray, lam: float, held=None):
-        self.forest, self.X, self.rows, self.lam = forest, X, rows, lam
+    def __init__(self, task, data: Dataset, lam: float, workspace: _Workspace):
+        self.forest, self.X, self.lam = task.precision, data.X, lam
+
+        def held(role, labels, build):
+            return workspace.held(role, task, (data.X, data.T, *labels), build)
+
         self._held = held
+        self.rows = held("rows", (), lambda: task.rows(data.T))
 
     @cached_property
     def _E(self):
@@ -658,9 +646,6 @@ class TreePrecision:
         """Each ``x_i x_i^T``, flattened."""
         return (self.X[:, :, None] * self.X[:, None, :]).reshape(self.X.shape[0], -1)
 
-    def _statistic(self, role: str, build, *labels) -> np.ndarray:
-        return build() if self._held is None else self._held(role, labels, build)
-
     def node_outer(self, rho=None) -> np.ndarray:
         """Each node's ``X_t^T diag(rho_t) X_t`` (k + 1 blocks); ``rho`` None for ones."""
         Z = self._outer if rho is None else self._outer * rho[:, None]
@@ -670,51 +655,37 @@ class TreePrecision:
         """``Phi^T v`` as k + 1 node rows of m."""
         return self._E @ (self.X * v[:, None])
 
-    def _phi(self, mu: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.X, mu[self.rows])
+    def _phi(self, w: np.ndarray) -> np.ndarray:
+        """``Phi w`` for node coefficients ``w``: rows of m (k, or k + 1 with the dummy), or flattened."""
+        return np.einsum("ij,ij->i", self.X, w.reshape(-1, self.X.shape[1])[self.rows])
 
-    def _prior_solve(self, b: np.ndarray) -> np.ndarray:
-        """``(Q kron I_m)^{-1} b``: the prior covariance of the node coefficients times b."""
+    def weights(self, dual: np.ndarray) -> np.ndarray:
+        """The nodes' latent mean coefficients ``(Q^{-1} kron I_m) Phi^T dual``, flattened."""
         Binv = np.eye(self.X.shape[1]) / np.append(self.forest.pivot, 1.0)[:, None, None]
-        return _forest_solve(self.forest, Binv, b)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self._phi(self._prior_solve(self.phi_t(x))) + self.lam * x
+        return _forest_solve(self.forest, Binv, self.phi_t(dual))[:-1].ravel()
 
     def gaussian_fit(self, y: np.ndarray, context: str):
         """``(L, alpha, mu, 0.5 log|A|, 0.0)``: ``mu = P^{-1} Phi^T y / lam``, ``alpha = (y - Phi mu) / lam``.
 
         ``mu`` is the nodes' posterior mean, flattened, and ``alpha = A^{-1} y``.
         """
-        XtX = self._statistic("XtX", self.node_outer)
-        Xty = self._statistic("Xty", lambda: self.phi_t(y), y)
+        XtX = self._held("XtX", (), self.node_outer)
+        Xty = self._held("Xty", (y,), lambda: self.phi_t(y))
         U, Binv = _tree_factor(self.forest, XtX / self.lam, f"tree-precision system for {context}")
         mu = _forest_solve(self.forest, Binv, Xty / self.lam)
         alpha = (y - self._phi(mu)) / self.lam
         half_logdet = _tree_half_logdet(self.forest, U[:-1], y.shape[0], self.lam)
         return _tree_model_factor(self.forest, U, Binv), alpha, mu[:-1].ravel(), half_logdet, 0.0
 
-    def weights(self, dual: np.ndarray) -> np.ndarray:
-        """The nodes' latent mean coefficients ``(Q^{-1} kron I_m) Phi^T dual``, flattened."""
-        return self._prior_solve(self.phi_t(dual))[:-1].ravel()
-
-    def newton_factor(self, W: np.ndarray, context: str):
-        """``((U, Binv), b -> (I + W A)^{-1} b)`` with ``rho = W / (1 + W lam)``.
-
-        As for :meth:`LowRankDiag.newton_factor`, the Newton target is
-        ``u - rho Phi P^{-1} Phi^T u`` with ``u = b / (1 + W lam)``.  The
-        factor is :func:`_tree_factor`'s; :meth:`newton_finish` adds the node
-        covariances to the converged step's alone.
-        """
-        d = 1.0 + W * self.lam
-        rho = W / d
+    def _woodbury(self, rho, context: str):
+        """The factor is :func:`_tree_factor`'s ``(U, Binv)``; :meth:`newton_finish` adds node covariances."""
         U, Binv = _tree_factor(self.forest, self.node_outer(rho), f"tree-precision system for {context}")
 
-        def target(b):
-            u = b / d
-            return u - rho * self._phi(_forest_solve(self.forest, Binv, self.phi_t(u)))
+        def solve(u):
+            t = _forest_solve(self.forest, Binv, self.phi_t(u))
+            return u - rho * self._phi(t), t
 
-        return (U, Binv), target
+        return (U, Binv), solve
 
     def newton_finish(self, W: np.ndarray, factor) -> tuple[np.ndarray, float]:
         U, Binv = factor
@@ -781,15 +752,22 @@ def _tree_model_factor(forest: TaskForest, U: np.ndarray, Binv: np.ndarray) -> n
     return np.asfortranarray(np.stack([U[:-1], S[:-1]], axis=1))
 
 
-def _tree_half_logdet(forest: TaskForest, U: np.ndarray, n: int, lam, W=None) -> float:
-    """``0.5 log|A| = 0.5 (sum log lam + log|P| - m log|Q|)`` from the k nodes' pivot factors ``U``.
+def _woodbury_half_logdet(lam, pivots: np.ndarray, n: int, W=None, prior_logdet: float = 0.0) -> float:
+    """``0.5 log|A| = 0.5 (sum log lam + log|P| - log|S^{-1}|)`` of a :class:`_Woodbury` covariance.
 
-    With Newton weights ``W``, ``0.5 log|I + W A|``: ``sum log(1 + W lam)``
-    in place of ``sum log lam``.
+    ``pivots`` is the diagonal of P's factor and ``prior_logdet`` is
+    ``log|S^{-1}|``.  With Newton weights ``W``, ``0.5 log|I + W A|``:
+    ``sum log(1 + W lam)`` in place of ``sum log lam``, lam counted n times.
     """
     noise = np.log(np.broadcast_to(lam, n)) if W is None else np.log1p(W * lam)
-    pivots = np.log(np.diagonal(U, axis1=1, axis2=2))
-    return float(0.5 * np.sum(noise) + np.sum(pivots) - 0.5 * U.shape[-1] * forest.logdet)
+    return float(0.5 * np.sum(noise) + np.sum(np.log(pivots)) - 0.5 * prior_logdet)
+
+
+def _tree_half_logdet(forest: TaskForest, U: np.ndarray, n: int, lam, W=None) -> float:
+    """:func:`_woodbury_half_logdet` of the k nodes' pivot factors ``U``; ``log|Q kron I_m| = m log|Q|``."""
+    # a C-ordered copy: the sum's order follows the layout, and a loaded U is Fortran-ordered
+    pivots = np.diagonal(U, axis1=1, axis2=2).copy()
+    return _woodbury_half_logdet(lam, pivots, n, W, U.shape[-1] * forest.logdet)
 
 
 # ---------------------------------------------------------------------------
@@ -868,12 +846,13 @@ class _Workspace:
     each Matern side's ``grad0``, ``grad1``, ... (:func:`kernels.matern_gram_grads`);
     ``cov`` for ``KX * KT + tau2 I``, its factor and the evidence weights;
     ``scratch`` for each Matern slope, then ``W * KT``.  :meth:`held` keeps a
-    read-only array per role (each side's Gram, the weight-space ``V`` and
-    ``V V^T``, a task forest's training rows and per-node ``XtX`` and
-    ``Xty``) while the kernel and points (and labels) it was built from
-    stay; one per role suffices, as :func:`grid_candidates` varies tau2
-    fastest.  Matern, linear and constant kernels match by value, discrete
-    task kernels (whose ``==`` compares arrays) and points by identity.
+    read-only array per role (each side's Gram, a task forest's training
+    rows and per-node ``XtX`` and ``Xty``) while the kernel and points (and
+    labels) it was built from stay; one per role suffices, as
+    :func:`grid_candidates` varies tau2 fastest.  Matern, linear and
+    constant kernels match by value, discrete task kernels (whose ``==``
+    compares arrays) and points by identity.  Its n x n buffers are made on
+    first use, so a single tree fit's own workspace holds no such array.
     """
 
     def __init__(self, n: int):

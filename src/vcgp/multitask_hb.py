@@ -38,8 +38,12 @@ class CheckReport:
     name: str
     statistic: float
     threshold: float
-    passed: bool
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        """``statistic < threshold``; a NaN statistic fails."""
+        return bool(self.statistic < self.threshold)
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -113,7 +117,6 @@ def verify_prop1(
         name=f"prop1-mc/k={k},m={m},n={n_samples}",
         statistic=stat,
         threshold=se_limit,
-        passed=stat < se_limit,
         details={"max_abs_dev": float(np.max(np.abs(emp - target)))},
     )
 
@@ -130,7 +133,6 @@ def verify_prop2(tree: TaskTree, tol: float = 1e-8) -> CheckReport:
         name=f"prop2/k={tree.k}",
         statistic=stat,
         threshold=tol,
-        passed=stat < tol,
         details={"identity_dev": ident, "inverse_rel_dev": rel},
     )
 
@@ -212,6 +214,5 @@ def end_to_end_equivalence(
         name=f"end-to-end/k={k},m={m},n={n}",
         statistic=dev,
         threshold=tol,
-        passed=dev < tol,
         details={"kron_dev": kron_dev},
     )

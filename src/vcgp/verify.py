@@ -70,7 +70,6 @@ def theorem1_battery(n_configs: int = 50, seed: int = 0, tol: float = 1e-8) -> l
                 name=f"theorem1/config{c:02d}",
                 statistic=dev,
                 threshold=tol,
-                passed=dev < tol,
             )
         )
     return reports
@@ -137,7 +136,6 @@ def theorem2_battery(
                 name=f"theorem2/instance{c:02d}",
                 statistic=stat,
                 threshold=1.0,
-                passed=stat < 1.0,
                 details={"mode_dev": mode_dev, "proba_dev": proba_dev},
             )
         )
@@ -219,7 +217,6 @@ def fitc_battery(
             name="fitc/exact-when-u-is-train",
             statistic=dev,
             threshold=exact_tol,
-            passed=dev < exact_tol,
         )
     )
 
@@ -252,7 +249,6 @@ def fitc_battery(
                 name=f"fitc/p-equals-n-over-10/{label}",
                 statistic=rel,
                 threshold=dev_frac,
-                passed=rel < dev_frac,
             )
         )
     return reports
@@ -357,7 +353,7 @@ def gradient_battery(n_points: int = 20, seed: int = 0, rtol: float = 1e-4) -> l
     reports = []
     for name, data, spec, tau2 in cases:
         worst = _gradient_fd_error(data, spec, tau2, h)
-        reports.append(CheckReport(name=name, statistic=worst, threshold=rtol, passed=worst < rtol))
+        reports.append(CheckReport(name=name, statistic=worst, threshold=rtol))
     return reports
 
 

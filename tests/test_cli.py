@@ -619,6 +619,17 @@ class TestSynthCommand:
         assert "error: tau2 must be a finite number of at least 0" in capsys.readouterr().err
         assert main([*argv[:4], "0", *argv[5:]]) == EXIT_OK  # noise-free
 
+    @pytest.mark.parametrize("flag, value", [("n", "0"), ("n", "-3"), ("m", "0"), ("m", "-1"),
+                                             ("d", "0"), ("d", "-2")])
+    def test_size_below_one_is_usage_error_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        # --m 0 and --d 0 used to write a CSV without feature or task columns
+        out = tmp_path / "x.csv"
+        sizes = {"n": "10", "m": "2", "d": "1", flag: value}
+        argv = ["synth", *(a for name, v in sizes.items() for a in (f"--{name}", v)), "--out", str(out)]
+        assert main([*argv, "--truth-out", str(tmp_path / "w.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kernel", ["{type: linear}", "matern", "{lengthscale: 0.2}"])
     def test_bad_task_kernel_is_usage_error(self, tmp_path, capsys, kernel):
         argv = ["synth", "--n", "10", "--task-kernel", kernel, "--out", str(tmp_path / "x.csv")]
@@ -654,6 +665,31 @@ class TestSummarizeCommand:
         assert main(["summarize", str(results)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "2.0" in out
+
+    @pytest.mark.parametrize("column", ["method", "n", "metric", "value"])
+    def test_missing_column_is_named(self, tmp_path, capsys, column):
+        header = [name for name in ("method", "n", "fold", "metric", "value") if name != column]
+        results = tmp_path / "r.csv"
+        results.write_text(",".join(header) + "\n" + ",".join("1" for _ in header) + "\n")
+        assert main(["summarize", str(results)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {results} has no {column!r} column\n"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("m,ten,0,mae,1.0", "line 3: column 'n' expected an integer, got 'ten'"),
+            ("m,10.5,0,mae,1.0", "line 3: column 'n' expected an integer, got '10.5'"),
+            ("m,10,0,mae,x", "line 3: column 'value' expected a number, got 'x'"),
+            ("m,10,0,mae", "line 3: column 'value' expected a number, got ''"),
+            ("m,10", "line 3: column 'metric' expected a value, got ''"),
+        ],
+        ids=["n-not-a-number", "n-not-an-integer", "value-not-a-number", "short-row", "no-metric"],
+    )
+    def test_bad_cell_names_line_and_column(self, tmp_path, capsys, row, message):
+        results = tmp_path / "r.csv"
+        results.write_text(f"method,n,fold,metric,value\nm,10,0,mae,1.0\n{row}\n")
+        assert main(["summarize", str(results)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {results} {message}\n"
 
 
 class TestUsage:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from vcgp import gp_classify, gp_core, sparse_fitc
+from vcgp import experiments, gp_classify, gp_core, sparse_fitc
 from vcgp.data_io import synth_vcm, threshold_labels
 from vcgp.experiments import (
     classify_probabilities,
@@ -204,6 +204,22 @@ def test_readme_example_config_parses(tmp_path):
     config = parse_config(cfg)
     assert config.methods == ("vcgp-mat", "iid-mat") and config.blocked == (25, 5)
     assert config.settings.fanzhang["ridges"] == [1e-6, 1e-3, 1e-1]
+
+
+def test_readme_config_block_documents_every_key():
+    # a key that the parser takes and the README's config reference does not name fails here
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Experiment config"):readme.index("## Library quick start")]
+    block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    tops = [(m.group(1), m.start()) for m in re.finditer(r"^(\w+):", block, re.M)]
+    spans = {key: block[start:end] for (key, start), (_, end) in zip(tops, [*tops[1:], ("", None)])}
+    # a top-level key starts a line; a section's key is named within its top-level entry
+    missing = [key for key in experiments._SECTION_KEYS[""] if key not in spans]
+    for name, keys in experiments._SECTION_KEYS.items():
+        if name:
+            text = spans.get(name.split(".")[0], "")
+            missing += [f"{name}.{key}" for key in keys if not re.search(rf"(?<![\w.]){key}(:| \()", text)]
+    assert missing == []
 
 
 def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):

@@ -1004,25 +1004,20 @@ class TestTuning:
         assert isinstance(model.basis, DenseBasis)
         assert gram_builds == {"instance_gram": 1, "task_gram": 3}
 
-    def test_tau2_grid_builds_the_weight_features_and_node_statistics_once(self, monkeypatch):
+    def test_tau2_grid_builds_the_node_statistics_once(self, monkeypatch):
         calls = []
 
         def count(owner, name):
             original = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or original(*args))
 
-        for owner, name in ((gp_core, "_weight_features"), (gp_core.TreePrecision, "node_outer"),
-                            (gp_core.TreePrecision, "phi_t"), (kernels, "check_tasks")):
+        for owner, name in ((gp_core.TreePrecision, "node_outer"), (gp_core.TreePrecision, "phi_t"),
+                            (kernels, "check_tasks")):
             count(owner, name)
         rng = np.random.default_rng(16)
         data = Dataset(X=rng.standard_normal((40, 2)), T=rng.integers(1, 5, 40), y=rng.standard_normal(40))
         search = SearchConfig(method="grid", grid={"tau2": [0.05, 0.2, 0.5]})
-        model = tune_hyperparameters(data, KernelSpec(Linear(), FixedGram(Tree(_TREE).gram)), search)
-        # the training tasks are checked once for the grid too
-        assert isinstance(model.basis, WeightSpaceBasis)
-        assert sorted(calls) == ["_weight_features", "check_tasks"]
-        calls.clear()
-        # each node's X_t^T X_t and X_t^T y, once for the grid
+        # the training tasks are checked, and each node's X_t^T X_t and X_t^T y built, once for the grid
         model = tune_hyperparameters(data, KernelSpec(Linear(), Tree(_TREE)), search)
         assert isinstance(model.basis, TreeBasis)
         assert sorted(calls) == ["check_tasks", "node_outer", "phi_t"]

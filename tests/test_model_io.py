@@ -1,8 +1,11 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcgp.gp_classify import FittedClassifier, fit_classifier
 from vcgp.gp_core import Dataset, DenseBasis, LowRankBasis, TreeBasis, _latent_predictive
@@ -285,6 +288,23 @@ class TestRoundTrip:
         again = tmp_path / "again.bin"
         save_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_tree_evidence_round_trips_bit_for_bit(self, seed):
+        # the fit's pivot factors are C-ordered and a loaded model's Fortran-ordered,
+        # so the log-pivot sum must not follow the layout
+        rng = np.random.default_rng(seed)
+        k, m, n = rng.integers(2, 301), rng.integers(1, 4), rng.integers(20, 601)
+        spec = KernelSpec(Linear(), Tree(random_tree(k, rng, 0.3, 3.0)))
+        X, T, y = rng.standard_normal((n, m)), rng.integers(1, k + 1, n), rng.standard_normal(n)
+        models = [fit_regressor(Dataset(X, T, y), spec, 0.1),
+                  fit_classifier(Dataset(X, T, (y > 0).astype(float)), spec, 0.1)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tree.bin"
+            for model in models:
+                save_model(model, path)
+                assert load_model(path).log_marginal_likelihood() == model.log_marginal_likelihood()
 
     def test_dense_file_from_the_format1_writer_loads(self, tmp_path):
         model = load_model(DENSE_FORMAT1_FILE)

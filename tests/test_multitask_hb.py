@@ -5,6 +5,7 @@ from vcgp import verify
 from vcgp.gp_core import Dataset, fit_regressor
 from vcgp.kernels import KernelSpec, Linear, TaskTree, Tree, tree_task_kernel
 from vcgp.multitask_hb import (
+    CheckReport,
     end_to_end_equivalence,
     hb_weight_covariance,
     random_tree,
@@ -203,3 +204,10 @@ class TestBatteryReports:
         reports = verify.prop1_analytic_battery(n_trees=3)
         assert [r.name for r in reports] == [f"prop1-analytic/tree{c:02d}" for c in range(3)]
         assert all(r.passed and "kron_dev" in r.details for r in reports)
+
+    @pytest.mark.parametrize("statistic, passed", [(0.5, True), (1.0, False), (2.0, False),
+                                                   (float("nan"), False)])
+    def test_passed_is_statistic_below_threshold(self, statistic, passed):
+        rep = CheckReport(name="check", statistic=statistic, threshold=1.0)
+        assert rep.passed is passed
+        assert rep.line().endswith("PASS" if passed else "FAIL")
