@@ -815,20 +815,57 @@ def _with_param_values(spec: KernelSpec, values: Sequence[float]) -> tuple[Kerne
     return replace(spec, **kernels_by_side), float(next(it))
 
 
-def _evidence_weights(L: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, float]:
+# order below which _invert_lower hands a diagonal block to LAPACK trtri
+_INVERSE_BASE = 64
+
+
+def _invert_lower(L: np.ndarray, scratch: np.ndarray) -> None:
+    """Overwrite the lower-triangular ``L`` (zero upper triangle) with ``L^{-1}``.
+
+    The recursive 2 x 2 block inverse (Elmroth, Gustavson, Jonsson &
+    Kagstrom 2004): invert both diagonal blocks, then set the off-diagonal
+    one to ``-X22 (L21 X11)`` with two matrix products, so the work runs at
+    the speed of BLAS ``gemm``; LAPACK ``trtri`` inverts blocks of order
+    :data:`_INVERSE_BASE` and below.  The product ``L21 X11`` goes to the
+    front of ``scratch``, a flat array of at least ``n^2 / 4`` entries, as
+    one contiguous block: in-place arithmetic on a strided view of ``L``
+    would copy it.
+    """
+    n = L.shape[0]
+    if n <= _INVERSE_BASE:
+        X, info = scipy.linalg.lapack.dtrtri(L, lower=1, overwrite_c=1)
+        if info != 0:
+            raise NumericalError(f"LAPACK trtri failed with info={info}")
+        if X is not L:  # a block of a larger L comes back as a copy
+            L[...] = X
+        return
+    h = n // 2
+    X11, L21, X22 = L[:h, :h], L[h:, :h], L[h:, h:]
+    _invert_lower(X11, scratch)
+    _invert_lower(X22, scratch)
+    T = scratch[: (n - h) * h].reshape(n - h, h)
+    np.matmul(L21, X11, out=T)
+    np.negative(T, out=T)
+    np.matmul(X22, T, out=L21)
+
+
+def _evidence_weights(L: np.ndarray, alpha: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, float]:
     """Weights W with ``vdot(W, S) = alpha^T S alpha - tr(A^{-1} S)`` for symmetric S.
 
     ``L`` is the lower Cholesky factor of A, F-ordered with a zero upper
-    triangle, and is overwritten.  LAPACK ``potri`` turns it into the lower
-    triangle of ``A^{-1}``; weighting that triangle 2x off the diagonal and
-    1x on it makes its ``vdot`` with a symmetric S equal ``tr(A^{-1} S)``,
-    and a rank-1 ``ger`` adds ``alpha alpha^T``.  Returns the C-contiguous
-    transpose view of W (``vdot`` of symmetric S with W or W^T agree, and
-    a C-ordered W keeps ``vdot`` from copying) and ``tr(A^{-1})``.
+    triangle, and is overwritten: :func:`_invert_lower` turns it into
+    ``L^{-1}`` (``scratch``, an n x n array, holds its products) and LAPACK
+    ``lauum`` into the lower triangle of ``L^{-T} L^{-1} = A^{-1}``.
+    Weighting that triangle 2x off the diagonal and 1x on it makes its
+    ``vdot`` with a symmetric S equal ``tr(A^{-1} S)``, and a rank-1 ``ger``
+    adds ``alpha alpha^T``.  Returns the C-contiguous transpose view of W
+    (``vdot`` of symmetric S with W or W^T agree, and a C-ordered W keeps
+    ``vdot`` from copying) and ``tr(A^{-1})``.
     """
-    P, info = scipy.linalg.lapack.dpotri(L, lower=1, overwrite_c=1)
+    _invert_lower(L, scratch.reshape(-1))
+    P, info = scipy.linalg.lapack.dlauum(L, lower=1, overwrite_c=1)
     if info != 0:
-        raise NumericalError(f"LAPACK potri failed with info={info}")
+        raise NumericalError(f"LAPACK lauum failed with info={info}")
     trace_inv = float(np.trace(P))
     P *= -2.0
     P.flat[:: P.shape[0] + 1] *= 0.5
@@ -845,8 +882,10 @@ class _Workspace:
     page-faults in afresh what the last freed: ``instance.K``, ``task.K`` and
     each Matern side's ``grad0``, ``grad1``, ... (:func:`kernels.matern_gram_grads`);
     ``cov`` for ``KX * KT + tau2 I``, its factor and the evidence weights;
-    ``scratch`` for each Matern slope, then ``W * KT``.  :meth:`held` keeps a
-    read-only array per role (each side's Gram, a task forest's training
+    ``scratch`` for each Matern slope, then the inverse's products
+    (:func:`_evidence_weights`), then ``W * KT``.  :meth:`held` keeps a
+    read-only array per role (each side's Gram, each isotropic Matern side's
+    distances ``instance.dist`` and ``task.dist``, a task forest's training
     rows and per-node ``XtX`` and ``Xty``) while the kernel and points (and
     labels) it was built from stay; one per role suffices, as
     :func:`grid_candidates` varies tau2 fastest.  Matern, linear and
@@ -881,6 +920,14 @@ class _Workspace:
         build = kernels.instance_gram if side == "instance" else kernels.task_gram
         return self.held(side, kernel, (points,), lambda: build(kernel, points, points))
 
+    def distances(self, side: str, data: Dataset, Z: np.ndarray) -> np.ndarray:
+        """``cdist(Z, Z)`` over ``Z``, the instances (``side="instance"``) or task coordinates of ``data``.
+
+        Held against the points alone: ``cdist`` itself stands where :meth:`held` takes a kernel.
+        """
+        points = data.X if side == "instance" else data.T
+        return self.held(f"{side}.dist", kernels.cdist, (points,), lambda: kernels.cdist(Z, Z))
+
     def matern_buffer(self, side: str):
         """``buffer`` for :func:`kernels.matern_gram_grads` on one side.
 
@@ -902,34 +949,38 @@ def lml_and_gradient(
     the product rule for the instance/task Gram factors.  Keys are
     :func:`free_param_names`, in its order.
 
-    Cost: one Cholesky and one LAPACK ``potri`` (O(n^3) each), then O(n^2)
-    per parameter.  The weights ``W`` of the identity are formed once, and
-    ``W * KT`` and ``W * KX`` at most once each; every lengthscale gradient is
-    one ``vdot`` with its derivative matrix, both amplitude gradients are the
-    single number ``vdot(W * KT, KX)`` (the derivative is 2K), and the tau2
-    gradient is ``0.5 * (alpha . alpha - tr A^{-1}) * tau2``.  No n x n array
-    is made per parameter.  Every n x n array a Matern side or the solve
-    needs is an array of ``_workspace`` (a :class:`_Workspace` over the
-    ``data.n`` points; a fresh one when omitted), which also keeps a side
-    with no free parameter's Gram.  The numbers do not depend on it.
+    Cost: one Cholesky, one inverse of its factor and one LAPACK ``lauum``
+    (O(n^3) each, all at BLAS-3 speed; see :func:`_evidence_weights`), then
+    O(n^2) per parameter.  The weights ``W`` of the identity are formed
+    once, and ``W * KT`` and ``W * KX`` at most once each; every lengthscale
+    gradient is one ``vdot`` with its derivative matrix, both amplitude
+    gradients are the single number ``vdot(W * KT, KX)`` (the derivative is
+    2K), and the tau2 gradient is ``0.5 * (alpha . alpha - tr A^{-1}) * tau2``.
+    No n x n array is made per parameter.  Every n x n array a Matern side
+    or the solve needs is an array of ``_workspace`` (a :class:`_Workspace`
+    over the ``data.n`` points; a fresh one when omitted).  A search's
+    workspace also keeps a side with no free parameter's Gram and each
+    isotropic Matern side's ``cdist``, so an evaluation only divides it by
+    the lengthscale; a lone call holds neither distance.  The numbers do
+    not depend on the workspace.
     """
     ws = _Workspace(data.n) if _workspace is None else _workspace
     inst, task = spec.instance_kernel, spec.task_kernel
 
-    if isinstance(inst, Matern):
-        KX, dKX = matern_gram_grads(inst, data.X, ws.matern_buffer("instance"))
-    else:
-        KX, dKX = ws.gram("instance", inst, data), []
-    if isinstance(task, Matern):
-        T = as_task_array(data.T, discrete=False)
-        KT, dKT = matern_gram_grads(task, T, ws.matern_buffer("task"))
-    else:
-        KT, dKT = ws.gram("task", task, data), []
+    def grams(side, kernel):
+        if not isinstance(kernel, Matern):
+            return ws.gram(side, kernel, data), []
+        Z = data.X if side == "instance" else as_task_array(data.T, discrete=False)
+        dist = None if _workspace is None or kernel.ard else ws.distances(side, data, Z)
+        return matern_gram_grads(kernel, Z, ws.matern_buffer(side), dist)
+
+    KX, dKX = grams("instance", inst)
+    KT, dKT = grams("task", task)
 
     cov = DenseCovariance(add_diagonal(np.multiply(KX, KT, out=ws["cov"]), tau2))
     fit = _fit_gaussian(data, spec, tau2, cov, DenseBasis())
     lml, alpha = fit.log_marginal_likelihood(), fit.alpha
-    W, trace_inv = _evidence_weights(fit.chol, alpha)
+    W, trace_inv = _evidence_weights(fit.chol, alpha, ws["scratch"])
     del fit
     grad: list[float] = []
     amplitude = None
@@ -982,6 +1033,14 @@ class SearchConfig:
                 raise ValueError(f"grid parameter {name!r} has no values")
         if not self.tau2_init > 0:
             raise ValueError("tau2_init must be positive")
+        for name in ("n_restarts", "max_iter"):  # the config parser's rules
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        tol = self.grad_tol
+        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)) \
+                or not 0 < tol < math.inf:
+            raise ValueError(f"grad_tol must be a finite number above 0, got {tol!r}")
 
 
 def tune_hyperparameters(
@@ -1063,12 +1122,9 @@ def _tune_gradient(data: Dataset, spec: KernelSpec, search: SearchConfig) -> Fit
         return -lml, -np.array(list(grad.values()))
 
     rng = np.random.default_rng(search.seed)
-    starts = [theta0] + [
-        theta0 + rng.standard_normal(theta0.shape)
-        for _ in range(max(search.n_restarts - 1, 0))
-    ]
     best = None
-    for start in starts:
+    for restart in range(search.n_restarts):
+        start = theta0 + rng.standard_normal(theta0.shape) if restart else theta0
         start = np.clip(start, [b[0] for b in bounds], [b[1] for b in bounds])
         res = scipy.optimize.minimize(
             objective,

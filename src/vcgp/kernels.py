@@ -563,14 +563,26 @@ def matern(r, nu: float = 1.5, lengthscale: float = 1.0, amplitude: float = 1.0)
 
 
 def _scaled_dist(
-    Z1: np.ndarray, Z2: np.ndarray, kernel: Matern, out: np.ndarray | None = None
+    Z1: np.ndarray, Z2: np.ndarray, kernel: Matern, out: np.ndarray | None = None,
+    dist: np.ndarray | None = None,
 ) -> np.ndarray:
+    """Distances between the rows of Z1 and Z2 in lengthscale units, in ``out`` or a new array.
+
+    The one place a Matern distance is computed.  An isotropic kernel's is
+    ``cdist(Z1, Z2) / l``, dividing ``dist`` when the caller holds that
+    ``cdist``, so a held and a fresh distance agree bit for bit; an ARD
+    kernel's is ``cdist(Z1 / l, Z2 / l)`` and ignores ``dist``.
+    """
     ls = np.atleast_1d(np.asarray(kernel.lengthscale, dtype=float))
     if ls.size not in (1, Z1.shape[1]):
         raise ValueError(
             f"lengthscale has {ls.size} entries but points have {Z1.shape[1]} dimensions"
         )
-    return cdist(Z1 / ls, Z2 / ls, out=out)
+    if kernel.ard:
+        return cdist(Z1 / ls, Z2 / ls, out=out)
+    if dist is None:
+        dist = out = cdist(Z1, Z2, out=out)
+    return np.divide(dist, kernel.lengthscale, out=out)
 
 
 def _matern_gram(kernel: Matern, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
@@ -581,7 +593,7 @@ def _matern_gram(kernel: Matern, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
 
 
 def matern_gram_grads(
-    kernel: Matern, Z: np.ndarray, buffer=None
+    kernel: Matern, Z: np.ndarray, buffer=None, dist: np.ndarray | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Gram matrix of a Matern kernel plus its lengthscale derivatives.
 
@@ -600,6 +612,10 @@ def matern_gram_grads(
     for S and, for nu = 5/2 only, ``"spare"`` for scratch.  A caller that
     evaluates many kernels over the same points passes arrays it keeps;
     without ``buffer`` each role gets a fresh array and the same code runs.
+    The distances come from :func:`_scaled_dist`: an isotropic kernel's
+    divide ``dist``, the caller's held ``cdist(Z, Z)``, by the lengthscale
+    (computing that ``cdist`` when ``dist`` is None), and an ARD kernel's
+    are computed over the scaled points every call.
     """
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[0]
@@ -609,7 +625,7 @@ def matern_gram_grads(
     K, S = buffer("K"), buffer("slope")
     grads = [buffer(f"grad{d}") for d in range(len(kernel.lengthscale) if kernel.ard else 1)]
     u = grads[0]  # the distances, until the derivatives overwrite them
-    _scaled_dist(Z, Z, kernel, out=u)
+    _scaled_dist(Z, Z, kernel, out=u, dist=dist)
     _matern_shape(u, kernel.nu, K, S, buffer("spare") if kernel.nu == 2.5 else None)
     s2 = kernel.amplitude**2
     K *= s2

@@ -6,12 +6,13 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcgp import gp_core, kernels
-from vcgp._linalg import NumericalError, add_diagonal, solve_lower
+from vcgp._linalg import NumericalError, add_diagonal, chol_with_jitter, solve_lower
 from vcgp.baselines import primal_oracle_predict
 from vcgp.gp_classify import fit_classifier, laplace_mode, logistic_gaussian_integral
 from vcgp.multitask_hb import hb_weight_covariance, random_tree
@@ -25,6 +26,7 @@ from vcgp.gp_core import (
     TreeBasis,
     WeightSpaceBasis,
     _Workspace,
+    _evidence_weights,
     _fit_gaussian,
     _param_values,
     _weight_features,
@@ -735,6 +737,14 @@ class TestGradientsAgainstExplicitInverse:
         data = Dataset(X=rng.standard_normal((n, 2)), T=T, y=rng.standard_normal(n))
         self._check(data, spec, 0.15)
 
+    @pytest.mark.parametrize("label", ["matern1.5-iso", "matern1.5-ard"])
+    def test_matches_textbook_formula_above_the_inverse_base(self, label):
+        # n = 150: the inverse recurses twice before LAPACK's base blocks
+        rng = np.random.default_rng(22)
+        n = 150
+        data = Dataset(X=rng.standard_normal((n, 2)), T=rng.uniform(0, 2, (n, 1)), y=rng.standard_normal(n))
+        self._check(data, _ORACLE_SPECS[label], 0.15)
+
     def test_matches_textbook_formula_with_jitter(self):
         # K = KX (x) G over repeated instances, G indefinite by 2e-5: the
         # Cholesky succeeds only once 1e-4 * mean(diag) is added
@@ -745,6 +755,40 @@ class TestGradientsAgainstExplicitInverse:
         spec = KernelSpec(Matern(nu=2.5, lengthscale=1.1), FixedGram(gram))
         model = self._check(data, spec, 1e-6)
         assert model.jitter > 0
+
+
+def _check_evidence_weights(A: np.ndarray, rng) -> float:
+    """Check ``_evidence_weights`` of A's factor against ``np.linalg.inv``; returns the jitter added."""
+    n = A.shape[0]
+    L, jitter = chol_with_jitter(A)
+    Ainv = np.linalg.inv(A + jitter * np.eye(n))
+    alpha, S = rng.standard_normal(n), rng.standard_normal((n, n))
+    S += S.T
+    # a NaN-filled scratch: the inverse may only read what it wrote there
+    W, trace_inv = _evidence_weights(L, alpha, np.full((n, n), np.nan))
+    assert trace_inv == pytest.approx(np.trace(Ainv), rel=1e-10)
+    assert np.vdot(W, S) == pytest.approx(alpha @ S @ alpha - np.sum(Ainv * S), rel=1e-10)
+    return jitter
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 360, 601])
+def test_evidence_weights_match_the_explicit_inverse(n):
+    # orders about the recursive inverse's base of 64, and reg-gradient's n = 360
+    rng = np.random.default_rng(n)
+    Z = rng.uniform(0, 3, (n, 2))
+    A = instance_gram(Matern(nu=1.5, lengthscale=0.7), Z, Z) + 0.1 * np.eye(n)
+    assert _check_evidence_weights(A, rng) == 0.0
+
+
+def test_evidence_weights_match_the_explicit_inverse_after_jitter():
+    # one eigenvalue -3e-6: the Cholesky succeeds once 1e-5 * mean(diag) is added
+    n = 129
+    rng = np.random.default_rng(8)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    eigenvalues = rng.uniform(0.5, 1.5, n)
+    eigenvalues[0] = -3e-6
+    A = (Q * eigenvalues) @ Q.T
+    assert _check_evidence_weights((A + A.T) / 2, rng) > 0
 
 
 def test_peak_memory_below_eight_gram_arrays():
@@ -763,12 +807,13 @@ def test_peak_memory_below_eight_gram_arrays():
 
 
 def _workspace_cases():
-    """(data, spec, tau2) cases over the same 8 points, for one held workspace.
+    """(data, spec, tau2) cases over the same 8 points, then over 150, for one held workspace per size.
 
     Each Matern smoothness, isotropic and ARD, on each side; linear x tree;
     the fixed-Gram case that needs jitter (the data of
     test_matches_textbook_formula_with_jitter); a candidate whose Cholesky
-    fails even with jitter, then a good one.
+    fails even with jitter, then a good one.  The 150 points are above the
+    recursive inverse's base, and their isotropic sides reuse held distances.
     """
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 2))
@@ -789,13 +834,18 @@ def _workspace_cases():
     indefinite = FixedGram(np.array([[1.0, 1.5], [1.5, 1.0]]))
     cases.append((discrete, KernelSpec(Matern(nu=0.5, lengthscale=0.8), indefinite), 1e-6))
     cases.append((continuous, KernelSpec(Matern(nu=0.5, lengthscale=(0.5, 2.0)), Matern()), 0.1))
+    large = Dataset(X=rng.standard_normal((150, 2)), T=rng.uniform(0, 2, (150, 1)), y=rng.standard_normal(150))
+    for ls in (0.8, 1.3):
+        cases.append((large, KernelSpec(Matern(nu=1.5, lengthscale=ls), Matern(nu=2.5, lengthscale=0.4)), 0.1))
+    cases.append((large, KernelSpec(Matern(nu=1.5, lengthscale=(0.8, 1.1)), Matern(lengthscale=0.6)), 0.1))
     return cases
 
 
 def test_held_workspace_changes_no_bit():
-    workspace = _Workspace(8)
+    workspaces = {}
     failures = 0
     for data, spec, tau2 in _workspace_cases():
+        workspace = workspaces.setdefault(data.n, _Workspace(data.n))
         try:
             fresh = lml_and_gradient(data, spec, tau2)
         except NumericalError:
@@ -809,6 +859,7 @@ def test_held_workspace_changes_no_bit():
         else:
             assert lml_and_gradient(data, spec, tau2, _workspace=workspace) == fresh, spec
     assert failures == 1  # the indefinite fixed Gram
+    assert {"instance.dist", "task.dist"} <= set(workspaces[150]._held)
 
 
 def test_held_workspace_allocates_no_gram_array():
@@ -947,21 +998,28 @@ class TestTuning:
         assert model.jitter == fresh.jitter
 
     def test_gradient_search_result_is_unchanged(self, monkeypatch):
-        # the evaluations share one workspace of arrays; the same search with
-        # a fresh workspace per evaluation must return the same bits
+        # the evaluations share one workspace of arrays and the task side's
+        # held distances; the same search with a fresh workspace per
+        # evaluation must return the same bits, at 40 points and at 150,
+        # above the recursive inverse's base
         rng = np.random.default_rng(15)
-        data = Dataset(X=rng.standard_normal((40, 2)), T=rng.uniform(0, 1, (40, 1)), y=rng.standard_normal(40))
+
+        def draw(n):
+            return Dataset(X=rng.standard_normal((n, 2)), T=rng.uniform(0, 1, (n, 1)), y=rng.standard_normal(n))
+
+        small = draw(40)
         spec = KernelSpec(Matern(nu=2.5, lengthscale=(1.0, 0.8)), Matern(nu=0.5, lengthscale=0.5))
         search = SearchConfig(seed=4, n_restarts=2, max_iter=15)
         X_star, T_star = rng.standard_normal((3, 2)), rng.uniform(0, 1, (3, 1))
+        datasets = [small, draw(150)]
 
-        def result():
+        def result(data):
             model = tune_hyperparameters(data, spec, search)
             inst, task = model.spec.instance_kernel, model.spec.task_kernel
             got = [*inst.lengthscale, inst.amplitude, task.lengthscale, task.amplitude, model.tau2]
             return [float(v).hex() for v in (*got, *np.concatenate(model.predict_batch(X_star, T_star)))]
 
-        shared = result()
+        shared = [result(data) for data in datasets]
         workspaces = []
 
         def unshared(data, spec, tau2, _workspace=None):
@@ -969,8 +1027,27 @@ class TestTuning:
             return lml_and_gradient(data, spec, tau2)
 
         monkeypatch.setattr(gp_core, "lml_and_gradient", unshared)
-        assert shared == result()
+        assert shared == [result(data) for data in datasets]
         assert workspaces and all(isinstance(w, _Workspace) for w in workspaces)
+        assert {w.n for w in workspaces} == {40, 150}
+
+    def test_each_restart_starts_from_its_own_draw(self, monkeypatch):
+        # restart 0 starts at the template; restart k at its k-th unit-normal offset
+        starts = []
+        minimize = scipy.optimize.minimize
+
+        def record(fun, x0, **options):
+            starts.append(x0.copy())
+            return minimize(fun, x0, **options)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", record)
+        rng = np.random.default_rng(18)
+        data = Dataset(X=rng.standard_normal((12, 2)), T=rng.uniform(0, 1, (12, 1)), y=rng.standard_normal(12))
+        tune_hyperparameters(data, LIN_MATERN, SearchConfig(seed=9, n_restarts=3, max_iter=2))
+        theta0 = np.array([math.log(v) for v in _param_values(LIN_MATERN, 0.1)])
+        draws = np.random.default_rng(9)
+        expected = [theta0] + [theta0 + draws.standard_normal(theta0.size) for _ in range(2)]
+        np.testing.assert_array_equal(np.array(starts), np.array(expected))
 
     def test_every_grid_candidate_failing_raises(self):
         data = Dataset(X=[[1.0], [2.0]], T=np.array([1, 2]), y=[0.0, 1.0])
@@ -1074,6 +1151,22 @@ class TestParameterLayout:
         keys = ["tau2", "instance.amplitude", "task.lengthscale", "instance.lengthscale[0]",
                 "task.lengthscale[12]"]
         SearchConfig(method="grid", grid={key: [1.0] for key in keys})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_restarts", 0), ("n_restarts", 2.5), ("n_restarts", True), ("n_restarts", "3"),
+         ("max_iter", 0), ("max_iter", -1), ("max_iter", 10.0),
+         ("grad_tol", math.nan), ("grad_tol", math.inf), ("grad_tol", 0.0), ("grad_tol", -1e-5),
+         ("grad_tol", "1e-5")],
+    )
+    def test_bad_gradient_field_is_rejected_by_name(self, field, value):
+        # the rules of the config parser: integers of at least 1, a finite tolerance above 0
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SearchConfig(**{field: value})
+
+    def test_gradient_fields_take_numpy_numbers(self):
+        search = SearchConfig(n_restarts=np.int64(2), max_iter=np.int32(3), grad_tol=np.float32(1e-4))
+        assert search.n_restarts == 2 and search.max_iter == 3
 
 
 class TestDataset:

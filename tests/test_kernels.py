@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from vcgp import kernels
 from vcgp._linalg import NumericalError
@@ -690,6 +691,21 @@ class TestMaternGradients:
                     Matern(nu=nu, lengthscale=ls, amplitude=1.2 * math.exp(-h)),
                 )
                 np.testing.assert_allclose(2.0 * K, fd, atol=1e-7, err_msg=f"nu={nu} amplitude")
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("ls", [0.8, (0.8, 1.7)], ids=["isotropic", "ard"])
+    def test_held_distances_change_no_bit(self, nu, ls):
+        # a search holds cdist(Z, Z) and divides it by each isotropic lengthscale;
+        # an ARD kernel ignores what is held, here deliberately wrong
+        rng = np.random.default_rng(6)
+        Z = rng.standard_normal((70, 2))
+        Z[5] = Z[2]
+        kernel = Matern(nu=nu, lengthscale=ls, amplitude=1.2)
+        K, grads = matern_gram_grads(kernel, Z)
+        dist = np.zeros((70, 70)) if kernel.ard else cdist(Z, Z)
+        K_held, grads_held = matern_gram_grads(kernel, Z, dist=dist)
+        assert K_held.tobytes() == K.tobytes() == kernels.instance_gram(kernel, Z, Z).tobytes()
+        assert [g.tobytes() for g in grads_held] == [g.tobytes() for g in grads]
 
     @pytest.mark.parametrize("ls", [0.8, (0.8, 1.7)], ids=["isotropic", "ard"])
     def test_nu_half_grads_are_finite_at_large_amplitude(self, ls):
