@@ -457,9 +457,11 @@ def run_method(
         inducing = sparse_fitc.select_inducing(
             train, min(p, train.n), derive_seed(seed, "inducing", fitc_seed)
         )
-        fitc = sparse_fitc.fit_fitc_classifier if classification else sparse_fitc.fit_fitc
-        # a grid candidate's workspace goes unused: FITC holds nothing across candidates
-        fit = lambda data, spec, tau2, workspace=None: fitc(data, spec, tau2, inducing)
+        if classification:  # a grid's workspace carries Newton's start across candidates
+            fit = functools.partial(sparse_fitc.fit_fitc_classifier, inducing=inducing)
+        else:  # FITC regression holds nothing across candidates
+            def fit(data, spec, tau2, workspace=None):
+                return sparse_fitc.fit_fitc(data, spec, tau2, inducing)
         tune = functools.partial(gp_core._tune_grid, fit)
     else:
         fit = gp_classify.fit_classifier if classification else gp_core.fit_regressor

@@ -25,7 +25,7 @@ from ._linalg import NumericalError, add_diagonal, chol_with_jitter
 from .gp_core import Basis, Dataset, DenseBasis, DenseCovariance, LowRankDiag, SearchConfig
 from .gp_core import TreePrecision
 from .gp_core import _batch_of_one, _exact_covariance, _latent_predictive, _tune_grid, _Workspace
-from .kernels import KernelSpec
+from .kernels import KernelSpec, Matern
 
 __all__ = [
     "FittedClassifier",
@@ -86,7 +86,7 @@ class LaplaceState:
 
 def laplace_mode(
     A: np.ndarray | DenseCovariance | LowRankDiag | TreePrecision, y: np.ndarray,
-    context: str = "covariance",
+    context: str = "covariance", dual: np.ndarray | None = None,
 ) -> LaplaceState:
     """Find the mode of ``log p(y|z) - 0.5 z^T A^{-1} z`` by damped Newton.
 
@@ -99,14 +99,18 @@ def laplace_mode(
     available without solves.  Each step is halved (up to 20 times) until
     the objective does not decrease; the objective is therefore
     non-decreasing across iterations.  Convergence is declared when the
-    gradient infinity-norm falls below 1e-8.
+    gradient infinity-norm falls below 1e-8.  The iteration starts from the
+    dual ``dual`` (length n, not modified), or from zero when it is None.
     """
     cov = DenseCovariance(A) if isinstance(A, np.ndarray) else A
     y = np.asarray(y, dtype=float).reshape(-1)
     n = y.shape[0]
-    a = np.zeros(n)
-    z = np.zeros(n)
-    psi = _log_likelihood(y, z)
+    if dual is None:
+        a, z = np.zeros(n), np.zeros(n)
+    else:
+        a = np.array(dual, dtype=float)
+        z = cov @ a
+    psi = _log_likelihood(y, z) - 0.5 * a @ z
     for iteration in range(1, NEWTON_MAX_ITER + 1):
         pi = sigmoid(z)
         grad = (y - pi) - a
@@ -194,32 +198,65 @@ def fit_classifier(
     """Fit the Laplace-approximate GP classifier on :func:`gp_core._exact_covariance`.
 
     Labels must be 0/1.  Raises :class:`NumericalError` if the Newton
-    iteration does not converge within 100 steps.
+    iteration does not converge within 100 steps.  A search's ``workspace``
+    also carries Newton's start from candidate to candidate (:func:`_fit_laplace`).
     """
-    return _fit_laplace(data, spec, tau2, *_exact_covariance(data, spec, tau2, workspace))
+    cov, basis = _exact_covariance(data, spec, tau2, workspace)
+    return _fit_laplace(data, spec, tau2, cov, basis, workspace=workspace)
 
 
 def _fit_laplace(
-    data: Dataset, spec: KernelSpec, tau2: float, cov, basis: Basis, jitter: float = 0.0
+    data: Dataset, spec: KernelSpec, tau2: float, cov, basis: Basis, jitter: float = 0.0, *,
+    workspace: _Workspace | None = None,
 ) -> FittedClassifier:
     """The classifier of the latent covariance ``cov``; ``jitter`` is what its builder added.
 
-    A dense covariance is factorized up front, the factor dropped at once, so
-    an indefinite ``K + tau2 I`` fails naming the spec; ``V^T V + lam`` cannot.
+    Newton factorizes ``B = I + sqrt(W) A sqrt(W)`` (or its low-rank or
+    tree form) and nothing else.  Every instance Gram is positive
+    semidefinite, and so is every task Gram but a held one whose ``factor``
+    is None (:func:`_may_be_indefinite`); the Hadamard product of two such
+    Grams is too (Schur), so ``B`` has eigenvalues of at least 1 and needs
+    no jitter.  Only a dense ``K + tau2 I`` whose task Gram may be
+    indefinite is factorized up front, the factor dropped at once, so an
+    indefinite one fails naming the spec or takes the jitter that makes it
+    definite.
+
+    With a search's ``workspace``, Newton starts from the dual that the
+    previous candidate left in ``workspace.dual`` (zero for the first) and
+    leaves its own converged dual there; a warm start that fails is retried
+    from zero before the fit fails.
     """
     if not np.all(np.isin(data.y, (0.0, 1.0))):
         raise ValueError("classification labels must be 0 or 1")
     context = f"kernel spec {spec}"
-    if isinstance(cov, DenseCovariance):
+    if isinstance(cov, DenseCovariance) and _may_be_indefinite(spec):
         added = chol_with_jitter(cov.A, context=context)[1]
         if added:
             add_diagonal(cov.A, added)
         jitter += added
-    state = laplace_mode(cov, data.y, context=context)
+    start = None if workspace is None else workspace.dual
+    try:
+        state = laplace_mode(cov, data.y, context, start)
+    except NumericalError:
+        if start is None:
+            raise
+        state = laplace_mode(cov, data.y, context)
+    if workspace is not None:
+        workspace.dual = state.dual
     return FittedClassifier(
         spec=spec, tau2=float(tau2), data=data, state=state, weights=cov.weights(state.dual),
         jitter=jitter, basis=basis,
     )
+
+
+def _may_be_indefinite(spec: KernelSpec) -> bool:
+    """Whether the product Gram of ``spec`` can be indefinite: its held task Gram has no factor.
+
+    A forest precision (a ``Tree``'s, or a ``Laplacian``'s over a forest)
+    makes the Gram definite without the k x k ``eigh`` of ``factor``.
+    """
+    task = spec.task_kernel
+    return not isinstance(task, Matern) and task.precision is None and task.factor is None
 
 
 def tune_classifier_hyperparameters(
@@ -230,7 +267,9 @@ def tune_classifier_hyperparameters(
     Returns the fitted best classifier; the chosen hyperparameters are its
     ``spec`` and ``tau2``.  The Laplace evidence has no cheap analytic
     gradient through the mode, so classification tuning always uses the grid
-    method.  Raises :class:`NumericalError` when every candidate fails.
+    method, whose candidates start Newton from their predecessor's dual
+    (:func:`gp_core._tune_grid`).  Raises :class:`NumericalError` when every
+    candidate fails.
     """
     if search.method != "grid":
         raise ValueError("classifier tuning requires a grid search configuration")

@@ -892,10 +892,14 @@ class _Workspace:
     constant kernels match by value, discrete task kernels (whose ``==``
     compares arrays) and points by identity.  Its n x n buffers are made on
     first use, so a single tree fit's own workspace holds no such array.
+    ``dual`` is the last classifier candidate's converged Laplace dual, an
+    n-vector that the next candidate's Newton iteration starts from
+    (:func:`gp_classify._fit_laplace`); None until a classifier converges.
     """
 
     def __init__(self, n: int):
         self.n = n
+        self.dual: np.ndarray | None = None
         self._arrays: dict[str, np.ndarray] = {}
         self._held: dict[str, tuple] = {}
 
@@ -1085,12 +1089,20 @@ def _tune_grid(fit, data: Dataset, spec: KernelSpec, search: SearchConfig):
     The candidates share one :class:`_Workspace`, dropped when the grid
     returns.  Candidates that raise :class:`NumericalError` are skipped.  A
     model is dropped as soon as it loses, so at most one is held besides
-    the fit in progress.
+    the fit in progress.  A classifier candidate starts Newton from the
+    dual its predecessor left in ``workspace.dual``, which moves the last
+    bits of its fit; a winner that started so is fitted again from zero,
+    so the model returned is a fresh fit's bit for bit (or, should Newton
+    fail from zero, the warm fit).  The refit goes through the same
+    workspace and reuses what it still holds for the winner; a winner
+    before the last candidate's Grams builds its own again.  Any other
+    winner is returned as it was fitted.
     """
     workspace = _Workspace(data.n)
     candidates = grid_candidates(spec, search.tau2_init, search.grid)
-    best, best_lml, failure = None, -math.inf, None
+    best, best_lml, failure, warm = None, -math.inf, None, False
     for cand_spec, cand_tau2 in candidates:
+        started = workspace.dual is not None
         try:
             model = fit(data, cand_spec, cand_tau2, workspace=workspace)
         except NumericalError as exc:
@@ -1098,11 +1110,17 @@ def _tune_grid(fit, data: Dataset, spec: KernelSpec, search: SearchConfig):
             continue
         lml = model.log_marginal_likelihood()
         if best is None or lml > best_lml:
-            best, best_lml = model, lml
+            best, best_lml, warm = model, lml, started
         del model
     if best is None:
         raise NumericalError(f"every grid candidate failed to fit ({len(candidates)} "
                              f"candidates); the last: {failure}") from failure
+    if warm:
+        workspace.dual = None
+        try:
+            best = fit(data, best.spec, best.tau2, workspace=workspace)
+        except NumericalError:
+            pass  # Newton fails from zero where the warm start converged: keep that fit
     return best
 
 

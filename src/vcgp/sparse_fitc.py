@@ -25,7 +25,7 @@ from . import kernels
 from ._linalg import chol_with_jitter, solve_lower
 from .gp_classify import FittedClassifier, _fit_laplace
 from .gp_core import Dataset, FittedRegressor, LowRankBasis, LowRankDiag, _check_file_shapes
-from .gp_core import _fit_gaussian, _freeze_rows
+from .gp_core import _fit_gaussian, _freeze_rows, _Workspace
 from .kernels import KernelSpec
 
 __all__ = [
@@ -149,12 +149,16 @@ def fit_fitc(
 
 
 def fit_fitc_classifier(
-    data: Dataset, spec: KernelSpec, tau2: float, inducing: InducingSet
+    data: Dataset, spec: KernelSpec, tau2: float, inducing: InducingSet, *,
+    workspace: _Workspace | None = None,
 ) -> FittedClassifier:
     """Laplace classification with the FITC surrogate latent covariance.
 
     Costs O(n p^2) per Newton step and never forms an n x n matrix.  The
     model's ``state.B_chol`` is the p x p factor of ``I_p + V R V^T`` (see
-    :class:`LowRankDiag`) and its weights are ``V`` times the dual.
+    :class:`LowRankDiag`) and its weights are ``V`` times the dual.  A grid
+    search's ``workspace`` carries Newton's start from candidate to
+    candidate, as for the exact classifier (:func:`gp_classify._fit_laplace`).
     """
-    return _fit_laplace(data, spec, tau2, *_fitc_covariance(data, spec, tau2, inducing))
+    cov, basis, jitter = _fitc_covariance(data, spec, tau2, inducing)
+    return _fit_laplace(data, spec, tau2, cov, basis, jitter, workspace=workspace)

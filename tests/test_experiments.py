@@ -21,7 +21,7 @@ from vcgp.experiments import (
     zero_one_loss,
 )
 from vcgp.gp_core import Dataset
-from vcgp.kernels import Matern
+from vcgp.kernels import KernelSpec, Matern
 
 
 class TestDeriveSeed:
@@ -120,8 +120,10 @@ class TestRunMethod:
             # FITC tunes on its own evidence: no exact fit, and no refit
             ("regression", "vcgp-mat", {"p": 20}, {"method": "grid", "grid": GRID},
              {"fit_fitc": 4}),
+            # its winner, the third candidate, started Newton from the second's
+            # dual, so the grid fits it once more from zero
             ("classification", "vcgp-mat", {"p": 20}, {"method": "grid", "grid": GRID},
-             {"fit_fitc_classifier": 4}),
+             {"fit_fitc_classifier": 5}),
             ("regression", "vcgp-mat", {"p": 20}, {"method": "none"}, {"fit_fitc": 1}),
         ],
         ids=["grid-regression", "grid-classification", "gradient-regression",
@@ -163,6 +165,40 @@ class TestRunMethod:
         config["model"]["fitc"] = {"p": train.n}
         run_method("vcgp-mat", train, test, run_settings(config), seed=4)
         assert len(chosen) == 2 and chosen[0] == chosen[1]
+
+    def test_fitc_classification_grid_returns_a_fresh_fits_model(self, monkeypatch):
+        # the grid warm-starts its FITC candidates as the exact classifier's
+        # and refits the winner from zero
+        models, starts = [], []
+
+        def spied(*args, _tune=gp_core._tune_grid):
+            models.append(_tune(*args))
+            return models[-1]
+
+        def mode(cov, y, context="covariance", dual=None, _mode=gp_classify.laplace_mode):
+            starts.append(dual is not None)
+            return _mode(cov, y, context, dual)
+
+        monkeypatch.setattr(gp_core, "_tune_grid", spied)
+        monkeypatch.setattr(gp_classify, "laplace_mode", mode)
+        train, test = self.make_splits("classification")
+        settings = run_settings({"problem": "classification",
+                                 "model": {"task_kernel": {"type": "matern"}, "fitc": {"p": 20}},
+                                 "tuning": {"method": "grid", "grid": self.GRID}})
+        run_method("vcgp-mat", train, test, settings, seed=4)
+        monkeypatch.undo()
+        (model,) = models
+        assert starts == [False, True, True, True, False]
+        template = KernelSpec(settings.instance_kernel, settings.task_kernel)
+        first = gp_core.grid_candidates(template, settings.search.tau2_init, self.GRID)[0]
+        assert (model.spec, model.tau2) != first
+        inducing = sparse_fitc.InducingSet(model.basis.inducing_X, model.basis.inducing_T)
+        fresh = sparse_fitc.fit_fitc_classifier(model.data, model.spec, model.tau2, inducing)
+        for name in ("mode", "dual", "W", "B_chol"):
+            assert np.array_equal(getattr(model.state, name), getattr(fresh.state, name)), name
+        assert model.log_marginal_likelihood() == fresh.log_marginal_likelihood()
+        assert np.array_equal(model.predict_proba_batch(test.X, test.T),
+                              fresh.predict_proba_batch(test.X, test.T))
 
     def test_fitc_grid_fold_allocates_no_n_by_n_array(self):
         # test_sparse_fitc.py's test_fit_allocates_no_n_by_n_array, through a tuned fold

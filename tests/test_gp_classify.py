@@ -7,6 +7,10 @@ import scipy.integrate
 import scipy.linalg
 import scipy.optimize
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vcgp import gp_classify, gp_core
 from vcgp._linalg import NumericalError, add_diagonal
 from vcgp.gp_classify import (
     fit_classifier,
@@ -15,13 +19,15 @@ from vcgp.gp_classify import (
     sigmoid,
     tune_classifier_hyperparameters,
 )
-from vcgp.gp_core import Dataset, SearchConfig
+from vcgp.gp_core import Dataset, DenseBasis, SearchConfig, _Workspace, grid_candidates
 from vcgp.kernels import (
     Constant,
     FixedGram,
     KernelSpec,
     Linear,
     Matern,
+    TaskTree,
+    Tree,
     product_kernel_matrix,
 )
 
@@ -97,6 +103,25 @@ class TestMode:
         data = Dataset(X=[[1.0]], T=np.array([1]), y=[0.5])
         with pytest.raises(ValueError):
             fit_classifier(data, KernelSpec(instance_kernel=Linear()), tau2=0.1)
+
+
+def test_dense_fit_factorizes_once_per_newton_step(monkeypatch):
+    # a Matern x Matern K is positive semidefinite by construction, so no
+    # factor of K + tau2 I comes before Newton's own
+    calls = []
+    for module in (gp_core, gp_classify):
+        def counted(*args, _chol=module.chol_with_jitter, **kwargs):
+            calls.append(args[0].shape)
+            return _chol(*args, **kwargs)
+
+        monkeypatch.setattr(module, "chol_with_jitter", counted)
+    rng = np.random.default_rng(11)
+    data = Dataset(X=rng.standard_normal((50, 2)), T=rng.uniform(0, 1, (50, 1)),
+                   y=rng.integers(0, 2, 50).astype(float))
+    model = fit_classifier(data, KernelSpec(Matern(nu=1.5), Matern(nu=2.5, lengthscale=0.3)), 0.1)
+    assert isinstance(model.basis, DenseBasis) and model.jitter == 0.0
+    assert model.state.iterations >= 3
+    assert calls == [(50, 50)] * (model.state.iterations + 1)
 
 
 def test_newton_peak_memory_below_two_gram_arrays():
@@ -265,6 +290,32 @@ class TestQuadratureHelper:
         assert logistic_gaussian_integral(0.0, 3.7) == pytest.approx(0.5, abs=1e-14)
 
 
+def grid_case(route, seed, n=60):
+    """``(data, spec, search)``: a classification grid on one route whose winner is a later candidate."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 2))
+    if route == "tree":
+        T = rng.integers(1, 8, n)
+        tree = TaskTree(parent={c: c // 2 for c in range(2, 8)}, sigma=(1.0,) + (0.5,) * 6)
+        spec = KernelSpec(Linear(), Tree(tree))
+        f = np.einsum("ij,ij->i", X, rng.standard_normal((7, 2))[T - 1])
+    else:
+        T = rng.uniform(0, 1, (n, 1))
+        f = 2.0 * X[:, 0] * np.sin(3.0 * T[:, 0])
+        spec = KernelSpec(Matern(nu=1.5), Matern(nu=1.5)) if route == "dense" else \
+            KernelSpec(Linear(), Constant())
+    if route == "dense":  # the winner's task Gram is not the last one the grid builds
+        grid = {"task.lengthscale": [0.05, 5.0, 1.0], "tau2": [0.02, 0.5]}
+    else:
+        grid = {"tau2": [0.5, 0.02, 4.0]}
+    y = (f + 0.3 * rng.standard_normal(n) > 0).astype(float)
+    return Dataset(X=X, T=T, y=y), spec, SearchConfig(method="grid", grid=grid)
+
+
+GRID_ROUTES = ["dense", "weight-space", "tree"]
+ROUTE_BASIS = {"weight-space": "WeightSpaceBasis", "tree": "TreeBasis"}
+
+
 class TestClassifierTuning:
     def test_grid_selects_higher_evidence(self):
         rng = np.random.default_rng(7)
@@ -280,25 +331,105 @@ class TestClassifierTuning:
         e2 = fit_classifier(data, spec, 1.0).log_marginal_likelihood()
         assert tau2 == (0.01 if e1 > e2 else 1.0)
 
-    def test_returned_model_is_bit_equal_to_a_fresh_fit(self):
-        rng = np.random.default_rng(8)
-        data = Dataset(
-            X=rng.standard_normal((40, 2)),
-            T=rng.uniform(0, 1, (40, 1)),
-            y=rng.integers(0, 2, 40).astype(float),
-        )
-        spec = KernelSpec(instance_kernel=Linear(), task_kernel=Matern(lengthscale=0.5))
-        search = SearchConfig(method="grid", grid={"task.lengthscale": [0.3, 1.0], "tau2": [0.05, 0.5]})
+    @pytest.mark.parametrize("route", ["linear-matern", *GRID_ROUTES])
+    def test_returned_model_is_bit_equal_to_a_fresh_fit(self, route):
+        # every winner here is a later candidate, whose Newton iteration the
+        # search started from its predecessor's dual
+        if route == "linear-matern":
+            rng = np.random.default_rng(8)
+            data = Dataset(
+                X=rng.standard_normal((40, 2)),
+                T=rng.uniform(0, 1, (40, 1)),
+                y=rng.integers(0, 2, 40).astype(float),
+            )
+            spec = KernelSpec(instance_kernel=Linear(), task_kernel=Matern(lengthscale=0.5))
+            search = SearchConfig(method="grid", grid={"task.lengthscale": [0.3, 1.0], "tau2": [0.05, 0.5]})
+        else:
+            data, spec, search = grid_case(route, seed=0)
+            rng = np.random.default_rng(8)
         model = tune_classifier_hyperparameters(data, spec, search)
+        assert (model.spec, model.tau2) != grid_candidates(spec, search.tau2_init, search.grid)[0]
+        assert type(model.basis).__name__ == ROUTE_BASIS.get(route, "DenseBasis")
         fresh = fit_classifier(data, model.spec, model.tau2)
         for name in ("mode", "dual", "pi", "W", "B_chol"):
             assert np.array_equal(getattr(model.state, name), getattr(fresh.state, name)), name
         assert model.state.half_logdet_B == fresh.state.half_logdet_B
         assert model.state.log_lik == fresh.state.log_lik
-        X_star, T_star = rng.standard_normal((16, 2)), rng.uniform(0, 1, (16, 1))
+        assert model.state.iterations == fresh.state.iterations
+        assert np.array_equal(model.weights, fresh.weights)
+        X_star, T_star = rng.standard_normal((16, 2)), data.T[rng.integers(0, data.n, 16)]
         assert np.array_equal(
             model.predict_proba_batch(X_star, T_star), fresh.predict_proba_batch(X_star, T_star)
         )
+
+    @pytest.mark.parametrize("route", GRID_ROUTES)
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=6)
+    def test_warm_started_grid_matches_cold_fits(self, route, seed):
+        data, spec, search = grid_case(route, seed)
+        candidates = grid_candidates(spec, search.tau2_init, search.grid)
+        workspace = _Workspace(data.n)
+        warm = [fit_classifier(data, s, t, workspace=workspace).log_marginal_likelihood()
+                for s, t in candidates]
+        cold = [fit_classifier(data, s, t).log_marginal_likelihood() for s, t in candidates]
+        np.testing.assert_allclose(warm, cold, rtol=1e-6, atol=0)
+        model = tune_classifier_hyperparameters(data, spec, search)
+        assert (model.spec, model.tau2) == candidates[int(np.argmax(cold))]
+
+    def test_a_warm_start_that_fails_is_retried_from_zero(self, monkeypatch):
+        data, spec, search = grid_case("dense", seed=0)
+        cold = tune_classifier_hyperparameters(data, spec, search)
+        starts = []
+
+        def warm_fails(cov, y, context="covariance", dual=None, _mode=laplace_mode):
+            starts.append("warm" if dual is not None else "zero")
+            if dual is not None:
+                raise NumericalError("warm start failed")
+            return _mode(cov, y, context)
+
+        monkeypatch.setattr(gp_classify, "laplace_mode", warm_fails)
+        model = tune_classifier_hyperparameters(data, spec, search)
+        n = len(grid_candidates(spec, search.tau2_init, search.grid))
+        # each later candidate: the warm start, then its retry; then the winner's refit
+        assert starts == ["zero"] + ["warm", "zero"] * (n - 1) + ["zero"]
+        assert (model.spec, model.tau2) == (cold.spec, cold.tau2)
+        assert np.array_equal(model.state.dual, cold.state.dual)
+
+    def test_a_winner_that_fails_from_zero_keeps_its_warm_fit(self, monkeypatch):
+        data, spec, search = grid_case("dense", seed=0)
+        n = len(grid_candidates(spec, search.tau2_init, search.grid))
+        starts = []
+
+        def refit_fails(cov, y, context="covariance", dual=None, _mode=laplace_mode):
+            starts.append(dual is not None)
+            if len(starts) > n:
+                raise NumericalError("Newton failed from zero")
+            return _mode(cov, y, context, dual)
+
+        monkeypatch.setattr(gp_classify, "laplace_mode", refit_fails)
+        model = tune_classifier_hyperparameters(data, spec, search)
+        monkeypatch.undo()
+        assert starts == [False] + [True] * (n - 1) + [False]
+        fresh = fit_classifier(data, model.spec, model.tau2)
+        assert not np.array_equal(model.state.dual, fresh.state.dual)  # the warm fit
+        np.testing.assert_allclose(model.log_marginal_likelihood(), fresh.log_marginal_likelihood(),
+                                   rtol=1e-6, atol=0)
+
+    def test_a_grid_whose_every_newton_iteration_fails_names_the_last_failure(self, monkeypatch):
+        data, spec, search = grid_case("dense", seed=0)
+        starts = []
+
+        def fails(cov, y, context="covariance", dual=None):
+            starts.append(dual)
+            raise NumericalError(f"Newton failed for {context}")
+
+        monkeypatch.setattr(gp_classify, "laplace_mode", fails)
+        n = len(grid_candidates(spec, search.tau2_init, search.grid))
+        message = (rf"every grid candidate failed to fit \({n} candidates\); the last: "
+                   r"Newton failed for kernel spec")
+        with pytest.raises(NumericalError, match=message):
+            tune_classifier_hyperparameters(data, spec, search)
+        assert starts == [None] * n  # nothing converged, so nothing to start from
 
     def test_a_search_that_is_not_a_grid_is_rejected(self):
         # a gradient search that also carries a grid is not run as the grid
