@@ -73,11 +73,6 @@ from .multitask_hb import (
     verify_prop1,
     verify_prop2,
 )
-from .sparse_fitc import (
-    InducingSet,
-    fit_fitc,
-    fit_fitc_classifier,
-    select_inducing,
-)
+from .sparse_fitc import InducingSet, select_inducing
 
 __version__ = "0.1.0"

@@ -452,25 +452,20 @@ def run_method(
     # iid and concat run a plain GP (constant task kernel); concat rebuilds X
     task = settings.task_kernel if method.startswith("vcgp") else Constant(1.0)
     spec = KernelSpec(instance_kernel=inst, task_kernel=task)
+    inducing = None
     if settings.fitc:
         p, fitc_seed = settings.fitc
         inducing = sparse_fitc.select_inducing(
             train, min(p, train.n), derive_seed(seed, "inducing", fitc_seed)
         )
-        if classification:  # a grid's workspace carries Newton's start across candidates
-            fit = functools.partial(sparse_fitc.fit_fitc_classifier, inducing=inducing)
-        else:  # FITC regression holds nothing across candidates
-            def fit(data, spec, tau2, workspace=None):
-                return sparse_fitc.fit_fitc(data, spec, tau2, inducing)
-        tune = functools.partial(gp_core._tune_grid, fit)
-    else:
+    if settings.search is None:
         fit = gp_classify.fit_classifier if classification else gp_core.fit_regressor
+        model = fit(train, spec, settings.tau2, inducing=inducing)
+    else:
         tune = (gp_classify.tune_classifier_hyperparameters if classification
                 else gp_core.tune_hyperparameters)
-    if settings.search is None:
-        model = fit(train, spec, settings.tau2)
-    else:
-        model = tune(train, spec, replace(settings.search, seed=derive_seed(seed, "tune")))
+        search = replace(settings.search, seed=derive_seed(seed, "tune"))
+        model = tune(train, spec, search, inducing=inducing)
 
     if classification:
         proba = model.predict_proba_batch(test.X, test.T)

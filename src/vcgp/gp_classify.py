@@ -5,11 +5,11 @@ latent values z have prior ``N(0, K + tau2*I)`` and labels follow
 ``y_i ~ Bernoulli(sigmoid(z_i))``.  The posterior mode is found by damped
 Newton iteration; predictions integrate the logistic likelihood against the
 Gaussian Laplace approximation with Gauss-Hermite quadrature.  The latent
-covariance comes from the regressor's builder (dense, a task forest's
+covariance comes from the regressor's one builder (dense, a task forest's
 :class:`gp_core.TreePrecision`, or the weight-space or FITC
 :class:`gp_core.LowRankDiag`), each covariance forms its own Newton target,
-and :func:`_fit_laplace` finishes every classifier into one class,
-:class:`FittedClassifier`, whose basis (:class:`gp_core.DenseBasis`,
+and :func:`_fit_laplace` finishes every classifier, exact or FITC, into one
+class, :class:`FittedClassifier`, whose basis (:class:`gp_core.DenseBasis`,
 :class:`gp_core.TreeBasis` or :class:`gp_core.LowRankBasis`) carries the
 posterior to test points.
 """
@@ -24,7 +24,7 @@ import numpy as np
 from ._linalg import NumericalError, add_diagonal, chol_with_jitter
 from .gp_core import Basis, Dataset, DenseBasis, DenseCovariance, LowRankDiag, SearchConfig
 from .gp_core import TreePrecision
-from .gp_core import _batch_of_one, _exact_covariance, _latent_predictive, _tune_grid, _Workspace
+from .gp_core import _batch_of_one, _covariance, _latent_predictive, _tune_grid, _Workspace
 from .kernels import KernelSpec, Matern
 
 __all__ = [
@@ -193,23 +193,24 @@ class FittedClassifier:
 
 
 def fit_classifier(
-    data: Dataset, spec: KernelSpec, tau2: float, *, workspace: _Workspace | None = None
+    data: Dataset, spec: KernelSpec, tau2: float, *, workspace: _Workspace | None = None,
+    inducing=None,
 ) -> FittedClassifier:
-    """Fit the Laplace-approximate GP classifier on :func:`gp_core._exact_covariance`.
+    """Fit the Laplace-approximate GP classifier on :func:`gp_core._covariance`, FITC given ``inducing``.
 
     Labels must be 0/1.  Raises :class:`NumericalError` if the Newton
     iteration does not converge within 100 steps.  A search's ``workspace``
     also carries Newton's start from candidate to candidate (:func:`_fit_laplace`).
     """
-    cov, basis = _exact_covariance(data, spec, tau2, workspace)
+    cov, basis = _covariance(data, spec, tau2, workspace, inducing)
     return _fit_laplace(data, spec, tau2, cov, basis, workspace=workspace)
 
 
 def _fit_laplace(
-    data: Dataset, spec: KernelSpec, tau2: float, cov, basis: Basis, jitter: float = 0.0, *,
+    data: Dataset, spec: KernelSpec, tau2: float, cov, basis: Basis, *,
     workspace: _Workspace | None = None,
 ) -> FittedClassifier:
-    """The classifier of the latent covariance ``cov``; ``jitter`` is what its builder added.
+    """The classifier of the latent covariance ``cov``; its jitter starts at the builder's.
 
     Newton factorizes ``B = I + sqrt(W) A sqrt(W)`` (or its low-rank or
     tree form) and nothing else.  Every instance Gram is positive
@@ -228,7 +229,7 @@ def _fit_laplace(
     """
     if not np.all(np.isin(data.y, (0.0, 1.0))):
         raise ValueError("classification labels must be 0 or 1")
-    context = f"kernel spec {spec}"
+    context, jitter = f"kernel spec {spec}", cov.jitter
     if isinstance(cov, DenseCovariance) and _may_be_indefinite(spec):
         added = chol_with_jitter(cov.A, context=context)[1]
         if added:
@@ -260,7 +261,7 @@ def _may_be_indefinite(spec: KernelSpec) -> bool:
 
 
 def tune_classifier_hyperparameters(
-    data: Dataset, spec_template: KernelSpec, search: SearchConfig
+    data: Dataset, spec_template: KernelSpec, search: SearchConfig, *, inducing=None
 ) -> FittedClassifier:
     """Grid search maximizing the Laplace-approximate marginal likelihood.
 
@@ -268,9 +269,9 @@ def tune_classifier_hyperparameters(
     ``spec`` and ``tau2``.  The Laplace evidence has no cheap analytic
     gradient through the mode, so classification tuning always uses the grid
     method, whose candidates start Newton from their predecessor's dual
-    (:func:`gp_core._tune_grid`).  Raises :class:`NumericalError` when every
-    candidate fails.
+    (:func:`gp_core._tune_grid`).  With ``inducing`` points every candidate
+    is a FITC fit.  Raises :class:`NumericalError` when every candidate fails.
     """
     if search.method != "grid":
         raise ValueError("classifier tuning requires a grid search configuration")
-    return _tune_grid(fit_classifier, data, spec_template, search)
+    return _tune_grid(fit_classifier, data, spec_template, search, inducing)

@@ -1,26 +1,26 @@
-"""Exact Bayesian regression for varying-coefficient GP models.
+"""Bayesian regression for varying-coefficient GP models.
 
 Every fit is a covariance builder followed by a likelihood finisher.  The
-exact builder, :func:`_exact_covariance`, gives ``K + tau2 I`` over the
-training data as a :class:`DenseCovariance`; but a linear instance kernel
-times a task Gram ``G`` is Bayesian linear regression on stacked per-task
+one builder, :func:`_covariance`, gives ``K + tau2 I`` over the training
+data as a :class:`DenseCovariance`; but a linear instance kernel times a
+task Gram ``G`` is Bayesian linear regression on stacked per-task
 coefficients (the paper's Theorem 1), a :class:`_Woodbury` solve.  With a
 tree or forest precision ``Q = G^{-1}`` (the paper's Prop. 2) their prior
 is the sparse ``Q kron I`` of :class:`TreePrecision`, which eliminates the
 block-tree posterior precision leaves first; with a factor ``G = C C^T``,
 ``K = V^T V``, and when the features ``V`` are fewer than half the points
 the weight-space :class:`LowRankDiag` puts an identity prior on them, the
-shape of FITC's surrogate too.  Every covariance offers products, a
-Gaussian fit and the Laplace Newton step, so one finisher per likelihood
-serves every route: :func:`_fit_gaussian` here and
-:func:`gp_classify._fit_laplace`.  Every route is one
-:class:`FittedRegressor` whose *basis* carries the posterior to test
-points (the predictive mean and latent variance) and names the arrays a
-model file holds for it: :class:`DenseBasis`, :class:`TreeBasis`,
-:class:`WeightSpaceBasis` or FITC's :class:`sparse_fitc.FITCBasis`.  The
-log marginal likelihood and its
-analytic gradients with respect to log-hyperparameters drive tuning;
-each search's candidates share one :class:`_Workspace`, its buffers and
+shape of FITC's surrogate too, which the builder takes first given
+inducing points.  Every covariance offers products, a Gaussian fit and
+the Laplace Newton step, so one finisher per likelihood serves every
+route: :func:`_fit_gaussian` here and :func:`gp_classify._fit_laplace`.
+Every route is one :class:`FittedRegressor` whose *basis* carries the
+posterior to test points (the predictive mean and latent variance) and
+names the arrays a model file holds for it: :class:`DenseBasis`,
+:class:`TreeBasis`, :class:`WeightSpaceBasis` or FITC's
+:class:`sparse_fitc.FITCBasis`.  The log marginal likelihood and its
+analytic gradients with respect to log-hyperparameters drive tuning; each
+search's candidates share one :class:`_Workspace`, its buffers and
 whatever a kernel held fixed lets them share.
 """
 
@@ -404,14 +404,15 @@ class FittedRegressor:
 
 
 def fit_regressor(
-    data: Dataset, spec: KernelSpec, tau2: float, *, workspace: _Workspace | None = None
+    data: Dataset, spec: KernelSpec, tau2: float, *, workspace: _Workspace | None = None,
+    inducing=None,
 ) -> FittedRegressor:
-    """Fit the exact GP regressor on :func:`_exact_covariance`, in weight space where smaller.
+    """Fit the GP regressor on :func:`_covariance`: exact, or FITC over ``inducing`` points.
 
     Raises :class:`NumericalError` (naming the kernel spec) if the matrix
     to factorize is not positive definite even after the jitter escalation.
     """
-    return _fit_gaussian(data, spec, tau2, *_exact_covariance(data, spec, tau2, workspace))
+    return _fit_gaussian(data, spec, tau2, *_covariance(data, spec, tau2, workspace, inducing))
 
 
 def _same_kernel(a, b) -> bool:
@@ -437,13 +438,17 @@ def _linear_task(spec: KernelSpec):
     return task if isinstance(spec.instance_kernel, Linear) and not isinstance(task, Matern) else None
 
 
-def _exact_covariance(
-    data: Dataset, spec: KernelSpec, tau2: float, workspace: _Workspace | None = None
+def _covariance(
+    data: Dataset, spec: KernelSpec, tau2: float, workspace: _Workspace | None = None,
+    inducing=None,
 ) -> tuple[DenseCovariance | LowRankDiag | TreePrecision, Basis]:
     """``(covariance, basis)`` of ``K + tau2 I`` over the training points.
 
-    The route follows from the spec and the data's size alone:
+    The route follows from ``inducing``, the spec and the data's size alone:
 
+    - inducing points, whatever the spec: FITC's surrogate from
+      :meth:`sparse_fitc.InducingSet.covariance`, O(n p^2) to fit and
+      O(p^2) per prediction.  Every other route is exact.
     - a linear instance kernel times a ``Tree``, or a ``Laplacian`` whose M
       is a forest with positive edge weights, whose R is non-negative and
       reaches each component (the task kernel's ``precision``, see
@@ -465,6 +470,8 @@ def _exact_covariance(
     """
     if not 0 < tau2 < math.inf:
         raise ValueError("tau2 must be positive and finite")
+    if inducing is not None:
+        return inducing.covariance(data, spec, tau2)
     task = _linear_task(spec)
     if task is not None and task.precision is not None:
         workspace = _Workspace(data.n) if workspace is None else workspace
@@ -481,19 +488,19 @@ def _exact_covariance(
     return LowRankDiag(_weight_features(spec, C, data.X, data.T).T, float(tau2)), WeightSpaceBasis(C)
 
 
-def _fit_gaussian(
-    data: Dataset, spec: KernelSpec, tau2: float, cov, basis: Basis, jitter: float = 0.0
-) -> FittedRegressor:
-    """The regressor of the covariance ``cov`` of ``y``; ``jitter`` is what its builder added."""
+def _fit_gaussian(data: Dataset, spec: KernelSpec, tau2: float, cov, basis: Basis) -> FittedRegressor:
+    """The regressor of the covariance ``cov`` of ``y``; its jitter is the builder's and the fit's."""
     L, alpha, weights, half_logdet, added = cov.gaussian_fit(data.y, f"kernel spec {spec}")
     return FittedRegressor(
         spec=spec, tau2=float(tau2), data=data, chol=L, alpha=alpha, weights=weights,
-        half_logdet=half_logdet, jitter=jitter + added, basis=basis,
+        half_logdet=half_logdet, jitter=cov.jitter + added, basis=basis,
     )
 
 
 class DenseCovariance:
     """Covariance ``A``, an n x n array; :meth:`gaussian_fit` factorizes it in its own buffer."""
+
+    jitter = 0.0  # what the builder added to a Gram it factorized: FITC's K_uu alone
 
     def __init__(self, A: np.ndarray):
         self.A = A
@@ -542,6 +549,8 @@ class _Woodbury:
     its weights for ``M = diag(1 / rho) + Phi S Phi^T``.  ``A`` is never formed.
     """
 
+    jitter = 0.0
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self._phi(self.weights(x)) + self.lam * x
 
@@ -570,9 +579,10 @@ class LowRankDiag(_Woodbury):
     ``I`` in exact arithmetic, so its factor needs no jitter.
     """
 
-    def __init__(self, V: np.ndarray, lam):
+    def __init__(self, V: np.ndarray, lam, jitter: float = 0.0):
         self.V = V
         self.lam = lam
+        self.jitter = jitter  # FITC's K_uu jitter
 
     def _phi(self, w: np.ndarray) -> np.ndarray:
         return self.V.T @ w
@@ -622,7 +632,7 @@ class TreePrecision(_Woodbury):
     ``W / (1 + W lam)`` for the Laplace Newton step.  The Gaussian fit's
     per-node statistics, each node's ``X_t^T X_t`` and ``X_t^T y``, and
     ``rows``, the task kernel's Gram rows of the training tasks, are held by
-    ``workspace`` for the task kernel and the data (:func:`_exact_covariance`).
+    ``workspace`` for the task kernel and the data (:func:`_covariance`).
     """
 
     def __init__(self, task, data: Dataset, lam: float, workspace: _Workspace):
@@ -1013,7 +1023,8 @@ class SearchConfig:
     value lists in ``grid`` (parameters absent from the grid keep their
     template values); this is the fallback for task kernels whose parameters
     are fixed by structure.  Grid keys are names :func:`free_param_names`
-    produces for some spec; any other key raises ``ValueError``.
+    produces for some spec, each mapped to a non-empty list of finite
+    numbers above 0; any other key or value raises ``ValueError``.
     """
 
     method: str = "gradient"
@@ -1033,33 +1044,41 @@ class SearchConfig:
             if not _PARAM_NAME.fullmatch(str(name)):
                 raise ValueError(f"unknown grid parameter {name!r}; use tau2 or instance./task. "
                                  "followed by lengthscale, lengthscale[i] or amplitude")
-            if not len(values):
-                raise ValueError(f"grid parameter {name!r} has no values")
-        if not self.tau2_init > 0:
-            raise ValueError("tau2_init must be positive")
-        for name in ("n_restarts", "max_iter"):  # the config parser's rules
+            if not isinstance(values, (list, tuple, np.ndarray)) or not len(values):
+                raise ValueError(f"grid parameter {name!r} must list some numbers, got {values!r}")
+            for i, value in enumerate(values):
+                _check_positive(f"grid parameter {name!r}[{i}]", value)
+        _check_positive("tau2_init", self.tau2_init)
+        _check_positive("grad_tol", self.grad_tol)
+        for name in ("n_restarts", "max_iter"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-        tol = self.grad_tol
-        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)) \
-                or not 0 < tol < math.inf:
-            raise ValueError(f"grad_tol must be a finite number above 0, got {tol!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is a finite number above 0 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
 
 
 def tune_hyperparameters(
-    data: Dataset, spec_template: KernelSpec, search: SearchConfig
+    data: Dataset, spec_template: KernelSpec, search: SearchConfig, *, inducing=None
 ) -> FittedRegressor:
     """Fit the regressor whose hyperparameters maximize the log marginal likelihood.
 
     Returns the fitted best model; the chosen hyperparameters are its
     ``spec`` and ``tau2``.  Deterministic given ``search.seed``.  Raises
     :class:`NumericalError` when every candidate fails to factorize.
+    Given ``inducing`` points, a grid search tunes FITC on its own evidence.
     """
     if data.n < 2:
         raise ValueError("tuning needs at least two training points")
     if search.method == "grid":
-        return _tune_grid(fit_regressor, data, spec_template, search)
+        return _tune_grid(fit_regressor, data, spec_template, search, inducing)
+    if inducing is not None:
+        raise ValueError("FITC tuning requires a grid search configuration")
     return _tune_gradient(data, spec_template, search)
 
 
@@ -1083,8 +1102,8 @@ def grid_candidates(spec: KernelSpec, tau2_0: float, grid: Mapping) -> list[tupl
     return out
 
 
-def _tune_grid(fit, data: Dataset, spec: KernelSpec, search: SearchConfig):
-    """Fit each grid candidate with ``fit(data, spec, tau2, workspace=...)``; return the best.
+def _tune_grid(fit, data: Dataset, spec: KernelSpec, search: SearchConfig, inducing=None):
+    """Fit each grid candidate with ``fit``, given ``workspace`` and ``inducing``; return the best.
 
     The candidates share one :class:`_Workspace`, dropped when the grid
     returns.  Candidates that raise :class:`NumericalError` are skipped.  A
@@ -1104,7 +1123,7 @@ def _tune_grid(fit, data: Dataset, spec: KernelSpec, search: SearchConfig):
     for cand_spec, cand_tau2 in candidates:
         started = workspace.dual is not None
         try:
-            model = fit(data, cand_spec, cand_tau2, workspace=workspace)
+            model = fit(data, cand_spec, cand_tau2, workspace=workspace, inducing=inducing)
         except NumericalError as exc:
             failure = exc.with_traceback(None)  # its frames would keep the candidate's arrays
             continue
@@ -1118,7 +1137,7 @@ def _tune_grid(fit, data: Dataset, spec: KernelSpec, search: SearchConfig):
     if warm:
         workspace.dual = None
         try:
-            best = fit(data, best.spec, best.tau2, workspace=workspace)
+            best = fit(data, best.spec, best.tau2, workspace=workspace, inducing=inducing)
         except NumericalError:
             pass  # Newton fails from zero where the warm start converged: keep that fit
     return best

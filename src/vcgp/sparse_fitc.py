@@ -2,39 +2,35 @@
 
 The exact covariance is replaced by the fully-independent-training-
 conditional surrogate ``Q + diag(K - Q)`` with ``Q = K_nu K_uu^{-1} K_un``
-over p inducing points.  One builder, :func:`_fitc_covariance`, holds the
-surrogate plus the latent noise as :class:`gp_core.LowRankDiag`, the
-covariance of the exact models' weight-space route, and the exact models'
-finishers complete it: :func:`gp_core._fit_gaussian` for the regressor,
-:func:`gp_classify._fit_laplace` for the classifier.  Neither fit forms or
+over p inducing points (Snelson & Ghahramani 2006).  FITC is a route of
+the one covariance builder, :func:`gp_core._covariance`: given an
+:class:`InducingSet`, the builder takes :meth:`InducingSet.covariance`,
+the surrogate plus the latent noise as :class:`gp_core.LowRankDiag`, the
+covariance of the exact models' weight-space route.  So the exact fits
+and tuners take FITC by one keyword, ``inducing``:
+:func:`gp_core.fit_regressor`, :func:`gp_classify.fit_classifier`,
+:func:`gp_core.tune_hyperparameters` and
+:func:`gp_classify.tune_classifier_hyperparameters`.  Neither fit forms or
 factorizes an n x n matrix: the Gaussian fit costs O(n p^2), and each
-Laplace Newton step O(n p^2).  The fits return the exact model classes,
-:class:`gp_core.FittedRegressor` and :class:`gp_classify.FittedClassifier`,
+Laplace Newton step O(n p^2).  The fits return the exact model classes
 with a :class:`FITCBasis` over the inducing points, which predicts in
 O(p^2) per test point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from ._linalg import chol_with_jitter, solve_lower
-from .gp_classify import FittedClassifier, _fit_laplace
-from .gp_core import Dataset, FittedRegressor, LowRankBasis, LowRankDiag, _check_file_shapes
-from .gp_core import _fit_gaussian, _freeze_rows, _Workspace
+from .gp_classify import FittedClassifier, fit_classifier
+from .gp_core import Dataset, LowRankBasis, LowRankDiag, _check_file_shapes, _freeze_rows
+from .gp_core import _Workspace
 from .kernels import KernelSpec
 
-__all__ = [
-    "FITCBasis",
-    "InducingSet",
-    "select_inducing",
-    "fit_fitc",
-    "fit_fitc_classifier",
-]
+__all__ = ["FITCBasis", "InducingSet", "select_inducing"]
 
 # the FITC classifier is the exact class with a FITCBasis; the name
 # stays because the benchmark's tracer (benchmark/layertrace.py) looks it up
@@ -43,7 +39,7 @@ FittedFITCClassifier = FittedClassifier
 
 @dataclass(frozen=True)
 class InducingSet:
-    """Inducing inputs for the sparse approximation."""
+    """Inducing inputs for the sparse approximation: pass one as a fit's or tuner's ``inducing``."""
 
     X: np.ndarray
     T: np.ndarray
@@ -55,6 +51,28 @@ class InducingSet:
             idx = np.asarray(self.indices, dtype=int).copy()
             idx.setflags(write=False)
             object.__setattr__(self, "indices", idx)
+
+    def covariance(self, data: Dataset, spec: KernelSpec, tau2: float):
+        """``(covariance, basis)``: FITC's surrogate plus noise over ``data``, and its basis.
+
+        The covariance is :class:`gp_core.LowRankDiag` ``(V, lam)``:
+        ``V = Luu^{-1} K_un`` carries the low-rank part and ``lam`` is the FITC
+        diagonal ``diag(K - Q) + tau2``, floored away from zero for safety; its
+        ``jitter`` is what the factor ``Luu`` of ``K_uu`` took.  Inducing tasks
+        of another variant or dimension than the training tasks raise ``ValueError``.
+        """
+        if self.T.shape[1:] != data.T.shape[1:]:
+            have = [f"{T.shape[1]}-coordinate tasks" if T.ndim == 2 else "discrete task ids"
+                    for T in (self.T, data.T)]
+            raise ValueError("inducing points have {}, training points have {}".format(*have))
+        Kuu = kernels.product_kernel_matrix(self.X, self.T, self.X, self.T, spec)
+        Luu, jitter = chol_with_jitter(Kuu, context=f"inducing Gram for kernel spec {spec}")
+        Kun = kernels.product_kernel_matrix(self.X, self.T, data.X, data.T, spec)
+        V = solve_lower(Luu, Kun)
+        kdiag = kernels.product_kernel_diag(data.X, data.T, spec)
+        lam = kdiag - np.einsum("ij,ij->j", V, V) + tau2
+        lam = np.maximum(lam, 1e-12 * max(float(np.mean(kdiag)), 1.0))
+        return LowRankDiag(V, lam, jitter), FITCBasis(self.X, self.T, Luu, lam)
 
 
 @dataclass(frozen=True)
@@ -114,51 +132,13 @@ def select_inducing(data: Dataset, p: int, seed: int) -> InducingSet:
     return InducingSet(X=data.X[idx], T=data.T[idx], indices=idx)
 
 
-def _fitc_covariance(data: Dataset, spec: KernelSpec, tau2: float, inducing: InducingSet):
-    """``(covariance, basis, jitter)``: the FITC surrogate plus noise, its basis, K_uu's jitter.
-
-    The covariance is :class:`gp_core.LowRankDiag` ``(V, lam)``:
-    ``V = Luu^{-1} K_un`` carries the low-rank part and ``lam`` is the FITC
-    diagonal ``diag(K - Q) + tau2``, floored away from zero for safety.
-    """
-    if not 0 < tau2 < math.inf:
-        raise ValueError("tau2 must be positive and finite")
-    Kuu = kernels.product_kernel_matrix(
-        inducing.X, inducing.T, inducing.X, inducing.T, spec
-    )
-    Luu, jitter = chol_with_jitter(Kuu, context=f"inducing Gram for kernel spec {spec}")
-    Kun = kernels.product_kernel_matrix(inducing.X, inducing.T, data.X, data.T, spec)
-    V = solve_lower(Luu, Kun)
-    kdiag = kernels.product_kernel_diag(data.X, data.T, spec)
-    lam = kdiag - np.einsum("ij,ij->j", V, V) + tau2
-    lam = np.maximum(lam, 1e-12 * max(float(np.mean(kdiag)), 1.0))
-    return LowRankDiag(V, lam), FITCBasis(inducing.X, inducing.T, Luu, lam), jitter
-
-
-def fit_fitc(
-    data: Dataset, spec: KernelSpec, tau2: float, inducing: InducingSet
-) -> FittedRegressor:
-    """Fit the FITC regressor in O(n p^2).
-
-    Its ``chol`` factorizes ``I_p + V Lam^{-1} V^T``, its weights are
-    ``V alpha`` and its evidence is that of the surrogate ``V^T V + Lam``
-    (see :class:`gp_core.LowRankDiag`).  With the inducing set equal to the
-    full training set this reproduces the exact GP posterior and evidence.
-    """
-    return _fit_gaussian(data, spec, tau2, *_fitc_covariance(data, spec, tau2, inducing))
-
-
 def fit_fitc_classifier(
     data: Dataset, spec: KernelSpec, tau2: float, inducing: InducingSet, *,
     workspace: _Workspace | None = None,
 ) -> FittedClassifier:
-    """Laplace classification with the FITC surrogate latent covariance.
+    """:func:`gp_classify.fit_classifier` with ``inducing``, the one FITC classifier fit.
 
-    Costs O(n p^2) per Newton step and never forms an n x n matrix.  The
-    model's ``state.B_chol`` is the p x p factor of ``I_p + V R V^T`` (see
-    :class:`LowRankDiag`) and its weights are ``V`` times the dual.  A grid
-    search's ``workspace`` carries Newton's start from candidate to
-    candidate, as for the exact classifier (:func:`gp_classify._fit_laplace`).
+    The name stays because the benchmark's worker and tracer
+    (``benchmark/worker.py``, ``benchmark/layertrace.py``) call it.
     """
-    cov, basis, jitter = _fitc_covariance(data, spec, tau2, inducing)
-    return _fit_laplace(data, spec, tau2, cov, basis, jitter, workspace=workspace)
+    return fit_classifier(data, spec, tau2, workspace=workspace, inducing=inducing)

@@ -208,7 +208,7 @@ def fitc_battery(
     test = res.dataset.subset(np.arange(n, n + 50))
     exact = gp_core.fit_regressor(data, spec, 0.05)
     all_inducing = sparse_fitc.InducingSet(X=data.X, T=data.T)
-    fitc_full = sparse_fitc.fit_fitc(data, spec, 0.05, all_inducing)
+    fitc_full = gp_core.fit_regressor(data, spec, 0.05, inducing=all_inducing)
     me, ve = exact.predict_batch(test.X, test.T)
     mf, vf = fitc_full.predict_batch(test.X, test.T)
     dev = max(float(np.max(np.abs(me - mf))), float(np.max(np.abs(ve - vf))))
@@ -240,7 +240,7 @@ def fitc_battery(
         test = res.dataset.subset(np.arange(n, n + 300))
         exact = gp_core.fit_regressor(data, spec2, 0.05)
         inducing = sparse_fitc.select_inducing(data, n // 10, seed=seed + 2)
-        approx = sparse_fitc.fit_fitc(data, spec2, 0.05, inducing)
+        approx = gp_core.fit_regressor(data, spec2, 0.05, inducing=inducing)
         me, _ = exact.predict_batch(test.X, test.T)
         mf, _ = approx.predict_batch(test.X, test.T)
         rel = float(np.mean(np.abs(me - mf)) / np.std(data.y))

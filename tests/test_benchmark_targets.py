@@ -4,13 +4,18 @@
 the program, and ``benchmark/worker.py`` calls package functions by name, so
 a renamed or deleted function would otherwise show only when a benchmark run
 fails.  These tests import the tracer and read the worker's source; they
-wrap and run nothing.
+wrap and run nothing, but for one ``vcgp run`` in a subprocess that shows
+what the tracer sees of a FITC grid.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -69,3 +74,39 @@ def test_worker_names_are_found():
 def test_worker_name_resolves(module_name, attr):
     module = importlib.import_module("vcgp" + (f".{module_name}" if module_name else ""))
     assert hasattr(module, attr)
+
+
+# a toy FITC classification grid under the tracer, in a fresh interpreter
+# that writes no bytecode next to the benchmark's sources
+_FITC_GRID_RUN = """
+import json, sys
+import layertrace, workloads
+from vcgp import cli
+
+tmp = sys.argv[1]
+tracer = layertrace.install()
+wl = workloads.generate("cls-grid", 1, tmp, toy=True)
+config = dict(wl.config, model=dict(wl.config["model"], fitc={"p": 20}))
+with open(tmp + "/fitc.json", "w") as fh:
+    json.dump(config, fh)
+rc = cli.main(["run", tmp + "/fitc.json", "--out", tmp + "/results.csv"])
+grid = config["tuning"]["grid"]
+print(json.dumps({"rc": rc, "folds": config["split"]["kfold"]["k"],
+                  "grid_size": len(grid["task.lengthscale"]) * len(grid["tau2"]),
+                  "metrics": tracer.metrics()}))
+"""
+
+
+def test_tracer_counts_fitc_grid_tuning(tmp_path):
+    # FITC tuning goes through the public classifier tuner, so the tracer
+    # counts one tuner call per fold and each grid candidate under it
+    src = BENCHMARK.parent / "src"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(src), str(BENCHMARK)]))
+    out = subprocess.run([sys.executable, "-c", _FITC_GRID_RUN, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    run = json.loads(out.stdout.splitlines()[-1])
+    assert run["rc"] == 0
+    metrics, folds = run["metrics"], run["folds"]
+    assert metrics["gp_classify.tune_classifier_hyperparameters.calls"] == folds
+    assert metrics["gp_classify.tune.candidates"] >= folds * run["grid_size"]

@@ -112,19 +112,19 @@ class TestRunMethod:
         "problem, method, fitc, tuning, fits",
         [
             ("regression", "vcgp-mat", None, {"method": "grid", "grid": GRID},
-             {"fit_regressor": 4}),
+             {("fit_regressor", "exact"): 4}),
             ("classification", "vcgp-lin", None,
-             {"method": "grid", "grid": {"tau2": [0.05, 0.5, 2.0]}}, {"fit_classifier": 3}),
+             {"method": "grid", "grid": {"tau2": [0.05, 0.5, 2.0]}}, {("fit_classifier", "exact"): 3}),
             ("regression", "vcgp-lin", None,
-             {"method": "gradient", "n_restarts": 2, "max_iter": 5}, {"fit_regressor": 1}),
+             {"method": "gradient", "n_restarts": 2, "max_iter": 5}, {("fit_regressor", "exact"): 1}),
             # FITC tunes on its own evidence: no exact fit, and no refit
             ("regression", "vcgp-mat", {"p": 20}, {"method": "grid", "grid": GRID},
-             {"fit_fitc": 4}),
+             {("fit_regressor", "fitc"): 4}),
             # its winner, the third candidate, started Newton from the second's
             # dual, so the grid fits it once more from zero
             ("classification", "vcgp-mat", {"p": 20}, {"method": "grid", "grid": GRID},
-             {"fit_fitc_classifier": 5}),
-            ("regression", "vcgp-mat", {"p": 20}, {"method": "none"}, {"fit_fitc": 1}),
+             {("fit_classifier", "fitc"): 5}),
+            ("regression", "vcgp-mat", {"p": 20}, {"method": "none"}, {("fit_regressor", "fitc"): 1}),
         ],
         ids=["grid-regression", "grid-classification", "gradient-regression",
              "fitc-grid-regression", "fitc-grid-classification", "fitc-untuned"],
@@ -133,10 +133,9 @@ class TestRunMethod:
         self, monkeypatch, problem, method, fitc, tuning, fits
     ):
         calls = []
-        for module, name in ((gp_core, "fit_regressor"), (gp_classify, "fit_classifier"),
-                             (sparse_fitc, "fit_fitc"), (sparse_fitc, "fit_fitc_classifier")):
+        for module, name in ((gp_core, "fit_regressor"), (gp_classify, "fit_classifier")):
             def counted(*args, _fit=getattr(module, name), **kwargs):
-                calls.append(_fit.__name__)
+                calls.append((_fit.__name__, "exact" if kwargs.get("inducing") is None else "fitc"))
                 return _fit(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
@@ -171,7 +170,7 @@ class TestRunMethod:
         # and refits the winner from zero
         models, starts = [], []
 
-        def spied(*args, _tune=gp_core._tune_grid):
+        def spied(*args, _tune=gp_classify._tune_grid):
             models.append(_tune(*args))
             return models[-1]
 
@@ -179,7 +178,7 @@ class TestRunMethod:
             starts.append(dual is not None)
             return _mode(cov, y, context, dual)
 
-        monkeypatch.setattr(gp_core, "_tune_grid", spied)
+        monkeypatch.setattr(gp_classify, "_tune_grid", spied)
         monkeypatch.setattr(gp_classify, "laplace_mode", mode)
         train, test = self.make_splits("classification")
         settings = run_settings({"problem": "classification",
@@ -193,7 +192,7 @@ class TestRunMethod:
         first = gp_core.grid_candidates(template, settings.search.tau2_init, self.GRID)[0]
         assert (model.spec, model.tau2) != first
         inducing = sparse_fitc.InducingSet(model.basis.inducing_X, model.basis.inducing_T)
-        fresh = sparse_fitc.fit_fitc_classifier(model.data, model.spec, model.tau2, inducing)
+        fresh = gp_classify.fit_classifier(model.data, model.spec, model.tau2, inducing=inducing)
         for name in ("mode", "dual", "W", "B_chol"):
             assert np.array_equal(getattr(model.state, name), getattr(fresh.state, name)), name
         assert model.log_marginal_likelihood() == fresh.log_marginal_likelihood()

@@ -16,6 +16,7 @@ from vcgp._linalg import NumericalError, add_diagonal, chol_with_jitter, solve_l
 from vcgp.baselines import primal_oracle_predict
 from vcgp.gp_classify import fit_classifier, laplace_mode, logistic_gaussian_integral
 from vcgp.multitask_hb import hb_weight_covariance, random_tree
+from vcgp.sparse_fitc import InducingSet
 from vcgp.gp_core import (
     Dataset,
     DenseBasis,
@@ -1157,16 +1158,48 @@ class TestParameterLayout:
         [("n_restarts", 0), ("n_restarts", 2.5), ("n_restarts", True), ("n_restarts", "3"),
          ("max_iter", 0), ("max_iter", -1), ("max_iter", 10.0),
          ("grad_tol", math.nan), ("grad_tol", math.inf), ("grad_tol", 0.0), ("grad_tol", -1e-5),
-         ("grad_tol", "1e-5")],
+         ("grad_tol", "1e-5"), ("tau2_init", math.inf), ("tau2_init", math.nan),
+         ("tau2_init", 0.0), ("tau2_init", -0.1), ("tau2_init", True), ("tau2_init", "0.1")],
     )
     def test_bad_gradient_field_is_rejected_by_name(self, field, value):
-        # the rules of the config parser: integers of at least 1, a finite tolerance above 0
+        # the rules of the config parser: integers of at least 1, a finite tolerance and
+        # a finite starting tau2 (model.tau2) above 0
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SearchConfig(**{field: value})
 
     def test_gradient_fields_take_numpy_numbers(self):
         search = SearchConfig(n_restarts=np.int64(2), max_iter=np.int32(3), grad_tol=np.float32(1e-4))
         assert search.n_restarts == 2 and search.max_iter == 3
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [("abc", "grid parameter 'tau2' must list some numbers, got 'abc'"),
+         (0.1, "grid parameter 'tau2' must list some numbers, got 0.1"),
+         ([], "grid parameter 'tau2' must list some numbers, got []"),
+         ([0.1, 0.2, -1.0], "grid parameter 'tau2'[2] must be a finite number above 0, got -1.0"),
+         ([0.0], "grid parameter 'tau2'[0] must be a finite number above 0, got 0.0"),
+         ([0.1, math.inf], "grid parameter 'tau2'[1] must be a finite number above 0, got inf"),
+         ([math.nan], "grid parameter 'tau2'[0] must be a finite number above 0, got nan"),
+         ([True], "grid parameter 'tau2'[0] must be a finite number above 0, got True"),
+         (["0.1"], "grid parameter 'tau2'[0] must be a finite number above 0, got '0.1'")],
+        ids=["string", "number", "empty", "negative", "zero", "inf", "nan", "bool", "numeric-string"],
+    )
+    def test_bad_grid_value_is_rejected_by_key_and_index(self, values, message, gram_builds):
+        # the config parser's rules for tuning.grid, before any candidate is fitted
+        with pytest.raises(ValueError, match=re.escape(message)):
+            search = SearchConfig(method="grid", grid={"tau2": values})
+            tune_hyperparameters(_recovery_data(), LIN_MATERN, search)
+        assert gram_builds == {"instance_gram": 0, "task_gram": 0}
+
+    def test_grid_takes_tuples_arrays_and_numpy_numbers(self):
+        SearchConfig(method="grid", grid={"tau2": (0.1, np.float32(0.2), np.int64(1)),
+                                          "task.lengthscale": np.array([0.3, 1.0])})
+
+    def test_gradient_search_with_inducing_points_is_rejected(self):
+        data = _recovery_data()
+        inducing = InducingSet(X=data.X[:3], T=data.T[:3])
+        with pytest.raises(ValueError, match="FITC tuning requires a grid search"):
+            tune_hyperparameters(data, LIN_MATERN, SearchConfig(), inducing=inducing)
 
 
 class TestDataset:

@@ -14,7 +14,7 @@ from vcgp.kernels import FixedGram, KernelSpec, Linear, Matern, TaskTree, Tree
 from vcgp.kernels import _tree_laplacian_parts, product_kernel_matrix
 from vcgp.model_io import load_model, save_model
 from vcgp.multitask_hb import random_tree
-from vcgp.sparse_fitc import fit_fitc, fit_fitc_classifier, select_inducing
+from vcgp.sparse_fitc import select_inducing
 
 
 def continuous_data(seed=0, n=10):
@@ -94,10 +94,9 @@ def fitted_model(route, likelihood):
         data, spec = continuous_data(seed=12, n=30), MATERN_MATERN
     if likelihood == "classifier":
         data = Dataset(X=data.X, T=data.T, y=(data.y > 0).astype(float))
-    if route.startswith("fitc"):
-        fit = fit_fitc if likelihood == "regressor" else fit_fitc_classifier
-        return fit(data, spec, 0.1, select_inducing(data, 8, seed=3))
-    return (fit_regressor if likelihood == "regressor" else fit_classifier)(data, spec, 0.1)
+    inducing = select_inducing(data, 8, seed=3) if route.startswith("fitc") else None
+    fit = fit_regressor if likelihood == "regressor" else fit_classifier
+    return fit(data, spec, 0.1, inducing=inducing)
 
 
 def query_points(model, count, seed):

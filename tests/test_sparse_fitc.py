@@ -22,6 +22,7 @@ from vcgp.gp_core import (
     LowRankDiag,
     TreeBasis,
     WeightSpaceBasis,
+    _latent_predictive,
     _weight_features,
     fit_regressor,
 )
@@ -35,14 +36,7 @@ from vcgp.kernels import (
     product_kernel_matrix,
 )
 from vcgp.multitask_hb import random_tree
-from vcgp.sparse_fitc import (
-    FITCBasis,
-    InducingSet,
-    _fitc_covariance,
-    fit_fitc,
-    fit_fitc_classifier,
-    select_inducing,
-)
+from vcgp.sparse_fitc import FITCBasis, InducingSet, select_inducing
 
 SPEC = KernelSpec(
     instance_kernel=Matern(nu=1.5, lengthscale=2.0),
@@ -92,7 +86,7 @@ class TestFITCRegression:
     def test_exact_when_inducing_is_training_set(self):
         data = make_data(80)
         exact = fit_regressor(data, SPEC, 0.05)
-        fitc = fit_fitc(data, SPEC, 0.05, InducingSet(X=data.X, T=data.T))
+        fitc = fit_regressor(data, SPEC, 0.05, inducing=InducingSet(X=data.X, T=data.T))
         rng = np.random.default_rng(1)
         Xs, Ts = rng.standard_normal((30, 2)), rng.uniform(0, 1, (30, 1))
         me, ve = exact.predict_batch(Xs, Ts)
@@ -102,7 +96,7 @@ class TestFITCRegression:
 
     def test_rank_one_smoke(self):
         data = make_data(25)
-        fitc = fit_fitc(data, SPEC, 0.05, select_inducing(data, 1, seed=0))
+        fitc = fit_regressor(data, SPEC, 0.05, inducing=select_inducing(data, 1, seed=0))
         pd = fitc.predict(np.zeros(2), np.array([[0.5]]))
         assert np.isfinite(pd.mean)
         assert pd.total_var > 0
@@ -114,8 +108,8 @@ class TestFITCRegression:
         ind_perm = InducingSet(X=ind.X[perm], T=ind.T[perm])
         rng = np.random.default_rng(5)
         Xs, Ts = rng.standard_normal((10, 2)), rng.uniform(0, 1, (10, 1))
-        m1, v1 = fit_fitc(data, SPEC, 0.05, ind).predict_batch(Xs, Ts)
-        m2, v2 = fit_fitc(data, SPEC, 0.05, ind_perm).predict_batch(Xs, Ts)
+        m1, v1 = fit_regressor(data, SPEC, 0.05, inducing=ind).predict_batch(Xs, Ts)
+        m2, v2 = fit_regressor(data, SPEC, 0.05, inducing=ind_perm).predict_batch(Xs, Ts)
         np.testing.assert_allclose(m1, m2, atol=1e-8)
         np.testing.assert_allclose(v1, v2, atol=1e-8)
 
@@ -125,7 +119,7 @@ class TestFITCRegression:
         data = res.dataset.subset(np.arange(800))
         test = res.dataset.subset(np.arange(800, 900))
         exact = fit_regressor(data, spec, 0.05)
-        fitc = fit_fitc(data, spec, 0.05, select_inducing(data, 80, seed=6))
+        fitc = fit_regressor(data, spec, 0.05, inducing=select_inducing(data, 80, seed=6))
         me, _ = exact.predict_batch(test.X, test.T)
         mf, _ = fitc.predict_batch(test.X, test.T)
         assert np.mean(np.abs(me - mf)) < 0.05 * np.std(data.y)
@@ -145,7 +139,7 @@ class TestFITCRegression:
             for n in sizes:
                 data, ind = problems[n]
                 t0 = time.process_time()
-                fit_fitc(data, SPEC, 0.05, ind)
+                fit_regressor(data, SPEC, 0.05, inducing=ind)
                 best[n] = min(best[n], time.process_time() - t0)
         assert best[3000] < 3.0 * best[1500]
 
@@ -153,7 +147,7 @@ class TestFITCRegression:
     def test_invalid_tau2(self, tau2):
         data = make_data(10)
         with pytest.raises(ValueError, match="tau2 must be positive and finite"):
-            fit_fitc(data, SPEC, tau2, select_inducing(data, 5, seed=0))
+            fit_regressor(data, SPEC, tau2, inducing=select_inducing(data, 5, seed=0))
 
 
 class TestFITCClassification:
@@ -161,7 +155,7 @@ class TestFITCClassification:
         base = make_data(60, seed=11)
         data = Dataset(X=base.X, T=base.T, y=threshold_labels(base.y))
         exact = fit_classifier(data, SPEC, 0.1)
-        fitc = fit_fitc_classifier(data, SPEC, 0.1, InducingSet(X=data.X, T=data.T))
+        fitc = fit_classifier(data, SPEC, 0.1, inducing=InducingSet(X=data.X, T=data.T))
         rng = np.random.default_rng(12)
         Xs, Ts = rng.standard_normal((20, 2)), rng.uniform(0, 1, (20, 1))
         np.testing.assert_allclose(
@@ -171,14 +165,14 @@ class TestFITCClassification:
     def test_probabilities_in_unit_interval(self):
         base = make_data(120, seed=13)
         data = Dataset(X=base.X, T=base.T, y=threshold_labels(base.y))
-        fitc = fit_fitc_classifier(data, SPEC, 0.1, select_inducing(data, 20, seed=14))
+        fitc = fit_classifier(data, SPEC, 0.1, inducing=select_inducing(data, 20, seed=14))
         p = fitc.predict_proba_batch(data.X, data.T)
         assert np.all((p > 0) & (p < 1))
 
     def test_rejects_non_binary_labels(self):
         data = make_data(10, seed=15)
         with pytest.raises(ValueError):
-            fit_fitc_classifier(data, SPEC, 0.1, select_inducing(data, 5, seed=0))
+            fit_classifier(data, SPEC, 0.1, inducing=select_inducing(data, 5, seed=0))
 
 
 def dense_laplace_proba(state, Ks, prior):
@@ -196,8 +190,8 @@ class TestFITCClassifierAgainstDenseSurrogate:
         data = Dataset(X=base.X, T=base.T, y=threshold_labels(base.y))
         tau2 = 0.1
         inducing = select_inducing(data, 25, seed=17)
-        fitc = fit_fitc_classifier(data, SPEC, tau2, inducing)
-        cov, basis, _ = _fitc_covariance(data, SPEC, tau2, inducing)
+        fitc = fit_classifier(data, SPEC, tau2, inducing=inducing)
+        cov, basis = inducing.covariance(data, SPEC, tau2)
         Luu, V, lam = basis.Luu, cov.V, cov.lam
         dense = laplace_mode(V.T @ V + np.diag(lam), data.y)
         assert fitc.state.B_chol.shape == (25, 25)
@@ -230,8 +224,8 @@ class TestFITCClassifierAgainstDenseSurrogate:
         base = make_data(600, seed=1)
         data = Dataset(X=base.X, T=base.T, y=threshold_labels(base.y))
         inducing = select_inducing(data, 100, seed=1)
-        fitc = fit_fitc_classifier(data, spec, 0.1, inducing)
-        cov, _, _ = _fitc_covariance(data, spec, 0.1, inducing)
+        fitc = fit_classifier(data, spec, 0.1, inducing=inducing)
+        cov, _ = inducing.covariance(data, spec, 0.1)
         V, lam = cov.V, cov.lam
         low = laplace_mode(LowRankDiag(V, lam), data.y)
         np.testing.assert_array_equal(fitc.state.dual, low.dual)
@@ -289,7 +283,7 @@ class TestFITCClassifierAgainstDenseSurrogate:
         inducing = select_inducing(data, p, seed=20)
         tracemalloc.start()
         try:
-            fit_fitc_classifier(data, SPEC, 0.1, inducing)
+            fit_classifier(data, SPEC, 0.1, inducing=inducing)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -310,10 +304,9 @@ def fitted(likelihood, route):
         data = make_data(30, seed=22)
     if likelihood == "classification":
         data = Dataset(X=data.X, T=data.T, y=threshold_labels(data.y))
-    if route == "fitc":
-        fit = fit_fitc if likelihood == "regression" else fit_fitc_classifier
-        return fit(data, SPEC, 0.1, select_inducing(data, 8, seed=23))
-    return (fit_regressor if likelihood == "regression" else fit_classifier)(data, spec, 0.1)
+    inducing = select_inducing(data, 8, seed=23) if route == "fitc" else None
+    fit = fit_regressor if likelihood == "regression" else fit_classifier
+    return fit(data, spec, 0.1, inducing=inducing)
 
 
 # every route of both likelihoods, with the model class and basis it fits
@@ -414,18 +407,81 @@ class TestOneModelClassPerLikelihood:
     def test_fitc_classifier_name_is_the_exact_class(self):
         assert sparse_fitc.FittedFITCClassifier is FittedClassifier
 
-    def test_fitc_regression_evidence_is_exact_with_every_point_inducing(self):
+    @pytest.mark.parametrize("route", ["dense", "tree-precision"])
+    def test_fitc_regression_evidence_is_exact_with_every_point_inducing(self, route):
         # criterion 6's setting and tolerance (TOL_FITC_EXACT in test_acceptance.py)
-        data = make_data(80, seed=5)
-        exact = fit_regressor(data, SPEC, 0.05).log_marginal_likelihood()
-        fitc = fit_fitc(data, SPEC, 0.05, InducingSet(X=data.X, T=data.T))
-        assert abs(fitc.log_marginal_likelihood() - exact) < 1e-6
+        assert_exact_with_every_point_inducing("regression", route, seed=5)
 
+    @pytest.mark.parametrize("route", ["dense", "tree-precision"])
     @pytest.mark.parametrize("seed", [5, 11, 13])
-    def test_fitc_classifier_evidence_is_exact_with_every_point_inducing(self, seed):
+    def test_fitc_classifier_evidence_is_exact_with_every_point_inducing(self, seed, route):
         # criterion 6's tolerance, on the Laplace evidence
-        data = make_data(80, seed=seed)
+        assert_exact_with_every_point_inducing("classification", route, seed)
+
+    @pytest.mark.parametrize("likelihood", ["regression", "classification"])
+    @pytest.mark.parametrize("variant", ["ids-for-coordinates", "coordinates-for-ids"])
+    def test_inducing_tasks_of_another_variant_are_rejected(self, likelihood, variant):
+        # ids read as coordinates made a model file that fails to load, and
+        # coordinates under a tree kernel one whose ids were out of range
+        if variant == "ids-for-coordinates":
+            data, spec = make_data(20, seed=3), SPEC
+            inducing = InducingSet(X=data.X[:5], T=np.arange(1, 6))
+            message = "inducing points have discrete task ids, training points have 1-coordinate tasks"
+        else:
+            rng = np.random.default_rng(3)
+            data = Dataset(X=rng.standard_normal((20, 2)), T=rng.integers(1, 4, size=20),
+                           y=rng.standard_normal(20))
+            spec = KernelSpec(Matern(), Tree(random_tree(3, rng)))
+            inducing = InducingSet(X=data.X[:5], T=data.T[:5, None].astype(float))
+            message = "inducing points have 1-coordinate tasks, training points have discrete task ids"
+        if likelihood == "classification":
+            data = Dataset(X=data.X, T=data.T, y=threshold_labels(data.y))
+        fit = fit_regressor if likelihood == "regression" else fit_classifier
+        with pytest.raises(ValueError, match=message):
+            fit(data, spec, 0.1, inducing=inducing)
+
+    def test_inducing_tasks_of_another_dimension_are_rejected(self):
+        data = make_data(20, seed=3)
+        inducing = InducingSet(X=data.X[:5], T=np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="inducing points have 2-coordinate tasks, "
+                                             "training points have 1-coordinate tasks"):
+            fit_regressor(data, SPEC, 0.1, inducing=inducing)
+
+
+def assert_exact_with_every_point_inducing(likelihood, route, seed):
+    """FITC over every training point against the exact ``route``, at criterion 6's 1e-6.
+
+    The FITC branch comes before every exact route.  The dense route is
+    Matern x Matern; the tree route Linear x ``Tree`` with m points of m
+    random features per task, so that K, the inducing Gram, is nonsingular.
+    """
+    rng = np.random.default_rng(seed)
+    if route == "dense":
+        data, spec = make_data(80, seed=seed), SPEC
+        Xs, Ts = rng.standard_normal((20, 2)), rng.uniform(0, 1, (20, 1))
+    else:
+        k, m = 8, 3
+        spec = KernelSpec(Linear(), Tree(random_tree(k, rng, 0.3, 3.0)))
+        data = Dataset(X=rng.standard_normal((k * m, m)), T=np.repeat(np.arange(1, k + 1), m),
+                       y=rng.standard_normal(k * m))
+        Xs, Ts = rng.standard_normal((20, m)), rng.integers(1, k + 1, size=20)
+    if likelihood == "classification":
         data = Dataset(X=data.X, T=data.T, y=threshold_labels(data.y))
-        exact = fit_classifier(data, SPEC, 0.05).log_marginal_likelihood()
-        fitc = fit_fitc_classifier(data, SPEC, 0.05, InducingSet(X=data.X, T=data.T))
-        assert abs(fitc.log_marginal_likelihood() - exact) < 1e-6
+    fit = fit_regressor if likelihood == "regression" else fit_classifier
+    exact = fit(data, spec, 0.05)
+    fitc = fit(data, spec, 0.05, inducing=InducingSet(X=data.X, T=data.T))
+    assert type(exact.basis) is {"dense": DenseBasis, "tree-precision": TreeBasis}[route]
+    assert type(fitc.basis) is FITCBasis
+    assert abs(fitc.log_marginal_likelihood() - exact.log_marginal_likelihood()) < 1e-6
+    for a, b in zip(latent(fitc, Xs, Ts), latent(exact, Xs, Ts)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-6)
+    if likelihood == "classification":
+        np.testing.assert_allclose(fitc.predict_proba_batch(Xs, Ts),
+                                   exact.predict_proba_batch(Xs, Ts), rtol=0, atol=1e-6)
+
+
+def latent(model, Xs, Ts):
+    """Latent predictive means and variances of either likelihood's model."""
+    if isinstance(model, FittedRegressor):
+        return model.predict_batch(Xs, Ts)
+    return _latent_predictive(model, Xs, Ts, model.state.B_chol, model.tau2, model.state.W)
