@@ -42,12 +42,15 @@ _gh_x, _gh_w = np.polynomial.hermite.hermgauss(GH_NODES)
 
 
 def sigmoid(z):
+    """The logistic function, ``1 / (1 + e^-z)`` for z >= 0 and ``e^z / (1 + e^z)`` below.
+
+    Both branches from one ``e = exp(-|z|)``, which never overflows: the
+    numerator is 1 or ``e``, chosen elementwise without boolean indexing.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    out /= 1.0 + e
     return out if out.ndim else float(out)
 
 

@@ -187,7 +187,9 @@ def _latent_predictive(model, X_star, T_star, L, noise=0.0, W=None):
                          f"{T_star.shape[0]}")
     mean, var = model.basis.latent(model, X_star, T_star, L, noise, W)
     if (var < -VARIANCE_CLAMP).any():
-        raise NumericalError("negative latent predictive variance beyond clamp tolerance")
+        row = np.flatnonzero(var < -VARIANCE_CLAMP)[0]
+        raise NumericalError(f"negative latent predictive variance beyond clamp tolerance; row {row} "
+                             f"has {float(var[row])!r}")
     return mean, np.maximum(var, 0.0, out=var)
 
 
@@ -425,7 +427,7 @@ def _weight_features(spec: KernelSpec, C: np.ndarray, X: np.ndarray, T) -> np.nd
     ``T`` has passed :func:`kernels.check_tasks`.
     """
     rows = C[spec.task_kernel._index(T)]
-    return (X[:, :, None] * rows[:, None, :]).reshape(X.shape[0], -1)
+    return (X[:, :, None] * rows[:, None, :]).reshape(X.shape[0], X.shape[1] * C.shape[1])
 
 
 def _linear_task(spec: KernelSpec):

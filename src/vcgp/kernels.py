@@ -572,6 +572,17 @@ def _scaled_dist(
     ``cdist(Z1, Z2) / l``, dividing ``dist`` when the caller holds that
     ``cdist``, so a held and a fresh distance agree bit for bit; an ARD
     kernel's is ``cdist(Z1 / l, Z2 / l)`` and ignores ``dist``.
+
+    Against a single point (one row in ``Z2``, as in a single-point
+    prediction's kernel row) and with no ``out``, the distances come from
+    ``cdist(Z2, Z1)`` as a column: scipy's euclidean ``cdist`` has a cost
+    per row of its first argument, so that orientation is several times
+    faster for a long ``Z1``.  A euclidean distance is the same bits in
+    either order, and one row reshaped to a column is a view with the
+    strides of a fresh ``(len(Z1), 1)`` array, so the result matches
+    ``cdist(Z1, Z2)`` in bits and layout.  With two or more rows in ``Z2``
+    the transpose would need a strided copy, which for a test batch costs
+    more than the orientation saves.
     """
     ls = np.atleast_1d(np.asarray(kernel.lengthscale, dtype=float))
     if ls.size not in (1, Z1.shape[1]):
@@ -579,10 +590,14 @@ def _scaled_dist(
             f"lengthscale has {ls.size} entries but points have {Z1.shape[1]} dimensions"
         )
     if kernel.ard:
-        return cdist(Z1 / ls, Z2 / ls, out=out)
-    if dist is None:
-        dist = out = cdist(Z1, Z2, out=out)
-    return np.divide(dist, kernel.lengthscale, out=out)
+        Z1, Z2 = Z1 / ls, Z2 / ls
+    elif dist is not None:
+        return np.divide(dist, kernel.lengthscale, out=out)
+    if out is None and Z2.shape[0] == 1:
+        out = cdist(Z2, Z1).reshape(Z1.shape[0], 1)
+    else:
+        out = cdist(Z1, Z2, out=out)
+    return out if kernel.ard else np.divide(out, kernel.lengthscale, out=out)
 
 
 def _matern_gram(kernel: Matern, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
@@ -687,7 +702,8 @@ def _task_gram(kernel: TaskKernel, T1: np.ndarray, T2: np.ndarray) -> np.ndarray
     """:func:`task_gram` of tasks that :func:`check_tasks` has passed."""
     if not isinstance(kernel, Matern):
         return kernel.gram[kernel._index(T1)][:, kernel._index(T2)]
-    T1, T2 = (T.reshape(T.shape[0], -1) for T in (T1, T2))  # a task id is one coordinate
+    # a task id is one coordinate; explicit sizes, as -1 is ambiguous for zero rows
+    T1, T2 = (T.reshape(T.shape[0], math.prod(T.shape[1:])) for T in (T1, T2))
     if T1.shape[1] != T2.shape[1]:
         raise ValueError("task coordinate dimensions differ")
     return _matern_gram(kernel, T1, T2)

@@ -274,6 +274,25 @@ class TestLaplaceEvidence:
         )
 
 
+def two_branch_sigmoid(z):
+    """The logistic function by its two overflow-free branches, each over its own entries."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_its_two_branches_bit_for_bit():
+    # the suite turns RuntimeWarning into an error: no overflow on the way
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0])
+    z = np.concatenate([edges, 40.0 * np.random.default_rng(0).standard_normal(10**5)])
+    assert np.array_equal(sigmoid(z), two_branch_sigmoid(z))
+    for value in edges:
+        assert sigmoid(value) == two_branch_sigmoid(np.array([value]))[0]
+
+
 class TestQuadratureHelper:
     def test_against_adaptive_quadrature(self):
         for mu, var in [(0.0, 1.0), (1.5, 0.25), (-2.0, 4.0), (0.3, 1e-8)]:

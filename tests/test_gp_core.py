@@ -215,6 +215,21 @@ class TestPredict:
         _, var = model.predict_batch(data.X, data.T)
         assert np.all(var >= 0)
 
+    def test_negative_variance_beyond_the_clamp_names_its_row(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        data = Dataset(X=rng.standard_normal((20, 2)), T=rng.uniform(0, 1, (20, 1)), y=rng.standard_normal(20))
+        model = fit_regressor(data, KernelSpec(instance_kernel=Matern(), task_kernel=Matern()), tau2=0.1)
+        latent = DenseBasis.latent
+
+        def negative_from_row_2(self, *args):
+            mean, var = latent(self, *args)
+            var[1:4] = -1e-9, -0.25, -0.5  # row 1 is within the clamp tolerance
+            return mean, var
+
+        monkeypatch.setattr(DenseBasis, "latent", negative_from_row_2)
+        with pytest.raises(NumericalError, match=r"clamp tolerance; row 2 has -0\.25$"):
+            model.predict_batch(data.X[:5], data.T[:5])
+
     def test_reduction_to_bayesian_linear_regression(self):
         # with a constant task kernel the model is ridge-style Bayesian
         # regression with a unit isotropic prior; compare to normal equations

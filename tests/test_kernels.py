@@ -84,6 +84,23 @@ class TestMatern:
         with pytest.raises(ValueError):
             matern(1.0, amplitude=-1.0)
 
+    @pytest.mark.parametrize("lengthscale", ["isotropic", "ard"])
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_scaled_dist_is_cdist_bit_for_bit_in_its_layout(self, m, lengthscale):
+        # a single point on either side, its cdist taken in the other
+        # orientation, changes no bit and no stride; a one-entry ARD
+        # lengthscale is isotropic
+        rng = np.random.default_rng(m)
+        ls = rng.uniform(0.3, 2.0, m)
+        kernel = Matern(lengthscale=tuple(ls) if lengthscale == "ard" else 0.7)
+        for rows1 in (1, 7, 300):
+            for rows2 in (1, 7, 300):
+                Z1, Z2 = rng.standard_normal((rows1, m)), rng.standard_normal((rows2, m))
+                want = cdist(Z1 / ls, Z2 / ls) if kernel.ard else cdist(Z1, Z2) / kernel.lengthscale
+                got = kernels._scaled_dist(Z1, Z2, kernel)
+                assert got.flags.c_contiguous and got.strides == want.strides
+                assert np.array_equal(got, want), (rows1, rows2)
+
     @pytest.mark.parametrize("nu, bound", [(0.5, 1.1), (1.5, 2.1), (2.5, 3.1)])
     def test_gram_peak_memory_in_gram_arrays(self, nu, bound):
         # the profile is written over the distances: nu = 1/2 needs no array

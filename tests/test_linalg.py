@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -104,13 +106,42 @@ class TestSolves:
         self.L = chol_with_jitter(spd(70, seed=4))[0]
         self.b = np.random.default_rng(5).standard_normal((70, 3))
 
-    def test_bit_equal_to_scipy_with_its_checks(self):
-        L, b = self.L, self.b
-        assert np.array_equal(solve_lower(L, b), scipy.linalg.solve_triangular(L, b, lower=True))
-        assert np.array_equal(
-            solve_upper(L.T, b), scipy.linalg.solve_triangular(L.T, b, lower=False)
-        )
-        assert np.array_equal(solve_chol(L, b[:, 0]), scipy.linalg.cho_solve((L, True), b[:, 0]))
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_bit_equal_to_scipy_with_its_checks(self, order):
+        L = np.asarray(self.L, order=order)
+        wide = np.random.default_rng(6).standard_normal((70, 8))
+        right_hand_sides = {
+            "1-D": self.b[:, 0].copy(),
+            "2-D": self.b,
+            "Fortran-ordered": np.asfortranarray(self.b),
+            "non-contiguous": wide[:, ::3],
+            "no columns": wide[:, :0],
+        }
+        for name, b in right_hand_sides.items():
+            got = (solve_lower(L, b), solve_upper(L.T, b), solve_chol(L, b))
+            want = (
+                scipy.linalg.solve_triangular(L, b, lower=True),
+                scipy.linalg.solve_triangular(L.T, b, lower=False),
+                scipy.linalg.cho_solve((L, True), b),
+            )
+            for g, w in zip(got, want):
+                assert g.shape == b.shape and np.array_equal(g, w), name
+
+    @pytest.mark.parametrize("solve", [solve_lower, solve_upper, solve_chol])
+    def test_wrong_length_right_hand_side_raises_silently(self, solve, capfd):
+        L = self.L.T if solve is solve_upper else self.L
+        for b in (self.b[:69], self.b[:69, 0]):
+            with pytest.raises(ValueError, match=re.escape(f"(70, 70) and right-hand side of shape {b.shape}")):
+                solve(L, b)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("solve", [solve_lower, solve_upper])
+    def test_zero_on_the_diagonal_raises(self, solve, order):
+        L = np.array(self.L, order=order)
+        L[40, 40] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 40"):
+            solve(L.T if solve is solve_upper else L, self.b)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("solve", [solve_lower, solve_upper, solve_chol])

@@ -353,6 +353,16 @@ class TestOneModelClassPerLikelihood:
             assert model.predict_proba(X[0], T[0]) == model.predict_proba_batch(X[:1], T[:1])[0]
 
     @ROUTES
+    def test_empty_batch_gives_empty_outputs(self, likelihood, route, cls, basis):
+        model = fitted(likelihood, route)
+        X, T = model.data.X[:0], model.data.T[:0]
+        if likelihood == "regression":
+            outputs = model.predict_batch(X, T)
+        else:
+            outputs = (model.predict_proba_batch(X, T),)
+        assert [out.shape for out in outputs] == [(0,)] * len(outputs)
+
+    @ROUTES
     def test_bad_test_task_is_rejected_on_both_paths(self, likelihood, route, cls, basis):
         model = fitted(likelihood, route)
         single, batch = (
